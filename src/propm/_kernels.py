@@ -1,12 +1,13 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels.
 
-Every kernel exists twice: a scalar version compiled with numba's ``@njit``
-and a vectorized pure-numpy version. The active backend is chosen once at
-import time: numba when it is importable, numpy when it is not or when the
-environment variable ``PROPM_NO_NUMBA`` is set to a non-empty value other
-than "0". ``propm bench`` times both on the same inputs.
+The CP subset-sum table (``cp_table``) has one vectorized numpy
+implementation. Each allocation-scan kernel exists twice: a scalar version
+compiled with numba's ``@njit`` and a vectorized pure-numpy version. The
+active scan backend is chosen once at import time: numba when it is
+importable, numpy when it is not or when the environment variable
+``PROPM_NO_NUMBA`` is set to a non-empty value other than "0".
 
-All arithmetic is int64. Callers guard magnitudes (see MAX_SAFE_TOTAL) so
+Scan arithmetic is int64. Callers guard magnitudes (see MAX_SAFE_TOTAL) so
 that no intermediate product can overflow; the exact-arithmetic reference
 paths in the rest of the package use unbounded Python integers.
 
@@ -73,81 +74,62 @@ NOTION_COUNT = 13
 
 # ---------------------------------------------------------------------------
 # Close-to-proportional subset DP
-#
-# For each achievable sum s <= cap the tables hold the maximum cardinality
-# and, among those, the best witness mask. Masks use bit (m-1-p) for local
-# item position p, so a numerically larger mask is a lexicographically
-# smaller sorted index list (for equal cardinality).
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _cp_table_numba(vals, cap):
+def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
+    """(sum, cardinality, mask) of the best subset of ``vals`` with sum <= cap.
+
+    Best means value-maximal, then cardinality-maximal, then the
+    lexicographically smallest sorted position list. The mask is an unbounded
+    Python int with bit (m-1-p) for position p, so any item count works.
+
+    A backward pass over the items keeps one row ``card[s]``: the largest
+    cardinality of a subset of items p..m-1 summing to exactly s, negative
+    when s is unreachable. For each item with 0 < v <= cap it stores the
+    bit-packed row ``take_p[s - v]``: taking p still reaches the row's best
+    cardinality at s. A forward walk from the best sum then takes each item
+    at the first opportunity, which yields the lexicographically smallest
+    witness. Zero-valued items are always taken and items above the cap
+    never; neither stores a row. The take rows cost m * (cap + 1) / 8 bytes
+    on top of the 2 * (cap + 1)-byte cardinality row (int16 below 16384
+    items).
+    """
+    m = len(vals)
     size = cap + 1
-    reach = np.zeros(size, np.bool_)
-    card = np.full(size, -1, np.int64)
-    mask = np.zeros(size, np.int64)
-    reach[0] = True
+    dtype = np.int16 if m < 1 << 14 else np.int64
+    # The sentinel rises by at most one per item, so it stays negative.
+    card = np.full(size, np.iinfo(dtype).min, dtype)
     card[0] = 0
-    m = vals.shape[0]
-    for p in range(m):
-        v = vals[p]
-        bit = np.int64(1) << np.int64(m - 1 - p)
+    cand = np.empty(size, dtype)
+    take = np.empty(size, np.bool_)
+    rows = [None] * m
+    for p in range(m - 1, -1, -1):
+        v = int(vals[p])
         if v == 0:
-            # A zero-value item always helps cardinality at every reachable sum.
-            for s in range(size):
-                if reach[s]:
-                    card[s] += 1
-                    mask[s] |= bit
+            card += 1
         elif v <= cap:
-            for s in range(cap, v - 1, -1):
-                src = s - v
-                if reach[src]:
-                    cand_card = card[src] + 1
-                    cand_mask = mask[src] | bit
-                    if (not reach[s]) or cand_card > card[s] or (
-                        cand_card == card[s] and cand_mask > mask[s]
-                    ):
-                        reach[s] = True
-                        card[s] = cand_card
-                        mask[s] = cand_mask
-    return reach, card, mask
-
-
-def _cp_table_numpy(vals, cap):
-    size = cap + 1
-    reach = np.zeros(size, np.bool_)
-    card = np.full(size, -1, np.int64)
-    mask = np.zeros(size, np.int64)
-    reach[0] = True
-    card[0] = 0
-    m = vals.shape[0]
+            width = size - v
+            np.add(card[:width], 1, out=cand[:width])
+            np.greater_equal(cand[:width], card[v:], out=take[:width])
+            rows[p] = np.packbits(take[:width])
+            np.maximum(card[v:], cand[:width], out=card[v:])
+    best_sum = int(np.flatnonzero(card >= 0)[-1])
+    s = best_sum
+    mask = 0
     for p in range(m):
         v = int(vals[p])
-        bit = np.int64(1) << np.int64(m - 1 - p)
         if v == 0:
-            card[reach] += 1
-            mask[reach] |= bit
-        elif v <= cap:
-            src_reach = reach[: size - v].copy()
-            cand_card = card[: size - v] + 1
-            cand_mask = mask[: size - v] | bit
-            dst = slice(v, size)
-            better = src_reach & (
-                ~reach[dst]
-                | (cand_card > card[dst])
-                | ((cand_card == card[dst]) & (cand_mask > mask[dst]))
-            )
-            card[dst] = np.where(better, cand_card, card[dst])
-            mask[dst] = np.where(better, cand_mask, mask[dst])
-            reach[dst] |= src_reach
-    return reach, card, mask
-
-
-def cp_table(vals: np.ndarray, cap: int):
-    if BACKEND == "numba":
-        return _cp_table_numba(vals, cap)
-    return _cp_table_numpy(vals, cap)
+            taken = True
+        elif v <= s:
+            i = s - v
+            taken = (rows[p][i >> 3] >> (7 - (i & 7))) & 1
+        else:
+            taken = False
+        if taken:
+            mask |= 1 << (m - 1 - p)
+            s -= v
+    return best_sum, int(card[best_sum]), mask
 
 
 # ---------------------------------------------------------------------------

@@ -178,43 +178,23 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .cpsets import _best_subset
+    import numpy as np
 
-    rows = []
+    print(f"CP-bundle DP timing (best of {args.repeats}, numpy)")
+    print(f"{'m':>4} {'cap':>8} {'ms':>10} {'Mcells/s':>10}")
     for m in args.sizes:
         inst = random_instance(1, m, args.max_value, args.seed + m)
-        vals = tuple(inst.values[0])
-        cap = sum(vals) // 2
-
-        def run(fn):
-            fn()  # warm-up (includes JIT compilation on the numba path)
-            best = float("inf")
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best * 1000.0
-
-        import numpy as np
-
-        arr = np.array(vals, dtype=np.int64)
-        numpy_ms = run(lambda: _kernels._cp_table_numpy(arr, cap))
-        if _kernels.HAVE_NUMBA:
-            numba_ms = run(lambda: _kernels._cp_table_numba(arr, cap))
-        else:
-            numba_ms = None
-        # Sanity: both backends feed the same selector.
-        _best_subset(vals, cap)
-        rows.append((m, cap, numba_ms, numpy_ms))
-
-    print(f"CP-bundle DP timing (best of {args.repeats}, backend in use: {_kernels.BACKEND})")
-    print(f"{'m':>4} {'cap':>8} {'numba ms':>10} {'numpy ms':>10} {'speedup':>8}")
-    for m, cap, numba_ms, numpy_ms in rows:
-        if numba_ms is None:
-            print(f"{m:>4} {cap:>8} {'n/a':>10} {numpy_ms:>10.3f} {'n/a':>8}")
-        else:
-            ratio = numpy_ms / numba_ms if numba_ms > 0 else float("inf")
-            print(f"{m:>4} {cap:>8} {numba_ms:>10.3f} {numpy_ms:>10.3f} {ratio:>8.2f}")
+        arr = np.array(inst.values[0], dtype=np.int64)
+        cap = int(arr.sum()) // 2
+        _kernels.cp_table(arr, cap)  # warm-up
+        best = float("inf")
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            _kernels.cp_table(arr, cap)
+            best = min(best, time.perf_counter() - t0)
+        cells = m * (cap + 1)
+        rate = cells / best / 1e6 if best > 0 else float("inf")
+        print(f"{m:>4} {cap:>8} {best * 1000.0:>10.3f} {rate:>10.1f}")
     return 0
 
 
@@ -270,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_counterexample)
 
-    p = sub.add_parser("bench", help="time the CP-bundle DP on both backends")
+    p = sub.add_parser("bench", help="time the CP-bundle DP")
     p.add_argument("--sizes", type=int, nargs="+", default=[12, 16, 20])
     p.add_argument("--max-value", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)

@@ -6,9 +6,10 @@ then to the lexicographically smallest sorted index list, which makes every
 construction downstream deterministic and certifiable.
 
 Finding a CP bundle is as hard as subset sum, so computation is exact but
-pseudo-polynomial: a DP over achievable value sums (with witness masks) when
-the value range is moderate, and meet-in-the-middle when the range is huge
-but the item count small.
+pseudo-polynomial: a DP over achievable value sums, whose witness is
+recovered by walking a table of per-item take bits, when the value range is
+moderate, and meet-in-the-middle when the range is huge but the item count
+small.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .core import Bundle, InputError, Instance, ResourceBudgetError, value_of
 DP_SUM_LIMIT = 2_000_000
 # Meet-in-the-middle enumerates 2^(m/2) subsets per half.
 MITM_ITEM_LIMIT = 34
-# Witness masks must fit in a signed int64 for the kernels.
-KERNEL_MASK_LIMIT = 62
 
 
 @dataclass(frozen=True)
@@ -76,42 +75,10 @@ def _best_subset(vals: tuple[int, ...], cap: int, strategy: str | None = None):
                 f"(DP limit {DP_SUM_LIMIT}, meet-in-the-middle limit {MITM_ITEM_LIMIT} items)"
             )
     if strategy == "dp":
-        if m <= KERNEL_MASK_LIMIT:
-            reach, card, mask = _kernels.cp_table(np.array(vals, dtype=np.int64), cap)
-            best_sum = int(np.nonzero(reach)[0][-1])
-            return best_sum, int(card[best_sum]), int(mask[best_sum])
-        return _dp_python(vals, cap)
+        return _kernels.cp_table(np.array(vals, dtype=np.int64), cap)
     if strategy == "mitm":
         return _meet_in_the_middle(vals, cap)
     raise InputError(f"unknown CP strategy {strategy!r}")
-
-
-def _dp_python(vals, cap):
-    # Unbounded-int masks: used only when the item count exceeds the kernels' 62-bit limit.
-    m = len(vals)
-    size = cap + 1
-    reach = [False] * size
-    card = [-1] * size
-    mask = [0] * size
-    reach[0] = True
-    card[0] = 0
-    for p, v in enumerate(vals):
-        bit = 1 << (m - 1 - p)
-        if v == 0:
-            for s in range(size):
-                if reach[s]:
-                    card[s] += 1
-                    mask[s] |= bit
-        elif v <= cap:
-            for s in range(cap, v - 1, -1):
-                src = s - v
-                if reach[src]:
-                    cand = (card[src] + 1, mask[src] | bit)
-                    if not reach[s] or cand > (card[s], mask[s]):
-                        reach[s] = True
-                        card[s], mask[s] = cand
-    best_sum = max(s for s in range(size) if reach[s])
-    return best_sum, card[best_sum], mask[best_sum]
 
 
 def _enumerate_half(vals, offset, m_total):

@@ -1,6 +1,6 @@
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propm import Bundle, Instance, cp_bundle, cp_ladder, validate_ladder, value_of
@@ -15,13 +15,17 @@ def brute_force_cp(values, k):
     Most valuable subset with k * v(B) <= v(S); then largest; then the
     lexicographically smallest sorted index list (compared as tuples).
     """
+    return brute_force_best(values, sum(values) // k)
+
+
+def brute_force_best(values, cap):
+    """(value, cardinality, sorted index tuple) of the best subset with sum <= cap."""
     m = len(values)
-    total = sum(values)
     best = None
     for size in range(m + 1):
         for combo in combinations(range(m), size):
             v = sum(values[j] for j in combo)
-            if k * v > total:
+            if v > cap:
                 continue
             if best is None:
                 best = (v, len(combo), combo)
@@ -30,6 +34,34 @@ def brute_force_cp(values, k):
                 if (v, len(combo)) > (bv, bc) or ((v, len(combo)) == (bv, bc) and combo < bcombo):
                     best = (v, len(combo), combo)
     return best
+
+
+def mask_positions(mask, m):
+    """Sorted positions of a reversed-bit witness mask (bit m-1-p is position p)."""
+    return tuple(p for p in range(m) if (mask >> (m - 1 - p)) & 1)
+
+
+def reference_dp(vals, cap):
+    """Forward DP carrying unbounded witness masks per reachable sum.
+
+    Slow but independent of the kernel's backward table and take-bit walk.
+    """
+    m = len(vals)
+    best = {0: (0, 0)}  # sum -> (cardinality, mask); larger mask = lexicographically smaller
+    for p, v in enumerate(vals):
+        bit = 1 << (m - 1 - p)
+        if v > cap:
+            continue
+        nxt = dict(best)
+        for s, (c, mk) in best.items():
+            t = s + v
+            if t <= cap:
+                cand = (c + 1, mk | bit)
+                if t not in nxt or cand > nxt[t]:
+                    nxt[t] = cand
+        best = nxt
+    top = max(best)
+    return (top,) + best[top]
 
 
 def test_cp_bundle_tie_break(i_cp):
@@ -85,12 +117,37 @@ def test_cp_strategies_agree():
         ), (s, vals, cap)
 
 
-def test_cp_python_dp_handles_many_items():
-    # 70 items exceeds the 62-bit kernel mask; exercises the big-int DP path
+@settings(max_examples=150, deadline=None)
+@given(
+    vals=st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 8, 13, 40]), max_size=11),
+    cap_frac=st.floats(min_value=0, max_value=1.2),
+)
+@example(vals=[0, 0, 0, 0], cap_frac=0.5)
+@example(vals=[0, 0, 0], cap_frac=0.0)
+@example(vals=[5, 5, 5, 5], cap_frac=0.0)
+@example(vals=[40, 1, 1, 40], cap_frac=0.3)
+def test_cp_dp_matches_brute_force_and_mitm(vals, cap_frac):
+    vals = tuple(vals)
+    cap = int(sum(vals) * cap_frac)
+    got = _best_subset(vals, cap, strategy="dp")
+    value, card, combo = brute_force_best(vals, cap)
+    assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
+    assert got == _best_subset(vals, cap, strategy="mitm")
+
+
+def test_cp_dp_handles_many_items():
+    # Item counts past 62 go through the same kernel: the witness is an unbounded int.
     inst = Instance.of([[1] * 70])
     bundle = cp_bundle(inst, 0, 2, inst.all_items())
     assert len(bundle) == 35
     assert bundle.items == tuple(range(35))
+    for s in range(12):
+        m = 63 + (s * 5) % 28
+        vals = tuple(random_instance(1, m, 30, seed=1300 + s).values[0])
+        # Values up to 30 over 63+ items repeat often; two zeros are spliced in.
+        vals = vals[:5] + (0, 0) + vals[5 : m - 2]
+        cap = sum(vals) // (2 + s % 3)
+        assert _best_subset(vals, cap, strategy="dp") == reference_dp(vals, cap), s
 
 
 def test_cp_ladder_two_rungs(i_cp):

@@ -45,19 +45,6 @@ def test_leximin_scan_backend_parity(seed):
 
 
 @needs_numba
-@pytest.mark.parametrize("seed", range(8))
-def test_cp_table_backend_parity(seed):
-    inst = random_instance(1, 3 + seed, 60, seed=4500 + seed)
-    vals = np.array(inst.values[0], np.int64)
-    cap = int(vals.sum()) // (2 + seed % 3)
-    ra, ca, ma = kernels._cp_table_numba(vals, cap)
-    rb, cb, mb = kernels._cp_table_numpy(vals, cap)
-    assert np.array_equal(ra, rb)
-    assert np.array_equal(ca, cb)
-    assert np.array_equal(ma, mb)
-
-
-@needs_numba
 def test_masks_backend_parity_no_items():
     from propm import Instance
 
