@@ -1,58 +1,50 @@
 """Hot numeric kernels.
 
-The CP subset-sum table (``cp_table``) has one vectorized numpy
-implementation. Each allocation-scan kernel exists twice: a scalar version
-compiled with numba's ``@njit`` and a vectorized pure-numpy version. The
-active scan backend is chosen once at import time: numba when it is
-importable, numpy when it is not or when the environment variable
-``PROPM_NO_NUMBA`` is set to a non-empty value other than "0".
-
-Scan arithmetic is int64. Callers guard magnitudes (see MAX_SAFE_TOTAL) so
-that no intermediate product can overflow; the exact-arithmetic reference
-paths in the rest of the package use unbounded Python integers.
+``cp_table`` is the close-to-proportional subset-sum DP. The allocation
+scans (``notion_masks``, ``mms_scan`` and ``leximin_scan``) share one
+split-half engine, vectorized with numpy.
 
 Allocations are indexed 0..n^m-1; item j is owned by digit j of the index
-written in base n, least significant digit first.
+written in base n, least significant digit first. The engine splits the
+items into a low half (items 0..h-1) and a high half, so index t is
+l + L*r with L = n^h. For every assignment of one half it tabulates the
+bundle statistics: per agent and bundle the value, least and greatest item,
+each agent's own-bundle value and the bundle sizes. A window of allocations
+then combines a low row with a high row by one broadcast add, min or max,
+the meet-in-the-middle idea ``cpsets._meet_in_the_middle`` uses for CP
+bundles. Only alt-median and alt-mode, which do not split across halves,
+decode owner digits. Each kernel computes only the statistics its
+requested notions read.
+
+h is m // 2, lowered while n^h exceeds the window, so neither half table
+outgrows the window. A window's per-bundle statistics take at most
+SCAN_BYTES: callers size windows with ``scan_chunk`` and the kernels split
+very large agent counts into blocks.
+
+Scan arithmetic is int64. ``instance_arrays`` rejects inputs whose largest
+intermediate, n * (m+1) * max_total from the alt-mean test, would not fit;
+the exact-arithmetic reference paths in the rest of the package use
+unbounded Python integers.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NO_NUMBA_ENV_VAR = "PROPM_NO_NUMBA"
+# Name of the scan implementation, for tools that stamp their records with it.
+BACKEND = "numpy"
 
-try:
-    if os.environ.get(NO_NUMBA_ENV_VAR, "").strip() not in ("", "0"):
-        raise ImportError(f"numba disabled via {NO_NUMBA_ENV_VAR}")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """No-op replacement so kernel sources stay importable without numba."""
-
-        def wrap(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
-
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-# Largest per-agent total for which all kernel intermediates fit in int64
-# (worst product is n * total * m with n <= 16, m <= 62).
-MAX_SAFE_TOTAL = 1 << 50
-
-# Sentinel larger than any item value a kernel will see.
-_BIG = np.int64(1) << np.int64(60)
+# Sentinel above every item value a kernel sees (instance_arrays keeps
+# totals below 2^62); it marks the minimum of an empty bundle.
+_BIG = 1 << 62
 
 CHUNK = 8192
+
+# Bytes a window's per-bundle statistics may take: three int64 values
+# (value, min, max, or two of them and a temporary) per allocation, agent
+# and bundle.
+SCAN_BYTES = 32 << 20
+_CELL_BYTES = 3 * 8
 
 # Notion bit positions inside the per-agent satisfaction mask.
 PROP = 0
@@ -70,6 +62,7 @@ ALT_MODE = 11
 ALT_MINIMAX = 12
 
 NOTION_COUNT = 13
+ALL_NOTIONS = (1 << NOTION_COUNT) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -133,260 +126,223 @@ def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Per-allocation fairness masks
+# Split-half engine
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _notion_masks_numba(values, totals, mms, start, count):
-    n, m = values.shape
-    out = np.zeros((count, n), np.uint16)
-    bundle_val = np.empty((n, n), np.int64)
-    bundle_min = np.empty((n, n), np.int64)
-    bundle_max = np.empty((n, n), np.int64)
-    bundle_size = np.empty(n, np.int64)
-    owner = np.empty(m, np.int64)
-    scratch = np.empty(m, np.int64)
-    for t in range(count):
-        idx = start + t
-        rem = idx
-        for j in range(m):
-            owner[j] = rem % n
-            rem //= n
-        for k in range(n):
-            bundle_size[k] = 0
-            for i in range(n):
-                bundle_val[i, k] = 0
-                bundle_min[i, k] = _BIG
-                bundle_max[i, k] = -1
-        for j in range(m):
-            k = owner[j]
-            bundle_size[k] += 1
-            for i in range(n):
-                v = values[i, j]
-                bundle_val[i, k] += v
-                if v < bundle_min[i, k]:
-                    bundle_min[i, k] = v
-                if v > bundle_max[i, k]:
-                    bundle_max[i, k] = v
-        for i in range(n):
-            total = totals[i]
-            own = bundle_val[i, i]
-            pooled_min = _BIG
-            pooled_max = -1
-            d = np.int64(0)
-            sum_mins = np.int64(0)
-            minimax = _BIG
-            any_other_items = False
-            ef_ok = True
-            ef1_ok = True
-            efx_ok = True
-            for k in range(n):
-                if k == i:
-                    continue
-                if bundle_size[k] > 0:
-                    any_other_items = True
-                    bmin = bundle_min[i, k]
-                    bmax = bundle_max[i, k]
-                    if bmin < pooled_min:
-                        pooled_min = bmin
-                    if bmax > pooled_max:
-                        pooled_max = bmax
-                    if bmin > d:
-                        d = bmin
-                    sum_mins += bmin
-                    if bmax < minimax:
-                        minimax = bmax
-                    if own < bundle_val[i, k]:
-                        ef_ok = False
-                    if own < bundle_val[i, k] - bmax:
-                        ef1_ok = False
-                    if own < bundle_val[i, k] - bmin:
-                        efx_ok = False
-                else:
-                    # An empty rival bundle caps the minimax bonus at zero.
-                    if 0 < minimax:
-                        minimax = 0
-            if not any_other_items:
-                pooled_min = 0
-                pooled_max = 0
-            if n == 1 or minimax == _BIG:
-                minimax = 0
-            bits = np.uint16(0)
-            if n * own >= total:
-                bits |= np.uint16(1 << PROP)
-            if n * (own + pooled_max) >= total:
-                bits |= np.uint16(1 << PROP1)
-            if n * (own + pooled_min) >= total:
-                bits |= np.uint16(1 << PROPX)
-            if n * (own + d) >= total:
-                bits |= np.uint16(1 << PROPM)
-            if ef_ok:
-                bits |= np.uint16(1 << EF)
-            if ef1_ok:
-                bits |= np.uint16(1 << EF1)
-            if efx_ok:
-                bits |= np.uint16(1 << EFX)
-            if n * own + sum_mins >= total:
-                bits |= np.uint16(1 << AEFX)
-            if mms[i] >= 0 and own >= mms[i]:
-                bits |= np.uint16(1 << MMS)
-            cnt = m - bundle_size[i]
-            if cnt == 0:
-                if n * own >= total:
-                    bits |= np.uint16(1 << ALT_MEAN)
-                    bits |= np.uint16(1 << ALT_MEDIAN)
-                    bits |= np.uint16(1 << ALT_MODE)
-            else:
-                if n * (own * cnt + (total - own)) >= cnt * total:
-                    bits |= np.uint16(1 << ALT_MEAN)
-                pos = 0
-                for j in range(m):
-                    if owner[j] != i:
-                        scratch[pos] = values[i, j]
-                        pos += 1
-                sub = np.sort(scratch[:cnt])
-                median = sub[(cnt - 1) // 2]
-                if n * (own + median) >= total:
-                    bits |= np.uint16(1 << ALT_MEDIAN)
-                best_cnt = 0
-                best_val = np.int64(-1)
-                run = 1
-                for q in range(cnt):
-                    if q > 0 and sub[q] == sub[q - 1]:
-                        run += 1
-                    else:
-                        run = 1
-                    if run > best_cnt:
-                        best_cnt = run
-                        best_val = sub[q]
-                if n * (own + best_val) >= total:
-                    bits |= np.uint16(1 << ALT_MODE)
-            if n * (own + minimax) >= total:
-                bits |= np.uint16(1 << ALT_MINIMAX)
-            out[t, i] = bits
+def scan_chunk(n: int) -> int:
+    """Allocations per scan window: CHUNK, fewer when n x n statistics need it."""
+    return max(1, min(CHUNK, SCAN_BYTES // (_CELL_BYTES * n * n)))
+
+
+def _agent_blocks(n, count):
+    """Agent slices whose per-bundle statistics over ``count`` allocations fit SCAN_BYTES."""
+    step = max(1, SCAN_BYTES // (_CELL_BYTES * n * max(count, 1)))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+# Statistic -> (how two halves combine, value for an empty bundle). Every
+# statistic is an array [lead, mid, allocation], allocations innermost so
+# the broadcast combine runs over long contiguous rows: "val", "min" and
+# "max" are [bundle, agent, allocation], reduced over the leading axis;
+# "own" (each agent's own-bundle value) and "size" are [0, agent or bundle,
+# allocation].
+_STATS = {
+    "val": (np.add, 0),
+    "min": (np.minimum, _BIG),
+    "max": (np.maximum, 0),
+    "own": (np.add, 0),
+    "size": (np.add, 0),
+}
+
+
+def _half(values, agents, n, name, lo, hi, first, count):
+    """Statistic ``name`` of items lo..hi-1 for their assignments first..first+count-1."""
+    op, empty = _STATS[name]
+    per_bundle = name in ("val", "min", "max")
+    if per_bundle:
+        shape = (n, values[agents].shape[0], count)
+    else:
+        shape = (1, n, count)
+    out = np.full(shape, empty, np.int64)
+    rows = np.arange(count)
+    digits = np.arange(first, first + count, dtype=np.int64)
+    for j in range(lo, hi):
+        owner = digits % n
+        digits //= n
+        if per_bundle:
+            at, v = (owner, slice(None), rows), values[agents, j]
+        else:
+            at, v = (0, owner, rows), values[owner, j] if name == "own" else 1
+        out[at] = op(out[at], v)
+    return out
+
+
+def _window(values, agents, n, name, start, count):
+    """Statistic ``name`` for allocations start..start+count-1, in index order."""
+    m = values.shape[1]
+    h = 0
+    while h < m // 2 and n ** (h + 1) <= count:
+        h += 1
+    size = n**h
+    r0, l0 = divmod(start, size)
+    low = _half(values, agents, n, name, 0, h, 0, size)
+    high = _half(values, agents, n, name, h, m, r0, (start + count - 1) // size + 1 - r0)
+    op = _STATS[name][0]
+    lead, mid, _ = low.shape
+    out = np.empty((lead, mid, count), np.int64)
+    # At most three blocks: the end of the first high row, whole rows, the
+    # start of the last row.
+    pos, r, l = 0, 0, l0
+    while pos < count:
+        if l == 0 and count - pos >= size:
+            k = (count - pos) // size
+            block = out[..., pos : pos + k * size].reshape(lead, mid, k, size)
+            op(high[..., r : r + k, None], low[..., None, :], out=block)
+            pos, r = pos + k * size, r + k
+        else:
+            w = min(size - l, count - pos)
+            op(high[..., r : r + 1], low[..., l : l + w], out=out[..., pos : pos + w])
+            pos, r, l = pos + w, r + 1, 0
     return out
 
 
 def _decode_owners(n, m, start, count):
     idx = np.arange(start, start + count, dtype=np.int64)
     owners = np.empty((count, m), np.int64)
-    rem = idx.copy()
     for j in range(m):
-        owners[:, j] = rem % n
-        rem //= n
+        owners[:, j] = idx % n
+        idx //= n
     return owners
 
 
-def _notion_masks_numpy(values, totals, mms, start, count):
+def _diagonal(agents, n):
+    """Index of each block agent's own bundle in a [bundle, agent, allocation] statistic."""
+    idx = range(n)[agents]
+    return np.arange(idx.start, idx.stop), np.arange(len(idx))
+
+
+def _zero_own_and_empty(mn, agents):
+    """Zero each agent's own bundle and every empty bundle in a "min" statistic.
+
+    A maximum over bundles is then the maximin bonus d_i, a sum the AEFX
+    bonus.
+    """
+    mn[_diagonal(agents, mn.shape[0])] = _BIG
+    mn[mn == _BIG] = 0
+    return mn
+
+
+# ---------------------------------------------------------------------------
+# Per-allocation fairness masks
+# ---------------------------------------------------------------------------
+
+_VAL_NOTIONS = 1 << EF | 1 << EF1 | 1 << EFX
+_MAX_NOTIONS = 1 << PROP1 | 1 << EF1 | 1 << ALT_MINIMAX
+_MIN_NOTIONS = 1 << PROPX | 1 << PROPM | 1 << AEFX | 1 << EFX
+_REST_NOTIONS = 1 << ALT_MEDIAN | 1 << ALT_MODE
+
+
+def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS):
+    """uint16[count, n]: bit b set iff the agent satisfies notion code b.
+
+    Only the notions whose bits are set in ``want`` are computed; every
+    other bit stays clear.
+    """
     n, m = values.shape
-    if m == 0:
-        # the single empty allocation: zero totals satisfy every weak notion
-        bits = (1 << NOTION_COUNT) - 1
-        out = np.full((count, n), bits, np.uint16)
-        for i in range(n):
-            if mms[i] < 0:
-                out[:, i] &= np.uint16(~(1 << MMS) & 0xFFFF)
-        return out
+    masks = np.zeros((n, count), np.uint16)  # [agent, allocation]
+
+    def put(bit, ok, agents=slice(None)):
+        if want >> bit & 1:
+            masks[agents] |= ok * np.uint16(1 << bit)
+
+    totals = totals[:, None]
+    own = _window(values, slice(None), n, "own", start, count)[0]
+    put(PROP, n * own >= totals)
+    put(MMS, (own >= mms[:, None]) & (mms[:, None] >= 0))
+    if want >> ALT_MEAN & 1:
+        cnt = m - _window(values, slice(None), n, "size", start, count)[0]
+        mean_ok = n * (own * cnt + (totals - own)) >= cnt * totals
+        put(ALT_MEAN, np.where(cnt == 0, n * own >= totals, mean_ok))
+    if want & _REST_NOTIONS:
+        _rest_notions(values, totals, own, start, count, want, put)
+    if want & (_VAL_NOTIONS | _MAX_NOTIONS | _MIN_NOTIONS):
+        for agents in _agent_blocks(n, count):
+            _bundle_notions(values, totals[agents], own[agents], start, count, want, agents, put)
+    return np.ascontiguousarray(masks.T)
+
+
+def _bundle_notions(values, total, own, start, count, want, agents, put):
+    """The notions that read other agents' bundles, for one block of agents."""
+    n = values.shape[0]
+    diag = _diagonal(agents, n)
+
+    def stat(name):
+        return _window(values, agents, n, name, start, count)
+
+    def pooled(bundle_stat, reduce, diag_value):
+        # Reduce over the rival bundles; _BIG means there is none.
+        bundle_stat[diag] = diag_value
+        got = reduce(bundle_stat, axis=0)
+        got[got == _BIG] = 0
+        return got
+
+    val = stat("val") if want & _VAL_NOTIONS else None
+    if want >> EF & 1:
+        put(EF, (val <= own).all(axis=0), agents)
+    if want & _MAX_NOTIONS:
+        mx = stat("max")
+        if want >> PROP1 & 1:
+            put(PROP1, n * (own + pooled(mx, np.max, 0)) >= total, agents)
+        if want >> ALT_MINIMAX & 1:
+            # An empty rival bundle counts as a maximum of 0.
+            put(ALT_MINIMAX, n * (own + pooled(mx, np.min, _BIG)) >= total, agents)
+        if want >> EF1 & 1:
+            # The diagonal holds own - max <= own whatever max it holds.
+            put(EF1, (val - mx <= own).all(axis=0), agents)
+        del mx
+    if want & _MIN_NOTIONS:
+        mn = stat("min")
+        if want >> PROPX & 1:
+            put(PROPX, n * (own + pooled(mn, np.min, _BIG)) >= total, agents)
+        _zero_own_and_empty(mn, agents)
+        if want >> PROPM & 1:
+            put(PROPM, n * (own + mn.max(axis=0)) >= total, agents)
+        if want >> AEFX & 1:
+            put(AEFX, n * own + mn.sum(axis=0) >= total, agents)
+        if want >> EFX & 1:
+            put(EFX, (val - mn <= own).all(axis=0), agents)
+
+
+def _rest_notions(values, totals, own, start, count, want, put):
+    """Alt-median and alt-mode: bonuses from the items the other agents own.
+
+    Each agent's items are sorted by value once; per allocation a mask over
+    that order marks the items others own, so no row is sorted.
+    """
+    n, m = values.shape
+    if not m:
+        put(ALT_MEDIAN, n * own >= totals)
+        put(ALT_MODE, n * own >= totals)
+        return
     owners = _decode_owners(n, m, start, count)
-    out = np.zeros((count, n), np.uint16)
-
-    bundle_val = np.empty((count, n, n), np.int64)
-    bundle_min = np.empty((count, n, n), np.int64)
-    bundle_max = np.empty((count, n, n), np.int64)
-    sizes = np.empty((count, n), np.int64)
-    for k in range(n):
-        in_k = owners == k
-        sizes[:, k] = in_k.sum(axis=1)
-        for i in range(n):
-            row = values[i]
-            masked = np.where(in_k, row[None, :], 0)
-            bundle_val[:, i, k] = masked.sum(axis=1)
-            bundle_min[:, i, k] = np.where(in_k, row[None, :], _BIG).min(axis=1)
-            bundle_max[:, i, k] = np.where(in_k, row[None, :], -1).max(axis=1)
-
     for i in range(n):
-        total = np.int64(totals[i])
-        own = bundle_val[:, i, i]
-        others = [k for k in range(n) if k != i]
-        if others:
-            osize = sizes[:, others]
-            nonempty = osize > 0
-            any_other = nonempty.any(axis=1)
-            omin = bundle_min[:, i, others]
-            omax = bundle_max[:, i, others]
-            pooled_min = np.where(nonempty, omin, _BIG).min(axis=1)
-            pooled_min = np.where(any_other, pooled_min, 0)
-            pooled_max = np.where(nonempty, omax, -1).max(axis=1)
-            pooled_max = np.where(any_other, pooled_max, 0)
-            d = np.where(nonempty, omin, 0).max(axis=1, initial=0)
-            sum_mins = np.where(nonempty, omin, 0).sum(axis=1)
-            minimax = np.where(nonempty, omax, 0).min(axis=1)
-            oval = bundle_val[:, i, others]
-            ef_ok = (own[:, None] >= oval).all(axis=1)
-            ef1_ok = np.where(nonempty, own[:, None] >= oval - omax, True).all(axis=1)
-            efx_ok = np.where(nonempty, own[:, None] >= oval - omin, True).all(axis=1)
-        else:
-            zeros = np.zeros(count, np.int64)
-            pooled_min = pooled_max = d = sum_mins = minimax = zeros
-            ef_ok = ef1_ok = efx_ok = np.ones(count, np.bool_)
-
-        def put(bit, cond):
-            out[:, i] |= np.where(cond, np.uint16(1 << bit), np.uint16(0))
-
-        put(PROP, n * own >= total)
-        put(PROP1, n * (own + pooled_max) >= total)
-        put(PROPX, n * (own + pooled_min) >= total)
-        put(PROPM, n * (own + d) >= total)
-        put(EF, ef_ok)
-        put(EF1, ef1_ok)
-        put(EFX, efx_ok)
-        put(AEFX, n * own + sum_mins >= total)
-        if mms[i] >= 0:
-            put(MMS, own >= mms[i])
-
-        cnt = m - sizes[:, i]
-        full = cnt == 0
-        mean_ok = np.where(
-            full,
-            n * own >= total,
-            n * (own * cnt + (total - own)) >= cnt * total,
-        )
-        put(ALT_MEAN, mean_ok)
-
-        rest = np.where(owners == i, _BIG, values[i][None, :])
-        rest_sorted = np.sort(rest, axis=1)
-        med_idx = np.maximum(cnt - 1, 0) // 2
-        median = np.take_along_axis(rest_sorted, med_idx[:, None], axis=1)[:, 0]
-        median_ok = np.where(full, n * own >= total, n * (own + median) >= total)
-        put(ALT_MEDIAN, median_ok)
-
-        best_cnt = np.zeros(count, np.int64)
-        best_val = np.full(count, -1, np.int64)
-        run = np.ones(count, np.int64)
-        for q in range(m):
-            col = rest_sorted[:, q]
-            valid = col < _BIG
-            if q > 0:
-                same = valid & (col == rest_sorted[:, q - 1])
-                run = np.where(same, run + 1, 1)
-            else:
-                run = np.ones(count, np.int64)
-            better = valid & (run > best_cnt)
-            best_cnt = np.where(better, run, best_cnt)
-            best_val = np.where(better, col, best_val)
-        mode_ok = np.where(full, n * own >= total, n * (own + best_val) >= total)
-        put(ALT_MODE, mode_ok)
-
-        put(ALT_MINIMAX, n * (own + minimax) >= total)
-    return out
-
-
-def notion_masks(values, totals, mms, start, count):
-    """uint16[count, n]: bit b set iff agent satisfies notion code b."""
-    if BACKEND == "numba":
-        return _notion_masks_numba(values, totals, mms, start, count)
-    return _notion_masks_numpy(values, totals, mms, start, count)
+        order = np.argsort(values[i], kind="stable")
+        ranked = values[i][order]
+        others = owners[:, order] != i
+        cnt = others.sum(axis=1)
+        if want >> ALT_MEDIAN & 1:
+            # The median is the ((cnt-1)//2)-th of the others' items.
+            seen = np.cumsum(others, axis=1)
+            median = ranked[(seen > ((cnt - 1) // 2)[:, None]).argmax(axis=1)]
+            put(ALT_MEDIAN, n * (own[i] + np.where(cnt > 0, median, 0)) >= totals[i], i)
+        if want >> ALT_MODE & 1:
+            # Items of equal value are adjacent; the first most frequent
+            # value among the others' items is the smallest mode.
+            first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            freq = np.add.reduceat(others, first, axis=1, dtype=np.int64)
+            mode = ranked[first][freq.argmax(axis=1)]
+            put(ALT_MODE, n * (own[i] + np.where(cnt > 0, mode, 0)) >= totals[i], i)
 
 
 # ---------------------------------------------------------------------------
@@ -394,42 +350,12 @@ def notion_masks(values, totals, mms, start, count):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _mms_scan_numba(row, n, start, count):
-    m = row.shape[0]
-    best = np.int64(-1)
-    sums = np.empty(n, np.int64)
-    for t in range(count):
-        idx = start + t
-        for k in range(n):
-            sums[k] = 0
-        rem = idx
-        for j in range(m):
-            sums[rem % n] += row[j]
-            rem //= n
-        worst = sums[0]
-        for k in range(1, n):
-            if sums[k] < worst:
-                worst = sums[k]
-        if worst > best:
-            best = worst
-    return best
-
-
-def _mms_scan_numpy(row, n, start, count):
-    m = row.shape[0]
-    owners = _decode_owners(n, m, start, count)
-    worst = np.full(count, _BIG, np.int64)
-    for k in range(n):
-        vals = np.where(owners == k, row[None, :], 0).sum(axis=1)
-        worst = np.minimum(worst, vals)
-    return int(worst.max()) if count else -1
-
-
 def mms_scan(row, n, start, count):
-    if BACKEND == "numba":
-        return int(_mms_scan_numba(row, n, start, count))
-    return _mms_scan_numpy(row, n, start, count)
+    """Best worst-bundle value of ``row`` over allocations start..start+count-1."""
+    if not count:
+        return -1
+    sums = _window(row[None, :], slice(None), n, "val", start, count)
+    return int(sums.min(axis=0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -440,102 +366,39 @@ def mms_scan(row, n, start, count):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _leximin_scan_numba(values, totals, start, count):
-    n, m = values.shape
-    best_idx = np.int64(-1)
-    best = np.empty(n, np.int64)
-    profile = np.empty(n, np.int64)
-    bundle_min = np.empty((n, n), np.int64)
-    own = np.empty(n, np.int64)
-    owner = np.empty(m, np.int64)
-    size = np.empty(n, np.int64)
-    for t in range(count):
-        idx = start + t
-        rem = idx
-        for j in range(m):
-            owner[j] = rem % n
-            rem //= n
-        for k in range(n):
-            size[k] = 0
-            own[k] = 0
-            for i in range(n):
-                bundle_min[i, k] = _BIG
-        for j in range(m):
-            k = owner[j]
-            size[k] += 1
-            own[k] += values[k, j]
-            for i in range(n):
-                v = values[i, j]
-                if v < bundle_min[i, k]:
-                    bundle_min[i, k] = v
-        for i in range(n):
-            d = np.int64(0)
-            for k in range(n):
-                if k != i and size[k] > 0 and bundle_min[i, k] > d:
-                    d = bundle_min[i, k]
-            profile[i] = n * own[i] + (n - 1) * d
-        profile_sorted = np.sort(profile)
-        if best_idx < 0:
-            best_idx = idx
-            best[:] = profile_sorted
-        else:
-            for i in range(n):
-                if profile_sorted[i] > best[i]:
-                    best_idx = idx
-                    best[:] = profile_sorted
-                    break
-                if profile_sorted[i] < best[i]:
-                    break
-    return best_idx, best
-
-
-def _leximin_scan_numpy(values, totals, start, count):
-    n, m = values.shape
-    if m == 0:
-        return start, np.zeros(n, np.int64)
-    owners = _decode_owners(n, m, start, count)
-    own = np.zeros(count, np.int64)
-    profiles = np.empty((count, n), np.int64)
-    for i in range(n):
-        row = values[i]
-        in_i = owners == i
-        own = np.where(in_i, row[None, :], 0).sum(axis=1)
-        d = np.zeros(count, np.int64)
-        for k in range(n):
-            if k == i:
-                continue
-            in_k = owners == k
-            bmin = np.where(in_k, row[None, :], _BIG).min(axis=1)
-            bmin = np.where(in_k.any(axis=1), bmin, 0)
-            d = np.maximum(d, bmin)
-        profiles[:, i] = n * own + (n - 1) * d
-    profiles.sort(axis=1)
-    order = np.lexsort(tuple(profiles[:, i] for i in range(n - 1, -1, -1)))
-    top = profiles[order[-1]]
-    first = int(np.nonzero((profiles == top).all(axis=1))[0][0])
-    return start + first, top.copy()
-
-
 def leximin_scan(values, totals, start, count):
     """(allocation index, ascending int64 profile) of the chunk's leximin best.
 
     Ties go to the smallest allocation index.
     """
-    if BACKEND == "numba":
-        idx, prof = _leximin_scan_numba(values, totals, start, count)
-        return int(idx), prof
-    return _leximin_scan_numpy(values, totals, start, count)
+    n = values.shape[0]
+    profiles = n * _window(values, slice(None), n, "own", start, count)[0]
+    for agents in _agent_blocks(n, count):
+        mn = _zero_own_and_empty(_window(values, agents, n, "min", start, count), agents)
+        profiles[agents] += (n - 1) * mn.max(axis=0)
+    profiles = np.sort(profiles, axis=0).T
+    best = np.arange(count)
+    for col in range(n):
+        column = profiles[best, col]
+        best = best[column == column.max()]
+    first = int(best[0])
+    return start + first, profiles[first].copy()
 
 
 def instance_arrays(values, totals):
-    """Convert exact integer tables to the int64 arrays the kernels take."""
-    arr = np.array(values, dtype=np.int64)
-    tot = np.array(totals, dtype=np.int64)
-    if tot.size and int(tot.max()) > MAX_SAFE_TOTAL:
+    """Convert exact integer tables to the int64 arrays the kernels take.
+
+    Rejects inputs whose largest kernel intermediate, n * (m+1) * max_total
+    from the alt-mean test, reaches 2^63.
+    """
+    n = len(values)
+    m = len(values[0]) if n else 0
+    worst = n * (m + 1) * max(totals, default=0)
+    if worst >= 1 << 63:
         from .core import InputError
 
         raise InputError(
-            f"agent totals above {MAX_SAFE_TOTAL} exceed the kernels' exact int64 range"
+            f"n * (m+1) * max total = {worst} for n={n}, m={m} exceeds the "
+            "kernels' exact int64 range (below 2^63)"
         )
-    return arr, tot
+    return np.array(values, dtype=np.int64), np.array(totals, dtype=np.int64)

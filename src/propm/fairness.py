@@ -251,8 +251,9 @@ def _mms_cached(inst: Instance, agent: int) -> int:
     total_allocs = n**inst.m
     best = -1
     start = 0
+    chunk = _kernels.scan_chunk(n)
     while start < total_allocs:
-        count = min(_kernels.CHUNK, total_allocs - start)
+        count = min(chunk, total_allocs - start)
         best = max(best, _kernels.mms_scan(row, n, start, count))
         start += count
     return best

@@ -11,10 +11,10 @@ improvement, so the leximin maximum has an acyclic graph.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -57,22 +57,39 @@ class EnvyGraph:
         """Shortest directed cycle; ties broken by lexicographically least vertex tour.
 
         A cycle is canonically written starting at its smallest vertex.
+
+        A cycle whose smallest vertex is s uses only vertices >= s, so a
+        backward breadth-first search from s over those vertices gives the
+        shortest cycle through s. The least s among the shortest cycles
+        starts the tour, which then always steps to the least successor one
+        step closer to s. O(V * (V + E)).
         """
-        edge_set = set(self.edges)
-        vertices = sorted({v for e in self.edges for v in e})
-        for length in range(2, len(vertices) + 1):
-            best: tuple[int, ...] | None = None
-            for tour in permutations(vertices, length):
-                if tour[0] != min(tour):
-                    continue
-                ok = all(
-                    (tour[t], tour[(t + 1) % length]) in edge_set for t in range(length)
-                )
-                if ok and (best is None or tour < best):
-                    best = tour
-            if best is not None:
-                return best
-        return None
+        succ: dict[int, list[int]] = {}
+        pred: dict[int, list[int]] = {}
+        for a, b in set(self.edges):
+            if a != b:
+                succ.setdefault(a, []).append(b)
+                pred.setdefault(b, []).append(a)
+        best: tuple[int, int, dict[int, int]] | None = None
+        for s in sorted(succ):
+            dist = {s: 0}
+            queue = deque([s])
+            while queue:
+                v = queue.popleft()
+                for u in pred.get(v, ()):
+                    if u > s and u not in dist:
+                        dist[u] = dist[v] + 1
+                        queue.append(u)
+            closing = [dist[v] for v in succ[s] if v in dist]
+            if closing and (best is None or min(closing) + 1 < best[0]):
+                best = (min(closing) + 1, s, dist)
+        if best is None:
+            return None
+        length, s, dist = best
+        tour = [s]
+        for left in range(length - 1, 0, -1):
+            tour.append(min(v for v in succ[tour[-1]] if dist.get(v) == left))
+        return tuple(tour)
 
     def has_cycle(self) -> bool:
         return self.find_cycle() is not None
@@ -120,8 +137,9 @@ def leximin_max(
     best_idx = -1
     best_profile: np.ndarray | None = None
     pos = 0
+    chunk = _kernels.scan_chunk(inst.n)
     while pos < total:
-        count = min(_kernels.CHUNK, total - pos)
+        count = min(chunk, total - pos)
         idx, profile = _kernels.leximin_scan(values, totals, pos, count)
         if best_profile is None or _int_profile_less(best_profile, profile):
             best_idx, best_profile = idx, profile

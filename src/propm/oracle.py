@@ -132,11 +132,11 @@ def _mms_array(inst: Instance, needed: bool, budget: int | None) -> np.ndarray:
 def _scan_first_satisfying(values, totals, mms, bit, start, stop):
     """First allocation index in [start, stop) where all agents carry the bit, else -1."""
     pos = start
+    chunk = _kernels.scan_chunk(len(values))
     while pos < stop:
-        count = min(_kernels.CHUNK, stop - pos)
-        masks = _kernels.notion_masks(values, totals, mms, pos, count)
-        hit = (masks & np.uint16(bit)) != 0
-        rows = hit.all(axis=1)
+        count = min(chunk, stop - pos)
+        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=bit)
+        rows = masks.all(axis=1)
         where = np.nonzero(rows)[0]
         if where.size:
             return pos + int(where[0])
@@ -196,15 +196,21 @@ def exists(
 
 def _collect_violations(values, totals, mms, start, stop):
     pairs = [(label, a.code, c.code) for (label, a, c) in IMPLICATIONS]
+    want = 0
+    for _, a_code, c_code in pairs:
+        want |= 1 << a_code | 1 << c_code
     found = []
     pos = start
+    chunk = _kernels.scan_chunk(len(values))
     while pos < stop:
-        count = min(_kernels.CHUNK, stop - pos)
-        masks = _kernels.notion_masks(values, totals, mms, pos, count)
+        count = min(chunk, stop - pos)
+        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=want)
         for label, a_code, c_code in pairs:
             a_bit = np.uint16(1 << a_code)
             c_bit = np.uint16(1 << c_code)
             bad = ((masks & a_bit) != 0) & ((masks & c_bit) == 0)
+            if not bad.any():
+                continue
             for row, agent in zip(*np.nonzero(bad)):
                 found.append((label, pos + int(row), int(agent)))
         pos += count

@@ -150,3 +150,12 @@ def test_solve_unsupported_size(tmp_path, capsys):
     inst_path.write_text(json.dumps({"n": 8, "m": 8, "values": [[1] * 8] * 8}))
     code, _, err = _run(capsys, "solve", "--instance", str(inst_path))
     assert code == 2
+
+
+def test_kernel_int64_range_is_input_error(tmp_path, capsys):
+    # n * total = 10^4 * 2^50 passes 2^63: the scan kernels would overflow int64.
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**4, "m": 1, "values": [[2**50]] * 10**4}))
+    code, _, err = _run(capsys, "exists", "--instance", str(huge), "--notion", "ef")
+    assert code == 2
+    assert "int64" in err

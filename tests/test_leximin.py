@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from propm import (
     leximin_compare,
     leximin_max,
 )
-from propm.leximin import AdjustedProfile
+from propm.leximin import AdjustedProfile, EnvyGraph
 from propm.oracle import enumerate_allocations, random_instance
 
 
@@ -96,6 +98,50 @@ def test_envy_graph_mutual_swap():
     swapped = cycle_swap(inst, bad)
     assert [b.items for b in swapped.bundles] == [(0, 1), (2, 3)]
     assert leximin_compare(adjusted_profile(inst, swapped), adjusted_profile(inst, bad)) == 1
+
+
+def _brute_force_cycle(edges):
+    """Reference: try every tour, shortest first, least tour among equals."""
+    edge_set = set(edges)
+    vertices = sorted({v for e in edges for v in e})
+    for length in range(2, len(vertices) + 1):
+        tours = [
+            tour
+            for tour in permutations(vertices, length)
+            if tour[0] == min(tour)
+            and all((tour[t], tour[(t + 1) % length]) in edge_set for t in range(length))
+        ]
+        if tours:
+            return min(tours)
+    return None
+
+
+def test_find_cycle_matches_brute_force_on_every_small_digraph():
+    for n in range(1, 5):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for keep in product((False, True), repeat=len(pairs)):
+            edges = tuple(p for p, k in zip(pairs, keep) if k)
+            assert EnvyGraph(n, edges).find_cycle() == _brute_force_cycle(edges), edges
+
+
+def test_find_cycle_matches_brute_force_on_random_digraphs():
+    rng = random.Random(1212)
+    for _ in range(150):
+        n = rng.randint(5, 7)
+        density = rng.choice((0.1, 0.2, 0.35, 0.6))
+        edges = tuple(
+            (a, b) for a in range(n) for b in range(n) if rng.random() < density
+        )  # self-loops included: they are never part of a cycle
+        assert EnvyGraph(n, edges).find_cycle() == _brute_force_cycle(edges), edges
+
+
+def test_find_cycle_is_fast_on_large_graphs():
+    n = 300
+    ring = tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
+    assert EnvyGraph(n, ring).find_cycle() == tuple(range(n))
+    dag = tuple((a, b) for a in range(60) for b in range(a + 1, 60))
+    assert EnvyGraph(60, dag).find_cycle() is None
+    assert EnvyGraph(60, dag + ((59, 0),)).find_cycle() == (0, 59)
 
 
 def test_no_cycle_on_efx_allocation():
