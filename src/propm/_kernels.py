@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import InputError, ResourceBudgetError
+
 # Name of the scan implementation, for tools that stamp their records with it.
 BACKEND = "numpy"
 
@@ -39,6 +41,10 @@ BACKEND = "numpy"
 _BIG = 1 << 62
 
 CHUNK = 8192
+
+# Bytes the bit-packed take rows of one CP table may take. At the CP DP's
+# cap limit (cpsets.DP_SUM_LIMIT) that is about a thousand full rows.
+CP_TAKE_BYTES = 256 << 20
 
 # Bytes a window's per-bundle statistics may take: three int64 values
 # (value, min, max, or two of them and a temporary) per allocation, agent
@@ -70,6 +76,23 @@ ALL_NOTIONS = (1 << NOTION_COUNT) - 1
 # ---------------------------------------------------------------------------
 
 
+def _take_widths(vals: list[int], cap: int) -> list[int]:
+    """Cells of the take row ``cp_table`` stores per item; 0 for no row.
+
+    Item p with 0 < v <= cap needs min(cap + 1 - v, suffix + 1) cells, where
+    suffix is the sum, capped at cap, of the items after p that fit the cap:
+    no subset of the items after p reaches a larger sum.
+    """
+    widths = [0] * len(vals)
+    reach = 0
+    for p in range(len(vals) - 1, -1, -1):
+        v = vals[p]
+        if 0 < v <= cap:
+            widths[p] = min(cap + 1 - v, reach + 1)
+            reach = min(cap, reach + v)
+    return widths
+
+
 def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
     """(sum, cardinality, mask) of the best subset of ``vals`` with sum <= cap.
 
@@ -81,14 +104,29 @@ def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
     cardinality of a subset of items p..m-1 summing to exactly s, negative
     when s is unreachable. For each item with 0 < v <= cap it stores the
     bit-packed row ``take_p[s - v]``: taking p still reaches the row's best
-    cardinality at s. A forward walk from the best sum then takes each item
-    at the first opportunity, which yields the lexicographically smallest
-    witness. Zero-valued items are always taken and items above the cap
-    never; neither stores a row. The take rows cost m * (cap + 1) / 8 bytes
-    on top of the 2 * (cap + 1)-byte cardinality row (int16 below 16384
-    items).
+    cardinality at s. Sums above the suffix sum of items p+1..m-1 are
+    unreachable, so item p adds, compares and stores only the first
+    width_p = min(cap + 1 - v, suffix + 1) cells (``_take_widths``). A
+    forward walk from the best sum then takes each item at the first
+    opportunity, which yields the lexicographically smallest witness; it
+    reads item p's row at s - v, which is at most that suffix sum, so it
+    never reads past a row's end. Zero-valued items are always taken and
+    items above the cap never; neither stores a row.
+
+    The take rows cost sum(ceil(width_p / 8)) <= m * (cap + 1) / 8 bytes on
+    top of the 2 * (cap + 1)-byte cardinality row (int16 below 16384
+    items). A table whose take rows would exceed CP_TAKE_BYTES raises
+    ResourceBudgetError before any row is allocated.
     """
     m = len(vals)
+    vals = vals.tolist()
+    widths = _take_widths(vals, cap)
+    take_bytes = sum((w + 7) >> 3 for w in widths)
+    if take_bytes > CP_TAKE_BYTES:
+        raise ResourceBudgetError(
+            f"CP table over {m} items with value cap {cap} needs {take_bytes} bytes "
+            f"of take rows, budget is {CP_TAKE_BYTES}"
+        )
     size = cap + 1
     dtype = np.int16 if m < 1 << 14 else np.int64
     # The sentinel rises by at most one per item, so it stays negative.
@@ -98,20 +136,21 @@ def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
     take = np.empty(size, np.bool_)
     rows = [None] * m
     for p in range(m - 1, -1, -1):
-        v = int(vals[p])
+        v = vals[p]
         if v == 0:
             card += 1
         elif v <= cap:
-            width = size - v
-            np.add(card[:width], 1, out=cand[:width])
-            np.greater_equal(cand[:width], card[v:], out=take[:width])
-            rows[p] = np.packbits(take[:width])
-            np.maximum(card[v:], cand[:width], out=card[v:])
+            w = widths[p]
+            reached = card[v : v + w]
+            np.add(card[:w], 1, out=cand[:w])
+            np.greater_equal(cand[:w], reached, out=take[:w])
+            rows[p] = np.packbits(take[:w])
+            np.maximum(reached, cand[:w], out=reached)
     best_sum = int(np.flatnonzero(card >= 0)[-1])
     s = best_sum
     mask = 0
     for p in range(m):
-        v = int(vals[p])
+        v = vals[p]
         if v == 0:
             taken = True
         elif v <= s:
@@ -395,8 +434,6 @@ def instance_arrays(values, totals):
     m = len(values[0]) if n else 0
     worst = n * (m + 1) * max(totals, default=0)
     if worst >= 1 << 63:
-        from .core import InputError
-
         raise InputError(
             f"n * (m+1) * max total = {worst} for n={n}, m={m} exceeds the "
             "kernels' exact int64 range (below 2^63)"

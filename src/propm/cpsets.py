@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .core import Bundle, InputError, Instance, ResourceBudgetError, value_of
 DP_SUM_LIMIT = 2_000_000
 # Meet-in-the-middle enumerates 2^(m/2) subsets per half.
 MITM_ITEM_LIMIT = 34
+# Distinct (values, cap, strategy) queries the CP memo keeps. A solve and the
+# verification of its certificate ask about ten between them.
+CP_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -54,12 +58,18 @@ class CpLadder:
         return {"divider": self.divider, "rungs": [list(r.items) for r in self.rungs]}
 
 
+@lru_cache(maxsize=CP_MEMO_SIZE)
 def _best_subset(vals: tuple[int, ...], cap: int, strategy: str | None = None):
     """(value, cardinality, reversed-bit mask) of the best subset with sum <= cap.
 
     Bit (len(vals)-1-p) represents position p, so among equal-cardinality
     witnesses the numerically largest mask is the lexicographically smallest
     sorted position list.
+
+    The answer is a pure function of the arguments, so the last CP_MEMO_SIZE
+    queries are memoised. A solver sub-instance and the verifier's original
+    indices give the same order-preserving ``vals``, so replaying a
+    certificate reuses the tables its solve built.
     """
     m = len(vals)
     if m == 0:

@@ -910,8 +910,9 @@ def _req(condition: bool, message: str) -> None:
 
 def _verify_compare(inst: Instance, comp: Compare) -> None:
     _req(0 <= comp.agent < inst.n, "comparison agent out of range")
-    for j in comp.lhs_items + comp.rhs_items:
-        _req(0 <= j < inst.m, "comparison item out of range")
+    m = inst.m
+    for items in (comp.lhs_items, comp.rhs_items):
+        _req(not items or (min(items) >= 0 and max(items) < m), "comparison item out of range")
     lhs = comp.lhs_mult * _val(inst, comp.agent, comp.lhs_items)
     rhs = comp.rhs_mult * _val(inst, comp.agent, comp.rhs_items)
     _req(lhs == comp.lhs and rhs == comp.rhs, "recorded comparison values do not recompute")
@@ -1036,6 +1037,12 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     Replay is independent of the solver's control flow: rungs are recomputed
     from the CP definition, every recorded comparison is recomputed from the
     instance, and the step structure must cover all agents and items.
+
+    Rung recomputation may answer from the CP memo the solve filled. That
+    memo holds outputs of a pure function of (values, cap), which solver and
+    verifier already both trust; it shares no solver control flow and never
+    reads a certificate field, so every recorded rung is still compared with
+    the CP bundle of the verifier's own base set.
     """
     try:
         if cert.agents != tuple(range(inst.n)) or cert.items != tuple(range(inst.m)):

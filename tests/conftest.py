@@ -1,6 +1,19 @@
 import pytest
 
 from propm import Instance, make_counterexample
+from propm.cpsets import _best_subset
+
+
+@pytest.fixture(autouse=True)
+def cold_cp_memo():
+    """Start and end every test with an empty CP memo.
+
+    Tests that patch the kernel or the strategy limits then never see a
+    result computed before the patch.
+    """
+    _best_subset.cache_clear()
+    yield
+    _best_subset.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,16 @@ def test_budget_exceeded_exit_code(eps_file, capsys):
     assert "budget" in err
 
 
+def test_cp_take_row_budget_exit_code(tmp_path, capsys):
+    # Cutting 3000 equal items in half needs a CP table over too many take rows.
+    m = 3000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 2, "m": m, "values": [[1333] * m, [1333] * m]}))
+    code, _, err = _run(capsys, "solve", "--instance", str(path))
+    assert code == 3
+    assert "take rows" in err
+
+
 def test_counterexample_scale_validation(capsys):
     code, _, err = _run(capsys, "counterexample", "--scale", "6")
     assert code == 2

@@ -1,10 +1,22 @@
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from propm import Bundle, Instance, cp_bundle, cp_ladder, validate_ladder, value_of
-from propm.cpsets import CpLadder, _best_subset
+from propm import (
+    Bundle,
+    Instance,
+    ResourceBudgetError,
+    cp_bundle,
+    cp_ladder,
+    validate_ladder,
+    value_of,
+)
+from propm import _kernels
+from propm.cpsets import CP_MEMO_SIZE, DP_SUM_LIMIT, CpLadder, _best_subset
 from propm.fairness import Notion, check
 from propm.oracle import enumerate_allocations, random_instance
 
@@ -148,6 +160,88 @@ def test_cp_dp_handles_many_items():
         vals = vals[:5] + (0, 0) + vals[5 : m - 2]
         cap = sum(vals) // (2 + s % 3)
         assert _best_subset(vals, cap, strategy="dp") == reference_dp(vals, cap), s
+
+
+def _walk_reads(vals, positions):
+    """(p, s - v) for every take-row read of the forward walk to ``positions``."""
+    s = sum(vals[p] for p in positions)
+    reads = []
+    for p, v in enumerate(vals):
+        if 0 < v <= s:
+            reads.append((p, s - v))
+        if p in positions:
+            s -= v
+    return reads
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        (40, 30, 20, 10, 5, 3, 1),  # descending
+        (0, 0, 7, 3, 5, 0, 0),  # zeros at the head and the tail
+        (1, 50, 2, 60, 3, 4),  # items above most caps between small ones
+        (9, 4, 4, 2, 1, 0, 70),
+        (3, 1, 1, 2),
+    ],
+)
+def test_cp_dp_suffix_bound_edge_cases(vals):
+    # Caps run past the whole sum, so the later ones are at least every suffix sum.
+    for cap in range(sum(vals) + 3):
+        got = _best_subset(vals, cap, strategy="dp")
+        value, card, combo = brute_force_best(vals, cap)
+        assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo), cap
+
+
+@pytest.mark.parametrize("vals, cap", [((3, 1, 1, 2), 10), ((2, 6, 1, 1), 8)])
+def test_cp_dp_walk_reads_the_last_cell_of_truncated_rows(vals, cap):
+    # The walk reads row p at s - v, at most the suffix sum after p, so the
+    # last cell of a row cut to that sum is the farthest it can read.
+    value, card, combo = brute_force_best(vals, cap)
+    widths = _kernels._take_widths(list(vals), cap)
+    assert any(
+        i == widths[p] - 1 and widths[p] < cap + 1 - vals[p] for p, i in _walk_reads(vals, combo)
+    )
+    got = _best_subset(vals, cap, strategy="dp")
+    assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
+
+
+def test_cp_take_budget_counts_truncated_rows(monkeypatch):
+    vals = np.array([9, 4, 4, 2, 1, 0, 70])
+    cap = 12
+    widths = _kernels._take_widths(vals.tolist(), cap)
+    # Nominal rows would be 4, 9, 9, 11 and 12 cells: 9 bytes packed.
+    assert widths == [4, 8, 4, 2, 1, 0, 0]
+    monkeypatch.setattr(_kernels, "CP_TAKE_BYTES", 5)
+    assert _kernels.cp_table(vals, cap)[0] == 12
+    monkeypatch.setattr(_kernels, "CP_TAKE_BYTES", 4)
+    with pytest.raises(ResourceBudgetError, match="take rows"):
+        _kernels.cp_table(vals, cap)
+
+
+def test_cp_take_budget_refuses_before_allocating():
+    # 3000 equal items with the cap just inside the DP limit would need about
+    # 560 MB of take rows.
+    m = 3000
+    inst = Instance.of([[2 * (DP_SUM_LIMIT - 1) // m] * m])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="take rows"):
+            cp_bundle(inst, 0, 2, inst.all_items())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_cp_memo_stays_bounded():
+    vals = (5, 3, 2, 7)
+    for cap in range(CP_MEMO_SIZE + 10):
+        _best_subset(vals, cap)
+    _best_subset(vals, CP_MEMO_SIZE + 9)
+    info = _best_subset.cache_info()
+    assert info.maxsize == CP_MEMO_SIZE
+    assert info.currsize <= CP_MEMO_SIZE
+    assert (info.hits, info.misses) == (1, CP_MEMO_SIZE + 10)
 
 
 def test_cp_ladder_two_rungs(i_cp):

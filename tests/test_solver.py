@@ -18,10 +18,13 @@ from propm import (
     solve_propm,
     verify_certificate,
 )
+from propm import _kernels
+from propm.cpsets import _best_subset
 from propm.oracle import random_instance
 from propm.solver import (
     BigItemReduction,
     CaseApplied,
+    CertificateError,
     LadderBuilt,
     SubSplit,
     certificate_from_json_dict,
@@ -356,3 +359,59 @@ def test_certificate_rejects_mutated_subsplit():
 def test_certificate_shape_must_match(i_2a, i_eps):
     allocation, certificate = solve2(i_2a)
     assert not verify_certificate(i_eps, Allocation.of([[0], [1], [2, 3, 4, 5, 6]]), certificate)
+
+
+def _tamper_top_rung(cert):
+    """Move the last item of the first ladder's top rung into the next rung."""
+    steps = list(cert.steps)
+    for idx, step in enumerate(steps):
+        if isinstance(step, LadderBuilt) and step.rungs[0]:
+            top, below = step.rungs[0], step.rungs[1]
+            rungs = (top[:-1], tuple(sorted(below + top[-1:]))) + step.rungs[2:]
+            steps[idx] = dataclasses.replace(step, rungs=rungs)
+            return dataclasses.replace(cert, steps=tuple(steps))
+    raise AssertionError("expected a ladder with a non-empty top rung")
+
+
+def test_solve_and_verify_build_each_cp_table_once(monkeypatch):
+    tables = []
+    kernel = _kernels.cp_table
+
+    def counted(vals, cap):
+        tables.append((tuple(vals.tolist()), cap))
+        return kernel(vals, cap)
+
+    monkeypatch.setattr(_kernels, "cp_table", counted)
+    inst = random_instance(5, 24, 1000, seed=11)
+    allocation, certificate = solve_propm(inst)
+    built = len(tables)
+    assert built == len(set(tables)) > 0
+    assert verify_certificate(inst, allocation, certificate)
+    assert len(tables) == built
+
+
+def test_tampered_rung_rejected_after_the_solve_warmed_the_memo():
+    inst = random_instance(4, 12, 100, seed=5)
+    allocation, certificate = solve_propm(inst)
+    assert _best_subset.cache_info().currsize > 0
+    tampered = _tamper_top_rung(certificate)
+    with pytest.raises(CertificateError, match="CP recomputation"):
+        replay_certificate(inst, tampered)
+    assert not verify_certificate(inst, allocation, tampered)
+
+
+def test_verdicts_do_not_depend_on_the_memo():
+    for s in range(12):
+        inst = random_instance(3 + s % 3, 8 + s % 5, 100, seed=600 + s)
+        allocation, certificate = solve_propm(inst)
+        rotated = Allocation(allocation.bundles[1:] + allocation.bundles[:1])
+        cases = [
+            (allocation, certificate, True),
+            (allocation, _tamper_top_rung(certificate), False),
+            (rotated, certificate, False),
+        ]
+        for alloc, cert, expected in cases:
+            warm = verify_certificate(inst, alloc, cert)
+            _best_subset.cache_clear()
+            cold = verify_certificate(inst, alloc, cert)
+            assert warm == cold == expected, s
