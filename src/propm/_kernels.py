@@ -146,7 +146,8 @@ def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
             np.greater_equal(cand[:w], reached, out=take[:w])
             rows[p] = np.packbits(take[:w])
             np.maximum(reached, cand[:w], out=reached)
-    best_sum = int(np.flatnonzero(card >= 0)[-1])
+    # The last reachable sum; card[0] is 0, so one always exists.
+    best_sum = cap - int(np.argmax((card >= 0)[::-1]))
     s = best_sum
     mask = 0
     for p in range(m):

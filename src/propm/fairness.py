@@ -227,7 +227,9 @@ def _smallest_mode(values):
 def mms_value(inst: Instance, agent: int, budget: int | None = None) -> int:
     """Maximin share: the best worst-bundle value over all partitions into n bundles.
 
-    Exhaustive over n^m assignments, guarded by the enumeration budget.
+    Relabelling bundles keeps every worst-bundle value, so the scan puts the
+    last item in bundle 0 and covers n^(m-1) assignments. The enumeration
+    budget still guards n^m.
     """
     if not 0 <= agent < inst.n:
         raise InputError(f"agent index {agent} out of range for n={inst.n}")
@@ -248,7 +250,8 @@ def _mms_cached(inst: Instance, agent: int) -> int:
 
     row = np.array(inst.values[agent], dtype=np.int64)
     n = inst.n
-    total_allocs = n**inst.m
+    # Indices below n^(m-1) are exactly the assignments of item m-1 to bundle 0.
+    total_allocs = n ** (inst.m - 1) if inst.m else 1
     best = -1
     start = 0
     chunk = _kernels.scan_chunk(n)

@@ -123,6 +123,10 @@ def enumerate_allocations(n: int, m: int, budget: int | None = None) -> Iterator
         yield allocation_from_index(n, m, index)
 
 
+# Allocations in the first window of an early-exit scan; later windows double.
+FIRST_WINDOW = 256
+
+
 def _mms_array(inst: Instance, needed: bool, budget: int | None) -> np.ndarray:
     if not needed:
         return np.full(inst.n, -1, dtype=np.int64)
@@ -130,17 +134,25 @@ def _mms_array(inst: Instance, needed: bool, budget: int | None) -> np.ndarray:
 
 
 def _scan_first_satisfying(values, totals, mms, bit, start, stop):
-    """First allocation index in [start, stop) where all agents carry the bit, else -1."""
+    """First allocation index in [start, stop) where all agents carry the bit, else -1.
+
+    Witnesses mostly lie near the start of a range, so the first window
+    holds FIRST_WINDOW allocations (at most ``scan_chunk(n)``) and each
+    later one twice the last, up to ``scan_chunk(n)``. The windows tile
+    [start, stop), so the first witness is the same for any schedule.
+    """
     pos = start
     chunk = _kernels.scan_chunk(len(values))
+    width = min(FIRST_WINDOW, chunk)
     while pos < stop:
-        count = min(chunk, stop - pos)
+        count = min(width, stop - pos)
         masks = _kernels.notion_masks(values, totals, mms, pos, count, want=bit)
         rows = masks.all(axis=1)
         where = np.nonzero(rows)[0]
         if where.size:
             return pos + int(where[0])
         pos += count
+        width = min(2 * width, chunk)
     return -1
 
 
@@ -161,8 +173,10 @@ def exists(
     """Scan all allocations for one fully satisfying the notion.
 
     Returns the first witness in enumeration order; the witness is
-
-    re-verified with the exact checker before being reported.
+    re-verified with the exact checker before being reported. The scan
+    stops at the window holding the first witness: windows start at
+    FIRST_WINDOW allocations and double up to ``_kernels.scan_chunk(n)``,
+    and with workers each worker's range starts small in the same way.
     """
     total = allocation_count(inst.n, inst.m)
     limit = resolve_budget(budget)

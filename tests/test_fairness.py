@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -89,6 +91,36 @@ def test_mms_two_items_two_agents():
 def test_mms_fewer_items_than_agents():
     inst = Instance.of([[9], [9], [9]])
     assert mms_value(inst, 0) == 0
+
+
+def _brute_force_mms(row, n):
+    best = -1
+    for owners in product(range(n), repeat=len(row)):
+        sums = [0] * n
+        for j, k in enumerate(owners):
+            sums[k] += row[j]
+        best = max(best, min(sums))
+    return best
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(7))
+def test_mms_matches_brute_force_over_all_partitions(n, m):
+    """The scan fixes the last item to bundle 0; every n^m partition must agree."""
+    rng = random.Random(1000 * n + m)
+    kinds = [
+        [rng.randint(0, 30) for _ in range(m)],
+        [rng.choice((0, 0, 2, 5)) for _ in range(m)],  # zeros and ties
+        [7] * m,
+        [0] * m,
+        [rng.randint(0, 30) for _ in range(m - 1)] + [100] if m else [],
+    ]
+    expected = [_brute_force_mms(row, n) for row in kinds]
+    for shift in range(len(kinds)):
+        picks = [(shift + a) % len(kinds) for a in range(n)]
+        inst = Instance.of([kinds[k] for k in picks])
+        for agent, k in enumerate(picks):
+            assert mms_value(inst, agent) == expected[k], (agent, kinds[k])
 
 
 def test_check_mms_verdict(i_eps):

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+import propm._kernels as kernels
+import propm.oracle as oracle
 from propm import (
     Allocation,
     InputError,
@@ -14,7 +17,7 @@ from propm import (
     random_instance,
     solve_propm,
 )
-from propm.oracle import allocation_from_index
+from propm.oracle import FIRST_WINDOW, allocation_from_index
 
 
 def test_enumeration_counts():
@@ -59,14 +62,45 @@ def test_exists_propx_on_2a(i_2a):
     assert result.exists
 
 
-def test_exists_workers_match_single():
-    inst = random_instance(3, 6, 30, seed=62)
-    for notion in (Notion.PROPM, Notion.EFX):
-        solo = exists(inst, notion, workers=1)
-        multi = exists(inst, notion, workers=2)
-        assert solo.exists == multi.exists
-        assert solo.allocations_checked == multi.allocations_checked
-        assert solo.witness == multi.witness
+# 3^10 = 59049 allocations: at least 4 * CHUNK, so workers=2 reaches the pool
+# and splits the scan at index 29524. Agent 2 values only item 9, so every
+# PROP or EF witness gives it item 9 and lies at index 2 * 3^9 or later.
+LATE_WITNESS = Instance.of([[5] * 9 + [0], [5] * 9 + [0], [0] * 9 + [9]])
+# Three identical agents with one dominant item: no PROP allocation exists.
+NO_PROP = Instance.of([[91] + [1] * 9] * 3)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Count the process pools the oracle starts."""
+    started = []
+
+    class CountingPool(oracle.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_exists_workers_match_single(pool_starts):
+    cases = [
+        (random_instance(3, 6, 30, seed=62), (Notion.PROPM, Notion.EFX)),
+        (random_instance(3, 10, 30, seed=62), (Notion.PROPM,)),
+        (LATE_WITNESS, (Notion.PROP, Notion.EF)),
+        (NO_PROP, (Notion.PROP,)),
+    ]
+    for inst, notions in cases:
+        for notion in notions:
+            solo = exists(inst, notion, workers=1)
+            multi = exists(inst, notion, workers=2)
+            assert solo.exists == multi.exists
+            assert solo.allocations_checked == multi.allocations_checked
+            assert solo.witness == multi.witness
+    assert exists(LATE_WITNESS, Notion.PROP).allocations_checked > 2 * 3**9
+    assert not exists(NO_PROP, Notion.PROP).exists
+    assert pool_starts == [2] * 4
 
 
 def test_audit_on_eps_flags_only_the_known_bad_edge(i_eps):
@@ -188,8 +222,114 @@ def test_exists_budget_error(i_eps):
         exists(i_eps, Notion.PROPM, budget=10)
 
 
-def test_audit_workers_match_single():
-    inst = random_instance(3, 5, 20, seed=818)
-    solo = implication_audit(inst, workers=1)
-    multi = implication_audit(inst, workers=2)
-    assert solo.violations == multi.violations
+def test_audit_workers_match_single(pool_starts):
+    for inst in (random_instance(3, 5, 20, seed=818), random_instance(3, 10, 30, seed=818)):
+        solo = implication_audit(inst, workers=1)
+        multi = implication_audit(inst, workers=2)
+        assert solo.violations == multi.violations
+        assert solo.allocations_checked == multi.allocations_checked
+    assert solo.violations  # the pooled audit has violations to merge
+    assert pool_starts == [2]
+
+
+# -- the early-exit window schedule ------------------------------------------
+
+
+def _fake_masks(witness, windows):
+    """A notion_masks stand-in satisfied by every agent at ``witness`` only."""
+
+    def fake(values, totals, mms, start, count, want=kernels.ALL_NOTIONS):
+        windows.append((start, count))
+        masks = np.zeros((count, len(values)), np.uint16)
+        if start <= witness < start + count:
+            masks[witness - start] = want
+        return masks
+
+    return fake
+
+
+def _scan(monkeypatch, n, start, stop, witness):
+    windows = []
+    monkeypatch.setattr(kernels, "notion_masks", _fake_masks(witness, windows))
+    values = np.zeros((n, 1), np.int64)
+    totals = np.zeros(n, np.int64)
+    mms = np.full(n, -1, np.int64)
+    found = oracle._scan_first_satisfying(values, totals, mms, 1, start, stop)
+    return found, windows
+
+
+def _assert_doubling(windows, start, chunk):
+    width = min(FIRST_WINDOW, chunk)
+    pos = start
+    for k, (at, count) in enumerate(windows):
+        assert at == pos
+        last = k == len(windows) - 1
+        assert count == width or (last and count < width)
+        pos += count
+        width = min(2 * width, chunk)
+    return pos
+
+
+# n = 74 gives scan_chunk(n) = 255, just below FIRST_WINDOW.
+@pytest.mark.parametrize("n", [3, 74])
+@pytest.mark.parametrize("start", [0, 1000])
+def test_scan_windows_double_and_tile_the_range(monkeypatch, n, start):
+    chunk = kernels.scan_chunk(n)
+    stop = start + 3 * chunk + 123
+    offsets = [0, FIRST_WINDOW - 1, FIRST_WINDOW, 3 * FIRST_WINDOW - 1, stop - start - 1]
+    for t in [start + o for o in offsets]:
+        found, windows = _scan(monkeypatch, n, start, stop, t)
+        assert found == t
+        end = _assert_doubling(windows, start, chunk)
+        assert windows[-1][0] <= t < end
+    found, windows = _scan(monkeypatch, n, start, stop, -1)
+    assert found == -1
+    assert _assert_doubling(windows, start, chunk) == stop
+
+
+def test_scan_window_sizes_are_pinned(monkeypatch):
+    assert kernels.scan_chunk(3) == 8192
+    _, windows = _scan(monkeypatch, 3, 0, 20000, -1)
+    assert [c for _, c in windows] == [256, 512, 1024, 2048, 4096, 8192, 3872]
+    _, windows = _scan(monkeypatch, 3, 7, 300, -1)
+    assert windows == [(7, 256), (263, 37)]
+
+
+def _first_satisfying(inst, notion):
+    for k, allocation in enumerate(enumerate_allocations(inst.n, inst.m)):
+        if check(inst, allocation, notion).all_satisfied:
+            return k
+    return None
+
+
+def _last_item_to_last_agent(inst):
+    """Zero the last item for all but the last agent, which values nothing else.
+
+    Every PROP-like witness then gives the last item to the last agent, at
+    index (n-1) * n^(m-1) or later: past the first window.
+    """
+    rows = [row[:-1] + (0,) for row in inst.values[:-1]]
+    rows.append((0,) * (inst.m - 1) + (inst.values[-1][-1] + 1,))
+    return Instance.of(rows)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        random_instance(2, 9, 20, seed=31),
+        random_instance(4, 5, 20, seed=32),
+        _last_item_to_last_agent(random_instance(3, 6, 20, seed=33)),
+        _last_item_to_last_agent(random_instance(4, 5, 20, seed=34)),
+    ],
+)
+def test_exists_matches_first_index_reference(inst):
+    for notion in Notion:
+        first = _first_satisfying(inst, notion)
+        result = exists(inst, notion)
+        if first is None:
+            assert not result.exists, notion
+            assert result.allocations_checked == inst.n**inst.m
+        else:
+            assert result.exists, notion
+            assert result.witness == allocation_from_index(inst.n, inst.m, first), notion
+            assert result.allocations_checked == first + 1
