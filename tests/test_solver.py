@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -22,6 +24,7 @@ from propm import _kernels
 from propm.cpsets import _best_subset
 from propm.oracle import random_instance
 from propm.solver import (
+    KNOWN_LEMMAS,
     BigItemReduction,
     CaseApplied,
     CertificateError,
@@ -224,6 +227,228 @@ def test_case_dispatch_variety():
         "n5.cAE=2a",
     }
     assert expected <= hits, expected - hits
+
+
+def _lemmas(cert, out=None):
+    out = set() if out is None else out
+    for step in cert.steps:
+        if isinstance(step, CaseApplied):
+            out.add(step.lemma)
+        elif isinstance(step, SubSplit):
+            _lemmas(step.certificate, out)
+    return out
+
+
+# One witness instance per case label, found by a seeded random search, with
+# the blake2b digest of its certificate JSON: any change to a certificate byte
+# of any case, nested sub-splits included, fails here.
+_PINNED = {
+    "n1.take_all": (
+        [[0, 0], [1, 0]],
+        "94aaacf526330116096ca22a62477e06",
+    ),
+    "n2.cut_and_choose": (
+        [[0, 0], [0, 0]],
+        "7979d51936f88bf5f30d9d0ca90ace92",
+    ),
+    "n3.two_distinct": (
+        [[0, 1, 1, 1], [3, 5, 4, 4], [5, 4, 1, 5]],
+        "cfa37569276723712a3ffa81127e20ef",
+    ),
+    "n3.one_bundle": (
+        [[3, 3, 4, 3], [4, 4, 4, 1], [4, 4, 4, 1]],
+        "55429bd2e4b50c72db865c9ef3ad2957",
+    ),
+    "n4.c=0a": (
+        [[2, 0, 2, 1, 1, 2], [3, 4, 3, 0, 3, 3], [4, 4, 4, 1, 3, 3], [3, 1, 5, 5, 2, 4]],
+        "2bea295c3f52cd9650345a30e9c0f174",
+    ),
+    "n4.c=0b": (
+        [
+            [55, 58, 59, 24, 20, 45],
+            [75, 84, 70, 25, 81, 56],
+            [47, 98, 81, 99, 96, 86],
+            [64, 77, 71, 47, 98, 84],
+        ],
+        "9702a5116bec1006b9858e6951b63080",
+    ),
+    "n4.c=1": (
+        [[4, 3, 2, 5, 2, 5], [3, 3, 4, 5, 2, 3], [4, 3, 4, 3, 5, 3], [4, 2, 4, 4, 0, 4]],
+        "ffb62c7a6a09a4235eb4ada0de748d37",
+    ),
+    "n4.c=2": (
+        [[7, 1, 9, 9, 9, 2], [9, 10, 8, 5, 1, 8], [10, 7, 3, 5, 9, 7], [0, 7, 6, 8, 4, 7]],
+        "d0023dd3df69fda44e8cdcd05c75b462",
+    ),
+    "n4.c=3a": (
+        [[28, 29, 13, 27, 24], [29, 27, 14, 27, 22], [28, 30, 14, 24, 24], [27, 31, 14, 28, 24]],
+        "3e9edf6c05f1858eb59e3310b3e70e3f",
+    ),
+    "n4.c=3b": (
+        [[8, 11, 12, 10, 7], [9, 9, 11, 10, 7], [8, 10, 9, 11, 8], [8, 11, 9, 8, 9]],
+        "cddc6e0fb11ed912f1c556a561604a89",
+    ),
+    "n5.cABE=4a": (
+        [
+            [22, 25, 21, 20, 19, 22],
+            [22, 25, 21, 22, 18, 21],
+            [22, 26, 22, 21, 19, 20],
+            [25, 24, 23, 24, 17, 23],
+            [24, 24, 24, 22, 17, 23],
+        ],
+        "4508d8495e3461ba6319695580ee1775",
+    ),
+    "n5.cABE=4b": (
+        [
+            [23, 24, 27, 26, 24, 27],
+            [23, 21, 29, 22, 25, 27],
+            [25, 21, 26, 24, 25, 27],
+            [22, 23, 27, 23, 21, 24],
+            [26, 24, 25, 24, 22, 27],
+        ],
+        "e9067c16b3c1c697da91240f38fe902b",
+    ),
+    "n5.cABE=3": (
+        [
+            [9, 8, 7, 6, 9, 8, 0],
+            [6, 5, 7, 7, 8, 9, 3],
+            [5, 8, 8, 6, 9, 9, 3],
+            [6, 6, 5, 7, 8, 8, 1],
+            [8, 8, 4, 6, 8, 7, 4],
+        ],
+        "e626957583362f8879b34186d814a560",
+    ),
+    "n5.cABE=2": (
+        [
+            [9, 9, 9, 7, 1, 9, 10],
+            [7, 10, 10, 7, 4, 7, 9],
+            [9, 9, 11, 5, 5, 7, 10],
+            [9, 11, 11, 8, 3, 10, 8],
+            [10, 9, 9, 8, 4, 7, 10],
+        ],
+        "4dd2ba279186b8332f9e41871a67546f",
+    ),
+    "n5.cAE=2a": (
+        [
+            [2, 1, 4, 2, 2, 3, 3, 3],
+            [3, 5, 4, 4, 1, 3, 5, 3],
+            [3, 1, 1, 3, 3, 1, 3, 2],
+            [3, 4, 2, 3, 5, 3, 3, 2],
+            [4, 4, 4, 3, 1, 5, 2, 2],
+        ],
+        "db7e3c14cd5d4c52cddeb4717a81a9f0",
+    ),
+    "n5.cAE=2b": (
+        [
+            [6, 4, 10, 4, 6, 10, 8, 9],
+            [10, 1, 10, 6, 6, 7, 7, 8],
+            [7, 1, 10, 7, 6, 9, 10, 8],
+            [9, 4, 12, 7, 10, 8, 9, 9],
+            [8, 3, 9, 7, 9, 6, 6, 10],
+        ],
+        "2374d7286ee9bc988e3a2f350c903447",
+    ),
+    "n5.cAE=2c": (
+        [
+            [5, 6, 2, 10, 9, 9, 5, 9],
+            [6, 5, 1, 8, 7, 7, 4, 9],
+            [9, 5, 0, 6, 9, 6, 7, 5],
+            [7, 7, 0, 6, 8, 5, 7, 8],
+            [9, 8, 0, 10, 6, 9, 4, 5],
+        ],
+        "769b2b4b89325f37e27e72bcc9d6731b",
+    ),
+    "n5.cAE=1": (
+        [
+            [28, 26, 27, 9, 20, 24, 11],
+            [28, 24, 28, 12, 21, 22, 8],
+            [28, 27, 26, 9, 22, 23, 10],
+            [25, 24, 29, 12, 22, 22, 12],
+            [27, 23, 27, 13, 20, 25, 9],
+        ],
+        "9535ebf3709df00a48a8c5b4e2368227",
+    ),
+    "n5.cAE=0a": (
+        [
+            [4, 1, 2, 2, 3, 2, 1, 1, 4],
+            [1, 5, 3, 5, 5, 3, 1, 4, 0],
+            [5, 0, 5, 1, 4, 0, 5, 3, 3],
+            [4, 3, 4, 4, 3, 3, 1, 1, 5],
+            [2, 0, 5, 5, 4, 5, 0, 3, 2],
+        ],
+        "737120d5b9183e4281e24043da19cfcb",
+    ),
+    "n5.cAE=0b": (
+        [
+            [4, 5, 5, 3, 7, 3, 3, 5],
+            [3, 4, 4, 5, 4, 4, 4, 3],
+            [6, 7, 5, 6, 5, 4, 7, 2],
+            [4, 4, 5, 7, 5, 3, 4, 5],
+            [6, 5, 3, 6, 4, 5, 3, 3],
+        ],
+        "dec158f8ba8baf83200455b2e48634ae",
+    ),
+    "n5.cAE=4.cABE=0": (
+        [
+            [5, 6, 0, 4, 5, 6, 7, 3],
+            [7, 6, 3, 3, 8, 7, 9, 5],
+            [8, 3, 4, 5, 6, 3, 8, 3],
+            [8, 5, 1, 7, 7, 4, 8, 5],
+            [8, 4, 1, 7, 5, 4, 6, 5],
+        ],
+        "29105fe99ae9899a5225e71743a268ff",
+    ),
+    "n5.cAE=4.cABE=1": (
+        [
+            [7, 7, 7, 8, 5, 6, 4],
+            [8, 6, 9, 8, 8, 7, 7],
+            [6, 6, 9, 10, 7, 6, 7],
+            [7, 9, 10, 9, 8, 9, 5],
+            [7, 5, 9, 9, 9, 7, 4],
+        ],
+        "f98cbb7a8d1da1bbdda87e5baa841dc0",
+    ),
+    "n5.cAE=3.cABE=0": (
+        [
+            [6, 4, 8, 6, 8, 5, 2, 6],
+            [5, 6, 5, 5, 9, 6, 5, 7],
+            [5, 7, 5, 3, 7, 2, 6, 4],
+            [6, 6, 6, 3, 8, 3, 5, 7],
+            [5, 6, 5, 4, 7, 5, 3, 6],
+        ],
+        "44b597c619ef6b35a8247b174054223f",
+    ),
+    "n5.cAE=3.cABE=1a": (
+        [
+            [10, 6, 9, 6, 8, 7, 7, 4, 4],
+            [7, 4, 11, 7, 8, 6, 8, 6, 5],
+            [8, 5, 7, 5, 5, 8, 4, 6, 5],
+            [10, 2, 7, 7, 8, 6, 5, 6, 1],
+            [7, 6, 9, 7, 6, 4, 7, 4, 1],
+        ],
+        "728e7d8fc7a73716cb45099670f70ed8",
+    ),
+    "n5.cAE=3.cABE=1b": (
+        [
+            [15, 11, 20, 26, 19, 25, 18],
+            [17, 11, 18, 25, 16, 26, 18],
+            [17, 15, 17, 23, 19, 26, 20],
+            [15, 12, 17, 26, 19, 23, 19],
+            [15, 13, 20, 26, 19, 25, 21],
+        ],
+        "eba90199967d193fc191ae1c81b692a8",
+    ),
+}
+
+
+@pytest.mark.parametrize("lemma", list(KNOWN_LEMMAS))
+def test_certificates_are_pinned(lemma):
+    rows, digest = _PINNED[lemma]
+    inst = Instance.of(rows)
+    _, certificate = _assert_solved(inst, solve_propm(inst))
+    assert lemma in _lemmas(certificate)
+    text = json.dumps(certificate_to_json_dict(certificate), sort_keys=True)
+    assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
 
 
 def test_solver_handles_zero_valuations():
