@@ -3,11 +3,14 @@
 The construction is a case analysis over a CP ladder built by a divider
 agent (always the lowest-indexed agent alive): big items are split off
 first, then the remaining agents either receive whole rungs of the ladder
-or recursively split unions of rungs. Every run emits a Certificate: a
-replayable trace of reductions, ladder constructions, case applications
-(with the exact threshold comparisons that selected them) and recursive
-sub-splits. ``verify_certificate`` re-checks a trace from scratch without
-consulting any solver code path.
+or recursively split unions of rungs. Every level of that recursion is
+solved in the original agent and item indices: it takes the agents (the
+lowest one divides) and the item pool it shares, and writes its
+allocation and certificate steps directly, so no step is ever relabelled.
+Every run emits a Certificate: a replayable trace of reductions, ladder
+constructions, case applications (with the exact threshold comparisons
+that selected them) and recursive sub-splits. ``verify_certificate``
+re-checks a trace from scratch without consulting any solver code path.
 
 Case labels, with the counts that select them:
   n2.cut_and_choose      divider cuts via CP, the other agent chooses
@@ -20,7 +23,7 @@ Case labels, with the counts that select them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .core import (
@@ -178,6 +181,11 @@ def _merge(*item_groups) -> tuple[int, ...]:
     return tuple(sorted(merged))
 
 
+def _without(pool: tuple[int, ...], items) -> tuple[int, ...]:
+    drop = set(items)
+    return tuple(j for j in pool if j not in drop)
+
+
 def _cmp(inst, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation) -> Compare:
     lhs = lhs_mult * _val(inst, agent, lhs_items)
     rhs = rhs_mult * _val(inst, agent, rhs_items)
@@ -212,78 +220,20 @@ def _assemble(inst: Instance, assignment: dict[int, tuple[int, ...]]) -> Allocat
     return allocation
 
 
-def _verify_propm(inst: Instance, allocation: Allocation, context: str) -> None:
-    report = check(inst, allocation, Notion.PROPM)
+def _verify_propm(inst: Instance, agents, pool, assignment, context: str) -> None:
+    """Run the reference PROPm check on one level, restricted to its agents and pool."""
+    level = restrict(inst, agents, pool)
+    position = {j: p for p, j in enumerate(pool)}
+    allocation = Allocation(
+        tuple(Bundle(tuple(position[j] for j in assignment.get(a, ()))) for a in agents)
+    )
+    report = check(level.instance, allocation, Notion.PROPM)
     if not report.all_satisfied:
-        bad = [i for i, v in enumerate(report.per_agent) if not v.satisfied]
+        bad = [agents[i] for i, v in enumerate(report.per_agent) if not v.satisfied]
         raise InvariantViolationError(
             f"{context} produced an allocation that fails the maximin-item test "
             f"for agents {bad}; this is a solver bug"
         )
-
-
-# ---------------------------------------------------------------------------
-# Certificate relabeling (sub-instance indices -> parent indices)
-# ---------------------------------------------------------------------------
-
-
-_AGENT_ROLES = ("divider", "chooser")
-
-
-def _is_agent_role(name: str) -> bool:
-    return name in _AGENT_ROLES or name.endswith("_agent")
-
-
-def _relabel_items(items, imap):
-    return tuple(sorted(imap[j] for j in items))
-
-
-def _relabel_compare(comp: Compare, amap, imap) -> Compare:
-    return replace(
-        comp,
-        agent=amap[comp.agent],
-        lhs_items=_relabel_items(comp.lhs_items, imap),
-        rhs_items=_relabel_items(comp.rhs_items, imap),
-    )
-
-
-def _relabel_step(step: Step, amap, imap) -> Step:
-    if isinstance(step, BigItemReduction):
-        return replace(step, agent=amap[step.agent], item=imap[step.item])
-    if isinstance(step, LadderBuilt):
-        return replace(
-            step,
-            divider=amap[step.divider],
-            rungs=tuple(_relabel_items(r, imap) for r in step.rungs),
-        )
-    if isinstance(step, CaseApplied):
-        return replace(
-            step,
-            roles=tuple(
-                (name, amap[value] if _is_agent_role(name) else value)
-                for name, value in step.roles
-            ),
-            assignments=tuple(
-                (amap[a], _relabel_items(items, imap)) for a, items in step.assignments
-            ),
-            comparisons=tuple(_relabel_compare(c, amap, imap) for c in step.comparisons),
-        )
-    if isinstance(step, SubSplit):
-        return SubSplit(
-            agents=tuple(sorted(amap[a] for a in step.agents)),
-            items=_relabel_items(step.items, imap),
-            obs_bounds=tuple(_relabel_compare(c, amap, imap) for c in step.obs_bounds),
-            certificate=_relabel_certificate(step.certificate, amap, imap),
-        )
-    raise InputError(f"unknown step type {type(step).__name__}")
-
-
-def _relabel_certificate(cert: Certificate, amap, imap) -> Certificate:
-    return Certificate(
-        agents=tuple(sorted(amap[a] for a in cert.agents)),
-        items=_relabel_items(cert.items, imap),
-        steps=tuple(_relabel_step(s, amap, imap) for s in cert.steps),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,539 +287,359 @@ def reduce_big_items(inst: Instance) -> Reduction:
 
 
 # ---------------------------------------------------------------------------
-# Sub-splits
+# One level of the construction
 # ---------------------------------------------------------------------------
 
 
-def _split(inst: Instance, agents: tuple[int, ...], items: tuple[int, ...]):
-    """Recursively solve ``items`` among ``agents`` and package the result.
+class _Level:
+    """One level of the construction: ``agents`` share the item ``pool``.
 
-    Returns (assignment map in this instance's indices, SubSplit step).
+    Everything is in original indices. ``agents[0]`` is the divider and
+    ``totals[a]`` is agent a's value for the pool. The case code records its
+    comparisons, roles, direct assignments and sub-splits here.
     """
-    all_items = tuple(range(inst.m))
-    k = len(agents)
-    obs = tuple(_cmp(inst, a, items, inst.n, all_items, k, ">=") for a in agents)
-    sub = restrict(inst, agents, items)
-    sub_alloc, sub_cert = _SOLVE_BY_N[sub.instance.n](sub.instance)
-    lifted = tuple(_relabel_step(s, sub.agents, sub.items) for s in sub_cert.steps)
-    inner = Certificate(agents=agents, items=items, steps=lifted)
-    assignment = {
-        orig: bundle.items for orig, bundle in sub.lift_allocation(sub_alloc)
+
+    def __init__(self, inst: Instance, agents: tuple[int, ...], pool: tuple[int, ...]):
+        self.inst = inst
+        self.agents = agents
+        self.pool = pool
+        self.totals = {a: _val(inst, a, pool) for a in agents}
+        self.roles: list[tuple[str, int]] = [("divider", agents[0])]
+        self.assignment: dict[int, tuple[int, ...]] = {}
+        self.comps: list[Compare] = []
+        self.sub_steps: list[SubSplit] = []
+
+    def val(self, agent: int, items) -> int:
+        return _val(self.inst, agent, items)
+
+    def claim(self, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation) -> None:
+        """Record a comparison the construction guarantees; a failure is a solver bug."""
+        self.comps.append(
+            _cmp(self.inst, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation)
+        )
+
+    def at_least(self, agent: int, items, mult: int, pool_mult: int = 1) -> bool:
+        """Record whether mult*v(items) >= pool_mult*v(pool) for ``agent``; return it."""
+        lhs = mult * self.val(agent, items)
+        rhs = pool_mult * self.totals[agent]
+        relation = ">=" if lhs >= rhs else "<"
+        self.comps.append(
+            Compare(agent, tuple(items), mult, self.pool, pool_mult, relation, lhs, rhs)
+        )
+        return lhs >= rhs
+
+    def prefer(self, agent: int, x, y):
+        """Record which of x, y ``agent`` values more (ties go to x); return (better, worse)."""
+        if self.val(agent, x) >= self.val(agent, y):
+            self.claim(agent, x, 1, y, 1, ">=")
+            return x, y
+        self.claim(agent, y, 1, x, 1, ">")
+        return y, x
+
+    def split(self, agents, items: tuple[int, ...]) -> None:
+        """Solve ``items`` among ``agents`` one level down, recorded as a SubSplit.
+
+        ``obs_bounds`` show that each member values ``items`` at least
+        |agents|/n of this level's pool.
+        """
+        agents = tuple(sorted(agents))
+        n, k = len(self.agents), len(agents)
+        obs = tuple(_cmp(self.inst, a, items, n, self.pool, k, ">=") for a in agents)
+        assignment, steps = _solve_level(self.inst, agents, items)
+        self.assignment.update(assignment)
+        inner = Certificate(agents=agents, items=items, steps=tuple(steps))
+        self.sub_steps.append(
+            SubSplit(agents=agents, items=items, obs_bounds=obs, certificate=inner)
+        )
+
+
+def _rung_choice(lv: _Level, pair, by_name: dict[str, tuple[int, ...]], mult: int):
+    """Record which rungs each agent of ``pair`` values at 1/mult of the pool.
+
+    Returns the first distinct choice in ``by_name`` order as three rung
+    names (the first agent's, the second's, the leftover), or a single name
+    when both agents value that one rung only.
+    """
+    wants = {
+        i: [name for name, items in by_name.items() if lv.at_least(i, items, mult)]
+        for i in pair
     }
-    return assignment, SubSplit(agents=agents, items=items, obs_bounds=obs, certificate=inner)
+    u, w = pair
+    if not wants[u] or not wants[w]:
+        raise InvariantViolationError(f"agents {u} and {w} each value some rung at 1/{mult}")
+    for p in wants[u]:
+        for q in wants[w]:
+            if q != p:
+                return p, q, next(name for name in by_name if name not in (p, q))
+    return (wants[u][0],)
 
 
-# ---------------------------------------------------------------------------
-# Solvers by agent count
-# ---------------------------------------------------------------------------
+def _leftover(lv: _Level, a_items: tuple[int, ...], last: tuple[int, ...], mult: int) -> bool:
+    """No other agent clears the level's first bar, so someone takes the last rung.
+
+    If no other agent values ``last`` at 1/mult of the pool, the divider takes
+    it, the others split the rest, and this returns True. Otherwise the first
+    agent who does takes it, the divider takes A, and the others split what
+    remains.
+    """
+    divider, others = lv.agents[0], lv.agents[1:]
+    takers = [i for i in others if mult * lv.val(i, last) >= lv.totals[i]]
+    if not takers:
+        for i in others:
+            lv.claim(i, last, mult, lv.pool, 1, "<")
+        lv.claim(divider, last, mult, lv.pool, 1, ">=")
+        lv.assignment[divider] = last
+        lv.split(others, _without(lv.pool, last))
+        return True
+    i0 = takers[0]
+    lv.roles.append(("leftover_agent", i0))
+    lv.claim(i0, last, mult, lv.pool, 1, ">=")
+    lv.assignment[i0] = last
+    lv.assignment[divider] = a_items
+    lv.split([i for i in others if i != i0], _without(lv.pool, a_items + last))
+    return False
 
 
-def _solve1(inst: Instance) -> tuple[Allocation, Certificate]:
-    _require_n(inst, 1)
-    items = tuple(range(inst.m))
-    step = CaseApplied(
-        lemma="n1.take_all",
-        roles=(("divider", 0),),
-        assignments=((0, items),),
-        comparisons=(),
+def _case2(lv: _Level, a_items, b_items) -> str:
+    divider, chooser = lv.agents
+    lv.roles.append(("chooser", chooser))
+    lv.assignment[chooser], lv.assignment[divider] = lv.prefer(chooser, a_items, b_items)
+    return "n2.cut_and_choose"
+
+
+def _case3(lv: _Level, b_items, a_items, c_items) -> str:
+    divider, u, w = lv.agents
+    by_name = {"A": a_items, "B": b_items, "C": c_items}
+    pick = _rung_choice(lv, (u, w), by_name, 3)
+    if len(pick) == 3:
+        for agent, name in zip((u, w, divider), pick):
+            lv.assignment[agent] = by_name[name]
+        return "n3.two_distinct"
+    lv.roles.append(("unique_rung_pos", RUNG_NAMES[3].index(pick[0])))
+    if pick[0] in ("A", "B"):
+        lv.assignment[divider] = c_items
+        lv.split((u, w), _merge(a_items, b_items))
+    else:
+        lv.assignment[divider] = b_items
+        lv.split((u, w), _merge(a_items, c_items))
+    return "n3.one_bundle"
+
+
+def _case4(lv: _Level, c_items, b_items, a_items, d_items) -> str:
+    divider, others = lv.agents[0], lv.agents[1:]
+    ad = _merge(a_items, d_items)
+    lv.claim(divider, ad, 2, lv.pool, 1, ">=")
+    halves = [i for i in others if lv.at_least(i, ad, 2)]
+
+    if not halves:
+        return "n4.c=0a" if _leftover(lv, a_items, d_items, 4) else "n4.c=0b"
+    if len(halves) == 1:
+        i0 = halves[0]
+        lv.roles.append(("half_agent", i0))
+        lv.split((divider, i0), ad)
+        lv.split([i for i in others if i != i0], _merge(b_items, c_items))
+        return "n4.c=1"
+    if len(halves) == 2:
+        lemma = "n4.c=2"
+        i0 = next(i for i in others if i not in halves)
+    else:
+        quarter = [
+            i
+            for i in others
+            if 4 * lv.val(i, b_items) >= lv.totals[i] or 4 * lv.val(i, c_items) >= lv.totals[i]
+        ]
+        if not quarter:
+            for i in others:
+                lv.claim(i, b_items, 4, lv.pool, 1, "<")
+                lv.claim(i, c_items, 4, lv.pool, 1, "<")
+            lv.assignment[divider] = c_items
+            lv.split(others, _merge(a_items, b_items, d_items))
+            return "n4.c=3b"
+        lemma = "n4.c=3a"
+        i0 = quarter[0]
+    # One agent outside the A+D pair takes her favourite of B and C.
+    lv.roles.append(("quarter_agent", i0))
+    fav, other = lv.prefer(i0, b_items, c_items)
+    lv.claim(i0, fav, 4, lv.pool, 1, ">=")
+    lv.assignment[i0] = fav
+    lv.assignment[divider] = other
+    lv.split([i for i in others if i != i0], ad)
+    return lemma
+
+
+def _case5(lv: _Level, d_items, c_items, b_items, a_items, e_items) -> str:
+    divider, others = lv.agents[0], lv.agents[1:]
+    totals = lv.totals
+    ae = _merge(a_items, e_items)
+    abe = _merge(a_items, b_items, e_items)
+    cd = _merge(c_items, d_items)
+    lv.claim(divider, ae, 5, lv.pool, 2, ">=")
+    lv.claim(divider, abe, 5, lv.pool, 3, ">=")
+    abe_set = []
+    ae_set = []
+    for i in others:
+        if lv.at_least(i, abe, 5, 3):
+            abe_set.append(i)
+        if lv.at_least(i, ae, 5, 2):
+            ae_set.append(i)
+
+    if len(abe_set) == 4:
+        fifth = [
+            i
+            for i in others
+            if 5 * lv.val(i, c_items) >= totals[i] or 5 * lv.val(i, d_items) >= totals[i]
+        ]
+        if fifth:
+            i0 = fifth[0]
+            lv.roles.append(("fifth_agent", i0))
+            if 5 * lv.val(i0, c_items) >= totals[i0]:
+                give, other = c_items, d_items
+            else:
+                give, other = d_items, c_items
+            lv.claim(i0, give, 5, lv.pool, 1, ">=")
+            lv.assignment[i0] = give
+            lv.assignment[divider] = other
+            lv.split([i for i in others if i != i0], abe)
+            return "n5.cABE=4a"
+        for i in others:
+            lv.claim(i, c_items, 5, lv.pool, 1, "<")
+            lv.claim(i, d_items, 5, lv.pool, 1, "<")
+        lv.assignment[divider] = d_items
+        lv.split(others, _merge(a_items, b_items, c_items, e_items))
+        return "n5.cABE=4b"
+    if len(abe_set) == 3:
+        i0 = next(i for i in others if i not in abe_set)
+        lv.roles.append(("low_abe_agent", i0))
+        fav, other = lv.prefer(i0, c_items, d_items)
+        lv.claim(i0, fav, 5, lv.pool, 1, ">=")
+        lv.assignment[i0] = fav
+        lv.assignment[divider] = other
+        lv.split(abe_set, abe)
+        return "n5.cABE=3"
+    if len(abe_set) == 2:
+        lv.split((divider, *abe_set), abe)
+        lv.split([i for i in others if i not in abe_set], cd)
+        return "n5.cABE=2"
+    if len(ae_set) == 2:
+        pair = [i for i in others if i not in ae_set]
+        lv.split(ae_set, ae)
+        by_name = {"B": b_items, "C": c_items, "D": d_items}
+        pick = _rung_choice(lv, pair, by_name, 5)
+        if len(pick) == 3:
+            for agent, name in zip((*pair, divider), pick):
+                lv.assignment[agent] = by_name[name]
+            return "n5.cAE=2a"
+        lv.roles.append(("unique_rung_pos", RUNG_NAMES[5].index(pick[0])))
+        if pick[0] in ("B", "C"):
+            lv.assignment[divider] = d_items
+            lv.split(pair, _merge(b_items, c_items))
+            return "n5.cAE=2b"
+        lv.assignment[divider] = b_items
+        lv.split(pair, cd)
+        return "n5.cAE=2c"
+    if len(ae_set) == 1:
+        i0 = ae_set[0]
+        lv.roles.append(("ae_agent", i0))
+        lv.split((divider, i0), ae)
+        lv.split([i for i in others if i != i0], _merge(b_items, c_items, d_items))
+        return "n5.cAE=1"
+    if not ae_set:
+        return "n5.cAE=0a" if _leftover(lv, a_items, e_items, 5) else "n5.cAE=0b"
+
+    # At most one agent clears the A+B+E bar, and three or four the A+E bar.
+    low_ae = [i for i in others if i not in ae_set]
+    lv.roles.extend(("low_ae_agent", i) for i in low_ae)
+    lv.roles.extend(("abe_agent", i) for i in abe_set)
+    if abe_set and abe_set == low_ae:
+        w = abe_set[0]
+        lv.claim(w, b_items, 5, lv.pool, 1, ">")
+        lv.assignment[w] = b_items
+        lv.split((divider, ae_set[0]), ae)
+        lv.split(ae_set[1:], cd)
+        return "n5.cAE=3.cABE=1a"
+    # The divider takes B; an A+E pair (led by the A+B+E agent, if any)
+    # splits A+E and the other two split C+D.
+    lv.assignment[divider] = b_items
+    if abe_set:
+        w = abe_set[0]
+        pair = (w, min(i for i in ae_set if i != w))
+    else:
+        pair = tuple(ae_set[:2])
+    lv.split(pair, ae)
+    lv.split([i for i in others if i not in pair], cd)
+    return {
+        (4, 0): "n5.cAE=4.cABE=0",
+        (4, 1): "n5.cAE=4.cABE=1",
+        (3, 0): "n5.cAE=3.cABE=0",
+        (3, 1): "n5.cAE=3.cABE=1b",
+    }[len(ae_set), len(abe_set)]
+
+
+_CASES = {2: _case2, 3: _case3, 4: _case4, 5: _case5}
+
+
+def _solve_level(
+    inst: Instance, agents: tuple[int, ...], pool: tuple[int, ...]
+) -> tuple[dict[int, tuple[int, ...]], list[Step]]:
+    """Solve ``pool`` among the sorted ``agents`` (at most five) in original indices.
+
+    Returns every agent's items and this level's certificate steps: the
+    ladder, the case applied, then its sub-splits.
+    """
+    divider = agents[0]
+    if len(agents) == 1:
+        case = CaseApplied(
+            lemma="n1.take_all",
+            roles=(("divider", divider),),
+            assignments=((divider, pool),),
+            comparisons=(),
+        )
+        return {divider: pool}, [case]
+    n = len(agents)
+    rungs = tuple(r.items for r in cp_ladder(inst, divider, n, Bundle(pool)).rungs)
+    lv = _Level(inst, agents, pool)
+    lemma = _CASES[n](lv, *rungs)
+    split_agents = {a for step in lv.sub_steps for a in step.agents}
+    case = CaseApplied(
+        lemma=lemma,
+        roles=tuple(lv.roles),
+        assignments=tuple(
+            sorted((a, items) for a, items in lv.assignment.items() if a not in split_agents)
+        ),
+        comparisons=tuple(lv.comps),
     )
-    allocation = _assemble(inst, {0: items})
-    return allocation, Certificate(agents=(0,), items=items, steps=(step,))
+    _verify_propm(inst, agents, pool, lv.assignment, f"solve{n}")
+    ladder = LadderBuilt(divider=divider, rung_names=RUNG_NAMES[n], rungs=rungs)
+    return lv.assignment, [ladder, case, *lv.sub_steps]
+
+
+def _solve_all(inst: Instance, n: int) -> tuple[Allocation, Certificate]:
+    _require_n(inst, n)
+    agents, items = tuple(range(n)), tuple(range(inst.m))
+    assignment, steps = _solve_level(inst, agents, items)
+    return _assemble(inst, assignment), Certificate(agents=agents, items=items, steps=tuple(steps))
 
 
 def solve2(inst: Instance) -> tuple[Allocation, Certificate]:
     """Cut-and-choose: the divider splits via her CP bundle, the other agent picks."""
-    _require_n(inst, 2)
-    all_items = tuple(range(inst.m))
-    ladder = cp_ladder(inst, 0, 2, inst.all_items())
-    a_items, b_items = (r.items for r in ladder.rungs)
-    steps: list[Step] = [LadderBuilt(divider=0, rung_names=RUNG_NAMES[2], rungs=(a_items, b_items))]
-    v_a = _val(inst, 1, a_items)
-    v_b = _val(inst, 1, b_items)
-    if v_a >= v_b:
-        comp = _cmp(inst, 1, a_items, 1, b_items, 1, ">=")
-        assignment = {1: a_items, 0: b_items}
-    else:
-        comp = _cmp(inst, 1, b_items, 1, a_items, 1, ">")
-        assignment = {1: b_items, 0: a_items}
-    steps.append(
-        CaseApplied(
-            lemma="n2.cut_and_choose",
-            roles=(("divider", 0), ("chooser", 1)),
-            assignments=tuple(sorted(assignment.items())),
-            comparisons=(comp,),
-        )
-    )
-    allocation = _assemble(inst, assignment)
-    _verify_propm(inst, allocation, "solve2")
-    return allocation, Certificate(agents=(0, 1), items=all_items, steps=tuple(steps))
+    return _solve_all(inst, 2)
 
 
 def solve3(inst: Instance) -> tuple[Allocation, Certificate]:
     """Three agents: hand out distinct rungs, or give the divider the rung the
     others ignore and let them split the complement."""
-    _require_n(inst, 3)
-    all_items = tuple(range(inst.m))
-    ladder = cp_ladder(inst, 0, 3, inst.all_items())
-    b_items, a_items, c_items = (r.items for r in ladder.rungs)
-    steps: list[Step] = [
-        LadderBuilt(divider=0, rung_names=RUNG_NAMES[3], rungs=(b_items, a_items, c_items))
-    ]
-    by_name = {"A": a_items, "B": b_items, "C": c_items}
-    order = ("A", "B", "C")
-
-    comps = []
-    wants: dict[int, list[str]] = {1: [], 2: []}
-    for i in (1, 2):
-        for name in order:
-            if 3 * _val(inst, i, by_name[name]) >= inst.totals[i]:
-                wants[i].append(name)
-                comps.append(_cmp(inst, i, by_name[name], 3, all_items, 1, ">="))
-            else:
-                comps.append(_cmp(inst, i, by_name[name], 3, all_items, 1, "<"))
-    if not wants[1] or not wants[2]:
-        raise InvariantViolationError("every agent values some rung at a third")
-
-    assignment: dict[int, tuple[int, ...]] = {}
-    roles = [("divider", 0)]
-    sub_steps: list[Step] = []
-    if len(set(wants[1]) | set(wants[2])) >= 2:
-        lemma = "n3.two_distinct"
-        chosen = None
-        for p in order:
-            if p not in wants[1]:
-                continue
-            for q in order:
-                if q != p and q in wants[2]:
-                    chosen = (p, q)
-                    break
-            if chosen:
-                break
-        if chosen is None:  # pragma: no cover - counting argument above
-            raise InvariantViolationError("distinct rung assignment must exist")
-        p, q = chosen
-        remainder = next(name for name in order if name not in (p, q))
-        assignment[1] = by_name[p]
-        assignment[2] = by_name[q]
-        assignment[0] = by_name[remainder]
-    else:
-        lemma = "n3.one_bundle"
-        unique = (set(wants[1]) | set(wants[2])).pop()
-        roles.append(("unique_rung_pos", RUNG_NAMES[3].index(unique)))
-        if unique in ("A", "B"):
-            assignment[0] = c_items
-            split_assign, split_step = _split(inst, (1, 2), _merge(a_items, b_items))
-        else:
-            assignment[0] = b_items
-            split_assign, split_step = _split(inst, (1, 2), _merge(a_items, c_items))
-        assignment.update(split_assign)
-        sub_steps.append(split_step)
-
-    direct = _direct_agents(assignment, sub_steps)
-    steps.append(
-        CaseApplied(
-            lemma=lemma,
-            roles=tuple(roles),
-            assignments=tuple(sorted((a, assignment[a]) for a in direct)),
-            comparisons=tuple(comps),
-        )
-    )
-    steps.extend(sub_steps)
-    allocation = _assemble(inst, assignment)
-    _verify_propm(inst, allocation, "solve3")
-    return allocation, Certificate(agents=(0, 1, 2), items=all_items, steps=tuple(steps))
-
-
-def _direct_agents(assignment, sub_steps):
-    split_agents = set()
-    for step in sub_steps:
-        split_agents.update(step.agents)
-    return [a for a in assignment if a not in split_agents]
+    return _solve_all(inst, 3)
 
 
 def solve4(inst: Instance) -> tuple[Allocation, Certificate]:
     """Four agents: case analysis on how many of agents 1..3 value A+D at least 1/2."""
-    _require_n(inst, 4)
-    all_items = tuple(range(inst.m))
-    ladder = cp_ladder(inst, 0, 4, inst.all_items())
-    c_items, b_items, a_items, d_items = (r.items for r in ladder.rungs)
-    steps: list[Step] = [
-        LadderBuilt(divider=0, rung_names=RUNG_NAMES[4], rungs=(c_items, b_items, a_items, d_items))
-    ]
-    ad = _merge(a_items, d_items)
-    bc = _merge(b_items, c_items)
-    totals = inst.totals
-
-    comps = [_cmp(inst, 0, ad, 2, all_items, 1, ">=")]
-    halves = []
-    for i in (1, 2, 3):
-        if 2 * _val(inst, i, ad) >= totals[i]:
-            halves.append(i)
-            comps.append(_cmp(inst, i, ad, 2, all_items, 1, ">="))
-        else:
-            comps.append(_cmp(inst, i, ad, 2, all_items, 1, "<"))
-    c = len(halves)
-
-    assignment: dict[int, tuple[int, ...]] = {}
-    roles = [("divider", 0)]
-    sub_steps: list[Step] = []
-
-    if c == 0:
-        big_d = [i for i in (1, 2, 3) if 4 * _val(inst, i, d_items) >= totals[i]]
-        if not big_d:
-            lemma = "n4.c=0a"
-            for i in (1, 2, 3):
-                comps.append(_cmp(inst, i, d_items, 4, all_items, 1, "<"))
-            comps.append(_cmp(inst, 0, d_items, 4, all_items, 1, ">="))
-            assignment[0] = d_items
-            split_assign, split_step = _split(inst, (1, 2, 3), _merge(a_items, b_items, c_items))
-        else:
-            lemma = "n4.c=0b"
-            i0 = big_d[0]
-            roles.append(("leftover_agent", i0))
-            comps.append(_cmp(inst, i0, d_items, 4, all_items, 1, ">="))
-            assignment[i0] = d_items
-            assignment[0] = a_items
-            others = tuple(i for i in (1, 2, 3) if i != i0)
-            split_assign, split_step = _split(inst, others, bc)
-        assignment.update(split_assign)
-        sub_steps.append(split_step)
-    elif c == 1:
-        lemma = "n4.c=1"
-        i0 = halves[0]
-        roles.append(("half_agent", i0))
-        others = tuple(i for i in (1, 2, 3) if i != i0)
-        split_a, step_a = _split(inst, tuple(sorted((0, i0))), ad)
-        split_b, step_b = _split(inst, others, bc)
-        assignment.update(split_a)
-        assignment.update(split_b)
-        sub_steps.extend([step_a, step_b])
-    elif c == 2:
-        lemma = "n4.c=2"
-        i0 = next(i for i in (1, 2, 3) if i not in halves)
-        roles.append(("quarter_agent", i0))
-        if _val(inst, i0, b_items) >= _val(inst, i0, c_items):
-            fav, other = b_items, c_items
-            comps.append(_cmp(inst, i0, b_items, 1, c_items, 1, ">="))
-        else:
-            fav, other = c_items, b_items
-            comps.append(_cmp(inst, i0, c_items, 1, b_items, 1, ">"))
-        comps.append(_cmp(inst, i0, fav, 4, all_items, 1, ">="))
-        assignment[i0] = fav
-        assignment[0] = other
-        split_assign, split_step = _split(inst, tuple(halves), ad)
-        assignment.update(split_assign)
-        sub_steps.append(split_step)
-    else:
-        quarter = [
-            i
-            for i in (1, 2, 3)
-            if 4 * _val(inst, i, b_items) >= totals[i] or 4 * _val(inst, i, c_items) >= totals[i]
-        ]
-        if quarter:
-            lemma = "n4.c=3a"
-            i0 = quarter[0]
-            roles.append(("quarter_agent", i0))
-            if _val(inst, i0, b_items) >= _val(inst, i0, c_items):
-                fav, other = b_items, c_items
-                comps.append(_cmp(inst, i0, b_items, 1, c_items, 1, ">="))
-            else:
-                fav, other = c_items, b_items
-                comps.append(_cmp(inst, i0, c_items, 1, b_items, 1, ">"))
-            comps.append(_cmp(inst, i0, fav, 4, all_items, 1, ">="))
-            assignment[i0] = fav
-            assignment[0] = other
-            others = tuple(i for i in (1, 2, 3) if i != i0)
-            split_assign, split_step = _split(inst, others, ad)
-            assignment.update(split_assign)
-            sub_steps.append(split_step)
-        else:
-            lemma = "n4.c=3b"
-            for i in (1, 2, 3):
-                comps.append(_cmp(inst, i, b_items, 4, all_items, 1, "<"))
-                comps.append(_cmp(inst, i, c_items, 4, all_items, 1, "<"))
-            assignment[0] = c_items
-            split_assign, split_step = _split(inst, (1, 2, 3), _merge(a_items, b_items, d_items))
-            assignment.update(split_assign)
-            sub_steps.append(split_step)
-
-    direct = _direct_agents(assignment, sub_steps)
-    steps.append(
-        CaseApplied(
-            lemma=lemma,
-            roles=tuple(roles),
-            assignments=tuple(sorted((a, assignment[a]) for a in direct)),
-            comparisons=tuple(comps),
-        )
-    )
-    steps.extend(sub_steps)
-    allocation = _assemble(inst, assignment)
-    _verify_propm(inst, allocation, "solve4")
-    return allocation, Certificate(agents=(0, 1, 2, 3), items=all_items, steps=tuple(steps))
+    return _solve_all(inst, 4)
 
 
 def solve5(inst: Instance) -> tuple[Allocation, Certificate]:
     """Five agents: case analysis on how many of agents 1..4 value A+B+E at
     least 3/5 and A+E at least 2/5."""
-    _require_n(inst, 5)
-    all_items = tuple(range(inst.m))
-    ladder = cp_ladder(inst, 0, 5, inst.all_items())
-    d_items, c_items, b_items, a_items, e_items = (r.items for r in ladder.rungs)
-    steps: list[Step] = [
-        LadderBuilt(
-            divider=0,
-            rung_names=RUNG_NAMES[5],
-            rungs=(d_items, c_items, b_items, a_items, e_items),
-        )
-    ]
-    totals = inst.totals
-    ae = _merge(a_items, e_items)
-    abe = _merge(a_items, b_items, e_items)
-    cd = _merge(c_items, d_items)
-    bcd = _merge(b_items, c_items, d_items)
-
-    comps = [
-        _cmp(inst, 0, ae, 5, all_items, 2, ">="),
-        _cmp(inst, 0, abe, 5, all_items, 3, ">="),
-    ]
-    others = (1, 2, 3, 4)
-    abe_set = []
-    ae_set = []
-    for i in others:
-        if 5 * _val(inst, i, abe) >= 3 * totals[i]:
-            abe_set.append(i)
-            comps.append(_cmp(inst, i, abe, 5, all_items, 3, ">="))
-        else:
-            comps.append(_cmp(inst, i, abe, 5, all_items, 3, "<"))
-        if 5 * _val(inst, i, ae) >= 2 * totals[i]:
-            ae_set.append(i)
-            comps.append(_cmp(inst, i, ae, 5, all_items, 2, ">="))
-        else:
-            comps.append(_cmp(inst, i, ae, 5, all_items, 2, "<"))
-    c_abe = len(abe_set)
-    c_ae = len(ae_set)
-
-    assignment: dict[int, tuple[int, ...]] = {}
-    roles = [("divider", 0)]
-    sub_steps: list[Step] = []
-
-    if c_abe == 4:
-        fifth = [
-            i
-            for i in others
-            if 5 * _val(inst, i, c_items) >= totals[i] or 5 * _val(inst, i, d_items) >= totals[i]
-        ]
-        if fifth:
-            lemma = "n5.cABE=4a"
-            i0 = fifth[0]
-            roles.append(("fifth_agent", i0))
-            if 5 * _val(inst, i0, c_items) >= totals[i0]:
-                give, other = c_items, d_items
-                comps.append(_cmp(inst, i0, c_items, 5, all_items, 1, ">="))
-            else:
-                give, other = d_items, c_items
-                comps.append(_cmp(inst, i0, d_items, 5, all_items, 1, ">="))
-            assignment[i0] = give
-            assignment[0] = other
-            rest = tuple(i for i in others if i != i0)
-            split_assign, split_step = _split(inst, rest, abe)
-            assignment.update(split_assign)
-            sub_steps.append(split_step)
-        else:
-            lemma = "n5.cABE=4b"
-            for i in others:
-                comps.append(_cmp(inst, i, c_items, 5, all_items, 1, "<"))
-                comps.append(_cmp(inst, i, d_items, 5, all_items, 1, "<"))
-            assignment[0] = d_items
-            split_assign, split_step = _split(
-                inst, others, _merge(a_items, b_items, c_items, e_items)
-            )
-            assignment.update(split_assign)
-            sub_steps.append(split_step)
-    elif c_abe == 3:
-        lemma = "n5.cABE=3"
-        i0 = next(i for i in others if i not in abe_set)
-        roles.append(("low_abe_agent", i0))
-        if _val(inst, i0, c_items) >= _val(inst, i0, d_items):
-            fav, other = c_items, d_items
-            comps.append(_cmp(inst, i0, c_items, 1, d_items, 1, ">="))
-        else:
-            fav, other = d_items, c_items
-            comps.append(_cmp(inst, i0, d_items, 1, c_items, 1, ">"))
-        comps.append(_cmp(inst, i0, fav, 5, all_items, 1, ">="))
-        assignment[i0] = fav
-        assignment[0] = other
-        split_assign, split_step = _split(inst, tuple(abe_set), abe)
-        assignment.update(split_assign)
-        sub_steps.append(split_step)
-    elif c_abe == 2:
-        lemma = "n5.cABE=2"
-        not_abe = tuple(i for i in others if i not in abe_set)
-        split_a, step_a = _split(inst, tuple(sorted((0, *abe_set))), abe)
-        split_b, step_b = _split(inst, not_abe, cd)
-        assignment.update(split_a)
-        assignment.update(split_b)
-        sub_steps.extend([step_a, step_b])
-    elif c_ae == 2:
-        ae_pair = tuple(ae_set)
-        not_pair = tuple(i for i in others if i not in ae_set)
-        split_a, step_a = _split(inst, ae_pair, ae)
-        sub_steps.append(step_a)
-        assignment.update(split_a)
-        by_name = {"B": b_items, "C": c_items, "D": d_items}
-        rung_order = ("B", "C", "D")
-        wants: dict[int, list[str]] = {}
-        for i in not_pair:
-            wants[i] = []
-            for name in rung_order:
-                if 5 * _val(inst, i, by_name[name]) >= totals[i]:
-                    wants[i].append(name)
-                    comps.append(_cmp(inst, i, by_name[name], 5, all_items, 1, ">="))
-                else:
-                    comps.append(_cmp(inst, i, by_name[name], 5, all_items, 1, "<"))
-        u, w = not_pair
-        if not wants[u] or not wants[w]:
-            raise InvariantViolationError("each non-AE agent values some of B, C, D at a fifth")
-        if len(set(wants[u]) | set(wants[w])) >= 2:
-            lemma = "n5.cAE=2a"
-            chosen = None
-            for p in rung_order:
-                if p not in wants[u]:
-                    continue
-                for q in rung_order:
-                    if q != p and q in wants[w]:
-                        chosen = (p, q)
-                        break
-                if chosen:
-                    break
-            if chosen is None:  # pragma: no cover - counting argument above
-                raise InvariantViolationError("distinct rung assignment must exist")
-            p, q = chosen
-            remainder = next(name for name in rung_order if name not in (p, q))
-            assignment[u] = by_name[p]
-            assignment[w] = by_name[q]
-            assignment[0] = by_name[remainder]
-        else:
-            unique = (set(wants[u]) | set(wants[w])).pop()
-            roles.append(("unique_rung_pos", RUNG_NAMES[5].index(unique)))
-            if unique in ("B", "C"):
-                lemma = "n5.cAE=2b"
-                assignment[0] = d_items
-                split_b, step_b = _split(inst, not_pair, _merge(b_items, c_items))
-            else:
-                lemma = "n5.cAE=2c"
-                assignment[0] = b_items
-                split_b, step_b = _split(inst, not_pair, cd)
-            assignment.update(split_b)
-            sub_steps.append(step_b)
-    elif c_ae == 1:
-        lemma = "n5.cAE=1"
-        i0 = ae_set[0]
-        roles.append(("ae_agent", i0))
-        rest = tuple(i for i in others if i != i0)
-        split_a, step_a = _split(inst, tuple(sorted((0, i0))), ae)
-        split_b, step_b = _split(inst, rest, bcd)
-        assignment.update(split_a)
-        assignment.update(split_b)
-        sub_steps.extend([step_a, step_b])
-    elif c_ae == 0:
-        fifth_e = [i for i in others if 5 * _val(inst, i, e_items) >= totals[i]]
-        if not fifth_e:
-            lemma = "n5.cAE=0a"
-            for i in others:
-                comps.append(_cmp(inst, i, e_items, 5, all_items, 1, "<"))
-            comps.append(_cmp(inst, 0, e_items, 5, all_items, 1, ">="))
-            assignment[0] = e_items
-            split_assign, split_step = _split(
-                inst, others, _merge(a_items, b_items, c_items, d_items)
-            )
-            assignment.update(split_assign)
-            sub_steps.append(split_step)
-        else:
-            lemma = "n5.cAE=0b"
-            i0 = fifth_e[0]
-            roles.append(("leftover_agent", i0))
-            comps.append(_cmp(inst, i0, e_items, 5, all_items, 1, ">="))
-            assignment[i0] = e_items
-            assignment[0] = a_items
-            rest = tuple(i for i in others if i != i0)
-            split_assign, split_step = _split(inst, rest, bcd)
-            assignment.update(split_assign)
-            sub_steps.append(split_step)
-    elif c_ae == 4 and c_abe == 0:
-        lemma = "n5.cAE=4.cABE=0"
-        assignment[0] = b_items
-        split_a, step_a = _split(inst, (1, 2), ae)
-        split_b, step_b = _split(inst, (3, 4), cd)
-        assignment.update(split_a)
-        assignment.update(split_b)
-        sub_steps.extend([step_a, step_b])
-    elif c_ae == 4 and c_abe == 1:
-        lemma = "n5.cAE=4.cABE=1"
-        w = abe_set[0]
-        roles.append(("abe_agent", w))
-        partner = min(i for i in others if i != w)
-        rest = tuple(i for i in others if i not in (w, partner))
-        assignment[0] = b_items
-        split_a, step_a = _split(inst, tuple(sorted((w, partner))), ae)
-        split_b, step_b = _split(inst, rest, cd)
-        assignment.update(split_a)
-        assignment.update(split_b)
-        sub_steps.extend([step_a, step_b])
-    elif c_ae == 3 and c_abe == 0:
-        lemma = "n5.cAE=3.cABE=0"
-        u = next(i for i in others if i not in ae_set)
-        roles.append(("low_ae_agent", u))
-        aes = tuple(ae_set)
-        assignment[0] = b_items
-        split_a, step_a = _split(inst, aes[:2], ae)
-        split_b, step_b = _split(inst, tuple(sorted((aes[2], u))), cd)
-        assignment.update(split_a)
-        assignment.update(split_b)
-        sub_steps.extend([step_a, step_b])
-    elif c_ae == 3 and c_abe == 1:
-        u = next(i for i in others if i not in ae_set)
-        w = abe_set[0]
-        roles.append(("low_ae_agent", u))
-        roles.append(("abe_agent", w))
-        if u == w:
-            lemma = "n5.cAE=3.cABE=1a"
-            comps.append(_cmp(inst, w, b_items, 5, all_items, 1, ">"))
-            assignment[w] = b_items
-            aes = tuple(ae_set)
-            split_a, step_a = _split(inst, tuple(sorted((0, aes[0]))), ae)
-            split_b, step_b = _split(inst, aes[1:], cd)
-        else:
-            lemma = "n5.cAE=3.cABE=1b"
-            assignment[0] = b_items
-            partner = min(i for i in ae_set if i != w)
-            third = next(i for i in ae_set if i not in (w, partner))
-            split_a, step_a = _split(inst, tuple(sorted((w, partner))), ae)
-            split_b, step_b = _split(inst, tuple(sorted((third, u))), cd)
-        assignment.update(split_a)
-        assignment.update(split_b)
-        sub_steps.extend([step_a, step_b])
-    else:  # pragma: no cover - the case table is exhaustive
-        raise InvariantViolationError(
-            f"5-agent dispatch fell through with counts cABE={c_abe}, cAE={c_ae}"
-        )
-
-    direct = _direct_agents(assignment, sub_steps)
-    steps.append(
-        CaseApplied(
-            lemma=lemma,
-            roles=tuple(roles),
-            assignments=tuple(sorted((a, assignment[a]) for a in direct)),
-            comparisons=tuple(comps),
-        )
-    )
-    steps.extend(sub_steps)
-    allocation = _assemble(inst, assignment)
-    _verify_propm(inst, allocation, "solve5")
-    return allocation, Certificate(agents=(0, 1, 2, 3, 4), items=all_items, steps=tuple(steps))
-
-
-_SOLVE_BY_N = {1: _solve1, 2: solve2, 3: solve3, 4: solve4, 5: solve5}
+    return _solve_all(inst, 5)
 
 
 def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
@@ -883,24 +653,28 @@ def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
         raise UnsupportedSizeError(
             f"residual instance has {len(red.residual_agents)} agents; at most 5 supported"
         )
-    assignment: dict[int, tuple[int, ...]] = {a: (j,) for (a, j) in red.assignments}
-    steps: list[Step] = list(red.steps)
-    sub = restrict(inst, red.residual_agents, red.residual_items)
-    sub_alloc, sub_cert = _SOLVE_BY_N[sub.instance.n](sub.instance)
-    for orig_agent, bundle in sub.lift_allocation(sub_alloc):
-        assignment[orig_agent] = bundle.items
-    steps.extend(_relabel_step(s, sub.agents, sub.items) for s in sub_cert.steps)
-    allocation = _assemble(inst, assignment)
+    assignment, steps = _solve_level(inst, red.residual_agents, red.residual_items)
+    for agent, item in red.assignments:
+        assignment[agent] = (item,)
     certificate = Certificate(
-        agents=tuple(range(inst.n)), items=tuple(range(inst.m)), steps=tuple(steps)
+        agents=tuple(range(inst.n)), items=tuple(range(inst.m)), steps=(*red.steps, *steps)
     )
-    _verify_propm(inst, allocation, "solve_propm")
+    allocation = _assemble(inst, assignment)
+    _verify_propm(inst, certificate.agents, certificate.items, assignment, "solve_propm")
     return allocation, certificate
 
 
 # ---------------------------------------------------------------------------
 # Certificate replay and verification
 # ---------------------------------------------------------------------------
+
+
+# Role names whose value is an agent index; the others hold rung positions.
+_AGENT_ROLES = ("divider", "chooser")
+
+
+def _is_agent_role(name: str) -> bool:
+    return name in _AGENT_ROLES or name.endswith("_agent")
 
 
 def _req(condition: bool, message: str) -> None:
