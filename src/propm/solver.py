@@ -808,6 +808,9 @@ def replay_certificate(inst: Instance, cert: Certificate) -> Allocation:
 def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate) -> bool:
     """True iff the certificate replays to exactly this allocation.
 
+    A certificate that fails to replay gives False, including one whose
+    fields hold values of the wrong type.
+
     Replay is independent of the solver's control flow: rungs are recomputed
     from the CP definition, every recorded comparison is recomputed from the
     instance, and the step structure must cover all agents and items.
@@ -822,7 +825,7 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
         if cert.agents != tuple(range(inst.n)) or cert.items != tuple(range(inst.m)):
             return False
         replayed = replay_certificate(inst, cert)
-    except (CertificateError, InputError, IndexError, KeyError, ValueError):
+    except (CertificateError, InputError, IndexError, KeyError, TypeError, ValueError):
         return False
     return replayed.bundles == allocation.bundles
 
@@ -976,8 +979,18 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_json_dict(data: dict) -> Certificate:
-    return Certificate(
-        agents=tuple(data["agents"]),
-        items=tuple(data["items"]),
-        steps=tuple(_step_from_dict(s) for s in data["steps"]),
-    )
+    """Parse certificate JSON. A document of the wrong shape raises InputError.
+
+    Field values are not type-checked here: ``verify_certificate`` rejects a
+    certificate whose indices or values are not what it recomputes.
+    """
+    try:
+        return Certificate(
+            agents=tuple(data["agents"]),
+            items=tuple(data["items"]),
+            steps=tuple(_step_from_dict(s) for s in data["steps"]),
+        )
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed certificate JSON: {exc!r}") from exc

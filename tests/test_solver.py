@@ -640,3 +640,41 @@ def test_verdicts_do_not_depend_on_the_memo():
             _best_subset.cache_clear()
             cold = verify_certificate(inst, alloc, cert)
             assert warm == cold == expected, s
+
+
+@pytest.mark.parametrize(
+    "path, value, parses",
+    [
+        (("steps", 1, "comparisons", 0, "lhs_items"), ["x"], True),
+        (("steps", 1, "comparisons", 0, "agent"), "0", True),
+        (("steps", 1, "roles", 0, 1), [0], True),
+        (("agents",), 5, False),
+        (("steps",), None, False),
+        (("steps", 1), ["case"], False),
+        (("steps", 1, "assignments", 0, 1), None, False),
+    ],
+    ids=[
+        "item-not-int",
+        "agent-not-int",
+        "role-not-int",
+        "agents-not-list",
+        "steps-null",
+        "step-is-list",
+        "assignment-items-null",
+    ],
+)
+def test_malformed_certificate_json(path, value, parses):
+    # a certificate whose first case has a role, direct assignments and comparisons
+    inst = Instance.of(_PINNED["n4.c=2"][0])
+    allocation, certificate = solve_propm(inst)
+    data = certificate_to_json_dict(certificate)
+    assert data["steps"][1]["type"] == "case"
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    if not parses:
+        with pytest.raises(InputError):
+            certificate_from_json_dict(data)
+        return
+    assert not verify_certificate(inst, allocation, certificate_from_json_dict(data))
