@@ -26,7 +26,6 @@ from .fairness import (
     FairnessReport,
     Notion,
     check,
-    check_aefx_companion,
     maximin_value,
     min_item,
     mms_value,
@@ -85,7 +84,6 @@ __all__ = [
     "UnsupportedSizeError",
     "adjusted_profile",
     "check",
-    "check_aefx_companion",
     "cp_bundle",
     "cp_ladder",
     "cycle_swap",

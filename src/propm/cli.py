@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from . import _kernels
 from .core import (
     Allocation,
     InputError,
@@ -26,7 +24,7 @@ from .core import (
     ResourceBudgetError,
     UnsupportedSizeError,
 )
-from .fairness import Notion, check, check_aefx_companion, parse_notion
+from .fairness import Notion, check, parse_notion
 from .leximin import cycle_swap, envy_graph, leximin_max
 from .oracle import exists, implication_audit, make_counterexample, random_instance
 from .solver import certificate_to_json_dict, solve_propm, verify_certificate
@@ -145,7 +143,6 @@ def _cmd_leximin(args) -> int:
     cycle = graph.find_cycle()
     swapped = cycle_swap(inst, allocation)
     aefx = check(inst, allocation, Notion.AEFX)
-    companion = check_aefx_companion(inst, allocation)
     payload = {
         "allocation": allocation.to_json_dict(),
         "profile": profile.to_json_dict(),
@@ -153,7 +150,6 @@ def _cmd_leximin(args) -> int:
         "cycle": list(cycle) if cycle else None,
         "cycle_swap": swapped.to_json_dict() if swapped else None,
         "aefx_all_satisfied": aefx.all_satisfied,
-        "aefx_companion_strict_all_satisfied": companion.all_satisfied,
     }
     lines = ["leximin-max allocation:"]
     for i, bundle in enumerate(allocation.bundles):
@@ -174,27 +170,6 @@ def _cmd_gen(args) -> int:
 def _cmd_counterexample(args) -> int:
     inst = make_counterexample(args.scale)
     _write_instance(inst, args.out)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import numpy as np
-
-    print(f"CP-bundle DP timing (best of {args.repeats}, numpy)")
-    print(f"{'m':>4} {'cap':>8} {'ms':>10} {'Mcells/s':>10}")
-    for m in args.sizes:
-        inst = random_instance(1, m, args.max_value, args.seed + m)
-        arr = np.array(inst.values[0], dtype=np.int64)
-        cap = int(arr.sum()) // 2
-        _kernels.cp_table(arr, cap)  # warm-up
-        best = float("inf")
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            _kernels.cp_table(arr, cap)
-            best = min(best, time.perf_counter() - t0)
-        cells = m * (cap + 1)
-        rate = cells / best / 1e6 if best > 0 else float("inf")
-        print(f"{m:>4} {cap:>8} {best * 1000.0:>10.3f} {rate:>10.1f}")
     return 0
 
 
@@ -249,13 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, required=True, help="total value; big item is scale-6")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_counterexample)
-
-    p = sub.add_parser("bench", help="time the CP-bundle DP")
-    p.add_argument("--sizes", type=int, nargs="+", default=[12, 16, 20])
-    p.add_argument("--max-value", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=5)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -260,25 +260,3 @@ def _mms_cached(inst: Instance, agent: int) -> int:
         best = max(best, _kernels.mms_scan(row, n, start, count))
         start += count
     return best
-
-
-def check_aefx_companion(inst: Instance, allocation: Allocation) -> FairnessReport:
-    """Experimental strict variant of the averaged-EFx test.
-
-    Requires own value strictly above the average (over the n-1 rivals) of
-    (rival bundle value minus its least item). This is NOT the notion used by
-    the rest of the package and is exposed for experimentation only; the
-    standard Notion.AEFX test uses a weak inequality with coefficient 1/n.
-    """
-    allocation.validate_for(inst)
-    n = inst.n
-    verdicts = []
-    for i in range(n):
-        own, others = _per_agent_bonus_and_extras(inst, i, allocation)
-        if n == 1:
-            verdicts.append(AgentVerdict(satisfied=True, slack=Fraction(own)))
-            continue
-        rival_sum = sum(val - (mn or 0) for (_, val, mn, _) in others)
-        slack = Fraction(own) - Fraction(rival_sum, n - 1)
-        verdicts.append(AgentVerdict(satisfied=slack > 0, slack=slack))
-    return FairnessReport(notion=Notion.AEFX, per_agent=tuple(verdicts))

@@ -149,12 +149,6 @@ def test_counterexample_scale_validation(capsys):
     assert code == 2
 
 
-def test_bench_smoke(capsys):
-    code, out, _ = _run(capsys, "bench", "--sizes", "8", "--repeats", "1")
-    assert code == 0
-    assert "CP-bundle DP timing" in out
-
-
 def test_solve_unsupported_size(tmp_path, capsys):
     inst_path = tmp_path / "big.json"
     inst_path.write_text(json.dumps({"n": 8, "m": 8, "values": [[1] * 8] * 8}))

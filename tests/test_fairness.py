@@ -11,7 +11,6 @@ from propm import (
     Instance,
     Notion,
     check,
-    check_aefx_companion,
     maximin_value,
     min_item,
     mms_value,
@@ -177,20 +176,6 @@ def test_scaling_invariance():
             assert [v.satisfied for v in got.per_agent] == [
                 v.satisfied for v in want.per_agent
             ], (notion, allocation)
-
-
-def test_companion_aefx_is_strict():
-    inst = Instance.of([[5, 5], [5, 5]])
-    allocation = Allocation.of([[0], [1]])
-    weak = check(inst, allocation, Notion.AEFX)
-    strict = check_aefx_companion(inst, allocation)
-    assert weak.all_satisfied
-    # own 5 vs rival (5 - 5) = 0: strictly positive, satisfied
-    assert strict.all_satisfied
-    on_edge = Instance.of([[5, 5], [5, 5]])
-    boundary = Allocation.of([[0, 1], []])
-    # agent 1: own 0 vs rival (10 - 5)/1 = 5: strict test fails
-    assert not check_aefx_companion(on_edge, boundary).per_agent[1].satisfied
 
 
 def test_report_json_slacks_are_fractions(i_eps):
