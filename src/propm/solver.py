@@ -457,7 +457,7 @@ def _case4(lv: _Level, c_items, b_items, a_items, d_items) -> str:
             return "n4.c=3b"
         lemma = "n4.c=3a"
         i0 = quarter[0]
-    # One agent outside the A+D pair takes her favourite of B and C.
+    # One agent outside the A+D pair takes whichever of B and C it values more.
     lv.roles.append(("quarter_agent", i0))
     fav, other = lv.prefer(i0, b_items, c_items)
     lv.claim(i0, fav, 4, lv.pool, 1, ">=")
@@ -825,7 +825,7 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
         if cert.agents != tuple(range(inst.n)) or cert.items != tuple(range(inst.m)):
             return False
         replayed = replay_certificate(inst, cert)
-    except (CertificateError, InputError, IndexError, KeyError, TypeError, ValueError):
+    except (AttributeError, CertificateError, IndexError, KeyError, TypeError, ValueError):
         return False
     return replayed.bundles == allocation.bundles
 

@@ -678,3 +678,13 @@ def test_malformed_certificate_json(path, value, parses):
             certificate_from_json_dict(data)
         return
     assert not verify_certificate(inst, allocation, certificate_from_json_dict(data))
+
+
+def test_verify_rejects_a_subsplit_without_a_certificate():
+    inst = Instance.of(_PINNED["n4.c=1"][0])
+    allocation, certificate = solve_propm(inst)
+    steps = list(certificate.steps)
+    idx = next(i for i, step in enumerate(steps) if isinstance(step, SubSplit))
+    steps[idx] = dataclasses.replace(steps[idx], certificate=None)
+    mutated = dataclasses.replace(certificate, steps=tuple(steps))
+    assert not verify_certificate(inst, allocation, mutated)
