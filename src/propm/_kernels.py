@@ -7,24 +7,31 @@ split-half engine, vectorized with numpy.
 Allocations are indexed 0..n^m-1; item j is owned by digit j of the index
 written in base n, least significant digit first. The engine splits the
 items into a low half (items 0..h-1) and a high half, so index t is
-l + L*r with L = n^h. For every assignment of one half it tabulates the
-bundle statistics: per agent and bundle the value, least and greatest item,
-each agent's own-bundle value and the bundle sizes. A window of allocations
-then combines a low row with a high row by one broadcast add, min or max,
-the meet-in-the-middle idea ``cpsets._meet_in_the_middle`` uses for CP
-bundles. Only alt-median and alt-mode, which do not split across halves,
-decode owner digits. Each kernel computes only the statistics its
+l + L*r with L = n^h. It tabulates the bundle statistics for the
+assignments of each half: per agent and bundle the value, least and
+greatest item, each agent's own-bundle value and the bundle sizes. A window
+of allocations then combines a low row with a high row by one broadcast
+add, min or max, the meet-in-the-middle idea ``cpsets._meet_in_the_middle``
+uses for CP bundles. Only alt-median and alt-mode, which do not split across
+halves, decode owner digits. Each kernel computes only the statistics its
 requested notions read.
 
-h is m // 2, lowered while n^h exceeds the window, so neither half table
-outgrows the window. A window's per-bundle statistics take at most
-SCAN_BYTES: callers size windows with ``scan_chunk`` and the kernels split
-very large agent counts into blocks.
+Each scan builds one ``ScanPlan``. It fixes h as m // 2, lowered while n^h
+exceeds the scan's window (``scan_chunk``), and builds each statistic's
+tables once, by one broadcast op per item. So that no table outgrows a
+window, it tabulates only the high half's lowest k digits (n^k at most a
+window), and each window adds its few assignments of the remaining top
+items. The tables count against SCAN_BYTES together with a window's
+statistics: a plan narrows the mid table until both fit and keeps the
+tables for the whole scan, and if no width fits it rebuilds them for each
+window. Callers size windows with ``scan_chunk``, and the kernels split very
+large agent counts into blocks.
 
-Scan arithmetic is int64. ``instance_arrays`` rejects inputs whose largest
-intermediate, n * (m+1) * max_total from the alt-mean test, would not fit;
-the exact-arithmetic reference paths in the rest of the package use
-unbounded Python integers.
+Scan arithmetic uses the narrowest exact dtype. ``instance_arrays`` returns
+int32 arrays when the largest intermediate, n * (m+1) * max_total from the
+alt-mean test, is below 2^31, int64 arrays when it is below 2^63, and
+rejects larger inputs. The exact-arithmetic reference paths in the rest of
+the package use unbounded Python integers.
 """
 
 from __future__ import annotations
@@ -36,21 +43,19 @@ from .core import InputError, ResourceBudgetError
 # Name of the scan implementation, for tools that stamp their records with it.
 BACKEND = "numpy"
 
-# Sentinel above every item value a kernel sees (instance_arrays keeps
-# totals below 2^62); it marks the minimum of an empty bundle.
-_BIG = 1 << 62
-
 CHUNK = 8192
 
 # Bytes the bit-packed take rows of one CP table may take. At the CP DP's
 # cap limit (cpsets.DP_SUM_LIMIT) that is about a thousand full rows.
 CP_TAKE_BYTES = 256 << 20
 
-# Bytes a window's per-bundle statistics may take: three int64 values
+# Bytes a scan's per-bundle statistics may take: a window's three values
 # (value, min, max, or two of them and a temporary) per allocation, agent
-# and bundle.
+# and bundle, plus the half tables its plan keeps. Windows are sized for
+# int64 values.
 SCAN_BYTES = 32 << 20
-_CELL_BYTES = 3 * 8
+_STAT_CELLS = 3
+_CELL_BYTES = _STAT_CELLS * 8
 
 # Notion bit positions inside the per-agent satisfaction mask.
 PROP = 0
@@ -181,70 +186,170 @@ def _agent_blocks(n, count):
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-# Statistic -> (how two halves combine, value for an empty bundle). Every
-# statistic is an array [lead, mid, allocation], allocations innermost so
-# the broadcast combine runs over long contiguous rows: "val", "min" and
-# "max" are [bundle, agent, allocation], reduced over the leading axis;
-# "own" (each agent's own-bundle value) and "size" are [0, agent or bundle,
-# allocation].
+# Statistic -> how two sets of items combine. Every statistic is an array
+# [lead, mid, allocation], allocations innermost so the broadcast combine
+# runs over long contiguous rows: "val", "min" and "max" are [bundle, agent,
+# allocation], reduced over the leading axis; "own" (each agent's own-bundle
+# value) and "size" are [0, agent or bundle, allocation]. An empty bundle
+# holds 0, or the dtype's largest value for "min".
 _STATS = {
-    "val": (np.add, 0),
-    "min": (np.minimum, _BIG),
-    "max": (np.maximum, 0),
-    "own": (np.add, 0),
-    "size": (np.add, 0),
+    "val": np.add,
+    "min": np.minimum,
+    "max": np.maximum,
+    "own": np.add,
+    "size": np.add,
 }
+_PER_BUNDLE = ("val", "min", "max")
 
 
-def _half(values, agents, n, name, lo, hi, first, count):
-    """Statistic ``name`` of items lo..hi-1 for their assignments first..first+count-1."""
-    op, empty = _STATS[name]
-    per_bundle = name in ("val", "min", "max")
-    if per_bundle:
-        shape = (n, values[agents].shape[0], count)
-    else:
-        shape = (1, n, count)
-    out = np.full(shape, empty, np.int64)
-    rows = np.arange(count)
-    digits = np.arange(first, first + count, dtype=np.int64)
-    for j in range(lo, hi):
-        owner = digits % n
-        digits //= n
-        if per_bundle:
-            at, v = (owner, slice(None), rows), values[agents, j]
+def _digits_within(n, limit, most):
+    """The largest d <= most with n^d <= limit."""
+    d = 0
+    while d < most and n ** (d + 1) <= limit:
+        d += 1
+    return d
+
+
+class ScanPlan:
+    """Split point and half tables shared by every window of one scan.
+
+    ``values`` holds the rows the scan reads: every agent's item values, or
+    one agent's row for ``mms_scan``. ``n`` is the number of bundles and
+    ``window`` the largest window the scan asks for.
+
+    Item j is digit j of the allocation index, so index t is l + L*r with
+    L = n^h: low items 0..h-1 give l, the high items give row r. The high
+    items split again into mid items h..h+k-1 and top items h+k..m-1, so
+    r = a + K*b with K = n^k. h is m // 2 and k is m - h, each lowered while
+    n^h or n^k exceeds the window, so neither table outgrows the window. The
+    plan tabulates each statistic a window asks for once, lazily, for all
+    n^h low and n^k mid assignments; a window combines its few top
+    assignments b with the mid table, then the resulting high rows with the
+    low table.
+
+    The tables of every statistic count against SCAN_BYTES together with a
+    window's statistics: k is lowered further until they fit, and the plan
+    keeps them for the rest of the scan. If they fit for no k, each window
+    builds and drops them. A plan lives for one scan.
+    """
+
+    def __init__(self, values, n, window):
+        self.values = values
+        self.n = n
+        self.m = m = values.shape[1]
+        self.h = h = _digits_within(n, window, m // 2)
+        k = _digits_within(n, window, m - h)
+        # The widest mid table whose tables fit SCAN_BYTES beside a window's
+        # statistics. When none fits, each window rebuilds the tables.
+        fits = [j for j in range(k, -1, -1) if self._bytes(h, j, window) <= SCAN_BYTES]
+        self.k = fits[0] if fits else k
+        self._keep = bool(fits)
+        self.low_size = n**h
+        self.mid_size = n**self.k
+        self.has_top = h + self.k < m
+        self.blocks = _agent_blocks(n, window)
+        self._bundles = np.arange(n)
+        self._big = np.iinfo(values.dtype).max
+        self._tables = {}
+
+    def _bytes(self, h, k, window):
+        """Bytes of every table over h low and k mid items, plus a window's statistics."""
+        n, rows = self.n, self.values.shape[0]
+        cols = (n**h if h else 0) + (n**k if k else 0)
+        cells = cols * (len(_PER_BUNDLE) * n * rows + rows + n) + _STAT_CELLS * n * rows * window
+        return cells * self.values.dtype.itemsize
+
+    def empty(self, name):
+        """The value statistic ``name`` holds for an empty bundle."""
+        return self._big if name == "min" else 0
+
+    def _shape(self, name, agents):
+        """[lead, mid] of statistic ``name`` for the value rows ``agents``."""
+        if name in _PER_BUNDLE:
+            return self.n, len(range(self.values.shape[0])[agents])
+        return 1, (self.values.shape[0] if name == "own" else self.n)
+
+    def _item(self, name, agents, j, owners):
+        """What item j adds to statistic ``name`` when each of ``owners`` gets it.
+
+        ``owners`` is an array of bundles, giving [lead, mid, owner], or a
+        single bundle, giving [lead, mid, 1].
+        """
+        if name in _PER_BUNDLE:
+            hit = self._bundles[:, None, None] == owners
+            add = self.values[agents, j][:, None]
         else:
-            at, v = (0, owner, rows), values[owner, j] if name == "own" else 1
-        out[at] = op(out[at], v)
-    return out
+            hit = self._bundles[None, :, None] == owners
+            add = self.values[:, j][:, None] if name == "own" else 1
+        return np.where(hit, add, self.empty(name)).astype(self.values.dtype, copy=False)
 
+    def _table(self, name, agents, lo, hi):
+        """Statistic ``name`` of items lo..hi-1 for all n^(hi-lo) of their assignments.
 
-def _window(values, agents, n, name, start, count):
-    """Statistic ``name`` for allocations start..start+count-1, in index order."""
-    m = values.shape[1]
-    h = 0
-    while h < m // 2 and n ** (h + 1) <= count:
-        h += 1
-    size = n**h
-    r0, l0 = divmod(start, size)
-    low = _half(values, agents, n, name, 0, h, 0, size)
-    high = _half(values, agents, n, name, h, m, r0, (start + count - 1) // size + 1 - r0)
-    op = _STATS[name][0]
-    lead, mid, _ = low.shape
-    out = np.empty((lead, mid, count), np.int64)
-    # At most three blocks: the end of the first high row, whole rows, the
-    # start of the last row.
-    pos, r, l = 0, 0, l0
-    while pos < count:
-        if l == 0 and count - pos >= size:
-            k = (count - pos) // size
-            block = out[..., pos : pos + k * size].reshape(lead, mid, k, size)
-            op(high[..., r : r + k, None], low[..., None, :], out=block)
-            pos, r = pos + k * size, r + k
-        else:
-            w = min(size - l, count - pos)
-            op(high[..., r : r + 1], low[..., l : l + w], out=out[..., pos : pos + w])
-            pos, r, l = pos + w, r + 1, 0
-    return out
+        Each item is the next more significant digit, so one broadcast op
+        per item builds new[..., d, l] = op(old[..., l], item[..., d]).
+        """
+        op = _STATS[name]
+        out = np.full((1, 1, 1), self.empty(name), self.values.dtype)
+        for j in range(lo, hi):
+            item = self._item(name, agents, j, self._bundles)
+            out = op(out[..., None, :], item[..., None]).reshape(item.shape[0], item.shape[1], -1)
+        return out
+
+    def _halves(self, name, agents):
+        """(low table, mid table) of statistic ``name`` for the value rows ``agents``."""
+        key = name, agents.start, agents.stop
+        got = self._tables.get(key)
+        if got is None:
+            h = self.h
+            got = self._table(name, agents, 0, h), self._table(name, agents, h, h + self.k)
+            if self._keep:
+                self._tables[key] = got
+        return got
+
+    def _top(self, name, agents, b):
+        """Statistic ``name`` of the top items under their assignment b: [lead, mid, 1]."""
+        op = _STATS[name]
+        out = None
+        for j in range(self.h + self.k, self.m):
+            b, d = divmod(b, self.n)
+            item = self._item(name, agents, j, d)
+            out = item if out is None else op(out, item)
+        return out
+
+    def window(self, name, agents, start, count):
+        """Statistic ``name`` for allocations start..start+count-1, in index order."""
+        lead, width = self._shape(name, agents)
+        if not count:
+            return np.empty((lead, width, 0), self.values.dtype)
+        low, mid = self._halves(name, agents)
+        op = _STATS[name]
+        size, mid_size = self.low_size, self.mid_size
+        r0, l0 = divmod(start, size)
+        r1 = (start + count - 1) // size
+        # High rows r0..r1: row a + K*b is mid row a combined with top assignment b.
+        parts = []
+        for b in range(r0 // mid_size, r1 // mid_size + 1):
+            part = mid[..., max(r0 - b * mid_size, 0) : min(r1 - b * mid_size, mid_size - 1) + 1]
+            if self.has_top:
+                part = op(part, self._top(name, agents, b))
+            parts.append(part)
+        high = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        out = np.empty((lead, width, count), self.values.dtype)
+        # At most three blocks: the end of the first high row, whole rows, the
+        # start of the last row.
+        pos, r, l = 0, 0, l0
+        while pos < count:
+            if l == 0 and count - pos >= size:
+                k = (count - pos) // size
+                block = out[..., pos : pos + k * size].reshape(lead, width, k, size)
+                op(high[..., r : r + k, None], low[..., None, :], out=block)
+                pos, r = pos + k * size, r + k
+            else:
+                w = min(size - l, count - pos)
+                op(high[..., r : r + 1], low[..., l : l + w], out=out[..., pos : pos + w])
+                pos, r, l = pos + w, r + 1, 0
+        return out
 
 
 def _decode_owners(n, m, start, count):
@@ -268,8 +373,9 @@ def _zero_own_and_empty(mn, agents):
     A maximum over bundles is then the maximin bonus d_i, a sum the AEFX
     bonus.
     """
-    mn[_diagonal(agents, mn.shape[0])] = _BIG
-    mn[mn == _BIG] = 0
+    # Multiplying by the mask is several times faster than a masked store.
+    np.multiply(mn, mn != np.iinfo(mn.dtype).max, out=mn)
+    mn[_diagonal(agents, mn.shape[0])] = 0
     return mn
 
 
@@ -283,13 +389,16 @@ _MIN_NOTIONS = 1 << PROPX | 1 << PROPM | 1 << AEFX | 1 << EFX
 _REST_NOTIONS = 1 << ALT_MEDIAN | 1 << ALT_MODE
 
 
-def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS):
+def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None):
     """uint16[count, n]: bit b set iff the agent satisfies notion code b.
 
     Only the notions whose bits are set in ``want`` are computed; every
-    other bit stays clear.
+    other bit stays clear. ``plan`` is the scan's ``ScanPlan`` over
+    ``values``; without one the call builds a plan for this window.
     """
     n, m = values.shape
+    if plan is None:
+        plan = ScanPlan(values, n, count)
     masks = np.zeros((n, count), np.uint16)  # [agent, allocation]
 
     def put(bit, ok, agents=slice(None)):
@@ -297,34 +406,35 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS):
             masks[agents] |= ok * np.uint16(1 << bit)
 
     totals = totals[:, None]
-    own = _window(values, slice(None), n, "own", start, count)[0]
+    own = plan.window("own", slice(None), start, count)[0]
     put(PROP, n * own >= totals)
     put(MMS, (own >= mms[:, None]) & (mms[:, None] >= 0))
     if want >> ALT_MEAN & 1:
-        cnt = m - _window(values, slice(None), n, "size", start, count)[0]
+        cnt = m - plan.window("size", slice(None), start, count)[0]
         mean_ok = n * (own * cnt + (totals - own)) >= cnt * totals
         put(ALT_MEAN, np.where(cnt == 0, n * own >= totals, mean_ok))
     if want & _REST_NOTIONS:
         _rest_notions(values, totals, own, start, count, want, put)
     if want & (_VAL_NOTIONS | _MAX_NOTIONS | _MIN_NOTIONS):
-        for agents in _agent_blocks(n, count):
-            _bundle_notions(values, totals[agents], own[agents], start, count, want, agents, put)
+        for agents in plan.blocks:
+            _bundle_notions(plan, totals[agents], own[agents], start, count, want, agents, put)
     return np.ascontiguousarray(masks.T)
 
 
-def _bundle_notions(values, total, own, start, count, want, agents, put):
+def _bundle_notions(plan, total, own, start, count, want, agents, put):
     """The notions that read other agents' bundles, for one block of agents."""
-    n = values.shape[0]
+    n = plan.n
     diag = _diagonal(agents, n)
+    big = plan.empty("min")
 
     def stat(name):
-        return _window(values, agents, n, name, start, count)
+        return plan.window(name, agents, start, count)
 
     def pooled(bundle_stat, reduce, diag_value):
-        # Reduce over the rival bundles; _BIG means there is none.
+        # Reduce over the rival bundles; big means there is none.
         bundle_stat[diag] = diag_value
         got = reduce(bundle_stat, axis=0)
-        got[got == _BIG] = 0
+        np.multiply(got, got != big, out=got)
         return got
 
     val = stat("val") if want & _VAL_NOTIONS else None
@@ -336,7 +446,7 @@ def _bundle_notions(values, total, own, start, count, want, agents, put):
             put(PROP1, n * (own + pooled(mx, np.max, 0)) >= total, agents)
         if want >> ALT_MINIMAX & 1:
             # An empty rival bundle counts as a maximum of 0.
-            put(ALT_MINIMAX, n * (own + pooled(mx, np.min, _BIG)) >= total, agents)
+            put(ALT_MINIMAX, n * (own + pooled(mx, np.min, big)) >= total, agents)
         if want >> EF1 & 1:
             # The diagonal holds own - max <= own whatever max it holds.
             put(EF1, (val - mx <= own).all(axis=0), agents)
@@ -344,12 +454,12 @@ def _bundle_notions(values, total, own, start, count, want, agents, put):
     if want & _MIN_NOTIONS:
         mn = stat("min")
         if want >> PROPX & 1:
-            put(PROPX, n * (own + pooled(mn, np.min, _BIG)) >= total, agents)
+            put(PROPX, n * (own + pooled(mn, np.min, big)) >= total, agents)
         _zero_own_and_empty(mn, agents)
         if want >> PROPM & 1:
             put(PROPM, n * (own + mn.max(axis=0)) >= total, agents)
         if want >> AEFX & 1:
-            put(AEFX, n * own + mn.sum(axis=0) >= total, agents)
+            put(AEFX, n * own + mn.sum(axis=0, dtype=mn.dtype) >= total, agents)
         if want >> EFX & 1:
             put(EFX, (val - mn <= own).all(axis=0), agents)
 
@@ -390,11 +500,17 @@ def _rest_notions(values, totals, own, start, count, want, put):
 # ---------------------------------------------------------------------------
 
 
-def mms_scan(row, n, start, count):
-    """Best worst-bundle value of ``row`` over allocations start..start+count-1."""
+def mms_scan(row, n, start, count, plan=None):
+    """Best worst-bundle value of ``row`` over allocations start..start+count-1.
+
+    ``plan`` is the scan's ``ScanPlan`` over ``row[None, :]``; without one
+    the call builds a plan for this window.
+    """
     if not count:
         return -1
-    sums = _window(row[None, :], slice(None), n, "val", start, count)
+    if plan is None:
+        plan = ScanPlan(row[None, :], n, count)
+    sums = plan.window("val", slice(None), start, count)
     return int(sums.min(axis=0).max())
 
 
@@ -406,15 +522,19 @@ def mms_scan(row, n, start, count):
 # ---------------------------------------------------------------------------
 
 
-def leximin_scan(values, totals, start, count):
-    """(allocation index, ascending int64 profile) of the chunk's leximin best.
+def leximin_scan(values, totals, start, count, plan=None):
+    """(allocation index, ascending integer profile) of the chunk's leximin best.
 
-    Ties go to the smallest allocation index.
+    Ties go to the smallest allocation index. ``plan`` is the scan's
+    ``ScanPlan`` over ``values``; without one the call builds a plan for
+    this window.
     """
     n = values.shape[0]
-    profiles = n * _window(values, slice(None), n, "own", start, count)[0]
-    for agents in _agent_blocks(n, count):
-        mn = _zero_own_and_empty(_window(values, agents, n, "min", start, count), agents)
+    if plan is None:
+        plan = ScanPlan(values, n, count)
+    profiles = n * plan.window("own", slice(None), start, count)[0]
+    for agents in plan.blocks:
+        mn = _zero_own_and_empty(plan.window("min", agents, start, count), agents)
         profiles[agents] += (n - 1) * mn.max(axis=0)
     profiles = np.sort(profiles, axis=0).T
     best = np.arange(count)
@@ -426,10 +546,11 @@ def leximin_scan(values, totals, start, count):
 
 
 def instance_arrays(values, totals):
-    """Convert exact integer tables to the int64 arrays the kernels take.
+    """Convert exact integer tables to the arrays the kernels take.
 
-    Rejects inputs whose largest kernel intermediate, n * (m+1) * max_total
-    from the alt-mean test, reaches 2^63.
+    The largest kernel intermediate is n * (m+1) * max_total, from the
+    alt-mean test. The arrays are int32 when it is below 2^31 and int64
+    when it is below 2^63; larger inputs are rejected.
     """
     n = len(values)
     m = len(values[0]) if n else 0
@@ -439,4 +560,5 @@ def instance_arrays(values, totals):
             f"n * (m+1) * max total = {worst} for n={n}, m={m} exceeds the "
             "kernels' exact int64 range (below 2^63)"
         )
-    return np.array(values, dtype=np.int64), np.array(totals, dtype=np.int64)
+    dtype = np.int32 if worst < 1 << 31 else np.int64
+    return np.array(values, dtype), np.array(totals, dtype)

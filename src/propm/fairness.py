@@ -246,17 +246,16 @@ def mms_value(inst: Instance, agent: int, budget: int | None = None) -> int:
 
 @lru_cache(maxsize=4096)
 def _mms_cached(inst: Instance, agent: int) -> int:
-    import numpy as np
-
-    row = np.array(inst.values[agent], dtype=np.int64)
+    row = _kernels.instance_arrays(inst.values, inst.totals)[0][agent]
     n = inst.n
     # Indices below n^(m-1) are exactly the assignments of item m-1 to bundle 0.
     total_allocs = n ** (inst.m - 1) if inst.m else 1
     best = -1
     start = 0
     chunk = _kernels.scan_chunk(n)
+    plan = _kernels.ScanPlan(row[None, :], n, chunk)
     while start < total_allocs:
         count = min(chunk, total_allocs - start)
-        best = max(best, _kernels.mms_scan(row, n, start, count))
+        best = max(best, _kernels.mms_scan(row, n, start, count, plan=plan))
         start += count
     return best

@@ -138,9 +138,10 @@ def leximin_max(
     best_profile: np.ndarray | None = None
     pos = 0
     chunk = _kernels.scan_chunk(inst.n)
+    plan = _kernels.ScanPlan(values, inst.n, chunk)
     while pos < total:
         count = min(chunk, total - pos)
-        idx, profile = _kernels.leximin_scan(values, totals, pos, count)
+        idx, profile = _kernels.leximin_scan(values, totals, pos, count, plan=plan)
         if best_profile is None or _int_profile_less(best_profile, profile):
             best_idx, best_profile = idx, profile
         pos += count

@@ -143,10 +143,11 @@ def _scan_first_satisfying(values, totals, mms, bit, start, stop):
     """
     pos = start
     chunk = _kernels.scan_chunk(len(values))
+    plan = _kernels.ScanPlan(values, len(values), chunk)
     width = min(FIRST_WINDOW, chunk)
     while pos < stop:
         count = min(width, stop - pos)
-        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=bit)
+        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=bit, plan=plan)
         rows = masks.all(axis=1)
         where = np.nonzero(rows)[0]
         if where.size:
@@ -158,8 +159,7 @@ def _scan_first_satisfying(values, totals, mms, bit, start, stop):
 
 def _exists_worker(args):
     values_list, totals_list, mms_list, bit, start, stop = args
-    values = np.array(values_list, np.int64)
-    totals = np.array(totals_list, np.int64)
+    values, totals = _kernels.instance_arrays(values_list, totals_list)
     mms = np.array(mms_list, np.int64)
     return _scan_first_satisfying(values, totals, mms, bit, start, stop)
 
@@ -216,9 +216,10 @@ def _collect_violations(values, totals, mms, start, stop):
     found = []
     pos = start
     chunk = _kernels.scan_chunk(len(values))
+    plan = _kernels.ScanPlan(values, len(values), chunk)
     while pos < stop:
         count = min(chunk, stop - pos)
-        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=want)
+        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=want, plan=plan)
         for label, a_code, c_code in pairs:
             a_bit = np.uint16(1 << a_code)
             c_bit = np.uint16(1 << c_code)
@@ -233,8 +234,7 @@ def _collect_violations(values, totals, mms, start, stop):
 
 def _audit_worker(args):
     values_list, totals_list, mms_list, start, stop = args
-    values = np.array(values_list, np.int64)
-    totals = np.array(totals_list, np.int64)
+    values, totals = _kernels.instance_arrays(values_list, totals_list)
     mms = np.array(mms_list, np.int64)
     return _collect_violations(values, totals, mms, start, stop)
 

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import propm._kernels as kernels
 from propm import Instance, InputError, Notion, adjusted_profile, check, mms_value
@@ -15,6 +17,39 @@ from propm.oracle import allocation_from_index, random_instance
 
 def _arrays(inst):
     return kernels.instance_arrays(inst.values, inst.totals)
+
+
+def _expected_masks(inst, index):
+    """{notion: per-agent verdicts of the exact checker} at allocation ``index``."""
+    allocation = allocation_from_index(inst.n, inst.m, index)
+    return {
+        notion: [v.satisfied for v in check(inst, allocation, notion).per_agent]
+        for notion in Notion
+    }
+
+
+def _assert_masks(masks, inst, start, want=kernels.ALL_NOTIONS):
+    for t in range(masks.shape[0]):
+        expected = _expected_masks(inst, start + t)
+        for notion in Notion:
+            bit = 1 << _NOTION_CODES[notion]
+            got = [(int(masks[t, i]) & bit) != 0 for i in range(inst.n)]
+            assert got == (expected[notion] if want & bit else [False] * inst.n), (
+                start + t,
+                notion,
+            )
+
+
+def _brute_mms_window(row, n, start, count):
+    """Best worst-bundle value of ``row`` over allocations start..start+count-1."""
+    best = -1
+    for index in range(start, start + count):
+        sums = [0] * n
+        for j, v in enumerate(row):
+            index, owner = divmod(index, n)
+            sums[owner] += v
+        best = max(best, min(sums))
+    return best
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -70,8 +105,9 @@ def test_masks_match_checker_on_windows_and_subsets(n, m):
 
 
 def test_agent_blocks_and_small_windows_give_the_same_masks(monkeypatch):
-    """Splitting agents into blocks and lowering the split point (when n^h
-    would exceed the window) changes no bit."""
+    """Splitting agents into blocks, planning for windows too small for a
+    low or mid half (so every high row is computed from its top items) and
+    keeping no table change no bit."""
     inst = random_instance(5, 5, 30, seed=5300)
     values, totals = _arrays(inst)
     mms = np.array([mms_value(inst, i) for i in range(5)], np.int64)
@@ -172,3 +208,227 @@ def test_masks_exact_at_the_int64_boundary():
             bit = 1 << _NOTION_CODES[notion]
             expected = [v.satisfied for v in check(inst, allocation, notion).per_agent]
             assert [(int(masks[index, i]) & bit) != 0 for i in range(2)] == expected
+
+
+# n = 2, m = 3: n * (m+1) * max total = 8 * total. 2^31 - 1 is prime, so no
+# instance with items reaches it; 8 * (2^28 - 1) = 2^31 - 8 is the largest
+# value below the switch and 8 * 2^28 = 2^31 the smallest above it.
+INT32_LIMIT = (1 << 31) // (2 * 4)
+
+
+@pytest.mark.parametrize(
+    "rows, dtype",
+    [
+        (
+            [
+                [INT32_LIMIT // 2, INT32_LIMIT // 4, INT32_LIMIT // 4 - 1],
+                [INT32_LIMIT // 4 - 1, INT32_LIMIT // 4, INT32_LIMIT // 2],
+            ],
+            np.int32,
+        ),
+        (
+            [
+                [INT32_LIMIT // 2, INT32_LIMIT // 4, INT32_LIMIT // 4],
+                [INT32_LIMIT // 4 - 1, INT32_LIMIT // 4, INT32_LIMIT // 2],
+            ],
+            np.int64,
+        ),
+    ],
+)
+def test_scans_exact_at_the_int32_boundary(rows, dtype):
+    inst = Instance.of(rows)
+    values, totals = _arrays(inst)
+    assert values.dtype == dtype and totals.dtype == dtype
+    mms = np.array([mms_value(inst, i) for i in range(2)], np.int64)
+    _assert_masks(kernels.notion_masks(values, totals, mms, 0, 8), inst, 0)
+    index, profile = kernels.leximin_scan(values, totals, 0, 8)
+    ref_index, ref = _python_leximin(inst, 0, 8)
+    assert index == ref_index
+    assert [int(p) for p in profile] == [int(2 * v) for v in ref]
+    for i in range(2):
+        assert kernels.mms_scan(values[i], 2, 0, 8) == _brute_mms_window(rows[i], 2, 0, 8)
+        assert mms[i] == _brute_mms_window(rows[i], 2, 0, 4)
+
+
+# -- differential fuzz ----------------------------------------------------------
+
+_GUARDS = (1 << 31, 1 << 63)
+
+
+@st.composite
+def _fuzz_instances(draw):
+    """Instances with zeros, ties and all-equal rows, at small values or with
+    n * (m+1) * max total within a few units of the int32 switch or below
+    the int64 guard."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 6))
+    scale = draw(st.sampled_from(("small", "medium", "int32", "int64")))
+    if scale == "small" or not m:
+        rows = [draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)) for _ in range(n)]
+    elif scale == "medium":
+        rows = [draw(st.lists(st.integers(0, 100), min_size=m, max_size=m)) for _ in range(n)]
+    else:
+        base = n * (m + 1)
+        if scale == "int32":
+            top = _GUARDS[0] // base + draw(st.integers(-3, 3))
+        else:
+            top = (_GUARDS[1] - 1) // base - draw(st.integers(0, 3))
+        rows = []
+        for i in range(n):
+            weights = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+            if not any(weights):
+                weights = [1] * m
+            total = top if i == 0 else draw(st.integers(0, top))
+            row = [total * w // sum(weights) for w in weights]
+            row[-1] += total - sum(row)
+            rows.append(row)
+    if draw(st.booleans()):
+        rows = [list(rows[0]) for _ in range(n)]
+    return Instance.of(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_fuzz_instances(), data=st.data())
+def test_scans_match_the_reference_on_fuzzed_windows(inst, data):
+    n, m = inst.n, inst.m
+    values, totals = _arrays(inst)
+    assert values.dtype == (np.int32 if n * (m + 1) * max(inst.totals) < 1 << 31 else np.int64)
+    mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
+    total = n**m
+    plan = kernels.ScanPlan(values, n, data.draw(st.integers(1, 40)))
+    for use_plan in (True, True, False):
+        start = data.draw(st.integers(0, total - 1))
+        count = data.draw(st.integers(1, min(total - start, 10)))
+        want = data.draw(st.integers(0, kernels.ALL_NOTIONS))
+        window_plan = plan if use_plan else None
+        masks = kernels.notion_masks(
+            values, totals, mms, start, count, want=want, plan=window_plan
+        )
+        assert masks.shape == (count, n)
+        _assert_masks(masks, inst, start, want)
+        index, profile = kernels.leximin_scan(values, totals, start, count, plan=window_plan)
+        ref_index, ref = _python_leximin(inst, start, count)
+        assert index == ref_index
+        assert [int(p) for p in profile] == [int(n * v) for v in ref]
+    for i in range(n):
+        row_plan = kernels.ScanPlan(values[i][None, :], n, data.draw(st.integers(1, 40)))
+        start = data.draw(st.integers(0, total - 1))
+        count = data.draw(st.integers(1, min(total - start, 30)))
+        expected = _brute_mms_window(inst.values[i], n, start, count)
+        assert kernels.mms_scan(values[i], n, start, count, plan=row_plan) == expected
+
+
+# -- the scan plan ---------------------------------------------------------------
+
+
+def _direct_stat(values, n, name, agents, owners):
+    """Statistic ``name`` of one assignment, computed per item: [lead, mid].
+
+    ``owners`` maps item index -> bundle for the items the statistic covers.
+    """
+    rows = range(len(values))[agents]
+    big = np.iinfo(values.dtype).max
+    if name == "own":
+        return [[sum(int(values[a][j]) for j, b in owners.items() if b == a) for a in rows]]
+    if name == "size":
+        return [[sum(1 for b in owners.values() if b == d) for d in range(n)]]
+    out = []
+    for d in range(n):
+        out.append([])
+        for a in rows:
+            got = [int(values[a][j]) for j, b in owners.items() if b == d]
+            if name == "val":
+                out[-1].append(sum(got))
+            elif name == "min":
+                out[-1].append(min(got, default=big))
+            else:
+                out[-1].append(max(got, default=0))
+    return out
+
+
+def _digits(index, n, items):
+    owners = {}
+    for j in items:
+        index, owners[j] = divmod(index, n)
+    return owners
+
+
+STATS = ("val", "min", "max", "own", "size")
+
+# (n, m, planned window): top items above the mid items (windows straddle
+# several top assignments), a full high table, one agent, no items, one item,
+# and n above the window.
+PLAN_SIZES = [(3, 7, 9), (2, 5, 4), (4, 3, 20), (1, 4, 1), (3, 0, 8), (3, 1, 8), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("scan_bytes", [None, 1])
+@pytest.mark.parametrize("n, m, window", PLAN_SIZES)
+def test_plan_tables_and_windows_match_a_direct_computation(monkeypatch, n, m, window, scan_bytes):
+    if scan_bytes is not None:
+        monkeypatch.setattr(kernels, "SCAN_BYTES", scan_bytes)
+    rng = random.Random(n * 1000 + m * 10 + window)
+    values = np.array(
+        [[rng.choice((0, 1, 2, 2, 7, 30)) for _ in range(m)] for _ in range(n)], np.int32
+    )
+    plan = kernels.ScanPlan(values, n, window)
+    h, k = plan.h, plan.k
+    assert h <= m // 2 and k <= m - h
+    assert (h == 0 or n**h <= window) and (k == 0 or n**k <= window)
+    blocks = [slice(None), slice(0, 1)] + ([slice(1, n)] if n > 1 else [])
+    total = n**m
+    windows = [(0, min(total, 300))] + [
+        (s, rng.randint(1, min(total - s, 300))) for s in (rng.randrange(total) for _ in range(6))
+    ]
+    for name in STATS:
+        for agents in blocks if name in ("val", "min", "max") else [slice(None)]:
+            low, mid = plan._halves(name, agents)
+            for lo, hi, table in ((0, h, low), (h, h + k, mid)):
+                ref = np.array(
+                    [_direct_stat(values, n, name, agents, _digits(c, n, range(lo, hi)))
+                     for c in range(n ** (hi - lo))]
+                ).transpose(1, 2, 0)
+                assert np.array_equal(np.broadcast_to(table, ref.shape), ref), (name, lo, hi)
+            for start, count in windows:
+                got = plan.window(name, agents, start, count)
+                ref = np.array(
+                    [_direct_stat(values, n, name, agents, _digits(t, n, range(m)))
+                     for t in range(start, start + count)]
+                ).transpose(1, 2, 0)
+                assert got.dtype == values.dtype
+                assert np.array_equal(got, ref), (name, agents, start, count)
+    # Tables are kept for the scan unless they and a window overflow SCAN_BYTES.
+    assert bool(plan._tables) == (scan_bytes is None)
+
+
+def test_plans_split_agents_into_blocks_under_a_small_budget(monkeypatch):
+    # Two agents' 4 x 4 int64 window statistics of one allocation.
+    monkeypatch.setattr(kernels, "SCAN_BYTES", 3 * 8 * 4 * 2)
+    values = np.array(random_instance(4, 3, 9, seed=5600).values, np.int32)
+    plan = kernels.ScanPlan(values, 4, 1)
+    assert len(plan.blocks) == 2
+    whole = kernels.ScanPlan(values, 4, 64)
+    for agents in plan.blocks:
+        for start, count in ((0, 64), (5, 1), (17, 9)):
+            assert np.array_equal(
+                plan.window("min", agents, start, count),
+                whole.window("min", slice(None), start, count)[:, agents],
+            )
+
+
+def test_plans_narrow_the_mid_table_to_fit_the_budget(monkeypatch):
+    values = np.array(random_instance(3, 6, 9, seed=5610).values, np.int32)
+    wide = kernels.ScanPlan(values, 3, 27)
+    assert (wide.h, wide.k, wide._keep) == (3, 3, True)
+    monkeypatch.setattr(kernels, "SCAN_BYTES", wide._bytes(3, 2, 27))
+    narrow = kernels.ScanPlan(values, 3, 27)
+    assert (narrow.h, narrow.k, narrow._keep) == (3, 2, True)
+    # Below the bytes of a low table alone nothing is kept, and k stays widest.
+    monkeypatch.setattr(kernels, "SCAN_BYTES", wide._bytes(3, 0, 27) - 1)
+    rebuilt = kernels.ScanPlan(values, 3, 27)
+    assert (rebuilt.h, rebuilt.k, rebuilt._keep) == (3, 3, False)
+    for name in STATS:
+        for start, count in ((0, 27), (20, 27), (100, 300), (728, 1)):
+            expected = wide.window(name, slice(None), start, count)
+            assert np.array_equal(narrow.window(name, slice(None), start, count), expected)
+            assert np.array_equal(rebuilt.window(name, slice(None), start, count), expected)
+    assert narrow._tables and not rebuilt._tables

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,7 +240,7 @@ def test_audit_workers_match_single(pool_starts):
 def _fake_masks(witness, windows):
     """A notion_masks stand-in satisfied by every agent at ``witness`` only."""
 
-    def fake(values, totals, mms, start, count, want=kernels.ALL_NOTIONS):
+    def fake(values, totals, mms, start, count, want=kernels.ALL_NOTIONS, plan=None):
         windows.append((start, count))
         masks = np.zeros((count, len(values)), np.uint16)
         if start <= witness < start + count:
@@ -333,3 +335,21 @@ def test_exists_matches_first_index_reference(inst):
             assert result.exists, notion
             assert result.witness == allocation_from_index(inst.n, inst.m, first), notion
             assert result.allocations_checked == first + 1
+
+
+@pytest.mark.parametrize(
+    "notion, found, checked", [(Notion.EF, False, 91125), (Notion.EFX, True, 48)]
+)
+def test_scan_memory_stays_bounded_at_45_agents(notion, found, checked):
+    """45 agents: a window holds 690 allocations of 45 x 45 statistics, and
+    the plan keeps only half tables at most one window wide (no table of all
+    45^2 high assignments)."""
+    inst = random_instance(45, 3, 100, 7)
+    tracemalloc.start()
+    try:
+        result = exists(inst, notion)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.exists, result.allocations_checked) == (found, checked)
+    assert peak < 16 << 20
