@@ -1,6 +1,8 @@
 """Hot numeric kernels.
 
-``cp_table`` is the close-to-proportional subset-sum DP. The allocation
+``cp_table`` (a subset-sum DP) and ``cp_mitm`` (meet-in-the-middle) find
+close-to-proportional bundles, the first when the value cap is moderate,
+the second when it is huge but the item count small. The allocation
 scans (``notion_masks``, ``mms_scan`` and ``leximin_scan``) share one
 split-half engine, vectorized with numpy.
 
@@ -11,8 +13,8 @@ l + L*r with L = n^h. It tabulates the bundle statistics for the
 assignments of each half: per agent and bundle the value, least and
 greatest item, each agent's own-bundle value and the bundle sizes. A window
 of allocations then combines a low row with a high row by one broadcast
-add, min or max, the meet-in-the-middle idea ``cpsets._meet_in_the_middle``
-uses for CP bundles. Only alt-median and alt-mode, which do not split across
+add, min or max, the meet-in-the-middle idea ``cp_mitm`` uses for CP
+bundles. Only alt-median and alt-mode, which do not split across
 halves, decode owner digits. Each kernel computes only the statistics its
 requested notions read.
 
@@ -77,7 +79,7 @@ ALL_NOTIONS = (1 << NOTION_COUNT) - 1
 
 
 # ---------------------------------------------------------------------------
-# Close-to-proportional subset DP
+# Close-to-proportional subsets
 # ---------------------------------------------------------------------------
 
 
@@ -98,12 +100,14 @@ def _take_widths(vals: list[int], cap: int) -> list[int]:
     return widths
 
 
-def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
+def cp_table(vals, cap: int) -> tuple[int, int, int]:
     """(sum, cardinality, mask) of the best subset of ``vals`` with sum <= cap.
 
     Best means value-maximal, then cardinality-maximal, then the
     lexicographically smallest sorted position list. The mask is an unbounded
     Python int with bit (m-1-p) for position p, so any item count works.
+    ``vals`` is any sequence of non-negative ints; they are read as Python
+    ints, so an item worth more than int64 holds is simply never taken.
 
     A backward pass over the items keeps one row ``card[s]``: the largest
     cardinality of a subset of items p..m-1 summing to exactly s, negative
@@ -124,7 +128,7 @@ def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
     ResourceBudgetError before any row is allocated.
     """
     m = len(vals)
-    vals = vals.tolist()
+    vals = [int(v) for v in vals]
     widths = _take_widths(vals, cap)
     take_bytes = sum((w + 7) >> 3 for w in widths)
     if take_bytes > CP_TAKE_BYTES:
@@ -168,6 +172,66 @@ def cp_table(vals: np.ndarray, cap: int) -> tuple[int, int, int]:
             mask |= 1 << (m - 1 - p)
             s -= v
     return best_sum, int(card[best_sum]), mask
+
+
+def _subset_states(vals, dtype, m, offset):
+    """Sums and keys of every subset of ``vals``, which sit at positions offset.. of m.
+
+    Doubling: item p fills the second half of the first 2^(p+1) states with
+    the first half plus p. A key is cardinality << m | mask, with bit
+    (m-1-position) in the mask, so each item adds (1 << m) | (1 << (m-1-position)).
+    """
+    count = 1 << len(vals)
+    sums = np.empty(count, dtype)
+    keys = np.empty(count, np.int64)
+    sums[0] = keys[0] = 0
+    k = 1
+    for p, v in enumerate(vals):
+        np.add(sums[:k], v, out=sums[k : 2 * k])
+        np.add(keys[:k], (1 << m) | (1 << (m - 1 - offset - p)), out=keys[k : 2 * k])
+        k *= 2
+    return sums, keys
+
+
+def cp_mitm(vals, cap: int) -> tuple[int, int, int]:
+    """(sum, cardinality, mask) of the best subset of ``vals`` with sum <= cap.
+
+    Same contract as ``cp_table``, by meet-in-the-middle (Horowitz and Sahni,
+    1974): its cost is 2^(m/2) states per half, whatever the values. Each
+    subset carries one key, cardinality << m | mask, so for equal sums the
+    larger key is the better subset. The right half is sorted by (sum, key)
+    once; for each feasible left state, a binary search finds the largest
+    right sum that fits and, among equal sums, the largest key. The two
+    halves' bits are disjoint, so a pair's key is the sum of theirs: the
+    answer has the largest total sum and then the largest total key.
+
+    A pair's key is below (m + 1) << m, which fits int64 up to m = 57;
+    ``cpsets.MITM_ITEM_LIMIT`` keeps m far below that. Sums are int64 when
+    the whole ``vals`` sum is below 2^63 and Python ints (object arrays)
+    otherwise.
+    """
+    vals = [int(v) for v in vals]
+    m = len(vals)
+    total = sum(vals)
+    # No subset exceeds the total, and the clamp keeps cap - sum in int64.
+    cap = min(cap, total)
+    dtype = np.int64 if total < 1 << 63 else object
+    half = m // 2
+    left_sums, left_keys = _subset_states(vals[:half], dtype, m, 0)
+    right_sums, right_keys = _subset_states(vals[half:], dtype, m, half)
+    order = np.lexsort((right_keys, right_sums))
+    right_sums = right_sums[order]
+    right_keys = right_keys[order]
+    fits = left_sums <= cap
+    left_sums = left_sums[fits]
+    left_keys = left_keys[fits]
+    # The empty right subset always fits, so every index is at least 0.
+    pick = np.searchsorted(right_sums, cap - left_sums, "right") - 1
+    sums = left_sums + right_sums[pick]
+    best_sum = sums.max()
+    best = sums == best_sum
+    key = int((left_keys[best] + right_keys[pick[best]]).max())
+    return int(best_sum), key >> m, key & ((1 << m) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,18 @@ then to the lexicographically smallest sorted index list, which makes every
 construction downstream deterministic and certifiable.
 
 Finding a CP bundle is as hard as subset sum, so computation is exact but
-pseudo-polynomial: a DP over achievable value sums, whose witness is
-recovered by walking a table of per-item take bits, when the value range is
-moderate, and meet-in-the-middle when the range is huge but the item count
-small.
+not polynomial. ``_best_subset`` picks one of two numpy kernels:
+``_kernels.cp_table``, a DP over achievable value sums, when the value cap
+is below DP_SUM_LIMIT, and ``_kernels.cp_mitm``, meet-in-the-middle over
+2^(m/2) subsets per half, when the cap is huge but there are at most
+MITM_ITEM_LIMIT items. Anything beyond both limits is refused with
+ResourceBudgetError.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import _kernels
 from .core import Bundle, InputError, Instance, ResourceBudgetError, value_of
@@ -66,6 +65,12 @@ def _best_subset(vals: tuple[int, ...], cap: int, strategy: str | None = None):
     witnesses the numerically largest mask is the lexicographically smallest
     sorted position list.
 
+    ``strategy`` picks the kernel, "dp" (``cp_table``) or "mitm"
+    (``cp_mitm``); by default the DP runs when its table fits DP_SUM_LIMIT
+    and meet-in-the-middle otherwise. Either way a DP past DP_SUM_LIMIT or a
+    meet-in-the-middle past MITM_ITEM_LIMIT items raises ResourceBudgetError
+    before anything is allocated.
+
     The answer is a pure function of the arguments, so the last CP_MEMO_SIZE
     queries are memoised. A solver sub-instance and the verifier's original
     indices give the same order-preserving ``vals``, so replaying a
@@ -75,60 +80,21 @@ def _best_subset(vals: tuple[int, ...], cap: int, strategy: str | None = None):
     if m == 0:
         return 0, 0, 0
     if strategy is None:
-        if cap + 1 <= DP_SUM_LIMIT:
-            strategy = "dp"
-        elif m <= MITM_ITEM_LIMIT:
-            strategy = "mitm"
-        else:
+        strategy = "dp" if cap + 1 <= DP_SUM_LIMIT else "mitm"
+    if strategy == "dp":
+        if cap + 1 > DP_SUM_LIMIT:
+            raise ResourceBudgetError(
+                f"CP table with value cap {cap} exceeds the DP limit {DP_SUM_LIMIT}"
+            )
+        return _kernels.cp_table(vals, cap)
+    if strategy == "mitm":
+        if m > MITM_ITEM_LIMIT:
             raise ResourceBudgetError(
                 f"CP bundle over {m} items with value cap {cap} is out of reach "
                 f"(DP limit {DP_SUM_LIMIT}, meet-in-the-middle limit {MITM_ITEM_LIMIT} items)"
             )
-    if strategy == "dp":
-        return _kernels.cp_table(np.array(vals, dtype=np.int64), cap)
-    if strategy == "mitm":
-        return _meet_in_the_middle(vals, cap)
+        return _kernels.cp_mitm(vals, cap)
     raise InputError(f"unknown CP strategy {strategy!r}")
-
-
-def _enumerate_half(vals, offset, m_total):
-    """All subset states (sum, cardinality, mask) for one half of the items."""
-    states = [(0, 0, 0)]
-    for p, v in enumerate(vals):
-        bit = 1 << (m_total - 1 - (offset + p))
-        states.extend([(s + v, c + 1, mk | bit) for (s, c, mk) in states])
-    return states
-
-
-def _meet_in_the_middle(vals, cap):
-    m = len(vals)
-    half = m // 2
-    left = _enumerate_half(vals[:half], 0, m)
-    right = _enumerate_half(vals[half:], half, m)
-
-    # Best (cardinality, mask) per distinct right-half sum; larger sums always
-    # dominate on value, so only the maximal feasible sum per query matters.
-    best_by_sum: dict[int, tuple[int, int]] = {}
-    for s, c, mk in right:
-        cur = best_by_sum.get(s)
-        if cur is None or (c, mk) > cur:
-            best_by_sum[s] = (c, mk)
-    sums = sorted(best_by_sum)
-
-    best = (-1, -1, -1)  # (value, cardinality, mask)
-    for ls, lc, lmask in left:
-        budget = cap - ls
-        if budget < 0:
-            continue
-        pos = bisect_right(sums, budget)
-        if pos == 0:
-            continue
-        rs = sums[pos - 1]
-        rc, rmask = best_by_sum[rs]
-        cand = (ls + rs, lc + rc, lmask | rmask)
-        if cand > best:
-            best = cand
-    return best
 
 
 def cp_bundle(

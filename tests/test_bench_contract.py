@@ -79,3 +79,44 @@ def test_traced_scans_count_their_allocations():
     assert counts["kernels.leximin_scan.allocs"] == 3**5
     assert counts["kernels.mms_scan.allocs"] == 3 * 3**4
     assert counts["oracle.exists.allocs_needed"] == result.allocations_checked
+
+
+def test_the_tracer_picks_the_cp_strategy_the_package_runs(monkeypatch):
+    from propm import _kernels, cpsets
+
+    tracing = _tracing()
+    limits = cpsets.DP_SUM_LIMIT, cpsets.MITM_ITEM_LIMIT
+    assert (tracing._DP_SUM_LIMIT, tracing._MITM_ITEM_LIMIT) == limits
+    ran = []
+    for strategy, name in (("dp", "cp_table"), ("mitm", "cp_mitm")):
+
+        def spy(vals, cap, kernel=getattr(_kernels, name), strategy=strategy):
+            ran.append(strategy)
+            return kernel(vals, cap)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    limit, items = limits
+    # One agent and k = 1, so the cap is the row's sum: caps just inside and
+    # just past the DP limit, then the item limit and one more past it.
+    rows = [[limit - 1], [limit], [limit] * items, [limit] * (items + 1)]
+    picked = []
+    for row in rows:
+        inst = propm.Instance.of([row])
+        cpsets._best_subset.cache_clear()
+        ran.clear()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_op(0)
+            try:
+                propm.cp_bundle(inst, 0, 1, inst.all_items())
+            except propm.ResourceBudgetError:
+                pass
+            tracer.end_op()
+        finally:
+            tracer.uninstall()
+        counts = tracer.metrics()
+        traced = {s: counts[f"cpsets.strategy.{s}"] for s in ("dp", "mitm")}
+        assert traced == {s: ran.count(s) for s in ("dp", "mitm")}, row[:2]
+        picked.append(ran[:])
+    assert picked == [["dp"], ["mitm"], ["mitm"], []]

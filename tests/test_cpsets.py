@@ -16,7 +16,7 @@ from propm import (
     value_of,
 )
 from propm import _kernels
-from propm.cpsets import CP_MEMO_SIZE, DP_SUM_LIMIT, CpLadder, _best_subset
+from propm.cpsets import CP_MEMO_SIZE, DP_SUM_LIMIT, MITM_ITEM_LIMIT, CpLadder, _best_subset
 from propm.fairness import Notion, check
 from propm.oracle import enumerate_allocations, random_instance
 
@@ -227,6 +227,58 @@ def test_cp_take_budget_refuses_before_allocating():
     try:
         with pytest.raises(ResourceBudgetError, match="take rows"):
             cp_bundle(inst, 0, 2, inst.all_items())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.lists(
+        st.one_of(
+            st.sampled_from([0, 0, 1, 2, 3, 5, 8, 13, 40]),
+            st.sampled_from([1 << 62, 1 << 63, (1 << 63) + 1, 3 << 63]),
+        ),
+        max_size=14,
+    ).flatmap(lambda vals: st.tuples(st.just(vals), st.integers(0, sum(vals) + 2)))
+)
+@example(case=([0, 0, 0], 0))
+@example(case=([1 << 63, 1 << 63, 1, 0], 1 << 63))
+@example(case=([40, 1, 1, 40], 41))
+def test_cp_mitm_matches_brute_force(case):
+    # Sums reaching 2^63 run on Python-int (object) arrays; the rest on int64.
+    vals, cap = case
+    got = _kernels.cp_mitm(tuple(vals), cap)
+    value, card, combo = brute_force_best(vals, cap)
+    assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
+
+
+def test_cp_mitm_at_the_item_limit():
+    v = 10**9 + 7
+    vals = (v,) * MITM_ITEM_LIMIT
+    mask = ((1 << 11) - 1) << (MITM_ITEM_LIMIT - 11)
+    assert _kernels.cp_mitm(vals, 11 * v) == (11 * v, 11, mask)
+    # The default strategy takes meet-in-the-middle: the cap is past the DP limit.
+    inst = Instance.of([vals])
+    assert cp_bundle(inst, 0, 3, inst.all_items()).items == tuple(range(11))
+
+
+def test_cp_bundle_skips_an_item_past_int64_under_a_dp_cap():
+    inst = Instance(((10**20, 3, 4),))
+    assert cp_bundle(inst, 0, 10**15, inst.all_items()).items == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "vals, cap, strategy",
+    [((5, 3, 2), 10**9, "dp"), ((1,) * 60, 30, "mitm")],
+)
+def test_explicit_cp_strategy_keeps_the_size_limits(vals, cap, strategy):
+    # A 10^9 DP row or 2^30 meet-in-the-middle states are refused up front.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="limit"):
+            _best_subset(vals, cap, strategy=strategy)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

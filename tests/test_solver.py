@@ -489,6 +489,39 @@ def test_solve_propm_zero_items():
     assert verify_certificate(inst, allocation, certificate)
 
 
+def _ladder_count(certificate):
+    count = 0
+    for step in certificate.steps:
+        if isinstance(step, LadderBuilt):
+            count += 1
+        elif isinstance(step, SubSplit):
+            count += _ladder_count(step.certificate)
+    return count
+
+
+def test_solve_propm_past_int64_matches_the_unscaled_solve(monkeypatch):
+    # Every comparison and every CP cap is homogeneous in the values, so
+    # scaling an instance by 2^64 changes no choice. The scaled caps are past
+    # the DP limit and the scaled sums past int64, so every CP bundle runs
+    # meet-in-the-middle on Python-int sums.
+    mitm_totals = []
+    kernel = _kernels.cp_mitm
+
+    def counted(vals, cap):
+        mitm_totals.append(sum(vals))
+        return kernel(vals, cap)
+
+    monkeypatch.setattr(_kernels, "cp_mitm", counted)
+    for s in range(7):
+        inst = random_instance(2 + s % 4, 6 + s % 7, 100, seed=3000 + s)
+        scaled = Instance(tuple(tuple(v << 64 for v in row) for row in inst.values))
+        allocation, certificate = solve_propm(inst)
+        assert _ladder_count(certificate) > 0, s
+        got, _ = _assert_solved(scaled, solve_propm(scaled))
+        assert got == allocation, s
+    assert mitm_totals and min(mitm_totals) >= 1 << 63
+
+
 def test_metabundle_bounds_on_ladders():
     for s in range(40):
         n = 4 + s % 2
@@ -603,7 +636,7 @@ def test_solve_and_verify_build_each_cp_table_once(monkeypatch):
     kernel = _kernels.cp_table
 
     def counted(vals, cap):
-        tables.append((tuple(vals.tolist()), cap))
+        tables.append((tuple(vals), cap))
         return kernel(vals, cap)
 
     monkeypatch.setattr(_kernels, "cp_table", counted)
