@@ -47,8 +47,10 @@ BACKEND = "numpy"
 
 CHUNK = 8192
 
-# Bytes the bit-packed take rows of one CP table may take. At the CP DP's
-# cap limit (cpsets.DP_SUM_LIMIT) that is about a thousand full rows.
+# Bytes the bit-packed take rows of one CP table may take, counted over the
+# windows the forward walk can read (``_take_windows``), each at most
+# cap + 1 cells. At the CP DP's cap limit (cpsets.DP_SUM_LIMIT) that is about
+# a thousand full rows.
 CP_TAKE_BYTES = 256 << 20
 
 # Bytes a scan's per-bundle statistics may take: a window's three values
@@ -83,21 +85,37 @@ ALL_NOTIONS = (1 << NOTION_COUNT) - 1
 # ---------------------------------------------------------------------------
 
 
-def _take_widths(vals: list[int], cap: int) -> list[int]:
-    """Cells of the take row ``cp_table`` stores per item; 0 for no row.
+def _take_windows(vals: list[int], cap: int) -> tuple[int, list[tuple[int, int]]]:
+    """(low, [(start, width) per item]): the take-row windows ``cp_table`` stores.
 
-    Item p with 0 < v <= cap needs min(cap + 1 - v, suffix + 1) cells, where
-    suffix is the sum, capped at cap, of the items after p that fit the cap:
-    no subset of the items after p reaches a larger sum.
+    ``low`` is a feasible sum: the items that fit the cap, largest first, each
+    taken while it still fits. The best sum is at least ``low``, so when the
+    forward walk reaches item p its remaining sum s is at least
+    low - prefix, where prefix is the sum of the fitting items before p. It is
+    also at most suffix, the sum, capped at cap, of the fitting items p..m-1.
+    The walk reads item p's row at s - v only when s >= v, so the row holds the
+    sums max(low - prefix, v)..suffix: it starts at take index
+    start = max(low - prefix, v) - v and is ``width`` cells long. Items worth
+    0 or more than the cap get (0, 0): they store no row.
     """
-    widths = [0] * len(vals)
-    reach = 0
-    for p in range(len(vals) - 1, -1, -1):
-        v = vals[p]
-        if 0 < v <= cap:
-            widths[p] = min(cap + 1 - v, reach + 1)
-            reach = min(cap, reach + v)
-    return widths
+    fitting = [v for v in vals if v <= cap]
+    low = 0
+    for v in sorted(fitting, reverse=True):
+        if low + v <= cap:
+            low += v
+    windows = []
+    prefix = 0
+    suffix = sum(fitting)
+    for v in vals:
+        if v > cap:
+            windows.append((0, 0))
+            continue
+        first = low - prefix if low - prefix > v else v
+        last = suffix if suffix < cap else cap
+        windows.append((first - v, last - first + 1) if v and last >= first else (0, 0))
+        prefix += v
+        suffix -= v
+    return low, windows
 
 
 def cp_table(vals, cap: int) -> tuple[int, int, int]:
@@ -112,51 +130,60 @@ def cp_table(vals, cap: int) -> tuple[int, int, int]:
     A backward pass over the items keeps one row ``card[s]``: the largest
     cardinality of a subset of items p..m-1 summing to exactly s, negative
     when s is unreachable. For each item with 0 < v <= cap it stores the
-    bit-packed row ``take_p[s - v]``: taking p still reaches the row's best
-    cardinality at s. Sums above the suffix sum of items p+1..m-1 are
-    unreachable, so item p adds, compares and stores only the first
-    width_p = min(cap + 1 - v, suffix + 1) cells (``_take_widths``). A
-    forward walk from the best sum then takes each item at the first
-    opportunity, which yields the lexicographically smallest witness; it
-    reads item p's row at s - v, which is at most that suffix sum, so it
-    never reads past a row's end. Zero-valued items are always taken and
-    items above the cap never; neither stores a row.
+    bit-packed row ``take_p``: taking p still reaches the row's best
+    cardinality at s. A forward walk from the best sum then takes each item
+    at the first opportunity, which yields the lexicographically smallest
+    witness. Zero-valued items are always taken and items above the cap
+    never; neither stores a row.
 
-    The take rows cost sum(ceil(width_p / 8)) <= m * (cap + 1) / 8 bytes on
-    top of the 2 * (cap + 1)-byte cardinality row (int16 below 16384
-    items). A table whose take rows would exceed CP_TAKE_BYTES raises
+    Item p adds, compares and stores only the sums the walk can reach it
+    with (``_take_windows``): from max(low - prefix_p, v) to
+    min(cap, suffix_p), where low is a greedy feasible sum, prefix_p the sum
+    of the fitting items before p and suffix_p that of items p..m-1, capped
+    at cap. Its row is read at s - v - start_p, with
+    start_p = max(low - prefix_p, v) - v, and its width_p is never more than
+    min(cap + 1 - v, suffix_{p+1} + 1). Sums below low - prefix_p miss
+    item p's update, but every sum from low - prefix_p up stays exact, so the
+    best sum is the last reachable one in ``card[low : cap + 1]``.
+
+    The cardinality row has the narrowest exact dtype: int8 below 128 items,
+    int16 below 16384 items and int64 beyond. Cardinalities are at most m,
+    and the unreachable sentinel ``iinfo.min`` rises by at most one per item,
+    so it stays negative. The take rows cost sum(ceil(width_p / 8)) bytes on
+    top of that row, and the scratch rows are as wide as the widest window. A
+    table whose take rows would exceed CP_TAKE_BYTES raises
     ResourceBudgetError before any row is allocated.
     """
     m = len(vals)
     vals = [int(v) for v in vals]
-    widths = _take_widths(vals, cap)
-    take_bytes = sum((w + 7) >> 3 for w in widths)
+    low, windows = _take_windows(vals, cap)
+    take_bytes = sum((w + 7) >> 3 for _, w in windows)
     if take_bytes > CP_TAKE_BYTES:
         raise ResourceBudgetError(
             f"CP table over {m} items with value cap {cap} needs {take_bytes} bytes "
             f"of take rows, budget is {CP_TAKE_BYTES}"
         )
-    size = cap + 1
-    dtype = np.int16 if m < 1 << 14 else np.int64
-    # The sentinel rises by at most one per item, so it stays negative.
-    card = np.full(size, np.iinfo(dtype).min, dtype)
+    dtype = np.int8 if m < 1 << 7 else np.int16 if m < 1 << 14 else np.int64
+    card = np.full(cap + 1, np.iinfo(dtype).min, dtype)
     card[0] = 0
-    cand = np.empty(size, dtype)
-    take = np.empty(size, np.bool_)
+    widest = max((w for _, w in windows), default=0)
+    cand = np.empty(widest, dtype)
+    take = np.empty(widest, np.bool_)
     rows = [None] * m
     for p in range(m - 1, -1, -1):
         v = vals[p]
+        start, w = windows[p]
         if v == 0:
             card += 1
-        elif v <= cap:
-            w = widths[p]
-            reached = card[v : v + w]
-            np.add(card[:w], 1, out=cand[:w])
-            np.greater_equal(cand[:w], reached, out=take[:w])
-            rows[p] = np.packbits(take[:w])
-            np.maximum(reached, cand[:w], out=reached)
-    # The last reachable sum; card[0] is 0, so one always exists.
-    best_sum = cap - int(np.argmax((card >= 0)[::-1]))
+        elif w:
+            reached = card[start + v : start + v + w]
+            c, t = cand[:w], take[:w]
+            np.add(card[start : start + w], 1, out=c)
+            np.greater_equal(c, reached, out=t)
+            rows[p] = np.packbits(t)
+            np.maximum(reached, c, out=reached)
+    # card[low] is reachable, so a last reachable sum exists.
+    best_sum = cap - int(np.argmax((card[low:] >= 0)[::-1]))
     s = best_sum
     mask = 0
     for p in range(m):
@@ -164,7 +191,7 @@ def cp_table(vals, cap: int) -> tuple[int, int, int]:
         if v == 0:
             taken = True
         elif v <= s:
-            i = s - v
+            i = s - v - windows[p][0]
             taken = (rows[p][i >> 3] >> (7 - (i & 7))) & 1
         else:
             taken = False

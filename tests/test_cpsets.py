@@ -192,30 +192,130 @@ def test_cp_dp_suffix_bound_edge_cases(vals):
         assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo), cap
 
 
+# Greedy bound and (start, width) take windows of the instances below.
+_WALK_WINDOWS = {
+    (3, 1, 1, 2): (7, [(4, 1), (3, 1), (2, 1), (0, 1)]),
+    (2, 6, 1, 1): (8, [(6, 1), (0, 3), (0, 2), (0, 1)]),
+}
+
+
 @pytest.mark.parametrize("vals, cap", [((3, 1, 1, 2), 10), ((2, 6, 1, 1), 8)])
 def test_cp_dp_walk_reads_the_last_cell_of_truncated_rows(vals, cap):
     # The walk reads row p at s - v, at most the suffix sum after p, so the
-    # last cell of a row cut to that sum is the farthest it can read.
+    # last cell of a window cut to that sum is the farthest it can read.
     value, card, combo = brute_force_best(vals, cap)
-    widths = _kernels._take_widths(list(vals), cap)
+    low, windows = _kernels._take_windows(list(vals), cap)
+    assert (low, windows) == _WALK_WINDOWS[vals]
     assert any(
-        i == widths[p] - 1 and widths[p] < cap + 1 - vals[p] for p, i in _walk_reads(vals, combo)
+        i == sum(windows[p]) - 1 and sum(windows[p]) < cap + 1 - vals[p]
+        for p, i in _walk_reads(vals, combo)
     )
     got = _best_subset(vals, cap, strategy="dp")
     assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
 
 
+def test_cp_dp_walk_reads_the_first_cell_of_windows_cut_from_below():
+    # The greedy bound is 9 + 1 = 10, so the walk reaches item 1 (v = 2) with
+    # s >= 10 - 1 and its window starts at take index 9 - 2 = 7. The witness
+    # {0, 3} reaches it with s = 9 and reads exactly that first cell.
+    vals, cap = (1, 2, 8, 9), 10
+    value, card, combo = brute_force_best(vals, cap)
+    assert _kernels._take_windows(list(vals), cap) == (10, [(9, 1), (7, 2), (0, 3), (0, 1)])
+    assert combo == (0, 3)
+    assert (1, 7) in _walk_reads(vals, combo)
+    got = _best_subset(vals, cap, strategy="dp")
+    assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
+
+
+def _suffix_widths(vals, cap):
+    """min(cap + 1 - v, suffix + 1) per item with 0 < v <= cap, suffix capped at cap."""
+    widths = [0] * len(vals)
+    reach = 0
+    for p in range(len(vals) - 1, -1, -1):
+        v = vals[p]
+        if 0 < v <= cap:
+            widths[p] = min(cap + 1 - v, reach + 1)
+            reach = min(cap, reach + v)
+    return widths
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 13, 40]), max_size=11).flatmap(
+        lambda vals: st.tuples(st.just(vals), st.integers(0, sum(vals) + 2))
+    )
+)
+@example(case=([1, 2, 8, 9], 10))
+@example(case=([40, 1, 1, 40], 41))
+def test_cp_take_windows_hold_every_walk_read(case):
+    vals, cap = case
+    combo = brute_force_best(vals, cap)[2]
+    low, windows = _kernels._take_windows(vals, cap)
+    assert low <= sum(vals[p] for p in combo)
+    for p, i in _walk_reads(vals, combo):
+        start, width = windows[p]
+        assert start <= i < start + width, (p, i, windows)
+    for (_, width), bound in zip(windows, _suffix_widths(vals, cap)):
+        assert width <= bound
+
+
 def test_cp_take_budget_counts_truncated_rows(monkeypatch):
     vals = np.array([9, 4, 4, 2, 1, 0, 70])
     cap = 12
-    widths = _kernels._take_widths(vals.tolist(), cap)
-    # Nominal rows would be 4, 9, 9, 11 and 12 cells: 9 bytes packed.
-    assert widths == [4, 8, 4, 2, 1, 0, 0]
+    # Nominal rows would be 4, 9, 9, 11 and 12 cells; the windows are 1, 8, 4,
+    # 2 and 1 cells: 5 bytes packed.
+    windows = [(3, 1), (0, 8), (0, 4), (0, 2), (0, 1), (0, 0), (0, 0)]
+    assert _kernels._take_windows(vals.tolist(), cap) == (12, windows)
     monkeypatch.setattr(_kernels, "CP_TAKE_BYTES", 5)
     assert _kernels.cp_table(vals, cap)[0] == 12
     monkeypatch.setattr(_kernels, "CP_TAKE_BYTES", 4)
     with pytest.raises(ResourceBudgetError, match="take rows"):
         _kernels.cp_table(vals, cap)
+
+
+@pytest.mark.parametrize("m", [127, 128])
+def test_cp_dp_at_the_cardinality_dtype_boundary(m):
+    # 127 items run on an int8 cardinality row, 128 on int16.
+    equal = [7] * (m - 3)
+    rows = [[1] * m, equal[:10] + [0, 0] + equal[10:] + [0]]
+    for vals in rows:
+        total = sum(vals)
+        for cap in (0, 1, total // 2, total):
+            assert _kernels.cp_table(vals, cap) == reference_dp(vals, cap), (vals[:12], cap)
+    zeros = _kernels.cp_table([0] * 127, 0)
+    assert zeros == (0, 127, (1 << 127) - 1)
+
+
+def test_cp_dp_matches_mitm_at_benchmark_sizes():
+    # Widths and greedy gaps of solve-dp's queries, which the brute-force
+    # sizes above never reach; meet-in-the-middle is an independent algorithm.
+    for s in range(40):
+        m = 24 + s % 11
+        vals = random_instance(1, m, 10**4, seed=4100 + s).values[0]
+        cap = sum(vals) // (2 + s % 4)
+        assert _kernels.cp_table(vals, cap) == _kernels.cp_mitm(vals, cap), s
+
+
+def _cp_table_peak(vals, cap):
+    tracemalloc.start()
+    try:
+        got = _kernels.cp_table(vals, cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == _kernels.cp_mitm(vals, cap)
+    return peak
+
+
+def test_cp_dp_memory_at_the_dp_limit():
+    cap = DP_SUM_LIMIT - 1
+    # Wide windows: an int16 cardinality row alone would add 2 MB to about 7 MiB.
+    assert _cp_table_peak([2 * cap // 15] * 15, cap) < 10 << 20
+    # Items summing to just past the cap give windows of at most 133,334
+    # cells; scratch rows of cap + 1 cells would add about 3.6 MiB.
+    vals = [cap // 15 + p for p in range(15)]
+    vals[-1] += cap + 1000 - sum(vals)
+    assert _cp_table_peak(vals, cap) < 4 << 20
 
 
 def test_cp_take_budget_refuses_before_allocating():
