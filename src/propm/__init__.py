@@ -14,7 +14,6 @@ from .core import (
     Instance,
     InvariantViolationError,
     ResourceBudgetError,
-    Restriction,
     Share,
     UnsupportedSizeError,
     restrict,
@@ -79,7 +78,6 @@ __all__ = [
     "InvariantViolationError",
     "Notion",
     "ResourceBudgetError",
-    "Restriction",
     "Share",
     "UnsupportedSizeError",
     "adjusted_profile",

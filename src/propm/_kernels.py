@@ -26,8 +26,10 @@ window), and each window adds its few assignments of the remaining top
 items. The tables count against SCAN_BYTES together with a window's
 statistics: a plan narrows the mid table until both fit and keeps the
 tables for the whole scan, and if no width fits it rebuilds them for each
-window. Callers size windows with ``scan_chunk``, and the kernels split very
-large agent counts into blocks.
+window. Every scan sizes its plan with ``scan_chunk`` and takes its windows
+from ``ScanPlan.windows``: full windows for the exhaustive scans, windows
+that start small and double for the early-exit ``exists``. The kernels split
+very large agent counts into blocks.
 
 Scan arithmetic uses the narrowest exact dtype. ``instance_arrays`` returns
 int32 arrays when the largest intermediate, n * (m+1) * max_total from the
@@ -306,7 +308,8 @@ class ScanPlan:
 
     ``values`` holds the rows the scan reads: every agent's item values, or
     one agent's row for ``mms_scan``. ``n`` is the number of bundles and
-    ``window`` the largest window the scan asks for.
+    ``window`` the largest window the scan asks for, kept as ``chunk``;
+    ``windows`` yields the scan's window schedule.
 
     Item j is digit j of the allocation index, so index t is l + L*r with
     L = n^h: low items 0..h-1 give l, the high items give row r. The high
@@ -328,6 +331,7 @@ class ScanPlan:
         self.values = values
         self.n = n
         self.m = m = values.shape[1]
+        self.chunk = window
         self.h = h = _digits_within(n, window, m // 2)
         k = _digits_within(n, window, m - h)
         # The widest mid table whose tables fit SCAN_BYTES beside a window's
@@ -342,6 +346,21 @@ class ScanPlan:
         self._bundles = np.arange(n)
         self._big = np.iinfo(values.dtype).max
         self._tables = {}
+
+    def windows(self, start, stop, first=None):
+        """(start, count) windows that tile [start, stop) in order.
+
+        Each window holds ``chunk`` allocations (the last one fewer). Given
+        ``first``, the first window holds min(first, chunk) and each later
+        one twice the last, up to ``chunk``: an early-exit scan then stops
+        soon after a witness near the start.
+        """
+        width = self.chunk if first is None else min(first, self.chunk)
+        while start < stop:
+            count = min(width, stop - start)
+            yield start, count
+            start += count
+            width = min(2 * width, self.chunk)
 
     def _bytes(self, h, k, window):
         """Bytes of every table over h low and k mid items, plus a window's statistics."""

@@ -180,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, instance=True):
-        if instance:
-            p.add_argument("--instance", required=True, help="instance JSON path")
-        p.add_argument("--budget", type=int, default=None, help="enumeration budget")
+    def add_common(p, budget=True):
+        p.add_argument("--instance", required=True, help="instance JSON path")
+        if budget:
+            p.add_argument("--budget", type=int, default=None, help="enumeration budget")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("verify", help="check one fairness notion on an allocation")
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="construct a PROPm allocation with a certificate")
-    add_common(p)
+    add_common(p, budget=False)
     p.add_argument("--certificate-out", default=None, help="also write the certificate here")
     p.set_defaults(func=_cmd_solve)
 

@@ -55,6 +55,13 @@ def resolve_budget(budget: int | None) -> int:
     return DEFAULT_BUDGET
 
 
+def require_budget(count: int, budget: int | None, what: str) -> None:
+    """Raise ResourceBudgetError if ``what`` needs more allocations than the budget allows."""
+    limit = resolve_budget(budget)
+    if count > limit:
+        raise ResourceBudgetError(f"{what} needs {count} allocations, budget is {limit}")
+
+
 @dataclass(frozen=True)
 class Bundle:
     """A set of item indices, stored as a strictly increasing tuple."""
@@ -249,37 +256,11 @@ def value_of(inst: Instance, agent: int, bundle: Bundle) -> int:
     return sum(row[j] for j in bundle.items)
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """A sub-instance plus the index maps needed to lift results back.
+def restrict(inst: Instance, agents: Iterable[int], items: Iterable[int]) -> Instance:
+    """The sub-instance of the given agents and items, each kept in index order.
 
-    ``agents[k]`` / ``items[k]`` give the original index of sub-agent / sub-item k.
-    """
-
-    instance: Instance
-    agents: tuple[int, ...]
-    items: tuple[int, ...]
-
-    def lift_items(self, items: Iterable[int]) -> tuple[int, ...]:
-        return tuple(self.items[j] for j in items)
-
-    def lift_bundle(self, bundle: Bundle) -> Bundle:
-        return Bundle.of(self.lift_items(bundle.items))
-
-    def lift_allocation(self, allocation: Allocation) -> tuple[tuple[int, Bundle], ...]:
-        """Map a sub-allocation to (original agent, bundle of original items) pairs."""
-        if allocation.n != self.instance.n:
-            raise InputError("allocation shape does not match the restriction")
-        return tuple(
-            (self.agents[i], self.lift_bundle(allocation.bundles[i]))
-            for i in range(allocation.n)
-        )
-
-
-def restrict(inst: Instance, agents: Iterable[int], items: Iterable[int]) -> Restriction:
-    """Restrict an instance to a subset of agents and items.
-
-    The agent subset must be non-empty; the item subset may be empty.
+    Sub-agent k is the k-th smallest agent of the subset, and likewise for
+    items. The agent subset must be non-empty; the item subset may be empty.
     """
     agent_tuple = tuple(sorted(set(agents)))
     item_tuple = tuple(sorted(set(items)))
@@ -289,10 +270,7 @@ def restrict(inst: Instance, agents: Iterable[int], items: Iterable[int]) -> Res
         raise InputError(f"agent subset {agent_tuple} out of range for n={inst.n}")
     if item_tuple and (item_tuple[0] < 0 or item_tuple[-1] >= inst.m):
         raise InputError(f"item subset {item_tuple} out of range for m={inst.m}")
-    sub_values = tuple(
-        tuple(inst.values[i][j] for j in item_tuple) for i in agent_tuple
-    )
-    return Restriction(instance=Instance(sub_values), agents=agent_tuple, items=item_tuple)
+    return Instance(tuple(tuple(inst.values[i][j] for j in item_tuple) for i in agent_tuple))
 
 
 def fraction_str(value: Fraction) -> str:

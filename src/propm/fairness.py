@@ -24,9 +24,8 @@ from .core import (
     Bundle,
     InputError,
     Instance,
-    ResourceBudgetError,
     fraction_str,
-    resolve_budget,
+    require_budget,
 )
 
 
@@ -235,12 +234,7 @@ def mms_value(inst: Instance, agent: int, budget: int | None = None) -> int:
         raise InputError(f"agent index {agent} out of range for n={inst.n}")
     if inst.n == 1:
         return inst.totals[agent]
-    limit = resolve_budget(budget)
-    total_allocs = inst.n**inst.m
-    if total_allocs > limit:
-        raise ResourceBudgetError(
-            f"mms_value needs {total_allocs} partitions, budget is {limit}"
-        )
+    require_budget(inst.n**inst.m, budget, "mms_value")
     return _mms_cached(inst, agent)
 
 
@@ -248,14 +242,7 @@ def mms_value(inst: Instance, agent: int, budget: int | None = None) -> int:
 def _mms_cached(inst: Instance, agent: int) -> int:
     row = _kernels.instance_arrays(inst.values, inst.totals)[0][agent]
     n = inst.n
+    plan = _kernels.ScanPlan(row[None, :], n, _kernels.scan_chunk(n))
     # Indices below n^(m-1) are exactly the assignments of item m-1 to bundle 0.
-    total_allocs = n ** (inst.m - 1) if inst.m else 1
-    best = -1
-    start = 0
-    chunk = _kernels.scan_chunk(n)
-    plan = _kernels.ScanPlan(row[None, :], n, chunk)
-    while start < total_allocs:
-        count = min(chunk, total_allocs - start)
-        best = max(best, _kernels.mms_scan(row, n, start, count, plan=plan))
-        start += count
-    return best
+    windows = plan.windows(0, n ** (inst.m - 1) if inst.m else 1)
+    return max(_kernels.mms_scan(row, n, pos, count, plan=plan) for pos, count in windows)

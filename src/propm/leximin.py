@@ -23,11 +23,11 @@ from .core import (
     Allocation,
     InputError,
     Instance,
-    ResourceBudgetError,
     fraction_str,
-    resolve_budget,
+    require_budget,
 )
 from .fairness import maximin_value
+from .oracle import allocation_from_index
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class AdjustedProfile:
 class EnvyGraph:
     n: int
     edges: tuple[tuple[int, int], ...]
-
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for (a, j) in self.edges if a == i)
 
     def find_cycle(self) -> tuple[int, ...] | None:
         """Shortest directed cycle; ties broken by lexicographically least vertex tour.
@@ -91,9 +88,6 @@ class EnvyGraph:
             tour.append(min(v for v in succ[tour[-1]] if dist.get(v) == left))
         return tuple(tour)
 
-    def has_cycle(self) -> bool:
-        return self.find_cycle() is not None
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
@@ -125,26 +119,16 @@ def leximin_max(
     inst: Instance, budget: int | None = None
 ) -> tuple[Allocation, AdjustedProfile]:
     """Exhaustive leximin maximum; ties go to the smallest allocation index."""
-    from .oracle import allocation_count, allocation_from_index
-
-    total = allocation_count(inst.n, inst.m)
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise ResourceBudgetError(
-            f"leximin scan needs {total} allocations, budget is {limit}"
-        )
+    total = inst.n**inst.m
+    require_budget(total, budget, "leximin scan")
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
     best_idx = -1
     best_profile: np.ndarray | None = None
-    pos = 0
-    chunk = _kernels.scan_chunk(inst.n)
-    plan = _kernels.ScanPlan(values, inst.n, chunk)
-    while pos < total:
-        count = min(chunk, total - pos)
+    plan = _kernels.ScanPlan(values, inst.n, _kernels.scan_chunk(inst.n))
+    for pos, count in plan.windows(0, total):
         idx, profile = _kernels.leximin_scan(values, totals, pos, count, plan=plan)
         if best_profile is None or _int_profile_less(best_profile, profile):
             best_idx, best_profile = idx, profile
-        pos += count
     allocation = allocation_from_index(inst.n, inst.m, best_idx)
     return allocation, adjusted_profile(inst, allocation)
 

@@ -2,9 +2,12 @@
 
 Allocation index -> allocation: item j is owned by digit j of the index in
 base n, least significant digit first, so index 0 gives every item to agent
-0. Scans either run in-process (chunked through the kernels) or are
-partitioned across worker processes; results are merged by minimum witness
-index, so the outcome never depends on the worker count.
+0. Every scan walks its range in the windows of ``ScanPlan.windows`` and
+splits across worker processes in one place, ``_scan_ranges``: consecutive
+ranges whose results merge in index order (the least witness index, or the
+violations sorted by index), so the outcome never depends on the worker
+count. ``exists`` scans its first ``scan_chunk(n)`` allocations in this
+process before it starts a pool.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from .core import (
     Bundle,
     InputError,
     Instance,
-    ResourceBudgetError,
-    resolve_budget,
+    require_budget,
 )
 from .fairness import Notion, check, mms_value
 
@@ -94,10 +96,6 @@ class AuditReport:
         }
 
 
-def allocation_count(n: int, m: int) -> int:
-    return n**m
-
-
 def allocation_from_index(n: int, m: int, index: int) -> Allocation:
     if not 0 <= index < n**m:
         raise InputError(f"allocation index {index} out of range for n={n}, m={m}")
@@ -115,11 +113,8 @@ def enumerate_allocations(n: int, m: int, budget: int | None = None) -> Iterator
         raise InputError(f"need at least one agent, got n={n}")
     if m < 0:
         raise InputError(f"item count must be non-negative, got m={m}")
-    total = allocation_count(n, m)
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise ResourceBudgetError(f"enumeration needs {total} allocations, budget is {limit}")
-    for index in range(total):
+    require_budget(n**m, budget, "enumeration")
+    for index in range(n**m):
         yield allocation_from_index(n, m, index)
 
 
@@ -133,35 +128,41 @@ def _mms_array(inst: Instance, needed: bool, budget: int | None) -> np.ndarray:
     return np.array([mms_value(inst, i, budget=budget) for i in range(inst.n)], np.int64)
 
 
+def _scan_worker(job):
+    scan, args, start, stop = job
+    return scan(*args, start, stop)
+
+
+def _scan_ranges(scan, args, start, stop, workers):
+    """``scan(*args, a, b)`` for each range [a, b) of a split of [start, stop), in order.
+
+    With one worker, or fewer than 4 * CHUNK allocations, there is one range,
+    scanned in this process. Otherwise the range splits evenly into one part
+    per worker, each scanned in its own process.
+    """
+    if workers <= 1 or stop - start < 4 * _kernels.CHUNK:
+        return [scan(*args, start, stop)]
+    bounds = np.linspace(start, stop, workers + 1, dtype=np.int64)
+    jobs = [(scan, args, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_scan_worker, jobs))
+
+
 def _scan_first_satisfying(values, totals, mms, bit, start, stop):
     """First allocation index in [start, stop) where all agents carry the bit, else -1.
 
-    Witnesses mostly lie near the start of a range, so the first window
-    holds FIRST_WINDOW allocations (at most ``scan_chunk(n)``) and each
-    later one twice the last, up to ``scan_chunk(n)``. The windows tile
+    Witnesses mostly lie near the start of a range, so the windows start at
+    FIRST_WINDOW allocations and double (``ScanPlan.windows``). They tile
     [start, stop), so the first witness is the same for any schedule.
     """
-    pos = start
-    chunk = _kernels.scan_chunk(len(values))
-    plan = _kernels.ScanPlan(values, len(values), chunk)
-    width = min(FIRST_WINDOW, chunk)
-    while pos < stop:
-        count = min(width, stop - pos)
+    n = len(values)
+    plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n))
+    for pos, count in plan.windows(start, stop, FIRST_WINDOW):
         masks = _kernels.notion_masks(values, totals, mms, pos, count, want=bit, plan=plan)
-        rows = masks.all(axis=1)
-        where = np.nonzero(rows)[0]
+        where = np.nonzero(masks.all(axis=1))[0]
         if where.size:
             return pos + int(where[0])
-        pos += count
-        width = min(2 * width, chunk)
     return -1
-
-
-def _exists_worker(args):
-    values_list, totals_list, mms_list, bit, start, stop = args
-    values, totals = _kernels.instance_arrays(values_list, totals_list)
-    mms = np.array(mms_list, np.int64)
-    return _scan_first_satisfying(values, totals, mms, bit, start, stop)
 
 
 def exists(
@@ -174,30 +175,19 @@ def exists(
 
     Returns the first witness in enumeration order; the witness is
     re-verified with the exact checker before being reported. The scan
-    stops at the window holding the first witness: windows start at
-    FIRST_WINDOW allocations and double up to ``_kernels.scan_chunk(n)``,
-    and with workers each worker's range starts small in the same way.
+    stops at the window holding the first witness. With several workers,
+    the first ``_kernels.scan_chunk(n)`` allocations are scanned in this
+    process, and a pool splits the rest only if they hold no witness.
     """
-    total = allocation_count(inst.n, inst.m)
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise ResourceBudgetError(f"existence scan needs {total} allocations, budget is {limit}")
+    total = inst.n**inst.m
+    require_budget(total, budget, "existence scan")
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
-    mms = _mms_array(inst, notion is Notion.MMS, budget)
-    bit = 1 << notion.code
-
-    if workers <= 1 or total < 4 * _kernels.CHUNK:
-        found = _scan_first_satisfying(values, totals, mms, bit, 0, total)
-    else:
-        bounds = np.linspace(0, total, workers + 1, dtype=np.int64)
-        jobs = [
-            (inst.values, inst.totals, tuple(int(x) for x in mms), bit, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a < b
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = [h for h in pool.map(_exists_worker, jobs) if h >= 0]
-        found = min(hits) if hits else -1
+    args = (values, totals, _mms_array(inst, notion is Notion.MMS, budget), 1 << notion.code)
+    head = total if workers <= 1 else min(total, _kernels.scan_chunk(inst.n))
+    found = _scan_first_satisfying(*args, 0, head)
+    if found < 0 and head < total:
+        hits = _scan_ranges(_scan_first_satisfying, args, head, total, workers)
+        found = min((h for h in hits if h >= 0), default=-1)
 
     if found < 0:
         return ExistenceResult(notion, False, None, total)
@@ -208,35 +198,35 @@ def exists(
     return ExistenceResult(notion, True, witness, found + 1)
 
 
+# Implication labels in string order; a violation's label rank is its position here.
+_LABELS_SORTED = sorted(label for (label, _, _) in IMPLICATIONS)
+
+
 def _collect_violations(values, totals, mms, start, stop):
-    pairs = [(label, a.code, c.code) for (label, a, c) in IMPLICATIONS]
+    """(allocation index, agent, label rank) arrays of the violations in [start, stop).
+
+    An agent violates an implication when its mask has the antecedent's bit
+    and not the consequent's.
+    """
+    tests = [
+        (_LABELS_SORTED.index(label), (1 << a.code) | (1 << c.code), 1 << a.code)
+        for (label, a, c) in IMPLICATIONS
+    ]
     want = 0
-    for _, a_code, c_code in pairs:
-        want |= 1 << a_code | 1 << c_code
-    found = []
-    pos = start
-    chunk = _kernels.scan_chunk(len(values))
-    plan = _kernels.ScanPlan(values, len(values), chunk)
-    while pos < stop:
-        count = min(chunk, stop - pos)
+    for _, both, _ in tests:
+        want |= both
+    n = len(values)
+    plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n))
+    index, agent, rank = [], [], []
+    for pos, count in plan.windows(start, stop):
         masks = _kernels.notion_masks(values, totals, mms, pos, count, want=want, plan=plan)
-        for label, a_code, c_code in pairs:
-            a_bit = np.uint16(1 << a_code)
-            c_bit = np.uint16(1 << c_code)
-            bad = ((masks & a_bit) != 0) & ((masks & c_bit) == 0)
-            if not bad.any():
-                continue
-            for row, agent in zip(*np.nonzero(bad)):
-                found.append((label, pos + int(row), int(agent)))
-        pos += count
-    return found
-
-
-def _audit_worker(args):
-    values_list, totals_list, mms_list, start, stop = args
-    values, totals = _kernels.instance_arrays(values_list, totals_list)
-    mms = np.array(mms_list, np.int64)
-    return _collect_violations(values, totals, mms, start, stop)
+        for label_rank, both, antecedent in tests:
+            # Row-major positions in the window: row * n + agent.
+            flat = np.flatnonzero((masks & np.uint16(both)) == antecedent)
+            index.append(pos + flat // n)
+            agent.append(flat % n)
+            rank.append(np.full(flat.size, label_rank))
+    return np.concatenate(index), np.concatenate(agent), np.concatenate(rank)
 
 
 def implication_audit(
@@ -244,30 +234,21 @@ def implication_audit(
     budget: int | None = None,
     workers: int = 1,
 ) -> AuditReport:
-    """Check every implication in IMPLICATIONS for every agent of every allocation."""
-    total = allocation_count(inst.n, inst.m)
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise ResourceBudgetError(f"audit needs {total} allocations, budget is {limit}")
+    """Check every implication in IMPLICATIONS for every agent of every allocation.
+
+    Violations are ordered by (allocation index, agent, label).
+    """
+    total = inst.n**inst.m
+    require_budget(total, budget, "audit")
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
-    mms = _mms_array(inst, True, budget)
-
-    if workers <= 1 or total < 4 * _kernels.CHUNK:
-        found = _collect_violations(values, totals, mms, 0, total)
-    else:
-        bounds = np.linspace(0, total, workers + 1, dtype=np.int64)
-        jobs = [
-            (inst.values, inst.totals, tuple(int(x) for x in mms), int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a < b
-        ]
-        found = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_audit_worker, jobs):
-                found.extend(chunk)
-
-    found.sort(key=lambda v: (v[1], v[2], v[0]))
-    violations = tuple(AuditViolation(*v) for v in found)
+    args = (values, totals, _mms_array(inst, True, budget))
+    parts = _scan_ranges(_collect_violations, args, 0, total, workers)
+    index, agent, rank = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((rank, agent, index))
+    violations = tuple(
+        AuditViolation(_LABELS_SORTED[r], i, a)
+        for i, a, r in zip(index[order].tolist(), agent[order].tolist(), rank[order].tolist())
+    )
     return AuditReport(
         implications=tuple(label for (label, _, _) in IMPLICATIONS),
         allocations_checked=total,

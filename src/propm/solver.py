@@ -227,7 +227,7 @@ def _verify_propm(inst: Instance, agents, pool, assignment, context: str) -> Non
     allocation = Allocation(
         tuple(Bundle(tuple(position[j] for j in assignment.get(a, ()))) for a in agents)
     )
-    report = check(level.instance, allocation, Notion.PROPM)
+    report = check(level, allocation, Notion.PROPM)
     if not report.all_satisfied:
         bad = [agents[i] for i, v in enumerate(report.per_agent) if not v.satisfied]
         raise InvariantViolationError(

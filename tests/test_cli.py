@@ -163,3 +163,24 @@ def test_kernel_int64_range_is_input_error(tmp_path, capsys):
     code, _, err = _run(capsys, "exists", "--instance", str(huge), "--notion", "ef")
     assert code == 2
     assert "int64" in err
+
+
+def test_budget_flag_only_on_enumerating_commands(tmp_path, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"n": 2, "m": 3, "values": [[1, 2, 3], [3, 2, 1]]}))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"bundles": [[0, 1], [2]]}))
+    code, _, err = _run(capsys, "solve", "--instance", str(path), "--budget", "8")
+    assert code == 2
+    assert "--budget" in err
+    enumerating = [
+        ["verify", "--allocation", str(alloc), "--notion", "mms"],
+        ["exists", "--notion", "prop"],
+        ["audit"],
+        ["leximin"],
+    ]
+    for command in enumerating:
+        assert _run(capsys, *command, "--instance", str(path), "--budget", "8")[0] in (0, 1)
+        code, _, err = _run(capsys, *command, "--instance", str(path), "--budget", "7")
+        assert code == 3, command
+        assert "needs 8 allocations, budget is 7" in err

@@ -9,7 +9,14 @@ from propm import (
     Bundle,
     InputError,
     Instance,
+    Notion,
+    ResourceBudgetError,
     Share,
+    enumerate_allocations,
+    exists,
+    implication_audit,
+    leximin_max,
+    mms_value,
     restrict,
     share_compare,
     value_of,
@@ -92,13 +99,13 @@ def test_totals_cached(i_eps):
 
 def test_restrict_eps(i_eps):
     sub = restrict(i_eps, {1, 2}, set(range(1, 7)))
-    assert sub.instance.n == 2 and sub.instance.m == 6
-    assert all(v == 1 for row in sub.instance.values for v in row)
+    assert sub.n == 2 and sub.m == 6
+    assert all(v == 1 for row in sub.values for v in row)
 
 
 def test_restrict_single_agent(i_2a):
     sub = restrict(i_2a, {0}, {0, 1})
-    assert sub.instance.values == ((60, 40),)
+    assert sub == Instance.of([[60, 40]])
 
 
 def test_restrict_requires_agents(i_2a):
@@ -106,11 +113,22 @@ def test_restrict_requires_agents(i_2a):
         restrict(i_2a, set(), {0})
 
 
-def test_restrict_lift_round_trip(i_eps):
-    sub = restrict(i_eps, {0, 2}, {1, 3, 5})
-    sub_alloc = Allocation.of([[0, 2], [1]])  # sub-item indices
-    lifted = sub.lift_allocation(sub_alloc)
-    assert lifted == ((0, Bundle.of({1, 5})), (2, Bundle.of({3})))
+# n^m = 8: every allocation-budget guard passes at budget 8 and refuses at 7.
+_SCANS = {
+    "enumerate_allocations": lambda inst, b: list(enumerate_allocations(inst.n, inst.m, b)),
+    "exists": lambda inst, b: exists(inst, Notion.PROPM, budget=b),
+    "implication_audit": lambda inst, b: implication_audit(inst, budget=b),
+    "leximin_max": lambda inst, b: leximin_max(inst, budget=b),
+    "mms_value": lambda inst, b: mms_value(inst, 0, budget=b),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_allocation_budget_boundary(scan):
+    inst = Instance.of([[3, 1, 2], [1, 2, 3]])
+    _SCANS[scan](inst, inst.n**inst.m)
+    with pytest.raises(ResourceBudgetError, match="needs 8 allocations, budget is 7"):
+        _SCANS[scan](inst, inst.n**inst.m - 1)
 
 
 def test_instance_json_round_trip(i_eps):

@@ -64,9 +64,11 @@ def test_exists_propx_on_2a(i_2a):
     assert result.exists
 
 
-# 3^10 = 59049 allocations: at least 4 * CHUNK, so workers=2 reaches the pool
-# and splits the scan at index 29524. Agent 2 values only item 9, so every
-# PROP or EF witness gives it item 9 and lies at index 2 * 3^9 or later.
+# 3^10 = 59049 allocations. With workers=2, exists scans the first
+# scan_chunk(3) = 8192 in process, and the remaining 50857 (at least
+# 4 * CHUNK) reach the pool, which splits them at index 33620. Agent 2 values
+# only item 9, so every PROP or EF witness gives it item 9 and lies at index
+# 2 * 3^9 or later, in the second worker's range.
 LATE_WITNESS = Instance.of([[5] * 9 + [0], [5] * 9 + [0], [0] * 9 + [9]])
 # Three identical agents with one dominant item: no PROP allocation exists.
 NO_PROP = Instance.of([[91] + [1] * 9] * 3)
@@ -87,22 +89,28 @@ def pool_starts(monkeypatch):
 
 
 def test_exists_workers_match_single(pool_starts):
+    # (instance, notion, pools started by workers=2): a witness in the first
+    # 8192 allocations is found in process, so only late and missing
+    # witnesses start a pool.
     cases = [
-        (random_instance(3, 6, 30, seed=62), (Notion.PROPM, Notion.EFX)),
-        (random_instance(3, 10, 30, seed=62), (Notion.PROPM,)),
-        (LATE_WITNESS, (Notion.PROP, Notion.EF)),
-        (NO_PROP, (Notion.PROP,)),
+        (random_instance(3, 6, 30, seed=62), Notion.PROPM, 0),
+        (random_instance(3, 6, 30, seed=62), Notion.EFX, 0),
+        (random_instance(3, 10, 30, seed=62), Notion.PROPM, 0),
+        (LATE_WITNESS, Notion.PROP, 1),
+        (LATE_WITNESS, Notion.EF, 1),
+        (NO_PROP, Notion.PROP, 1),
     ]
-    for inst, notions in cases:
-        for notion in notions:
-            solo = exists(inst, notion, workers=1)
-            multi = exists(inst, notion, workers=2)
-            assert solo.exists == multi.exists
-            assert solo.allocations_checked == multi.allocations_checked
-            assert solo.witness == multi.witness
+    for inst, notion, pools in cases:
+        solo = exists(inst, notion, workers=1)
+        assert pool_starts == []
+        multi = exists(inst, notion, workers=2)
+        assert pool_starts == [2] * pools, (inst, notion)
+        pool_starts.clear()
+        assert solo.exists == multi.exists
+        assert solo.allocations_checked == multi.allocations_checked
+        assert solo.witness == multi.witness
     assert exists(LATE_WITNESS, Notion.PROP).allocations_checked > 2 * 3**9
     assert not exists(NO_PROP, Notion.PROP).exists
-    assert pool_starts == [2] * 4
 
 
 def test_audit_on_eps_flags_only_the_known_bad_edge(i_eps):
@@ -260,8 +268,8 @@ def _scan(monkeypatch, n, start, stop, witness):
     return found, windows
 
 
-def _assert_doubling(windows, start, chunk):
-    width = min(FIRST_WINDOW, chunk)
+def _assert_doubling(windows, start, chunk, first=FIRST_WINDOW):
+    width = min(first, chunk)
     pos = start
     for k, (at, count) in enumerate(windows):
         assert at == pos
@@ -295,6 +303,44 @@ def test_scan_window_sizes_are_pinned(monkeypatch):
     assert [c for _, c in windows] == [256, 512, 1024, 2048, 4096, 8192, 3872]
     _, windows = _scan(monkeypatch, 3, 7, 300, -1)
     assert windows == [(7, 256), (263, 37)]
+
+
+@pytest.mark.parametrize("n", [3, 74])
+def test_plan_windows_without_first_are_full(n):
+    chunk = kernels.scan_chunk(n)
+    plan = kernels.ScanPlan(np.zeros((n, 1), np.int64), n, chunk)
+    start, stop = 1000, 1000 + 3 * chunk + 123
+    windows = list(plan.windows(start, stop))
+    assert _assert_doubling(windows, start, chunk, first=chunk) == stop
+    assert [c for _, c in windows] == [chunk] * 3 + [123]
+    assert list(plan.windows(start, start)) == []
+
+
+def _random_masks(values, totals, mms, start, count, want=kernels.ALL_NOTIONS, plan=None):
+    """A notion_masks stand-in: random masks over the wanted bits, fixed by ``start``."""
+    rng = np.random.default_rng(start)
+    masks = rng.integers(0, 1 << kernels.NOTION_COUNT, (count, len(values)))
+    return masks.astype(np.uint16) & np.uint16(want)
+
+
+def test_audit_orders_violations_by_index_agent_label(monkeypatch):
+    """Random masks violate several implications on one agent, so the
+    label order is exercised too: labels sort by their strings."""
+    monkeypatch.setattr(kernels, "notion_masks", _random_masks)
+    inst = random_instance(2, 14, 20, seed=3)  # 16384 allocations: two windows
+    report = implication_audit(inst)
+    chunk = kernels.scan_chunk(inst.n)
+    expected = []
+    for start in range(0, inst.n**inst.m, chunk):
+        masks = _random_masks(inst.values, None, None, start, chunk)
+        for row, agent, label in np.ndindex(chunk, inst.n, len(oracle.IMPLICATIONS)):
+            name, a, c = oracle.IMPLICATIONS[label]
+            mask = int(masks[row, agent])
+            if mask >> a.code & 1 and not mask >> c.code & 1:
+                expected.append(oracle.AuditViolation(name, start + row, agent))
+    expected.sort(key=lambda v: (v.allocation_index, v.agent, v.implication))
+    assert len({(v.allocation_index, v.agent) for v in expected}) < len(expected)
+    assert report.violations == tuple(expected)
 
 
 def _first_satisfying(inst, notion):
