@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,7 +12,9 @@ from propm import (
     InputError,
     Instance,
     Notion,
+    adjusted_profile,
     check,
+    envy_graph,
     maximin_value,
     min_item,
     mms_value,
@@ -181,3 +185,36 @@ def test_scaling_invariance():
 def test_report_json_slacks_are_fractions(i_eps):
     data = check(i_eps, EPS_SPLIT, Notion.PROPM).to_json_dict()
     assert data["per_agent"][1]["slack"] == "191/3"
+
+
+def _report_corpus():
+    """Seeded (instance, allocation) pairs: n = 1..5, m = 0..7, zeros, ties, empty bundles."""
+    rng = random.Random(20090950)
+    for n in range(1, 6):
+        for m in range(8):
+            rows = [
+                [rng.randint(0, 9) for _ in range(m)],
+                [rng.choice((0, 0, 3, 3, 7)) for _ in range(m)],
+                [4] * m,
+                [0] * m,
+            ]
+            for _ in range(4):
+                inst = Instance.of([rng.choice(rows) for _ in range(n)])
+                for _ in range(6):
+                    # Owners come from a random subset, so some bundles stay empty.
+                    holders = rng.sample(range(n), rng.randint(1, n))
+                    owners = [rng.choice(holders) for _ in range(m)]
+                    yield inst, Allocation.of(
+                        [[j for j in range(m) if owners[j] == i] for i in range(n)]
+                    )
+
+
+def test_check_reports_are_pinned():
+    records = []
+    for inst, allocation in _report_corpus():
+        records.append([check(inst, allocation, notion).to_json_dict() for notion in Notion])
+        records.append(adjusted_profile(inst, allocation).to_json_dict())
+        records.append(envy_graph(inst, allocation).to_json_dict())
+    text = json.dumps(records, sort_keys=True)
+    assert len(records) == 3 * 5 * 8 * 4 * 6
+    assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == "4bc7bb4c77f6e2f223e88afb3eeb978c"
