@@ -14,10 +14,8 @@ from .core import (
     Instance,
     InvariantViolationError,
     ResourceBudgetError,
-    Share,
     UnsupportedSizeError,
     restrict,
-    share_compare,
     value_of,
 )
 from .cpsets import CpLadder, cp_bundle, cp_ladder, validate_ladder
@@ -78,7 +76,6 @@ __all__ = [
     "InvariantViolationError",
     "Notion",
     "ResourceBudgetError",
-    "Share",
     "UnsupportedSizeError",
     "adjusted_profile",
     "check",
@@ -101,7 +98,6 @@ __all__ = [
     "reduce_big_items",
     "replay_certificate",
     "restrict",
-    "share_compare",
     "solve2",
     "solve3",
     "solve4",

@@ -127,9 +127,6 @@ class Allocation:
     def n(self) -> int:
         return len(self.bundles)
 
-    def bundle_of(self, agent: int) -> Bundle:
-        return self.bundles[agent]
-
     def owners(self, m: int) -> tuple[int, ...]:
         """Item index -> owning agent. Raises if the allocation is not a partition of 0..m-1."""
         owner = [-1] * m
@@ -161,30 +158,6 @@ class Allocation:
         if not isinstance(bundles, list):
             raise InputError("'bundles' must be a list of item-index lists")
         return cls.of(bundles)
-
-
-@dataclass(frozen=True)
-class Share:
-    """An exact rational threshold, e.g. total/n or (3/5)*total."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
-            raise InputError(f"denominator must be positive, got {self.denominator}")
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
-def share_compare(lhs_value: int, rhs: Share) -> int:
-    """Exact sign of lhs_value - rhs, by cross-multiplication: -1, 0 or +1.
-
-    Python integers are unbounded, so intermediates never overflow.
-    """
-    diff = lhs_value * rhs.denominator - rhs.numerator
-    return (diff > 0) - (diff < 0)
 
 
 @dataclass(frozen=True)
@@ -221,9 +194,6 @@ class Instance:
     @cached_property
     def totals(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.values)
-
-    def total(self, agent: int) -> int:
-        return self.totals[agent]
 
     def all_items(self) -> Bundle:
         return Bundle(tuple(range(self.m)))

@@ -26,7 +26,7 @@ from .core import Bundle, InputError, Instance, ResourceBudgetError, value_of
 DP_SUM_LIMIT = 2_000_000
 # Meet-in-the-middle enumerates 2^(m/2) subsets per half.
 MITM_ITEM_LIMIT = 34
-# Distinct (values, cap, strategy) queries the CP memo keeps. A solve and the
+# Distinct (values, cap) queries the CP memo keeps. A solve and the
 # verification of its certificate ask about ten between them.
 CP_MEMO_SIZE = 64
 
@@ -53,23 +53,18 @@ class CpLadder:
             items = items + rung.items
         return Bundle.of(items)
 
-    def to_json_dict(self) -> dict:
-        return {"divider": self.divider, "rungs": [list(r.items) for r in self.rungs]}
-
 
 @lru_cache(maxsize=CP_MEMO_SIZE)
-def _best_subset(vals: tuple[int, ...], cap: int, strategy: str | None = None):
+def _best_subset(vals: tuple[int, ...], cap: int):
     """(value, cardinality, reversed-bit mask) of the best subset with sum <= cap.
 
     Bit (len(vals)-1-p) represents position p, so among equal-cardinality
     witnesses the numerically largest mask is the lexicographically smallest
     sorted position list.
 
-    ``strategy`` picks the kernel, "dp" (``cp_table``) or "mitm"
-    (``cp_mitm``); by default the DP runs when its table fits DP_SUM_LIMIT
-    and meet-in-the-middle otherwise. Either way a DP past DP_SUM_LIMIT or a
-    meet-in-the-middle past MITM_ITEM_LIMIT items raises ResourceBudgetError
-    before anything is allocated.
+    The DP (``cp_table``) runs when its table fits DP_SUM_LIMIT, else
+    meet-in-the-middle (``cp_mitm``) up to MITM_ITEM_LIMIT items; anything
+    past both raises ResourceBudgetError before anything is allocated.
 
     The answer is a pure function of the arguments, so the last CP_MEMO_SIZE
     queries are memoised. A solver sub-instance and the verifier's original
@@ -79,31 +74,17 @@ def _best_subset(vals: tuple[int, ...], cap: int, strategy: str | None = None):
     m = len(vals)
     if m == 0:
         return 0, 0, 0
-    if strategy is None:
-        strategy = "dp" if cap + 1 <= DP_SUM_LIMIT else "mitm"
-    if strategy == "dp":
-        if cap + 1 > DP_SUM_LIMIT:
-            raise ResourceBudgetError(
-                f"CP table with value cap {cap} exceeds the DP limit {DP_SUM_LIMIT}"
-            )
+    if cap + 1 <= DP_SUM_LIMIT:
         return _kernels.cp_table(vals, cap)
-    if strategy == "mitm":
-        if m > MITM_ITEM_LIMIT:
-            raise ResourceBudgetError(
-                f"CP bundle over {m} items with value cap {cap} is out of reach "
-                f"(DP limit {DP_SUM_LIMIT}, meet-in-the-middle limit {MITM_ITEM_LIMIT} items)"
-            )
+    if m <= MITM_ITEM_LIMIT:
         return _kernels.cp_mitm(vals, cap)
-    raise InputError(f"unknown CP strategy {strategy!r}")
+    raise ResourceBudgetError(
+        f"CP bundle over {m} items with value cap {cap} is out of reach "
+        f"(DP limit {DP_SUM_LIMIT}, meet-in-the-middle limit {MITM_ITEM_LIMIT} items)"
+    )
 
 
-def cp_bundle(
-    inst: Instance,
-    agent: int,
-    k: int,
-    base: Bundle,
-    strategy: str | None = None,
-) -> Bundle:
+def cp_bundle(inst: Instance, agent: int, k: int, base: Bundle) -> Bundle:
     """The CP bundle for ``agent`` with parameter ``k`` over base set ``base``.
 
     Deterministic: value-maximal subject to k*v(B) <= v(base), then
@@ -121,7 +102,7 @@ def cp_bundle(
     vals = tuple(row[j] for j in items)
     total = sum(vals)
     cap = total // k
-    _, _, mask = _best_subset(vals, cap, strategy=strategy)
+    _, _, mask = _best_subset(vals, cap)
     m = len(items)
     chosen = tuple(items[p] for p in range(m) if (mask >> (m - 1 - p)) & 1)
     return Bundle(chosen)

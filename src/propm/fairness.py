@@ -1,7 +1,9 @@
 """Per-agent verifiers for every supported fairness notion, with exact slacks.
 
 All comparisons are agent-relative and weak (>=): an agent with total 0 is
-vacuously satisfied by every notion. Conventions for empty bundles:
+vacuously satisfied by every notion. Each notion is one integer test per
+agent, so each slack is an integer numerator over a positive denominator.
+Conventions for empty bundles:
 
 * the minimum over an empty bundle is undefined and the bundle is skipped
   when computing the maximin bonus and EF1/EFx envy terms (envy toward an
@@ -114,32 +116,85 @@ def min_item(inst: Instance, agent: int, bundle: Bundle) -> int | None:
 
 def maximin_value(inst: Instance, agent: int, allocation: Allocation) -> int:
     """Best per-bundle minimum over the other agents' non-empty bundles (0 if none)."""
+    if not 0 <= agent < inst.n:
+        raise InputError(f"agent index {agent} out of range for n={inst.n}")
     allocation.validate_for(inst)
-    best = 0
-    for k, bundle in enumerate(allocation.bundles):
-        if k == agent or not bundle:
-            continue
-        m = min_item(inst, agent, bundle)
-        if m is not None and m > best:
-            best = m
-    return best
+    return _maximin(_bundle_view(inst, agent, allocation)[1])
 
 
-def _per_agent_bonus_and_extras(inst, agent, allocation):
-    """(own value, per-other bundle stats) shared by the verifiers."""
+def _bundle_view(
+    inst: Instance, agent: int, allocation: Allocation
+) -> tuple[int, dict[int, list[int]]]:
+    """The agent's own value, and her item values in each other bundle, in agent order.
+
+    The allocation must already be valid for the instance.
+    """
     row = inst.values[agent]
-    own = sum(row[j] for j in allocation.bundles[agent].items)
-    others = []
+    own = 0
+    others = {}
     for k, bundle in enumerate(allocation.bundles):
         if k == agent:
-            continue
-        vals = [row[j] for j in bundle.items]
-        others.append((k, sum(vals), min(vals) if vals else None, max(vals) if vals else None))
+            own = sum(row[j] for j in bundle.items)
+        else:
+            others[k] = [row[j] for j in bundle.items]
     return own, others
 
 
-def _threshold_slack(own_plus_bonus: Fraction, total: int, n: int) -> Fraction:
-    return own_plus_bonus - Fraction(total, n)
+def _maximin(others: dict[int, list[int]]) -> int:
+    """The maximin-item bonus: the best least item over the non-empty other bundles."""
+    return max((min(vals) for vals in others.values() if vals), default=0)
+
+
+def _efx_gaps(own: int, others: dict[int, list[int]]) -> dict[int, int]:
+    """own - (v(X_k) - least item of X_k) for every non-empty other bundle X_k."""
+    return {k: own - sum(vals) + min(vals) for k, vals in others.items() if vals}
+
+
+def _slack(
+    inst: Instance, agent: int, allocation: Allocation, notion: Notion, budget: int | None
+) -> tuple[int, int]:
+    """The agent's slack under the notion as (numerator, denominator > 0).
+
+    Every notion is one integer test, numerator >= 0: the proportionality
+    family compares n * (own + bonus) with the agent's total, the envy
+    notions compare own with the worst envy term.
+    """
+    n, total = inst.n, inst.totals[agent]
+    own, others = _bundle_view(inst, agent, allocation)
+    if notion is Notion.EF:
+        return min((own - sum(vals) for vals in others.values()), default=0), 1
+    if notion is Notion.EFX:
+        return min(_efx_gaps(own, others).values(), default=0), 1
+    if notion is Notion.MMS:
+        return own - mms_value(inst, agent, budget=budget), 1
+    bundles = [vals for vals in others.values() if vals]
+    if notion is Notion.EF1:
+        return min((own - sum(vals) + max(vals) for vals in bundles), default=0), 1
+    if notion is Notion.AEFX:
+        return n * own + sum(min(vals) for vals in bundles) - total, n
+    if notion is Notion.PROP1:
+        bonus = max((max(vals) for vals in bundles), default=0)
+    elif notion is Notion.PROPX:
+        bonus = min((min(vals) for vals in bundles), default=0)
+    elif notion is Notion.PROPM:
+        bonus = _maximin(others)
+    elif notion is Notion.ALT_MINIMAX:
+        bonus = min((max(vals, default=0) for vals in others.values()), default=0)
+    elif notion is Notion.PROP:
+        bonus = 0
+    else:
+        # ALT_MEAN, ALT_MEDIAN and ALT_MODE read the items the others own.
+        rest = [v for vals in bundles for v in vals]
+        if not rest:
+            bonus = 0
+        elif notion is Notion.ALT_MEAN:
+            k = len(rest)
+            return n * k * own + n * sum(rest) - k * total, n * k
+        elif notion is Notion.ALT_MEDIAN:
+            bonus = sorted(rest)[(len(rest) - 1) // 2]
+        else:
+            bonus = _smallest_mode(rest)
+    return n * (own + bonus) - total, n
 
 
 def check(
@@ -154,65 +209,11 @@ def check(
     bounds that enumeration.
     """
     allocation.validate_for(inst)
-    n = inst.n
     verdicts = []
-    for i in range(n):
-        total = inst.totals[i]
-        own, others = _per_agent_bonus_and_extras(inst, i, allocation)
-        nonempty = [(val, mn, mx) for (_, val, mn, mx) in others if mn is not None]
-
-        if notion is Notion.PROP:
-            slack = _threshold_slack(Fraction(own), total, n)
-        elif notion is Notion.PROP1:
-            bonus = max((mx for (_, mn, mx) in nonempty), default=0)
-            slack = _threshold_slack(Fraction(own + bonus), total, n)
-        elif notion is Notion.PROPX:
-            bonus = min((mn for (_, mn, mx) in nonempty), default=0)
-            slack = _threshold_slack(Fraction(own + bonus), total, n)
-        elif notion is Notion.PROPM:
-            bonus = max((mn for (_, mn, mx) in nonempty), default=0)
-            slack = _threshold_slack(Fraction(own + bonus), total, n)
-        elif notion is Notion.EF:
-            slack = Fraction(min((own - val for (_, val, _, _) in others), default=0))
-        elif notion is Notion.EF1:
-            slack = Fraction(min((own - (val - mx) for (val, _, mx) in nonempty), default=0))
-        elif notion is Notion.EFX:
-            slack = Fraction(min((own - (val - mn) for (val, mn, _) in nonempty), default=0))
-        elif notion is Notion.AEFX:
-            bonus = Fraction(sum(mn for (_, mn, _) in nonempty), n)
-            slack = _threshold_slack(own + bonus, total, n)
-        elif notion is Notion.MMS:
-            slack = Fraction(own - mms_value(inst, i, budget=budget))
-        elif notion is Notion.ALT_MEAN:
-            rest_vals = _rest_values(inst, i, allocation)
-            bonus = Fraction(sum(rest_vals), len(rest_vals)) if rest_vals else Fraction(0)
-            slack = _threshold_slack(own + bonus, total, n)
-        elif notion is Notion.ALT_MEDIAN:
-            rest_vals = _rest_values(inst, i, allocation)
-            bonus = sorted(rest_vals)[(len(rest_vals) - 1) // 2] if rest_vals else 0
-            slack = _threshold_slack(Fraction(own + bonus), total, n)
-        elif notion is Notion.ALT_MODE:
-            rest_vals = _rest_values(inst, i, allocation)
-            bonus = _smallest_mode(rest_vals) if rest_vals else 0
-            slack = _threshold_slack(Fraction(own + bonus), total, n)
-        elif notion is Notion.ALT_MINIMAX:
-            bonus = 0
-            if n > 1:
-                per_bundle = [
-                    (mx if mx is not None else 0) for (_, _, mn, mx) in others
-                ]
-                bonus = min(per_bundle)
-            slack = _threshold_slack(Fraction(own + bonus), total, n)
-        else:  # pragma: no cover - closed enumeration
-            raise InputError(f"unhandled notion {notion}")
-        verdicts.append(AgentVerdict(satisfied=slack >= 0, slack=slack))
+    for i in range(inst.n):
+        num, den = _slack(inst, i, allocation, notion, budget)
+        verdicts.append(AgentVerdict(satisfied=num >= 0, slack=Fraction(num, den)))
     return FairnessReport(notion=notion, per_agent=tuple(verdicts))
-
-
-def _rest_values(inst, agent, allocation):
-    owned = set(allocation.bundles[agent].items)
-    row = inst.values[agent]
-    return [row[j] for j in range(inst.m) if j not in owned]
 
 
 def _smallest_mode(values):

@@ -26,7 +26,7 @@ from .core import (
     fraction_str,
     require_budget,
 )
-from .fairness import maximin_value
+from .fairness import _bundle_view, _efx_gaps, _maximin
 from .oracle import allocation_from_index
 
 
@@ -97,9 +97,8 @@ def adjusted_profile(inst: Instance, allocation: Allocation) -> AdjustedProfile:
     n = inst.n
     values = []
     for i in range(n):
-        own = sum(inst.values[i][j] for j in allocation.bundles[i].items)
-        d = maximin_value(inst, i, allocation)
-        values.append(Fraction(own) + Fraction((n - 1) * d, n))
+        own, others = _bundle_view(inst, i, allocation)
+        values.append(Fraction(n * own + (n - 1) * _maximin(others), n))
     return AdjustedProfile(tuple(values))
 
 
@@ -143,18 +142,11 @@ def _int_profile_less(current: np.ndarray, candidate: np.ndarray) -> bool:
 def envy_graph(inst: Instance, allocation: Allocation) -> EnvyGraph:
     """Edges i -> j where i strictly envies j up to j's least item (strict EFx envy)."""
     allocation.validate_for(inst)
-    n = inst.n
     edges = []
-    for i in range(n):
-        row = inst.values[i]
-        own = sum(row[j] for j in allocation.bundles[i].items)
-        for k in range(n):
-            if k == i or not allocation.bundles[k]:
-                continue
-            vals = [row[j] for j in allocation.bundles[k].items]
-            if sum(vals) - min(vals) > own:
-                edges.append((i, k))
-    return EnvyGraph(n=n, edges=tuple(edges))
+    for i in range(inst.n):
+        gaps = _efx_gaps(*_bundle_view(inst, i, allocation))
+        edges.extend((i, k) for k, gap in gaps.items() if gap < 0)
+    return EnvyGraph(n=inst.n, edges=tuple(edges))
 
 
 def cycle_swap(inst: Instance, allocation: Allocation) -> Allocation | None:

@@ -660,7 +660,9 @@ def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
         agents=tuple(range(inst.n)), items=tuple(range(inst.m)), steps=(*red.steps, *steps)
     )
     allocation = _assemble(inst, assignment)
-    _verify_propm(inst, certificate.agents, certificate.items, assignment, "solve_propm")
+    if red.steps:
+        # With no reduction the top level above already checked this very split.
+        _verify_propm(inst, certificate.agents, certificate.items, assignment, "solve_propm")
     return allocation, certificate
 
 
@@ -800,9 +802,7 @@ def replay_certificate(inst: Instance, cert: Certificate) -> Allocation:
 
     Raises CertificateError when any recorded fact fails to recompute.
     """
-    mapping = _replay(inst, cert)
-    bundles = tuple(Bundle(tuple(sorted(mapping.get(i, ())))) for i in range(inst.n))
-    return Allocation(bundles)
+    return _assemble(inst, _replay(inst, cert))
 
 
 def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate) -> bool:

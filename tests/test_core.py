@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +9,13 @@ from propm import (
     Instance,
     Notion,
     ResourceBudgetError,
-    Share,
     enumerate_allocations,
     exists,
     implication_audit,
     leximin_max,
+    maximin_value,
     mms_value,
     restrict,
-    share_compare,
     value_of,
 )
 
@@ -38,32 +35,13 @@ def test_value_of_eps_ones(i_eps):
 def test_value_of_bad_agent(i_cp):
     with pytest.raises(InputError):
         value_of(i_cp, 1, Bundle())
+    with pytest.raises(InputError):
+        maximin_value(Instance.of([[], []]), 5, Allocation.of([[], []]))
 
 
 def test_value_of_bad_item(i_cp):
     with pytest.raises(InputError):
         value_of(i_cp, 0, Bundle.of({4}))
-
-
-def test_share_compare_examples():
-    assert share_compare(33, Share(100, 3)) == -1
-    assert share_compare(34, Share(100, 3)) == 1
-    assert share_compare(50, Share(100, 2)) == 0
-
-
-def test_share_requires_positive_denominator():
-    with pytest.raises(InputError):
-        Share(1, 0)
-
-
-@given(
-    lhs=st.integers(min_value=-(2**31), max_value=2**31),
-    num=st.integers(min_value=-(2**31), max_value=2**31),
-    den=st.integers(min_value=1, max_value=2**31),
-)
-def test_share_compare_matches_fractions(lhs, num, den):
-    expected = (lhs > Fraction(num, den)) - (lhs < Fraction(num, den))
-    assert share_compare(lhs, Share(num, den)) == expected
 
 
 def test_bundle_rejects_duplicates_and_disorder():

@@ -124,9 +124,7 @@ def test_cp_strategies_agree():
         inst = random_instance(1, m, 60, seed=500 + s)
         vals = tuple(inst.values[0])
         cap = sum(vals) // (2 + s % 3)
-        assert _best_subset(vals, cap, strategy="dp") == _best_subset(
-            vals, cap, strategy="mitm"
-        ), (s, vals, cap)
+        assert _kernels.cp_table(vals, cap) == _kernels.cp_mitm(vals, cap), (s, vals, cap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,10 +139,10 @@ def test_cp_strategies_agree():
 def test_cp_dp_matches_brute_force_and_mitm(vals, cap_frac):
     vals = tuple(vals)
     cap = int(sum(vals) * cap_frac)
-    got = _best_subset(vals, cap, strategy="dp")
+    got = _kernels.cp_table(vals, cap)
     value, card, combo = brute_force_best(vals, cap)
     assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
-    assert got == _best_subset(vals, cap, strategy="mitm")
+    assert got == _kernels.cp_mitm(vals, cap)
 
 
 def test_cp_dp_handles_many_items():
@@ -159,7 +157,7 @@ def test_cp_dp_handles_many_items():
         # Values up to 30 over 63+ items repeat often; two zeros are spliced in.
         vals = vals[:5] + (0, 0) + vals[5 : m - 2]
         cap = sum(vals) // (2 + s % 3)
-        assert _best_subset(vals, cap, strategy="dp") == reference_dp(vals, cap), s
+        assert _kernels.cp_table(vals, cap) == reference_dp(vals, cap), s
 
 
 def _walk_reads(vals, positions):
@@ -187,7 +185,7 @@ def _walk_reads(vals, positions):
 def test_cp_dp_suffix_bound_edge_cases(vals):
     # Caps run past the whole sum, so the later ones are at least every suffix sum.
     for cap in range(sum(vals) + 3):
-        got = _best_subset(vals, cap, strategy="dp")
+        got = _kernels.cp_table(vals, cap)
         value, card, combo = brute_force_best(vals, cap)
         assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo), cap
 
@@ -210,7 +208,7 @@ def test_cp_dp_walk_reads_the_last_cell_of_truncated_rows(vals, cap):
         i == sum(windows[p]) - 1 and sum(windows[p]) < cap + 1 - vals[p]
         for p, i in _walk_reads(vals, combo)
     )
-    got = _best_subset(vals, cap, strategy="dp")
+    got = _kernels.cp_table(vals, cap)
     assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
 
 
@@ -223,7 +221,7 @@ def test_cp_dp_walk_reads_the_first_cell_of_windows_cut_from_below():
     assert _kernels._take_windows(list(vals), cap) == (10, [(9, 1), (7, 2), (0, 3), (0, 1)])
     assert combo == (0, 3)
     assert (1, 7) in _walk_reads(vals, combo)
-    got = _best_subset(vals, cap, strategy="dp")
+    got = _kernels.cp_table(vals, cap)
     assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
 
 
@@ -359,7 +357,7 @@ def test_cp_mitm_at_the_item_limit():
     vals = (v,) * MITM_ITEM_LIMIT
     mask = ((1 << 11) - 1) << (MITM_ITEM_LIMIT - 11)
     assert _kernels.cp_mitm(vals, 11 * v) == (11 * v, 11, mask)
-    # The default strategy takes meet-in-the-middle: the cap is past the DP limit.
+    # cp_bundle takes meet-in-the-middle: the cap is past the DP limit.
     inst = Instance.of([vals])
     assert cp_bundle(inst, 0, 3, inst.all_items()).items == tuple(range(11))
 
@@ -369,16 +367,16 @@ def test_cp_bundle_skips_an_item_past_int64_under_a_dp_cap():
     assert cp_bundle(inst, 0, 10**15, inst.all_items()).items == (1, 2)
 
 
-@pytest.mark.parametrize(
-    "vals, cap, strategy",
-    [((5, 3, 2), 10**9, "dp"), ((1,) * 60, 30, "mitm")],
-)
-def test_explicit_cp_strategy_keeps_the_size_limits(vals, cap, strategy):
-    # A 10^9 DP row or 2^30 meet-in-the-middle states are refused up front.
+def test_cp_past_both_limits_is_refused_up_front():
+    # The cap is past the DP limit and the item count one past the
+    # meet-in-the-middle limit: refused before anything is allocated.
+    vals = (10**6,) * (MITM_ITEM_LIMIT + 1)
+    assert sum(vals) // 2 + 1 > DP_SUM_LIMIT
+    inst = Instance.of([vals])
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="limit"):
-            _best_subset(vals, cap, strategy=strategy)
+            cp_bundle(inst, 0, 2, inst.all_items())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

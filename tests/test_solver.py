@@ -451,6 +451,39 @@ def test_certificates_are_pinned(lemma):
     assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
 
 
+def _levels(cert):
+    """Solver levels of two or more agents in a certificate: one ladder each."""
+    count = 0
+    for step in cert.steps:
+        if isinstance(step, LadderBuilt):
+            count += 1
+        elif isinstance(step, SubSplit):
+            count += _levels(step.certificate)
+    return count
+
+
+def test_solver_checks_each_split_once(monkeypatch, i_eps):
+    from propm import solver
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "check", spy)
+    # No reduction fires: the top level's check already covers the whole split.
+    inst = Instance.of(_PINNED["n5.cAE=1"][0])
+    assert not reduce_big_items(inst).steps
+    _, certificate = solve_propm(inst)
+    assert len(calls) == _levels(certificate) == 4
+    # A reduction fires: one more check over the final allocation.
+    calls.clear()
+    assert reduce_big_items(i_eps).steps
+    _, certificate = solve_propm(i_eps)
+    assert len(calls) == _levels(certificate) + 1 == 2
+
+
 def test_solver_handles_zero_valuations():
     inst = Instance.of([[0, 0, 0], [5, 5, 5], [1, 2, 3]])
     _assert_solved(inst, solve3(inst))
