@@ -383,6 +383,30 @@ def test_cp_past_both_limits_is_refused_up_front():
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize(
+    "vals, cap, strategy",
+    [((5, 3, 2), 10**9, "dp"), ((1,) * 60, 30, "mitm")],
+)
+def test_explicit_cp_strategy_keeps_the_size_limits(vals, cap, strategy, monkeypatch):
+    # A 10^9 DP row or 2^30 meet-in-the-middle states are never built: the
+    # kernel past its limit is not called, and the other one answers.
+    def refuse(*args):
+        raise AssertionError(f"{strategy} kernel called past its limit")
+
+    expected = {"dp": _kernels.cp_mitm, "mitm": _kernels.cp_table}[strategy](vals, cap)
+    monkeypatch.setattr(_kernels, {"dp": "cp_table", "mitm": "cp_mitm"}[strategy], refuse)
+    _best_subset.cache_clear()
+    tracemalloc.start()
+    try:
+        got = _best_subset(vals, cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _best_subset.cache_clear()
+    assert got == expected
+    assert peak < 4 << 20
+
+
 def test_cp_memo_stays_bounded():
     vals = (5, 3, 2, 7)
     for cap in range(CP_MEMO_SIZE + 10):
