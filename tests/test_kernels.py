@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import propm._kernels as kernels
 from propm import Instance, InputError, Notion, adjusted_profile, check, mms_value
 from propm.fairness import _NOTION_CODES
-from propm.oracle import allocation_from_index, random_instance
+from propm.leximin import leximin_max
+from propm.oracle import FIRST_WINDOW, allocation_from_index, random_instance
 
 
 def _arrays(inst):
@@ -104,6 +105,68 @@ def test_masks_match_checker_on_windows_and_subsets(n, m):
                 assert got == wanted, (start, count, want, t, notion)
 
 
+@pytest.mark.parametrize("n", [10, 16])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_masks_match_checker_for_wide_agent_counts(n, m):
+    """The agent counts of the exists workload's wide slice, with zeros, ties
+    and identical rows, on the early-exit window schedule: every allocation
+    next to the first window's start and to the window boundaries at 256
+    and 768, and the last few."""
+    rng = random.Random(n * 10 + m)
+    rows = [[rng.choice((0, 0, 1, 2, 2, 7)) for _ in range(m)] for _ in range(n - 3)]
+    rows += [list(rows[0]), list(rows[0]), [0] * m]
+    inst = Instance.of(rows)
+    values, totals = _arrays(inst)
+    mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
+    total = n**m
+    edges = (0, FIRST_WINDOW, 3 * FIRST_WINDOW, total)
+    near = sorted({t for edge in edges for t in range(edge - 5, edge + 5) if 0 <= t < total})
+    plan = kernels.ScanPlan(values, n, kernels.scan_chunk(n))
+    for start, count in plan.windows(0, total, FIRST_WINDOW):
+        inside = [t for t in near if start <= t < start + count]
+        if inside:
+            masks = kernels.notion_masks(values, totals, mms, start, count, plan=plan)
+            for t in inside:
+                _assert_masks(masks[t - start : t - start + 1], inst, t)
+
+
+# Alt-median and alt-mode edge cases: no items, one agent owning every item,
+# a row of equal values (one run), zeros, and two equally frequent values
+# among an even count of the others' items (lower median, smaller mode).
+ALT_EDGES = [
+    [[]],
+    [[], [], []],
+    [[3, 1, 2]],
+    [[2, 2, 2, 2], [2, 2, 2, 2]],
+    [[0, 0, 0], [1, 0, 1], [0, 0, 0]],
+    [[1, 1, 5, 5, 4], [0, 3, 3, 0, 1]],
+    [[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 2, 9, 9, 1, 1]],
+]
+_ALT_BITS = (1 << kernels.ALT_MEDIAN, 1 << kernels.ALT_MODE)
+
+
+@pytest.mark.parametrize("rows", ALT_EDGES)
+@pytest.mark.parametrize("want", [_ALT_BITS[0] | _ALT_BITS[1], *_ALT_BITS])
+def test_alt_median_and_mode_edge_cases(rows, want):
+    inst = Instance.of(rows)
+    values, totals = _arrays(inst)
+    mms = np.full(inst.n, -1, np.int64)
+    total = inst.n**inst.m
+    _assert_masks(kernels.notion_masks(values, totals, mms, 0, total, want=want), inst, 0, want)
+
+
+def test_alt_median_and_mode_take_the_smaller_of_two_candidates():
+    # Agent 0 holds item 4 (worth 4 of 16) at index 15; the others hold
+    # 1, 1, 5, 5. The lower median and the smaller mode are 1, so
+    # 2 * (4 + 1) < 16 fails where the upper median or larger mode, 5, passes.
+    inst = Instance.of([[1, 1, 5, 5, 4], [0, 3, 3, 0, 1]])
+    values, totals = _arrays(inst)
+    masks = kernels.notion_masks(values, totals, np.full(2, -1, np.int64), 15, 1)
+    assert int(masks[0, 0]) & (_ALT_BITS[0] | _ALT_BITS[1]) == 0
+    for notion in (Notion.ALT_MEDIAN, Notion.ALT_MODE):
+        assert not check(inst, allocation_from_index(2, 5, 15), notion).per_agent[0].satisfied
+
+
 def test_agent_blocks_and_small_windows_give_the_same_masks(monkeypatch):
     """Splitting agents into blocks, planning for windows too small for a
     low or mid half (so every high row is computed from its top items) and
@@ -155,6 +218,42 @@ def test_leximin_scan_matches_python_scan(values):
         assert index == ref_index, (start, count)
         # integer profile is n * adjusted value
         assert [int(p) for p in profile] == [int(inst.n * v) for v in ref]
+
+
+# Tie-heavy instances: many allocations share the leximin-best profile.
+LEXIMIN_TIES = [
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[3, 1, 2], [3, 1, 2], [3, 1, 2]],
+    [[2, 2, 2, 2], [2, 2, 2, 2]],
+]
+
+
+@pytest.mark.parametrize("values", LEXIMIN_TIES)
+def test_leximin_scan_keeps_the_first_index_on_every_window_of_a_tie(values):
+    inst = Instance.of(values)
+    arr, totals = _arrays(inst)
+    total = inst.n**inst.m
+    profiles = [
+        adjusted_profile(inst, allocation_from_index(inst.n, inst.m, t)).ascending
+        for t in range(total)
+    ]
+    plan = kernels.ScanPlan(arr, inst.n, total)
+    for start in range(total):
+        for stop in range(start + 1, total + 1):
+            best = max(profiles[start:stop])
+            index, profile = kernels.leximin_scan(arr, totals, start, stop - start, plan=plan)
+            assert index == profiles.index(best, start), (start, stop)
+            assert [int(p) for p in profile] == [int(inst.n * v) for v in best]
+
+
+@pytest.mark.parametrize("values", LEXIMIN_TIES)
+def test_leximin_max_keeps_the_first_index_across_small_windows(monkeypatch, values):
+    monkeypatch.setattr(kernels, "CHUNK", 3)
+    inst = Instance.of(values)
+    ref_index, ref = _python_leximin(inst, 0, inst.n**inst.m)
+    allocation, profile = leximin_max(inst)
+    assert allocation == allocation_from_index(inst.n, inst.m, ref_index)
+    assert profile.ascending == ref
 
 
 @pytest.mark.parametrize("n, m", [(1, 4), (2, 0), (2, 5), (3, 4), (4, 3), (5, 2)])

@@ -384,12 +384,19 @@ def test_exists_matches_first_index_reference(inst):
 
 
 @pytest.mark.parametrize(
-    "notion, found, checked", [(Notion.EF, False, 91125), (Notion.EFX, True, 48)]
+    "notion, found, checked",
+    [
+        (Notion.EF, False, 91125),
+        (Notion.EFX, True, 48),
+        (Notion.ALT_MEDIAN, True, 1),
+        (Notion.ALT_MODE, True, 51964),
+    ],
 )
 def test_scan_memory_stays_bounded_at_45_agents(notion, found, checked):
     """45 agents: a window holds 690 allocations of 45 x 45 statistics, and
     the plan keeps only half tables at most one window wide (no table of all
-    45^2 high assignments)."""
+    45^2 high assignments). Alt-median and alt-mode keep their [agent,
+    allocation] arrays within the same bound."""
     inst = random_instance(45, 3, 100, 7)
     tracemalloc.start()
     try:
