@@ -14,9 +14,10 @@ assignments of each half: per agent and bundle the value, least and
 greatest item, each agent's own-bundle value and the bundle sizes. A window
 of allocations then combines a low row with a high row by one broadcast
 add, min or max, the meet-in-the-middle idea ``cp_mitm`` uses for CP
-bundles. Only alt-median and alt-mode, which do not split across
-halves, decode owner digits. Each kernel computes only the statistics its
-requested notions read.
+bundles. Alt-median and alt-mode do not split across halves: they decode
+the window's owner digits once and score every agent in one walk over
+each agent's items in value order. Each kernel computes only the
+statistics its requested notions read.
 
 Each scan builds one ``ScanPlan``. It fixes h as m // 2, lowered while n^h
 exceeds the scan's window (``scan_chunk``), and builds each statistic's
@@ -463,10 +464,14 @@ class ScanPlan:
 
 
 def _decode_owners(n, m, start, count):
+    """[item, allocation] owner digits of allocations start..start+count-1.
+
+    The digits take the narrowest unsigned dtype that holds n - 1.
+    """
     idx = np.arange(start, start + count, dtype=np.int64)
-    owners = np.empty((count, m), np.int64)
+    owners = np.empty((m, count), np.min_scalar_type(max(n - 1, 0)))
     for j in range(m):
-        owners[:, j] = idx % n
+        owners[j] = idx % n
         idx //= n
     return owners
 
@@ -519,12 +524,14 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None)
     own = plan.window("own", slice(None), start, count)[0]
     put(PROP, n * own >= totals)
     put(MMS, (own >= mms[:, None]) & (mms[:, None] >= 0))
-    if want >> ALT_MEAN & 1:
+    if want & (1 << ALT_MEAN | _REST_NOTIONS):
+        # Items the others own, [agent, allocation].
         cnt = m - plan.window("size", slice(None), start, count)[0]
+    if want >> ALT_MEAN & 1:
         mean_ok = n * (own * cnt + (totals - own)) >= cnt * totals
         put(ALT_MEAN, np.where(cnt == 0, n * own >= totals, mean_ok))
     if want & _REST_NOTIONS:
-        _rest_notions(values, totals, own, start, count, want, put)
+        _rest_notions(values, totals, own, cnt, start, count, want, put)
     if want & (_VAL_NOTIONS | _MAX_NOTIONS | _MIN_NOTIONS):
         for agents in plan.blocks:
             _bundle_notions(plan, totals[agents], own[agents], start, count, want, agents, put)
@@ -574,35 +581,49 @@ def _bundle_notions(plan, total, own, start, count, want, agents, put):
             put(EFX, (val - mn <= own).all(axis=0), agents)
 
 
-def _rest_notions(values, totals, own, start, count, want, put):
+def _rest_notions(values, totals, own, cnt, start, count, want, put):
     """Alt-median and alt-mode: bonuses from the items the other agents own.
 
-    Each agent's items are sorted by value once; per allocation a mask over
-    that order marks the items others own, so no row is sorted.
+    ``cnt`` is the number of items the others own, [agent, allocation].
+    Each agent's items are ranked by value once; one walk over the m ranked
+    positions then scores every agent on [agent, allocation] rows. At
+    position p a running count of the others' items marks the lower median,
+    the ((cnt+1)//2)-th of them, and a run count, reset where the agent's
+    value changes, finds the smallest mode: values ascend, so the first run
+    longer than every earlier one wins a tie. Where the others own no item,
+    both bonuses stay 0.
     """
     n, m = values.shape
-    if not m:
-        put(ALT_MEDIAN, n * own >= totals)
-        put(ALT_MODE, n * own >= totals)
-        return
+    order = np.argsort(values, axis=1, kind="stable")  # [agent, position]
+    ranked = np.take_along_axis(values, order, axis=1)
     owners = _decode_owners(n, m, start, count)
-    for i in range(n):
-        order = np.argsort(values[i], kind="stable")
-        ranked = values[i][order]
-        others = owners[:, order] != i
-        cnt = others.sum(axis=1)
-        if want >> ALT_MEDIAN & 1:
-            # The median is the ((cnt-1)//2)-th of the others' items.
-            seen = np.cumsum(others, axis=1)
-            median = ranked[(seen > ((cnt - 1) // 2)[:, None]).argmax(axis=1)]
-            put(ALT_MEDIAN, n * (own[i] + np.where(cnt > 0, median, 0)) >= totals[i], i)
-        if want >> ALT_MODE & 1:
-            # Items of equal value are adjacent; the first most frequent
-            # value among the others' items is the smallest mode.
-            first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-            freq = np.add.reduceat(others, first, axis=1, dtype=np.int64)
-            mode = ranked[first][freq.argmax(axis=1)]
-            put(ALT_MODE, n * (own[i] + np.where(cnt > 0, mode, 0)) >= totals[i], i)
+    agents = np.arange(n, dtype=owners.dtype)[:, None]
+    tally = np.min_scalar_type(m)
+    median_bit, mode_bit = want >> ALT_MEDIAN & 1, want >> ALT_MODE & 1
+    if median_bit:
+        median = np.zeros((n, count), values.dtype)
+        seen = np.zeros((n, count), tally)
+        target = ((cnt + 1) // 2).astype(tally)
+    if mode_bit:
+        mode = np.zeros((n, count), values.dtype)
+        run = np.zeros((n, count), tally)
+        longest = np.zeros((n, count), tally)
+    for p in range(m):
+        others = owners[order[:, p]] != agents
+        value = ranked[:, p, None]
+        if median_bit:
+            seen += others
+            np.copyto(median, value, where=others & (seen == target))
+        if mode_bit:
+            if p:
+                run *= value == ranked[:, p - 1, None]
+            run += others
+            np.copyto(mode, value, where=run > longest)
+            np.maximum(longest, run, out=longest)
+    if median_bit:
+        put(ALT_MEDIAN, n * (own + median) >= totals)
+    if mode_bit:
+        put(ALT_MODE, n * (own + mode) >= totals)
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +656,11 @@ def mms_scan(row, n, start, count, plan=None):
 def leximin_scan(values, totals, start, count, plan=None):
     """(allocation index, ascending integer profile) of the chunk's leximin best.
 
-    Ties go to the smallest allocation index. ``plan`` is the scan's
-    ``ScanPlan`` over ``values``; without one the call builds a plan for
-    this window.
+    The leximin best has the largest minimum, so only the allocations that
+    reach the window's best minimum are sorted; their ascending profiles
+    are then narrowed column by column. Ties go to the smallest allocation
+    index. ``plan`` is the scan's ``ScanPlan`` over ``values``; without one
+    the call builds a plan for this window.
     """
     n = values.shape[0]
     if plan is None:
@@ -646,13 +669,14 @@ def leximin_scan(values, totals, start, count, plan=None):
     for agents in plan.blocks:
         mn = _zero_own_and_empty(plan.window("min", agents, start, count), agents)
         profiles[agents] += (n - 1) * mn.max(axis=0)
-    profiles = np.sort(profiles, axis=0).T
-    best = np.arange(count)
-    for col in range(n):
-        column = profiles[best, col]
-        best = best[column == column.max()]
-    first = int(best[0])
-    return start + first, profiles[first].copy()
+    floor = profiles.min(axis=0)
+    best = np.flatnonzero(floor == floor.max())
+    ranked = np.sort(profiles[:, best], axis=0).T
+    keep = np.arange(best.size)
+    for col in range(1, n):
+        column = ranked[keep, col]
+        keep = keep[column == column.max()]
+    return start + int(best[keep[0]]), ranked[keep[0]].copy()
 
 
 def instance_arrays(values, totals):
