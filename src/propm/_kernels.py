@@ -615,8 +615,8 @@ def _rest_notions(values, totals, own, cnt, start, count, want, put):
             seen += others
             np.copyto(median, value, where=others & (seen == target))
         if mode_bit:
-            if p:
-                run *= value == ranked[:, p - 1, None]
+            # At p = 0 the run is still empty, whatever this compares.
+            run *= value == ranked[:, p - 1, None]
             run += others
             np.copyto(mode, value, where=run > longest)
             np.maximum(longest, run, out=longest)
