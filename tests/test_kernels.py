@@ -41,6 +41,10 @@ def _assert_masks(masks, inst, start, want=kernels.ALL_NOTIONS):
             )
 
 
+def test_notion_codes_are_the_kernel_bits():
+    assert sorted(notion.code for notion in Notion) == list(range(kernels.NOTION_COUNT))
+
+
 def _brute_mms_window(row, n, start, count):
     """Best worst-bundle value of ``row`` over allocations start..start+count-1."""
     best = -1

@@ -451,6 +451,30 @@ def test_certificates_are_pinned(lemma):
     assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
 
 
+@pytest.mark.parametrize("lemma", list(_PINNED))
+def test_pinned_certificates_round_trip_through_json(lemma):
+    _, certificate = solve_propm(Instance.of(_PINNED[lemma][0]))
+    text = json.dumps(certificate_to_json_dict(certificate))
+    assert certificate_from_json_dict(json.loads(text)) == certificate
+
+
+# The blake2b digest of the certificate JSON with its keys in emitted order,
+# as `propm solve --json` and `--certificate-out` print it: between them the
+# two certificates hold every step type.
+_KEY_ORDER_PINNED = {
+    "n1.take_all": "713496d0d5ddeafc230554dee0dee711",
+    "n4.c=2": "2b7234ee00883c38f7655f591120c0b0",
+}
+
+
+@pytest.mark.parametrize("lemma", list(_KEY_ORDER_PINNED))
+def test_certificate_key_order_is_pinned(lemma):
+    _, certificate = solve_propm(Instance.of(_PINNED[lemma][0]))
+    text = json.dumps(certificate_to_json_dict(certificate))
+    digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+    assert digest == _KEY_ORDER_PINNED[lemma]
+
+
 def _levels(cert):
     """Solver levels of two or more agents in a certificate: one ladder each."""
     count = 0
@@ -691,6 +715,30 @@ def test_tampered_rung_rejected_after_the_solve_warmed_the_memo():
     assert not verify_certificate(inst, allocation, tampered)
 
 
+_LADDER_TAMPERS = {
+    "duplicate-item": lambda rungs: (rungs[0] + rungs[0][-1:],) + rungs[1:],
+    "swapped-rungs": lambda rungs: (rungs[1], rungs[0]) + rungs[2:],
+    "leftover-drops-item": lambda rungs: rungs[:-1] + (rungs[-1][:-1],),
+    "extra-empty-rung": lambda rungs: rungs + ((),),
+    "unsorted-rung": lambda rungs: (rungs[0][::-1],) + rungs[1:],
+}
+
+
+@pytest.mark.parametrize("tamper", list(_LADDER_TAMPERS.values()), ids=list(_LADDER_TAMPERS))
+def test_tampered_ladders_are_rejected(tamper):
+    inst = random_instance(4, 12, 100, seed=5)
+    allocation, certificate = solve_propm(inst)
+    steps = list(certificate.steps)
+    idx = next(i for i, step in enumerate(steps) if isinstance(step, LadderBuilt))
+    rungs = steps[idx].rungs
+    assert len(rungs) == 4 and all(len(rung) >= 2 for rung in rungs)
+    steps[idx] = dataclasses.replace(steps[idx], rungs=tamper(rungs))
+    tampered = dataclasses.replace(certificate, steps=tuple(steps))
+    with pytest.raises(CertificateError):
+        replay_certificate(inst, tampered)
+    assert not verify_certificate(inst, allocation, tampered)
+
+
 def test_verdicts_do_not_depend_on_the_memo():
     for s in range(12):
         inst = random_instance(3 + s % 3, 8 + s % 5, 100, seed=600 + s)
@@ -708,6 +756,9 @@ def test_verdicts_do_not_depend_on_the_memo():
             assert warm == cold == expected, s
 
 
+_MISSING = object()  # deletes the key at the path
+
+
 @pytest.mark.parametrize(
     "path, value, parses",
     [
@@ -718,6 +769,9 @@ def test_verdicts_do_not_depend_on_the_memo():
         (("steps",), None, False),
         (("steps", 1), ["case"], False),
         (("steps", 1, "assignments", 0, 1), None, False),
+        (("steps", 1, "roles", 0), ["divider", 0, 1], False),
+        (("steps", 1, "type"), "bogus", False),
+        (("steps", 1, "comparisons", 0, "rhs"), _MISSING, False),
     ],
     ids=[
         "item-not-int",
@@ -727,6 +781,9 @@ def test_verdicts_do_not_depend_on_the_memo():
         "steps-null",
         "step-is-list",
         "assignment-items-null",
+        "role-three-entries",
+        "unknown-step-type",
+        "comparison-without-rhs",
     ],
 )
 def test_malformed_certificate_json(path, value, parses):
@@ -738,7 +795,10 @@ def test_malformed_certificate_json(path, value, parses):
     target = data
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is _MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     if not parses:
         with pytest.raises(InputError):
             certificate_from_json_dict(data)
