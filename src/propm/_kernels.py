@@ -522,8 +522,10 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None)
 
     totals = totals[:, None]
     own = plan.window("own", slice(None), start, count)[0]
-    put(PROP, n * own >= totals)
-    put(MMS, (own >= mms[:, None]) & (mms[:, None] >= 0))
+    if want >> PROP & 1:
+        put(PROP, n * own >= totals)
+    if want >> MMS & 1:
+        put(MMS, (own >= mms[:, None]) & (mms[:, None] >= 0))
     if want & (1 << ALT_MEAN | _REST_NOTIONS):
         # Items the others own, [agent, allocation].
         cnt = m - plan.window("size", slice(None), start, count)[0]
@@ -653,7 +655,7 @@ def mms_scan(row, n, start, count, plan=None):
 # ---------------------------------------------------------------------------
 
 
-def leximin_scan(values, totals, start, count, plan=None):
+def leximin_scan(values, start, count, plan=None):
     """(allocation index, ascending integer profile) of the chunk's leximin best.
 
     The leximin best has the largest minimum, so only the allocations that

@@ -145,14 +145,7 @@ def validate_ladder(inst: Instance, ladder: CpLadder) -> bool:
             return False
         seen.update(rung.items)
     base = ladder.base()
-
-    remaining = base
-    for pos, k in enumerate(range(r, 1, -1)):
-        expected = cp_bundle(inst, ladder.divider, k, remaining)
-        if ladder.rungs[pos] != expected:
-            return False
-        remaining = remaining - expected
-    if ladder.rungs[-1] != remaining:
+    if ladder != cp_ladder(inst, ladder.divider, r, base):
         return False
 
     base_value = value_of(inst, ladder.divider, base)

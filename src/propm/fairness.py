@@ -48,25 +48,8 @@ class Notion(Enum):
 
     @property
     def code(self) -> int:
-        """Bit position used by the scan kernels."""
-        return _NOTION_CODES[self]
-
-
-_NOTION_CODES = {
-    Notion.PROP: _kernels.PROP,
-    Notion.PROP1: _kernels.PROP1,
-    Notion.PROPX: _kernels.PROPX,
-    Notion.PROPM: _kernels.PROPM,
-    Notion.EF: _kernels.EF,
-    Notion.EF1: _kernels.EF1,
-    Notion.EFX: _kernels.EFX,
-    Notion.AEFX: _kernels.AEFX,
-    Notion.MMS: _kernels.MMS,
-    Notion.ALT_MEAN: _kernels.ALT_MEAN,
-    Notion.ALT_MEDIAN: _kernels.ALT_MEDIAN,
-    Notion.ALT_MODE: _kernels.ALT_MODE,
-    Notion.ALT_MINIMAX: _kernels.ALT_MINIMAX,
-}
+        """Bit position used by the scan kernels, which name it like the member."""
+        return getattr(_kernels, self.name)
 
 
 def parse_notion(name: str) -> Notion:

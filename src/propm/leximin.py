@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import _kernels
 from .core import (
     Allocation,
@@ -120,23 +118,17 @@ def leximin_max(
     """Exhaustive leximin maximum; ties go to the smallest allocation index."""
     total = inst.n**inst.m
     require_budget(total, budget, "leximin scan")
-    values, totals = _kernels.instance_arrays(inst.values, inst.totals)
+    values, _ = _kernels.instance_arrays(inst.values, inst.totals)
     best_idx = -1
-    best_profile: np.ndarray | None = None
+    best_profile: list[int] | None = None
     plan = _kernels.ScanPlan(values, inst.n, _kernels.scan_chunk(inst.n))
     for pos, count in plan.windows(0, total):
-        idx, profile = _kernels.leximin_scan(values, totals, pos, count, plan=plan)
-        if best_profile is None or _int_profile_less(best_profile, profile):
+        idx, profile = _kernels.leximin_scan(values, pos, count, plan=plan)
+        profile = profile.tolist()
+        if best_profile is None or profile > best_profile:
             best_idx, best_profile = idx, profile
     allocation = allocation_from_index(inst.n, inst.m, best_idx)
     return allocation, adjusted_profile(inst, allocation)
-
-
-def _int_profile_less(current: np.ndarray, candidate: np.ndarray) -> bool:
-    for a, b in zip(current, candidate):
-        if b != a:
-            return b > a
-    return False
 
 
 def envy_graph(inst: Instance, allocation: Allocation) -> EnvyGraph:

@@ -23,8 +23,9 @@ Case labels, with the counts that select them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
+from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
 from .core import (
     Allocation,
@@ -35,7 +36,7 @@ from .core import (
     UnsupportedSizeError,
     restrict,
 )
-from .cpsets import cp_bundle, cp_ladder
+from .cpsets import cp_ladder
 from .fairness import Notion, check
 
 
@@ -109,6 +110,7 @@ class Compare:
 class BigItemReduction:
     """One agent takes one item worth more than her residual proportional share."""
 
+    type: ClassVar[str] = "reduction"
     agent: int
     item: int
     residual_agent_count: int
@@ -118,6 +120,7 @@ class BigItemReduction:
 
 @dataclass(frozen=True)
 class LadderBuilt:
+    type: ClassVar[str] = "ladder"
     divider: int
     rung_names: tuple[str, ...]
     rungs: tuple[tuple[int, ...], ...]
@@ -125,6 +128,7 @@ class LadderBuilt:
 
 @dataclass(frozen=True)
 class CaseApplied:
+    type: ClassVar[str] = "case"
     lemma: str
     roles: tuple[tuple[str, int], ...]
     assignments: tuple[tuple[int, tuple[int, ...]], ...]
@@ -140,12 +144,14 @@ class SubSplit:
     satisfaction to the full allocation.
     """
 
+    type: ClassVar[str] = "split"
     agents: tuple[int, ...]
     items: tuple[int, ...]
     obs_bounds: tuple[Compare, ...]
     certificate: "Certificate"
 
 
+# Certificate JSON tells the steps apart by their ``type`` tags.
 Step = Union[BigItemReduction, LadderBuilt, CaseApplied, SubSplit]
 
 
@@ -738,20 +744,11 @@ def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
             r = len(step.rungs)
             _req(r == len(remaining_agents), "rung count differs from remaining agents")
             _req(step.rung_names == RUNG_NAMES.get(r), "unexpected rung names")
-            covered: set[int] = set()
-            for rung in step.rungs:
-                rung_set = set(rung)
-                _req(len(rung_set) == len(rung), "duplicate items in a rung")
-                _req(rung_set <= remaining_items, "rung leaves the remaining items")
-                _req(not (rung_set & covered), "rungs overlap")
-                covered |= rung_set
-            _req(covered == remaining_items, "rungs do not cover the remaining items")
-            shrinking = set(remaining_items)
-            for pos, k in enumerate(range(r, 1, -1)):
-                expected = cp_bundle(inst, step.divider, k, Bundle.of(shrinking)).items
-                _req(step.rungs[pos] == expected, "rung differs from its CP recomputation")
-                shrinking -= set(expected)
-            _req(step.rungs[-1] == tuple(sorted(shrinking)), "leftover rung mismatch")
+            ladder = cp_ladder(inst, step.divider, r, Bundle(tuple(sorted(remaining_items))))
+            _req(
+                step.rungs == tuple(rung.items for rung in ladder.rungs),
+                "ladder differs from its CP recomputation",
+            )
         elif isinstance(step, CaseApplied):
             _req(step.lemma in KNOWN_LEMMAS, "unknown case label")
             _req(
@@ -875,107 +872,51 @@ def ladder_discipline_ok(inst: Instance, cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _compare_to_dict(comp: Compare) -> dict:
-    return {
-        "agent": comp.agent,
-        "lhs_items": list(comp.lhs_items),
-        "lhs_mult": comp.lhs_mult,
-        "rhs_items": list(comp.rhs_items),
-        "rhs_mult": comp.rhs_mult,
-        "relation": comp.relation,
-        "lhs": comp.lhs,
-        "rhs": comp.rhs,
-    }
+@cache
+def _field_types(cls) -> dict:
+    """The fields of a certificate dataclass and their types, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _compare_from_dict(data: dict) -> Compare:
-    return Compare(
-        agent=data["agent"],
-        lhs_items=tuple(data["lhs_items"]),
-        lhs_mult=data["lhs_mult"],
-        rhs_items=tuple(data["rhs_items"]),
-        rhs_mult=data["rhs_mult"],
-        relation=data["relation"],
-        lhs=data["lhs"],
-        rhs=data["rhs"],
-    )
+def _to_json(obj):
+    """A dataclass becomes an object (a step's "type" tag first, then its
+    fields in declaration order) and a tuple becomes a list."""
+    if isinstance(obj, tuple):
+        return [_to_json(x) for x in obj]
+    if not is_dataclass(obj):
+        return obj
+    data = {"type": obj.type} if hasattr(obj, "type") else {}
+    for name in _field_types(type(obj)):
+        data[name] = _to_json(getattr(obj, name))
+    return data
 
 
-def _step_to_dict(step: Step) -> dict:
-    if isinstance(step, BigItemReduction):
-        return {
-            "type": "reduction",
-            "agent": step.agent,
-            "item": step.item,
-            "residual_agent_count": step.residual_agent_count,
-            "item_value": step.item_value,
-            "residual_total": step.residual_total,
-        }
-    if isinstance(step, LadderBuilt):
-        return {
-            "type": "ladder",
-            "divider": step.divider,
-            "rung_names": list(step.rung_names),
-            "rungs": [list(r) for r in step.rungs],
-        }
-    if isinstance(step, CaseApplied):
-        return {
-            "type": "case",
-            "lemma": step.lemma,
-            "roles": [[name, value] for name, value in step.roles],
-            "assignments": [[agent, list(items)] for agent, items in step.assignments],
-            "comparisons": [_compare_to_dict(c) for c in step.comparisons],
-        }
-    if isinstance(step, SubSplit):
-        return {
-            "type": "split",
-            "agents": list(step.agents),
-            "items": list(step.items),
-            "obs_bounds": [_compare_to_dict(c) for c in step.obs_bounds],
-            "certificate": certificate_to_json_dict(step.certificate),
-        }
-    raise InputError(f"unknown step type {type(step).__name__}")
+def _from_json(hint, data):
+    """Rebuild a value of type ``hint`` from what ``_to_json`` wrote.
 
-
-def _step_from_dict(data: dict) -> Step:
-    kind = data.get("type")
-    if kind == "reduction":
-        return BigItemReduction(
-            agent=data["agent"],
-            item=data["item"],
-            residual_agent_count=data["residual_agent_count"],
-            item_value=data["item_value"],
-            residual_total=data["residual_total"],
-        )
-    if kind == "ladder":
-        return LadderBuilt(
-            divider=data["divider"],
-            rung_names=tuple(data["rung_names"]),
-            rungs=tuple(tuple(r) for r in data["rungs"]),
-        )
-    if kind == "case":
-        return CaseApplied(
-            lemma=data["lemma"],
-            roles=tuple((name, value) for name, value in data["roles"]),
-            assignments=tuple((agent, tuple(items)) for agent, items in data["assignments"]),
-            comparisons=tuple(_compare_from_dict(c) for c in data["comparisons"]),
-        )
-    if kind == "split":
-        return SubSplit(
-            agents=tuple(data["agents"]),
-            items=tuple(data["items"]),
-            obs_bounds=tuple(_compare_from_dict(c) for c in data["obs_bounds"]),
-            certificate=certificate_from_json_dict(data["certificate"]),
-        )
-    raise InputError(f"unknown certificate step type {kind!r}")
+    Scalars pass through unchecked; a missing field, a pair of the wrong
+    length or an unknown step type raises.
+    """
+    origin = get_origin(hint)
+    if origin is tuple:
+        args = get_args(hint)
+        if args[-1] is Ellipsis:
+            return tuple(_from_json(args[0], x) for x in data)
+        return tuple(_from_json(a, x) for a, x in zip(args, data, strict=True))
+    if origin is Union:
+        kind = data.get("type")
+        for member in get_args(hint):
+            if member.type == kind:
+                return _from_json(member, data)
+        raise InputError(f"unknown certificate step type {kind!r}")
+    if is_dataclass(hint):
+        return hint(**{name: _from_json(t, data[name]) for name, t in _field_types(hint).items()})
+    return data
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:
-    return {
-        "agents": list(cert.agents),
-        "items": list(cert.items),
-        "steps": [_step_to_dict(s) for s in cert.steps],
-    }
+    return _to_json(cert)
 
 
 def certificate_from_json_dict(data: dict) -> Certificate:
@@ -985,11 +926,7 @@ def certificate_from_json_dict(data: dict) -> Certificate:
     certificate whose indices or values are not what it recomputes.
     """
     try:
-        return Certificate(
-            agents=tuple(data["agents"]),
-            items=tuple(data["items"]),
-            steps=tuple(_step_from_dict(s) for s in data["steps"]),
-        )
+        return _from_json(Certificate, data)
     except InputError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import propm._kernels as kernels
 from propm import Instance, InputError, Notion, adjusted_profile, check, mms_value
-from propm.fairness import _NOTION_CODES
 from propm.leximin import leximin_max
 from propm.oracle import FIRST_WINDOW, allocation_from_index, random_instance
 
@@ -33,7 +32,7 @@ def _assert_masks(masks, inst, start, want=kernels.ALL_NOTIONS):
     for t in range(masks.shape[0]):
         expected = _expected_masks(inst, start + t)
         for notion in Notion:
-            bit = 1 << _NOTION_CODES[notion]
+            bit = 1 << notion.code
             got = [(int(masks[t, i]) & bit) != 0 for i in range(inst.n)]
             assert got == (expected[notion] if want & bit else [False] * inst.n), (
                 start + t,
@@ -71,7 +70,7 @@ def test_masks_match_exact_checker(seed):
     for index in range(total):
         allocation = allocation_from_index(n, m, index)
         for notion in Notion:
-            bit = 1 << _NOTION_CODES[notion]
+            bit = 1 << notion.code
             expected = [v.satisfied for v in check(inst, allocation, notion).per_agent]
             got = [(int(masks[index, i]) & bit) != 0 for i in range(n)]
             assert got == expected, (seed, index, notion)
@@ -103,7 +102,7 @@ def test_masks_match_checker_on_windows_and_subsets(n, m):
         assert masks.shape == (count, n)
         for t in range(count):
             for notion in Notion:
-                bit = 1 << _NOTION_CODES[notion]
+                bit = 1 << notion.code
                 got = [(int(masks[t, i]) & bit) != 0 for i in range(n)]
                 wanted = expected[start + t, notion] if want & bit else [False] * n
                 assert got == wanted, (start, count, want, t, notion)
@@ -179,14 +178,14 @@ def test_agent_blocks_and_small_windows_give_the_same_masks(monkeypatch):
     values, totals = _arrays(inst)
     mms = np.array([mms_value(inst, i) for i in range(5)], np.int64)
     whole = kernels.notion_masks(values, totals, mms, 0, 5**5)
-    lexi = kernels.leximin_scan(values, totals, 0, 5**5)
+    lexi = kernels.leximin_scan(values, 0, 5**5)
     monkeypatch.setattr(kernels, "SCAN_BYTES", 1)
     assert kernels.scan_chunk(5) == 1
     assert len(kernels._agent_blocks(5, 7)) == 5
     for start, count in ((0, 5**5), (7, 3), (1234, 1), (3000, 125)):
         got = kernels.notion_masks(values, totals, mms, start, count)
         assert np.array_equal(got, whole[start : start + count])
-    assert kernels.leximin_scan(values, totals, 0, 5**5)[0] == lexi[0]
+    assert kernels.leximin_scan(values, 0, 5**5)[0] == lexi[0]
 
 
 def _python_leximin(inst, start, count):
@@ -210,14 +209,14 @@ def _python_leximin(inst, start, count):
 )
 def test_leximin_scan_matches_python_scan(values):
     inst = Instance.of(values)
-    arr, totals = _arrays(inst)
+    arr, _ = _arrays(inst)
     total = inst.n**inst.m
     rng = random.Random(len(values) * 31 + inst.m)
     windows = [(0, total)] + [
         (s, rng.randint(1, total - s)) for s in (rng.randrange(total) for _ in range(4))
     ]
     for start, count in windows:
-        index, profile = kernels.leximin_scan(arr, totals, start, count)
+        index, profile = kernels.leximin_scan(arr, start, count)
         ref_index, ref = _python_leximin(inst, start, count)
         assert index == ref_index, (start, count)
         # integer profile is n * adjusted value
@@ -235,7 +234,7 @@ LEXIMIN_TIES = [
 @pytest.mark.parametrize("values", LEXIMIN_TIES)
 def test_leximin_scan_keeps_the_first_index_on_every_window_of_a_tie(values):
     inst = Instance.of(values)
-    arr, totals = _arrays(inst)
+    arr, _ = _arrays(inst)
     total = inst.n**inst.m
     profiles = [
         adjusted_profile(inst, allocation_from_index(inst.n, inst.m, t)).ascending
@@ -245,7 +244,7 @@ def test_leximin_scan_keeps_the_first_index_on_every_window_of_a_tie(values):
     for start in range(total):
         for stop in range(start + 1, total + 1):
             best = max(profiles[start:stop])
-            index, profile = kernels.leximin_scan(arr, totals, start, stop - start, plan=plan)
+            index, profile = kernels.leximin_scan(arr, start, stop - start, plan=plan)
             assert index == profiles.index(best, start), (start, stop)
             assert [int(p) for p in profile] == [int(inst.n * v) for v in best]
 
@@ -308,7 +307,7 @@ def test_masks_exact_at_the_int64_boundary():
     for index in range(8):
         allocation = allocation_from_index(2, 3, index)
         for notion in Notion:
-            bit = 1 << _NOTION_CODES[notion]
+            bit = 1 << notion.code
             expected = [v.satisfied for v in check(inst, allocation, notion).per_agent]
             assert [(int(masks[index, i]) & bit) != 0 for i in range(2)] == expected
 
@@ -344,7 +343,7 @@ def test_scans_exact_at_the_int32_boundary(rows, dtype):
     assert values.dtype == dtype and totals.dtype == dtype
     mms = np.array([mms_value(inst, i) for i in range(2)], np.int64)
     _assert_masks(kernels.notion_masks(values, totals, mms, 0, 8), inst, 0)
-    index, profile = kernels.leximin_scan(values, totals, 0, 8)
+    index, profile = kernels.leximin_scan(values, 0, 8)
     ref_index, ref = _python_leximin(inst, 0, 8)
     assert index == ref_index
     assert [int(p) for p in profile] == [int(2 * v) for v in ref]
@@ -409,7 +408,7 @@ def test_scans_match_the_reference_on_fuzzed_windows(inst, data):
         )
         assert masks.shape == (count, n)
         _assert_masks(masks, inst, start, want)
-        index, profile = kernels.leximin_scan(values, totals, start, count, plan=window_plan)
+        index, profile = kernels.leximin_scan(values, start, count, plan=window_plan)
         ref_index, ref = _python_leximin(inst, start, count)
         assert index == ref_index
         assert [int(p) for p in profile] == [int(n * v) for v in ref]
