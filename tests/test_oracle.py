@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from propm import (
     enumerate_allocations,
     exists,
     implication_audit,
+    leximin_max,
     make_counterexample,
     random_instance,
     solve_propm,
@@ -406,3 +409,34 @@ def test_scan_memory_stays_bounded_at_45_agents(notion, found, checked):
         tracemalloc.stop()
     assert (result.exists, result.allocations_checked) == (found, checked)
     assert peak < 16 << 20
+
+
+def _scan_corpus():
+    """Seeded instances at the audit benchmark's sizes (values up to 100),
+    then a few whose scans run at wider integer dtypes."""
+    sizes = ((3, 9), (4, 7), (5, 6))
+    for seed in range(30):
+        n, m = sizes[seed % 3]
+        yield random_instance(n, m, 100, seed=7000 + seed)
+    for seed, max_value in enumerate((10**6, 10**6, 10**15, 10**15)):
+        yield random_instance(3 + seed % 2, 5, max_value, seed=7100 + seed)
+
+
+def test_scan_outputs_are_pinned():
+    """One digest over the audit violations, the leximin maximum and every
+    notion's existence result: a change of the scan arithmetic must keep them."""
+    records = []
+    for inst in _scan_corpus():
+        report = implication_audit(inst)
+        allocation, profile = leximin_max(inst)
+        records.append(
+            [
+                [(v.implication, v.allocation_index, v.agent) for v in report.violations],
+                allocation.to_json_dict(),
+                profile.to_json_dict(),
+                [exists(inst, notion).to_json_dict() for notion in Notion],
+            ]
+        )
+    text = json.dumps(records, sort_keys=True)
+    assert len(records) == 34
+    assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == "285faf53182836a12c238912e85c8234"
