@@ -32,11 +32,24 @@ from ``ScanPlan.windows``: full windows for the exhaustive scans, windows
 that start small and double for the early-exit ``exists``. The kernels split
 very large agent counts into blocks.
 
-Scan arithmetic uses the narrowest exact dtype. ``instance_arrays`` returns
-int32 arrays when the largest intermediate, n * (m+1) * max_total from the
-alt-mean test, is below 2^31, int64 arrays when it is below 2^63, and
-rejects larger inputs. The exact-arithmetic reference paths in the rest of
-the package use unbounded Python integers.
+Scan arithmetic uses the narrowest exact dtype. With T the largest agent
+total (at least 1), ``instance_arrays`` bounds every scan intermediate by
+worst = n * (m+1) * T and returns int16 arrays when worst is below 2^15,
+int32 below 2^31 and int64 below 2^63; it rejects larger inputs. Every
+table, window statistic, alt-median and alt-mode row and leximin profile
+takes that dtype. Each intermediate is bounded by worst (m >= 1):
+
+    test                        intermediate              bound
+    alt-mean                    n*(own*cnt + T - own)     n(m+1)T
+    PROP1, PROPx, PROPm, alt-*  n*(own + bonus)           2nT
+    AEFX                        n*own + sum of mins       (n+1)T
+    leximin                     n*own + (n-1)*d           (2n-1)T
+    bundle sizes, cnt           size                      m
+    "min" sentinel              iinfo.max                 > T
+
+A kernel edit that builds a larger intermediate must raise ``worst`` to
+cover it. The exact-arithmetic reference paths in the rest of the package
+use unbounded Python integers.
 """
 
 from __future__ import annotations
@@ -684,17 +697,21 @@ def leximin_scan(values, start, count, plan=None):
 def instance_arrays(values, totals):
     """Convert exact integer tables to the arrays the kernels take.
 
-    The largest kernel intermediate is n * (m+1) * max_total, from the
-    alt-mean test. The arrays are int32 when it is below 2^31 and int64
-    when it is below 2^63; larger inputs are rejected.
+    worst = n * (m+1) * T, with T the largest total but at least 1, bounds
+    every scan intermediate (the table in the module docstring): the
+    alt-mean test reaches n(m+1)T, the bonus tests 2nT, AEFX (n+1)T, the
+    leximin profile (2n-1)T, the bundle sizes m, and the "min" sentinel,
+    the dtype's largest value, exceeds T. The arrays are int16 when worst
+    is below 2^15, int32 below 2^31 and int64 below 2^63; larger inputs
+    are rejected.
     """
     n = len(values)
     m = len(values[0]) if n else 0
-    worst = n * (m + 1) * max(totals, default=0)
+    worst = n * (m + 1) * max(max(totals, default=0), 1)
     if worst >= 1 << 63:
         raise InputError(
             f"n * (m+1) * max total = {worst} for n={n}, m={m} exceeds the "
             "kernels' exact int64 range (below 2^63)"
         )
-    dtype = np.int32 if worst < 1 << 31 else np.int64
+    dtype = np.int16 if worst < 1 << 15 else np.int32 if worst < 1 << 31 else np.int64
     return np.array(values, dtype), np.array(totals, dtype)

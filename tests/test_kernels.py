@@ -312,6 +312,42 @@ def test_masks_exact_at_the_int64_boundary():
             assert [(int(masks[index, i]) & bit) != 0 for i in range(2)] == expected
 
 
+def _boundary_rows(limit, at):
+    """n = 2, m = 3 rows with n * (m+1) * max total = 8 * (limit - 1), or 8 * limit if ``at``."""
+    return [
+        [limit // 2, limit // 4, limit // 4 - (not at)],
+        [limit // 4 - 1, limit // 4, limit // 2],
+    ]
+
+
+def _spike_rows(limit, m):
+    """n = 2 rows worth one item each, the largest total with n * (m+1) * total < limit.
+
+    An agent holding its item while the other holds the m - 1 zeros makes
+    the alt-mean intermediate 2 * (total * (m-1)), (m-1)/(m+1) of the bound.
+    """
+    total = (limit - 1) // (2 * (m + 1))
+    return [[total] + [0] * (m - 1), [0] * (m - 1) + [total]]
+
+
+def _assert_scans_exact(rows, dtype):
+    """Every notion against ``check``, ``leximin_scan`` against the Python
+    scan and ``mms_scan`` against brute force, over every allocation."""
+    inst = Instance.of(rows)
+    n, count = inst.n, inst.n**inst.m
+    values, totals = _arrays(inst)
+    assert values.dtype == dtype and totals.dtype == dtype
+    mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
+    _assert_masks(kernels.notion_masks(values, totals, mms, 0, count), inst, 0)
+    index, profile = kernels.leximin_scan(values, 0, count)
+    ref_index, ref = _python_leximin(inst, 0, count)
+    assert index == ref_index
+    assert [int(p) for p in profile] == [int(n * v) for v in ref]
+    for i in range(n):
+        assert kernels.mms_scan(values[i], n, 0, count) == _brute_mms_window(rows[i], n, 0, count)
+        assert mms[i] == _brute_mms_window(rows[i], n, 0, count // n)
+
+
 # n = 2, m = 3: n * (m+1) * max total = 8 * total. 2^31 - 1 is prime, so no
 # instance with items reaches it; 8 * (2^28 - 1) = 2^31 - 8 is the largest
 # value below the switch and 8 * 2^28 = 2^31 the smallest above it.
@@ -320,61 +356,58 @@ INT32_LIMIT = (1 << 31) // (2 * 4)
 
 @pytest.mark.parametrize(
     "rows, dtype",
-    [
-        (
-            [
-                [INT32_LIMIT // 2, INT32_LIMIT // 4, INT32_LIMIT // 4 - 1],
-                [INT32_LIMIT // 4 - 1, INT32_LIMIT // 4, INT32_LIMIT // 2],
-            ],
-            np.int32,
-        ),
-        (
-            [
-                [INT32_LIMIT // 2, INT32_LIMIT // 4, INT32_LIMIT // 4],
-                [INT32_LIMIT // 4 - 1, INT32_LIMIT // 4, INT32_LIMIT // 2],
-            ],
-            np.int64,
-        ),
-    ],
+    [(_boundary_rows(INT32_LIMIT, False), np.int32), (_boundary_rows(INT32_LIMIT, True), np.int64)],
 )
 def test_scans_exact_at_the_int32_boundary(rows, dtype):
-    inst = Instance.of(rows)
-    values, totals = _arrays(inst)
-    assert values.dtype == dtype and totals.dtype == dtype
-    mms = np.array([mms_value(inst, i) for i in range(2)], np.int64)
-    _assert_masks(kernels.notion_masks(values, totals, mms, 0, 8), inst, 0)
-    index, profile = kernels.leximin_scan(values, 0, 8)
-    ref_index, ref = _python_leximin(inst, 0, 8)
-    assert index == ref_index
-    assert [int(p) for p in profile] == [int(2 * v) for v in ref]
-    for i in range(2):
-        assert kernels.mms_scan(values[i], 2, 0, 8) == _brute_mms_window(rows[i], 2, 0, 8)
-        assert mms[i] == _brute_mms_window(rows[i], 2, 0, 4)
+    _assert_scans_exact(rows, dtype)
+
+
+# The same at the int16 switch: 8 * (2^12 - 1) = 2^15 - 8 and 8 * 2^12 = 2^15.
+INT16_LIMIT = (1 << 15) // (2 * 4)
+
+
+@pytest.mark.parametrize(
+    "rows, dtype",
+    [
+        (_boundary_rows(INT16_LIMIT, False), np.int16),
+        (_boundary_rows(INT16_LIMIT, True), np.int32),
+        (_spike_rows(1 << 15, 9), np.int16),
+    ],
+)
+def test_scans_exact_at_the_int16_boundary(rows, dtype):
+    _assert_scans_exact(rows, dtype)
+
+
+def test_all_zero_values_size_the_dtype_by_the_item_count():
+    # Bundle sizes reach m even when every value is 0.
+    values, totals = kernels.instance_arrays(((0,) * (1 << 15),), (0,))
+    assert values.dtype == totals.dtype == np.int32
+    assert kernels.instance_arrays(((0,) * 100,), (0,))[0].dtype == np.int16
 
 
 # -- differential fuzz ----------------------------------------------------------
 
-_GUARDS = (1 << 31, 1 << 63)
+_GUARDS = (1 << 15, 1 << 31, 1 << 63)
 
 
 @st.composite
 def _fuzz_instances(draw):
     """Instances with zeros, ties and all-equal rows, at small values or with
-    n * (m+1) * max total within a few units of the int32 switch or below
-    the int64 guard."""
+    n * (m+1) * max total within a few units of the int16 or the int32
+    switch or below the int64 guard."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(0, 6))
-    scale = draw(st.sampled_from(("small", "medium", "int32", "int64")))
+    scale = draw(st.sampled_from(("small", "medium", "int16", "int32", "int64")))
     if scale == "small" or not m:
         rows = [draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)) for _ in range(n)]
     elif scale == "medium":
         rows = [draw(st.lists(st.integers(0, 100), min_size=m, max_size=m)) for _ in range(n)]
     else:
         base = n * (m + 1)
-        if scale == "int32":
-            top = _GUARDS[0] // base + draw(st.integers(-3, 3))
+        if scale == "int64":
+            top = (_GUARDS[2] - 1) // base - draw(st.integers(0, 3))
         else:
-            top = (_GUARDS[1] - 1) // base - draw(st.integers(0, 3))
+            top = _GUARDS[scale == "int32"] // base + draw(st.integers(-3, 3))
         rows = []
         for i in range(n):
             weights = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
@@ -394,7 +427,10 @@ def _fuzz_instances(draw):
 def test_scans_match_the_reference_on_fuzzed_windows(inst, data):
     n, m = inst.n, inst.m
     values, totals = _arrays(inst)
-    assert values.dtype == (np.int32 if n * (m + 1) * max(inst.totals) < 1 << 31 else np.int64)
+    worst = n * (m + 1) * max(inst.totals)
+    assert values.dtype == (
+        np.int16 if worst < _GUARDS[0] else np.int32 if worst < _GUARDS[1] else np.int64
+    )
     mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
     total = n**m
     plan = kernels.ScanPlan(values, n, data.draw(st.integers(1, 40)))
