@@ -703,6 +703,10 @@ def _verify_compare(inst: Instance, comp: Compare) -> None:
 
 
 def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
+    _req(
+        all(type(x) is int for x in (*cert.agents, *cert.items)),
+        "certificate agents and items must be ints",
+    )
     _req(len(set(cert.agents)) == len(cert.agents), "duplicate agents in certificate")
     _req(len(set(cert.items)) == len(cert.items), "duplicate items in certificate")
     remaining_agents = set(cert.agents)

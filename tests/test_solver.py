@@ -806,6 +806,27 @@ def test_malformed_certificate_json(path, value, parses):
     assert not verify_certificate(inst, allocation, certificate_from_json_dict(data))
 
 
+_ENTRY_MUTATIONS = {
+    "item-str": ("items", lambda t: t[:-1] + ("x",)),
+    "extra-item-str": ("items", lambda t: t + ("x",)),
+    "item-bool": ("items", lambda t: t[:1] + (True,) + t[2:]),
+    "item-float": ("items", lambda t: t[:-1] + (float(t[-1]),)),
+    "agent-str": ("agents", lambda t: t[:-1] + ("x",)),
+    "agent-bool": ("agents", lambda t: (False,) + t[1:]),
+}
+
+
+@pytest.mark.parametrize("field, mutate", list(_ENTRY_MUTATIONS.values()), ids=list(_ENTRY_MUTATIONS))
+def test_non_int_agents_and_items_are_rejected(field, mutate):
+    inst = Instance.of(_PINNED["n4.c=1"][0])
+    allocation, certificate = solve_propm(inst)
+    mutated = dataclasses.replace(certificate, **{field: mutate(getattr(certificate, field))})
+    with pytest.raises(CertificateError, match="must be ints"):
+        replay_certificate(inst, mutated)
+    assert not ladder_discipline_ok(inst, mutated)
+    assert not verify_certificate(inst, allocation, mutated)
+
+
 def test_verify_rejects_a_subsplit_without_a_certificate():
     inst = Instance.of(_PINNED["n4.c=1"][0])
     allocation, certificate = solve_propm(inst)
