@@ -691,6 +691,10 @@ def _req(condition: bool, message: str) -> None:
 
 
 def _verify_compare(inst: Instance, comp: Compare) -> None:
+    _req(
+        all(type(x) is int for x in (comp.agent, *comp.lhs_items, *comp.rhs_items)),
+        "comparison agent and items must be ints",
+    )
     _req(0 <= comp.agent < inst.n, "comparison agent out of range")
     m = inst.m
     for items in (comp.lhs_items, comp.rhs_items):

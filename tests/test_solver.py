@@ -806,21 +806,39 @@ def test_malformed_certificate_json(path, value, parses):
     assert not verify_certificate(inst, allocation, certificate_from_json_dict(data))
 
 
+def _replace_entries(field, mutate):
+    return lambda cert: dataclasses.replace(cert, **{field: mutate(getattr(cert, field))})
+
+
+def _replace_first_comparison(**changes):
+    def apply(cert):
+        steps = list(cert.steps)
+        idx = next(i for i, s in enumerate(steps) if isinstance(s, CaseApplied) and s.comparisons)
+        first, *rest = steps[idx].comparisons
+        comparisons = (dataclasses.replace(first, **changes), *rest)
+        steps[idx] = dataclasses.replace(steps[idx], comparisons=comparisons)
+        return dataclasses.replace(cert, steps=tuple(steps))
+
+    return apply
+
+
 _ENTRY_MUTATIONS = {
-    "item-str": ("items", lambda t: t[:-1] + ("x",)),
-    "extra-item-str": ("items", lambda t: t + ("x",)),
-    "item-bool": ("items", lambda t: t[:1] + (True,) + t[2:]),
-    "item-float": ("items", lambda t: t[:-1] + (float(t[-1]),)),
-    "agent-str": ("agents", lambda t: t[:-1] + ("x",)),
-    "agent-bool": ("agents", lambda t: (False,) + t[1:]),
+    "item-str": _replace_entries("items", lambda t: t[:-1] + ("x",)),
+    "extra-item-str": _replace_entries("items", lambda t: t + ("x",)),
+    "item-bool": _replace_entries("items", lambda t: t[:1] + (True,) + t[2:]),
+    "item-float": _replace_entries("items", lambda t: t[:-1] + (float(t[-1]),)),
+    "agent-str": _replace_entries("agents", lambda t: t[:-1] + ("x",)),
+    "agent-bool": _replace_entries("agents", lambda t: (False,) + t[1:]),
+    "comparison-agent-str": _replace_first_comparison(agent="0"),
+    "comparison-item-str": _replace_first_comparison(lhs_items=("x", 0)),
 }
 
 
-@pytest.mark.parametrize("field, mutate", list(_ENTRY_MUTATIONS.values()), ids=list(_ENTRY_MUTATIONS))
-def test_non_int_agents_and_items_are_rejected(field, mutate):
-    inst = Instance.of(_PINNED["n4.c=1"][0])
+@pytest.mark.parametrize("mutate", list(_ENTRY_MUTATIONS.values()), ids=list(_ENTRY_MUTATIONS))
+def test_non_int_agents_and_items_are_rejected(mutate):
+    inst = Instance.of(_PINNED["n4.c=2"][0])
     allocation, certificate = solve_propm(inst)
-    mutated = dataclasses.replace(certificate, **{field: mutate(getattr(certificate, field))})
+    mutated = mutate(certificate)
     with pytest.raises(CertificateError, match="must be ints"):
         replay_certificate(inst, mutated)
     assert not ladder_discipline_ok(inst, mutated)
