@@ -407,7 +407,7 @@ def _fuzz_instances(draw):
         if scale == "int64":
             top = (_GUARDS[2] - 1) // base - draw(st.integers(0, 3))
         else:
-            top = _GUARDS[scale == "int32"] // base + draw(st.integers(-3, 3))
+            top = _GUARDS[0 if scale == "int16" else 1] // base + draw(st.integers(-3, 3))
         rows = []
         for i in range(n):
             weights = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
