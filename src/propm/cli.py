@@ -36,7 +36,9 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
+        # ValueError covers bad JSON and int literals past Python's digit limit;
+        # RecursionError, nesting too deep for the decoder.
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -55,11 +57,18 @@ def _emit(data: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_instance(inst: Instance, out: str | None) -> None:
     text = json.dumps(inst.to_json_dict(), indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out, text + "\n")
     else:
         print(text)
 
@@ -95,10 +104,9 @@ def _cmd_solve(args) -> int:
     lemmas = [s["lemma"] for s in payload["certificate"]["steps"] if s.get("type") == "case"]
     lines.append(f"cases applied: {', '.join(lemmas) if lemmas else '(reductions only)'}")
     lines.append("certificate verified: yes")
-    _emit(payload, args.json, "\n".join(lines))
     if args.certificate_out:
-        with open(args.certificate_out, "w", encoding="utf-8") as fh:
-            json.dump(payload["certificate"], fh, indent=2)
+        _write_text(args.certificate_out, json.dumps(payload["certificate"], indent=2))
+    _emit(payload, args.json, "\n".join(lines))
     return 0
 
 

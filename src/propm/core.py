@@ -81,7 +81,10 @@ class Bundle:
 
     @classmethod
     def of(cls, items: Iterable[int]) -> "Bundle":
-        return cls(tuple(sorted(set(items))))
+        try:
+            return cls(tuple(sorted(set(items))))
+        except TypeError as exc:  # not a list, or holds lists or mixed types
+            raise InputError(f"a bundle must be a list of item indices: {exc}") from exc
 
     def validate_for(self, m: int) -> None:
         if self.items and self.items[-1] >= m:
@@ -181,7 +184,11 @@ class Instance:
 
     @classmethod
     def of(cls, rows: Iterable[Iterable[int]]) -> "Instance":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        """An instance of these rows; every cell must already be an int (bools are not)."""
+        try:
+            return cls(tuple(tuple(row) for row in rows))
+        except TypeError as exc:  # rows or a row is not iterable
+            raise InputError(f"valuations must be a list of rows: {exc}") from exc
 
     @property
     def n(self) -> int:

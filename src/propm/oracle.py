@@ -128,6 +128,13 @@ def _mms_array(inst: Instance, needed: bool, budget: int | None) -> np.ndarray:
     return np.array([mms_value(inst, i, budget=budget) for i in range(inst.n)], np.int64)
 
 
+# Scan work (allocations x n^2 x notions asked) below which two worker
+# processes take longer than one: on a 2-core host (numpy backend), no-witness
+# exists(PROP) on 3^14 allocations (43.0 M) and an audit of 4^9 (37.7 M) were
+# slower with two, exists(PROP) on 5^9 (48.8 M) and every larger scan faster.
+POOL_BREAK_EVEN = 45_000_000
+
+
 def _scan_worker(job):
     scan, args, start, stop = job
     return scan(*args, start, stop)
@@ -136,11 +143,15 @@ def _scan_worker(job):
 def _scan_ranges(scan, args, start, stop, workers):
     """``scan(*args, a, b)`` for each range [a, b) of a split of [start, stop), in order.
 
-    With one worker, or fewer than 4 * CHUNK allocations, there is one range,
-    scanned in this process. Otherwise the range splits evenly into one part
-    per worker, each scanned in its own process.
+    ``args`` is (values, totals, mms, want). The scan's work is its
+    allocations x n^2 x the notions ``want`` asks for. With one worker, or
+    less work than POOL_BREAK_EVEN, there is one range, scanned in this
+    process. Otherwise the range splits evenly into one part per worker,
+    each scanned in its own process.
     """
-    if workers <= 1 or stop - start < 4 * _kernels.CHUNK:
+    values, _, _, want = args
+    work = (stop - start) * len(values) ** 2 * bin(want).count("1")
+    if workers <= 1 or work < POOL_BREAK_EVEN:
         return [scan(*args, start, stop)]
     bounds = np.linspace(start, stop, workers + 1, dtype=np.int64)
     jobs = [(scan, args, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
@@ -202,25 +213,27 @@ def exists(
 _LABELS_SORTED = sorted(label for (label, _, _) in IMPLICATIONS)
 
 
-def _collect_violations(values, totals, mms, start, stop):
+# (label rank, antecedent and consequent bits, antecedent bit) per implication.
+_AUDIT_TESTS = tuple(
+    (_LABELS_SORTED.index(label), (1 << a.code) | (1 << c.code), 1 << a.code)
+    for (label, a, c) in IMPLICATIONS
+)
+# The bits of the notions the audit asks the scan for.
+_AUDIT_WANT = sum({1 << notion.code for (_, a, c) in IMPLICATIONS for notion in (a, c)})
+
+
+def _collect_violations(values, totals, mms, want, start, stop):
     """(allocation index, agent, label rank) arrays of the violations in [start, stop).
 
     An agent violates an implication when its mask has the antecedent's bit
-    and not the consequent's.
+    and not the consequent's; ``want`` holds the bits of every implication.
     """
-    tests = [
-        (_LABELS_SORTED.index(label), (1 << a.code) | (1 << c.code), 1 << a.code)
-        for (label, a, c) in IMPLICATIONS
-    ]
-    want = 0
-    for _, both, _ in tests:
-        want |= both
     n = len(values)
     plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n))
     index, agent, rank = [], [], []
     for pos, count in plan.windows(start, stop):
         masks = _kernels.notion_masks(values, totals, mms, pos, count, want=want, plan=plan)
-        for label_rank, both, antecedent in tests:
+        for label_rank, both, antecedent in _AUDIT_TESTS:
             # Row-major positions in the window: row * n + agent.
             flat = np.flatnonzero((masks & np.uint16(both)) == antecedent)
             index.append(pos + flat // n)
@@ -241,7 +254,7 @@ def implication_audit(
     total = inst.n**inst.m
     require_budget(total, budget, "audit")
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
-    args = (values, totals, _mms_array(inst, True, budget))
+    args = (values, totals, _mms_array(inst, True, budget), _AUDIT_WANT)
     parts = _scan_ranges(_collect_violations, args, 0, total, workers)
     index, agent, rank = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((rank, agent, index))

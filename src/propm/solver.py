@@ -192,26 +192,6 @@ def _without(pool: tuple[int, ...], items) -> tuple[int, ...]:
     return tuple(j for j in pool if j not in drop)
 
 
-def _cmp(inst, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation) -> Compare:
-    lhs = lhs_mult * _val(inst, agent, lhs_items)
-    rhs = rhs_mult * _val(inst, agent, rhs_items)
-    if not _REL[relation](lhs, rhs):
-        raise InvariantViolationError(
-            f"expected {lhs_mult}*v[{agent}]{tuple(lhs_items)} {relation} "
-            f"{rhs_mult}*v[{agent}]{tuple(rhs_items)}, got {lhs} vs {rhs}"
-        )
-    return Compare(
-        agent=agent,
-        lhs_items=tuple(lhs_items),
-        lhs_mult=lhs_mult,
-        rhs_items=tuple(rhs_items),
-        rhs_mult=rhs_mult,
-        relation=relation,
-        lhs=lhs,
-        rhs=rhs,
-    )
-
-
 def _require_n(inst: Instance, n: int) -> None:
     if inst.n != n:
         raise InputError(f"this solver handles exactly {n} agents, got {inst.n}")
@@ -247,49 +227,63 @@ def _verify_propm(inst: Instance, agents, pool, assignment, context: str) -> Non
 # ---------------------------------------------------------------------------
 
 
+def _first_reduction(inst: Instance, agents, items) -> BigItemReduction | None:
+    """The lexicographically first over-share (agent, item) pair among ``agents`` and ``items``.
+
+    A pair is over-share when n' * v_ij > T'_i, with n' = len(agents) and
+    T'_i agent i's total over ``items``. None when no pair is.
+    """
+    n_res = len(agents)
+    pool = sorted(items)
+    for i in sorted(agents):
+        row = inst.values[i]
+        total_i = sum(row[j] for j in pool)
+        for j in pool:
+            if n_res * row[j] > total_i:
+                return BigItemReduction(i, j, n_res, row[j], total_i)
+    return None
+
+
 def reduce_big_items(inst: Instance) -> Reduction:
     """Repeatedly hand the lexicographically first over-share (agent, item) pair its item.
 
-    A pair fires when n' * v_ij > T'_i relative to the current residual
-    (n' remaining agents, T'_i the agent's total over remaining items).
+    Thresholds are relative to the current residual (``_first_reduction``).
     Any PROPm allocation of the residual lifts to one for the whole instance.
     """
     agents = set(range(inst.n))
     items = set(range(inst.m))
     steps: list[BigItemReduction] = []
-    assignments: list[tuple[int, int]] = []
-    while True:
-        n_res = len(agents)
-        fired = None
-        for i in sorted(agents):
-            total_i = sum(inst.values[i][j] for j in items)
-            for j in sorted(items):
-                if n_res * inst.values[i][j] > total_i:
-                    fired = (i, j, total_i)
-                    break
-            if fired:
-                break
-        if fired is None:
-            break
-        i, j, total_i = fired
-        steps.append(
-            BigItemReduction(
-                agent=i,
-                item=j,
-                residual_agent_count=n_res,
-                item_value=inst.values[i][j],
-                residual_total=total_i,
-            )
-        )
-        assignments.append((i, j))
-        agents.remove(i)
-        items.remove(j)
+    while (step := _first_reduction(inst, agents, items)) is not None:
+        steps.append(step)
+        agents.remove(step.agent)
+        items.remove(step.item)
     return Reduction(
-        assignments=tuple(assignments),
+        assignments=tuple((step.agent, step.item) for step in steps),
         residual_agents=tuple(sorted(agents)),
         residual_items=tuple(sorted(items)),
         steps=tuple(steps),
     )
+
+
+def _ladder_step(inst: Instance, agents, pool) -> LadderBuilt:
+    """The CP ladder over ``pool`` of the lowest of ``agents``, one rung per agent (2 to 5)."""
+    divider, n = min(agents), len(agents)
+    rungs = tuple(r.items for r in cp_ladder(inst, divider, n, Bundle(tuple(sorted(pool)))).rungs)
+    return LadderBuilt(divider=divider, rung_names=RUNG_NAMES[n], rungs=rungs)
+
+
+def _share_bounds(inst: Instance, pool, n: int, agents, items) -> tuple[Compare, ...]:
+    """Compare n*v_a(items) with len(agents)*v_a(pool) for each a in ``agents``.
+
+    A split of ``items`` among ``agents`` inside a level of n agents sharing
+    ``pool`` lifts to that level when every relation is ">=".
+    """
+    k = len(agents)
+    bounds = []
+    for a in agents:
+        lhs, rhs = n * _val(inst, a, items), k * _val(inst, a, pool)
+        bounds.append(Compare(a, items, n, pool, k, ">=" if lhs >= rhs else "<", lhs, rhs))
+    return tuple(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +314,16 @@ class _Level:
 
     def claim(self, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation) -> None:
         """Record a comparison the construction guarantees; a failure is a solver bug."""
+        lhs_items, rhs_items = tuple(lhs_items), tuple(rhs_items)
+        lhs = lhs_mult * self.val(agent, lhs_items)
+        rhs = rhs_mult * self.val(agent, rhs_items)
+        if not _REL[relation](lhs, rhs):
+            raise InvariantViolationError(
+                f"expected {lhs_mult}*v[{agent}]{lhs_items} {relation} "
+                f"{rhs_mult}*v[{agent}]{rhs_items}, got {lhs} vs {rhs}"
+            )
         self.comps.append(
-            _cmp(self.inst, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation)
+            Compare(agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation, lhs, rhs)
         )
 
     def at_least(self, agent: int, items, mult: int, pool_mult: int = 1) -> bool:
@@ -349,8 +351,9 @@ class _Level:
         |agents|/n of this level's pool.
         """
         agents = tuple(sorted(agents))
-        n, k = len(self.agents), len(agents)
-        obs = tuple(_cmp(self.inst, a, items, n, self.pool, k, ">=") for a in agents)
+        obs = _share_bounds(self.inst, self.pool, len(self.agents), agents, items)
+        if any(bound.relation != ">=" for bound in obs):
+            raise InvariantViolationError(f"a member of {agents} values {items} below its share")
         assignment, steps = _solve_level(self.inst, agents, items)
         self.assignment.update(assignment)
         inner = Certificate(agents=agents, items=items, steps=tuple(steps))
@@ -602,9 +605,9 @@ def _solve_level(
         )
         return {divider: pool}, [case]
     n = len(agents)
-    rungs = tuple(r.items for r in cp_ladder(inst, divider, n, Bundle(pool)).rungs)
+    ladder = _ladder_step(inst, agents, pool)
     lv = _Level(inst, agents, pool)
-    lemma = _CASES[n](lv, *rungs)
+    lemma = _CASES[n](lv, *ladder.rungs)
     split_agents = {a for step in lv.sub_steps for a in step.agents}
     case = CaseApplied(
         lemma=lemma,
@@ -615,7 +618,6 @@ def _solve_level(
         comparisons=tuple(lv.comps),
     )
     _verify_propm(inst, agents, pool, lv.assignment, f"solve{n}")
-    ladder = LadderBuilt(divider=divider, rung_names=RUNG_NAMES[n], rungs=rungs)
     return lv.assignment, [ladder, case, *lv.sub_steps]
 
 
@@ -691,74 +693,62 @@ def _req(condition: bool, message: str) -> None:
 
 
 def _verify_compare(inst: Instance, comp: Compare) -> None:
-    _req(
-        all(type(x) is int for x in (comp.agent, *comp.lhs_items, *comp.rhs_items)),
-        "comparison agent and items must be ints",
-    )
-    _req(0 <= comp.agent < inst.n, "comparison agent out of range")
     m = inst.m
-    for items in (comp.lhs_items, comp.rhs_items):
-        _req(not items or (min(items) >= 0 and max(items) < m), "comparison item out of range")
+    _req(
+        type(comp.agent) is int
+        and 0 <= comp.agent < inst.n
+        and all(type(j) is int and 0 <= j < m for j in (*comp.lhs_items, *comp.rhs_items)),
+        "comparison agent and items must be ints in range",
+    )
     lhs = comp.lhs_mult * _val(inst, comp.agent, comp.lhs_items)
     rhs = comp.rhs_mult * _val(inst, comp.agent, comp.rhs_items)
     _req(lhs == comp.lhs and rhs == comp.rhs, "recorded comparison values do not recompute")
-    _req(comp.relation in _REL, "unknown comparison relation")
+    _req(isinstance(comp.relation, str) and comp.relation in _REL, "unknown comparison relation")
     _req(_REL[comp.relation](lhs, rhs), "recorded comparison does not hold")
 
 
-def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
+def _indices(inst: Instance, cert) -> tuple[set[int], set[int]]:
+    """A certificate's agent and item sets; each must be a tuple of distinct in-range ints."""
+    _req(isinstance(cert, Certificate), f"expected a Certificate, got {type(cert).__name__}")
+    agents, items = cert.agents, cert.items
     _req(
-        all(type(x) is int for x in (*cert.agents, *cert.items)),
-        "certificate agents and items must be ints",
+        isinstance(agents, tuple)
+        and isinstance(items, tuple)
+        and all(type(a) is int and 0 <= a < inst.n for a in agents)
+        and all(type(j) is int and 0 <= j < inst.m for j in items),
+        "certificate agents and items must be ints in range",
     )
-    _req(len(set(cert.agents)) == len(cert.agents), "duplicate agents in certificate")
-    _req(len(set(cert.items)) == len(cert.items), "duplicate items in certificate")
-    remaining_agents = set(cert.agents)
-    remaining_items = set(cert.items)
-    level_agents = set(cert.agents)
+    agent_set, item_set = set(agents), set(items)
+    _req(len(agent_set) == len(agents), "duplicate agents in certificate")
+    _req(len(item_set) == len(items), "duplicate items in certificate")
+    return agent_set, item_set
+
+
+def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
+    remaining_agents, remaining_items = _indices(inst, cert)
+    level_agents = set(remaining_agents)
+    level: tuple[tuple[int, ...], int] | None = None  # the last ladder's pool and agent count
     allocation: dict[int, tuple[int, ...]] = {}
 
     for step in cert.steps:
         if isinstance(step, BigItemReduction):
-            _req(step.agent in remaining_agents, "reduction agent not available")
-            _req(step.item in remaining_items, "reduction item not available")
-            n_res = len(remaining_agents)
-            item_value = inst.values[step.agent][step.item]
-            residual_total = sum(inst.values[step.agent][j] for j in remaining_items)
-            _req(
-                step.residual_agent_count == n_res
-                and step.item_value == item_value
-                and step.residual_total == residual_total,
-                "reduction step does not recompute",
-            )
-            _req(n_res * item_value > residual_total, "reduction threshold does not hold")
-            for i in sorted(remaining_agents):
-                if i > step.agent:
-                    break
-                total_i = sum(inst.values[i][j] for j in remaining_items)
-                for j in sorted(remaining_items):
-                    if i == step.agent and j >= step.item:
-                        break
-                    _req(
-                        n_res * inst.values[i][j] <= total_i,
-                        "reduction is not lexicographically first",
-                    )
-            allocation[step.agent] = (step.item,)
-            remaining_agents.remove(step.agent)
-            remaining_items.remove(step.item)
+            expected = _first_reduction(inst, remaining_agents, remaining_items)
+            _req(step == expected, "reduction is not the lexicographically first over-share pair")
+            allocation[expected.agent] = (expected.item,)
+            remaining_agents.remove(expected.agent)
+            remaining_items.remove(expected.item)
         elif isinstance(step, LadderBuilt):
-            _req(bool(remaining_agents), "ladder with no agents left")
-            _req(step.divider == min(remaining_agents), "divider is not the lowest agent")
-            r = len(step.rungs)
-            _req(r == len(remaining_agents), "rung count differs from remaining agents")
-            _req(step.rung_names == RUNG_NAMES.get(r), "unexpected rung names")
-            ladder = cp_ladder(inst, step.divider, r, Bundle(tuple(sorted(remaining_items))))
+            _req(len(remaining_agents) in RUNG_NAMES, "no ladder for this many agents")
             _req(
-                step.rungs == tuple(rung.items for rung in ladder.rungs),
+                step == _ladder_step(inst, remaining_agents, remaining_items),
                 "ladder differs from its CP recomputation",
             )
+            level = tuple(sorted(remaining_items)), len(remaining_agents)
         elif isinstance(step, CaseApplied):
-            _req(step.lemma in KNOWN_LEMMAS, "unknown case label")
+            _req(
+                isinstance(step.lemma, str) and step.lemma in KNOWN_LEMMAS,
+                "unknown case label",
+            )
             _req(
                 KNOWN_LEMMAS[step.lemma] == len(remaining_agents),
                 "case label does not match the remaining agent count",
@@ -778,17 +768,18 @@ def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
                 remaining_agents.remove(agent)
                 remaining_items -= item_set
         elif isinstance(step, SubSplit):
-            agent_set = set(step.agents)
-            item_set = set(step.items)
+            agent_set, item_set = _indices(inst, step.certificate)
             _req(agent_set <= remaining_agents, "sub-split agents unavailable")
             _req(item_set <= remaining_items, "sub-split items unavailable")
             _req(
-                step.certificate.agents == tuple(sorted(agent_set))
-                and step.certificate.items == tuple(sorted(item_set)),
+                step.agents == step.certificate.agents == tuple(sorted(agent_set))
+                and step.items == step.certificate.items == tuple(sorted(item_set)),
                 "inner certificate does not match the sub-split",
             )
-            for comp in step.obs_bounds:
-                _verify_compare(inst, comp)
+            _req(level is not None, "sub-split outside a ladder level")
+            bounds = _share_bounds(inst, *level, step.agents, step.items)
+            _req(step.obs_bounds == bounds, "share bounds differ from their recomputation")
+            _req(all(b.relation == ">=" for b in bounds), "a share bound does not hold")
             inner = _replay(inst, step.certificate)
             _req(set(inner) == agent_set, "inner allocation covers the wrong agents")
             allocation.update(inner)
@@ -816,9 +807,13 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     A certificate that fails to replay gives False, including one whose
     fields hold values of the wrong type.
 
-    Replay is independent of the solver's control flow: rungs are recomputed
-    from the CP definition, every recorded comparison is recomputed from the
-    instance, and the step structure must cover all agents and items.
+    Replay is independent of the solver's control flow. The steps that
+    follow from the instance alone are rebuilt whole by the definitions the
+    solver records them with, and must equal the record: each reduction
+    (the lexicographically first over-share pair, ``_first_reduction``),
+    each ladder (``_ladder_step`` over ``cp_ladder``) and each sub-split's
+    share bounds (``_share_bounds``). A case's comparisons are recomputed as
+    recorded, and the step structure must cover all agents and items.
 
     Rung recomputation may answer from the CP memo the solve filled. That
     memo holds outputs of a pure function of (values, cap), which solver and
@@ -858,12 +853,8 @@ def ladder_discipline_ok(inst: Instance, cert: Certificate) -> bool:
                         continue
                     for pos, rung in enumerate(ladder.rungs):
                         if tuple(items) == rung:
-                            higher: set[int] = set()
-                            for r in ladder.rungs[:pos]:
-                                higher.update(r)
-                            lower: set[int] = set()
-                            for r in ladder.rungs[pos + 1 :]:
-                                lower.update(r)
+                            higher = {j for r in ladder.rungs[:pos] for j in r}
+                            lower = {j for r in ladder.rungs[pos + 1 :] for j in r}
                             for bundle in bundles:
                                 if bundle & higher and bundle & lower:
                                     return False

@@ -184,3 +184,91 @@ def test_budget_flag_only_on_enumerating_commands(tmp_path, capsys):
         code, _, err = _run(capsys, *command, "--instance", str(path), "--budget", "7")
         assert code == 3, command
         assert "needs 8 allocations, budget is 7" in err
+
+
+@pytest.mark.parametrize("cell", ["1.9", "2.0", '"2"', "true", "NaN", "Infinity"])
+def test_non_int_instance_values_exit_2(tmp_path, capsys, cell):
+    inst = tmp_path / "inst.json"
+    inst.write_text(f'{{"n": 2, "m": 3, "values": [[1, 1, 1], [1, {cell}, 1]]}}')
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"bundles": [[0], [1, 2]]}))
+    code, out, err = _run(capsys, "solve", "--instance", str(inst))
+    assert (code, out) == (2, "")
+    assert "must be integers" in err
+    code, _, err = _run(capsys, "verify", "--instance", str(inst), "--allocation", str(alloc),
+                        "--notion", "propm")
+    assert code == 2
+    assert "must be integers" in err
+
+
+_SMALL = json.dumps({"n": 2, "m": 3, "values": [[1, 2, 3], [3, 2, 1]]})
+
+
+@pytest.mark.parametrize(
+    "instance, bundles",
+    [
+        ('{"n": 2, "m": 3, "values": null}', "[[0], [1, 2]]"),
+        ("[" * 100_000 + "]" * 100_000, "[[0], [1, 2]]"),
+        ('{"n": 1, "m": 1, "values": [[' + "9" * 5000 + "]]}", "[[0]]"),
+        (_SMALL, "[[[0]], [1, 2]]"),
+        (_SMALL, '[[0, "a"], [1, 2]]'),
+    ],
+    ids=["values-null", "deep-nesting", "5000-digit-int", "nested-bundle", "mixed-bundle"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, instance, bundles):
+    inst = tmp_path / "inst.json"
+    inst.write_text(instance)
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(f'{{"bundles": {bundles}}}')
+    code, _, err = _run(capsys, "verify", "--instance", str(inst), "--allocation", str(alloc),
+                        "--notion", "prop")
+    assert code == 2
+    assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "{inst}", "--certificate-out", "{out}"],
+        ["gen", "--n", "2", "--m", "3", "--out", "{out}"],
+        ["counterexample", "--scale", "10", "--out", "{out}"],
+    ],
+    ids=["solve-certificate-out", "gen-out", "counterexample-out"],
+)
+def test_write_into_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    inst.write_text(_SMALL)
+    out = tmp_path / "missing" / "out.json"
+    argv = [a.format(inst=inst, out=out) for a in argv]
+    code, stdout, err = _run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert f"cannot write {out}" in err
+
+
+def test_budget_from_the_environment(tmp_path, capsys, monkeypatch):
+    # 2 agents, 3 items: every enumerating command needs 2^3 = 8 allocations.
+    path = tmp_path / "small.json"
+    path.write_text(_SMALL)
+    exists_cmd = ["exists", "--instance", str(path), "--notion", "prop"]
+    for env, argv, expected in [
+        ("8", [], 0),
+        ("7", [], 3),
+        (" 8 ", [], 0),
+        ("7", ["--budget", "8"], 0),
+        ("8", ["--budget", "7"], 3),
+        ("0", [], 2),
+        ("-1", [], 2),
+        ("eight", [], 2),
+        ("8.0", [], 2),
+        ("eight", ["--budget", "8"], 0),
+    ]:
+        monkeypatch.setenv("PROPM_BUDGET", env)
+        code, _, err = _run(capsys, *exists_cmd, *argv)
+        assert code == expected, (env, argv, err)
+        if expected == 2:
+            assert "PROPM_BUDGET" in err
+    monkeypatch.delenv("PROPM_BUDGET")
+    for budget in ("0", "-3"):
+        code, _, err = _run(capsys, *exists_cmd, "--budget", budget)
+        assert code == 2
+        assert "budget must be positive" in err

@@ -71,6 +71,29 @@ def test_instance_validation():
         Instance(((1, -2),))
 
 
+_NON_INT_CELLS = [1.9, 2.0, "2", True, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("cell", _NON_INT_CELLS, ids=repr)
+def test_instance_cells_are_not_coerced(cell):
+    with pytest.raises(InputError, match="must be integers"):
+        Instance.of([[1, 1, 1], [1, cell, 1]])
+    with pytest.raises(InputError, match="must be integers"):
+        Instance.from_json_dict({"n": 1, "m": 2, "values": [[cell, 1]]})
+
+
+@pytest.mark.parametrize("rows", [None, 5, [1, 2], [[1], None]], ids=repr)
+def test_instance_rows_must_be_lists(rows):
+    with pytest.raises(InputError):
+        Instance.of(rows)
+
+
+@pytest.mark.parametrize("bundles", [[[[0]], [1, 2]], [[0], 1], [[0, "a"], [1]]], ids=repr)
+def test_bundles_must_be_lists_of_indices(bundles):
+    with pytest.raises(InputError):
+        Allocation.from_json_dict({"bundles": bundles})
+
+
 def test_totals_cached(i_eps):
     assert i_eps.totals == (100, 100, 100)
 

@@ -68,18 +68,24 @@ def test_exists_propx_on_2a(i_2a):
 
 
 # 3^10 = 59049 allocations. With workers=2, exists scans the first
-# scan_chunk(3) = 8192 in process, and the remaining 50857 (at least
-# 4 * CHUNK) reach the pool, which splits them at index 33620. Agent 2 values
-# only item 9, so every PROP or EF witness gives it item 9 and lies at index
-# 2 * 3^9 or later, in the second worker's range.
+# scan_chunk(3) = 8192 in process, and the remaining 50857 (past the break-even
+# that ``pool_starts`` sets) reach the pool, which splits them at index 33620.
+# Agent 2 values only item 9, so every PROP or EF witness gives it item 9 and
+# lies at index 2 * 3^9 or later, in the second worker's range.
 LATE_WITNESS = Instance.of([[5] * 9 + [0], [5] * 9 + [0], [0] * 9 + [9]])
 # Three identical agents with one dominant item: no PROP allocation exists.
 NO_PROP = Instance.of([[91] + [1] * 9] * 3)
 
 
+# Work of 4 * CHUNK allocations of three agents asking one notion: small
+# enough for the pool tests below to start pools on 3^10 allocations.
+_TEST_BREAK_EVEN = 4 * kernels.CHUNK * 3**2
+
+
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Count the process pools the oracle starts."""
+    """Count the process pools the oracle starts, at a test-sized break-even."""
+    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", _TEST_BREAK_EVEN)
     started = []
 
     class CountingPool(oracle.ProcessPoolExecutor):
@@ -243,6 +249,41 @@ def test_audit_workers_match_single(pool_starts):
         assert solo.allocations_checked == multi.allocations_checked
     assert solo.violations  # the pooled audit has violations to merge
     assert pool_starts == [2]
+
+
+def test_pool_starts_only_past_the_break_even(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    values = np.zeros((3, 1), np.int64)
+
+    def split(stop, want, workers=2):
+        return oracle._scan_ranges(lambda *a: a[-2:], (values, None, None, want), 0, stop, workers)
+
+    # Three agents: one notion costs 9 work units per allocation, the audit's nine 81.
+    for want, per_allocation in ((1, 9), (oracle._AUDIT_WANT, 81)):
+        below = (oracle.POOL_BREAK_EVEN - 1) // per_allocation
+        assert split(below, want) == [(0, below)]
+        assert split(below + 1, want, workers=1) == [(0, below + 1)]
+        assert started == []
+        parts = split(below + 1, want)
+        assert started == [2]
+        assert [a for a, _ in parts] == [0, parts[0][1]] and parts[-1][1] == below + 1
+        started.clear()
+    assert bin(oracle._AUDIT_WANT).count("1") == 9
 
 
 # -- the early-exit window schedule ------------------------------------------

@@ -853,3 +853,80 @@ def test_verify_rejects_a_subsplit_without_a_certificate():
     steps[idx] = dataclasses.replace(steps[idx], certificate=None)
     mutated = dataclasses.replace(certificate, steps=tuple(steps))
     assert not verify_certificate(inst, allocation, mutated)
+
+
+
+# Two big-item reductions, then a three-agent level that splits part of its
+# pool between two agents, so its sub-split records two share bounds.
+_REDUCED_THEN_SPLIT = random_instance(5, 7, 30, seed=1)
+
+
+def _replace_step(kind, **changes):
+    """Apply ``changes`` (values or functions of the old field) to the first step of ``kind``."""
+
+    def apply(cert):
+        steps = list(cert.steps)
+        idx = next(i for i, step in enumerate(steps) if isinstance(step, kind))
+        old = steps[idx]
+        fields = {k: v(getattr(old, k)) if callable(v) else v for k, v in changes.items()}
+        steps[idx] = dataclasses.replace(old, **fields)
+        return dataclasses.replace(cert, steps=tuple(steps))
+
+    return apply
+
+
+def _bump_first(**changes):
+    return lambda bounds: (dataclasses.replace(bounds[0], **changes), *bounds[1:])
+
+
+_DERIVED_STEP_MUTATIONS = {
+    "bounds-dropped": _replace_step(SubSplit, obs_bounds=()),
+    "last-bound-dropped": _replace_step(SubSplit, obs_bounds=lambda b: b[:-1]),
+    "bounds-reordered": _replace_step(SubSplit, obs_bounds=lambda b: b[::-1]),
+    "bound-repeated": _replace_step(SubSplit, obs_bounds=lambda b: b + b[:1]),
+    "bound-lhs": _replace_step(SubSplit, obs_bounds=_bump_first(lhs_mult=2, lhs=0)),
+    "bound-relation": _replace_step(SubSplit, obs_bounds=_bump_first(relation=">")),
+    "bound-pool": _replace_step(SubSplit, obs_bounds=_bump_first(rhs_items=(0,), rhs=0)),
+    "reduction-agent": _replace_step(BigItemReduction, agent=lambda a: a + 1),
+    "reduction-item": _replace_step(BigItemReduction, item=lambda j: j + 1),
+    "reduction-agent-count": _replace_step(BigItemReduction, residual_agent_count=4),
+    "reduction-item-value": _replace_step(BigItemReduction, item_value=lambda v: v + 1),
+    "reduction-total": _replace_step(BigItemReduction, residual_total=lambda t: t + 1),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate", list(_DERIVED_STEP_MUTATIONS.values()), ids=list(_DERIVED_STEP_MUTATIONS)
+)
+def test_share_bounds_and_reductions_are_rebuilt_whole(mutate):
+    inst = _REDUCED_THEN_SPLIT
+    allocation, certificate = solve_propm(inst)
+    kinds = [type(step) for step in certificate.steps]
+    assert kinds == [BigItemReduction, BigItemReduction, LadderBuilt, CaseApplied, SubSplit]
+    assert len(certificate.steps[-1].obs_bounds) == 2
+    mutated = mutate(certificate)
+    assert mutated != certificate
+    with pytest.raises(CertificateError):
+        replay_certificate(inst, mutated)
+    assert not verify_certificate(inst, allocation, mutated)
+
+
+_WRONG_TYPE_MUTATIONS = {
+    "relation-list": _replace_first_comparison(relation=[">="]),
+    "lemma-list": _replace_step(CaseApplied, lemma=["n4.c=1"]),
+    "split-certificate-none": _replace_step(SubSplit, certificate=None),
+    "split-agents-none": _replace_step(SubSplit, agents=None),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate", list(_WRONG_TYPE_MUTATIONS.values()), ids=list(_WRONG_TYPE_MUTATIONS)
+)
+def test_wrongly_typed_fields_fail_replay_cleanly(mutate):
+    inst = Instance.of(_PINNED["n4.c=1"][0])
+    allocation, certificate = solve_propm(inst)
+    mutated = mutate(certificate)
+    with pytest.raises(CertificateError):
+        replay_certificate(inst, mutated)
+    assert not ladder_discipline_ok(inst, mutated)
+    assert not verify_certificate(inst, allocation, mutated)
