@@ -2,17 +2,18 @@
 
 Allocation index -> allocation: item j is owned by digit j of the index in
 base n, least significant digit first, so index 0 gives every item to agent
-0. Every scan walks its range in the windows of ``ScanPlan.windows`` and
-splits across worker processes in one place, ``_scan_ranges``: consecutive
-ranges whose results merge in index order (the least witness index, or the
-violations sorted by index), so the outcome never depends on the worker
-count. ``exists`` scans its first ``scan_chunk(n)`` allocations in this
-process before it starts a pool.
+0. ``exists`` and ``implication_audit`` read one result per window of
+``ScanPlan.windows`` from one loop, ``_scan_windows``, in index order
+whatever the worker count: ``exists`` stops at its first hit, the audit
+concatenates them. Past POOL_BREAK_EVEN, several workers scan the windows
+after the first on threads, a few ahead of the reader.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -118,7 +119,8 @@ def enumerate_allocations(n: int, m: int, budget: int | None = None) -> Iterator
         yield allocation_from_index(n, m, index)
 
 
-# Allocations in the first window of an early-exit scan; later windows double.
+# Allocations in the first window of an early-exit scan; later windows double,
+# since witnesses mostly lie near index 0.
 FIRST_WINDOW = 256
 
 
@@ -128,52 +130,53 @@ def _mms_array(inst: Instance, needed: bool, budget: int | None) -> np.ndarray:
     return np.array([mms_value(inst, i, budget=budget) for i in range(inst.n)], np.int64)
 
 
-# Scan work (allocations x n^2 x notions asked) below which two worker
-# processes take longer than one: on a 2-core host (numpy backend), no-witness
-# exists(PROP) on 3^14 allocations (43.0 M) and an audit of 4^9 (37.7 M) were
-# slower with two, exists(PROP) on 5^9 (48.8 M) and every larger scan faster.
-POOL_BREAK_EVEN = 45_000_000
+# Scan work (allocations x n^2) below which two threads mostly lose to one: on
+# a shared 2-core host (numpy backend) exists(EF) on 5^9, 6^8, 7^7 (40-61 M) and
+# audits of 4^10, 5^9, 7^7, 8^6 (17-49 M) ran slower with two; exists(EF) on 10^6,
+# 8^7, 16^5 and the audit of 8^7 (100-268 M) ran faster, and below, only 12^5 EF.
+POOL_BREAK_EVEN = 100_000_000
 
 
-def _scan_worker(job):
-    scan, args, start, stop = job
-    return scan(*args, start, stop)
+def _scan_windows(reduce, values, totals, mms, want, start, stop, workers, first=None):
+    """Yield ``reduce(pos, masks)`` for each window of [start, stop), in index order.
 
-
-def _scan_ranges(scan, args, start, stop, workers):
-    """``scan(*args, a, b)`` for each range [a, b) of a split of [start, stop), in order.
-
-    ``args`` is (values, totals, mms, want). The scan's work is its
-    allocations x n^2 x the notions ``want`` asks for. With one worker, or
-    less work than POOL_BREAK_EVEN, there is one range, scanned in this
-    process. Otherwise the range splits evenly into one part per worker,
-    each scanned in its own process.
+    ``masks`` are the ``notion_masks`` of the ``want`` bits over the windows
+    of ``ScanPlan.windows(start, stop, first)``. With several workers and
+    work past POOL_BREAK_EVEN, the first window runs in this thread and
+    fills the plan's tables (not safe to fill from two threads); the later
+    ones run on ``workers`` threads, at most 2 * workers ahead of the one
+    read. Closing the generator cancels the windows not yet started.
     """
-    values, _, _, want = args
-    work = (stop - start) * len(values) ** 2 * bin(want).count("1")
-    if workers <= 1 or work < POOL_BREAK_EVEN:
-        return [scan(*args, start, stop)]
-    bounds = np.linspace(start, stop, workers + 1, dtype=np.int64)
-    jobs = [(scan, args, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_worker, jobs))
-
-
-def _scan_first_satisfying(values, totals, mms, bit, start, stop):
-    """First allocation index in [start, stop) where all agents carry the bit, else -1.
-
-    Witnesses mostly lie near the start of a range, so the windows start at
-    FIRST_WINDOW allocations and double (``ScanPlan.windows``). They tile
-    [start, stop), so the first witness is the same for any schedule.
-    """
+    if type(workers) is not int or workers < 1:
+        raise InputError(f"workers must be an int of at least 1, got {workers!r}")
     n = len(values)
     plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n))
-    for pos, count in plan.windows(start, stop, FIRST_WINDOW):
-        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=bit, plan=plan)
-        where = np.nonzero(masks.all(axis=1))[0]
-        if where.size:
-            return pos + int(where[0])
-    return -1
+
+    def scan(window):
+        masks = _kernels.notion_masks(values, totals, mms, *window, want=want, plan=plan)
+        return reduce(window[0], masks)
+
+    windows = plan.windows(start, stop, first)
+    if workers == 1 or (stop - start) * n * n < POOL_BREAK_EVEN:
+        yield from map(scan, windows)
+        return
+    yield scan(next(windows))
+    pool, ahead = ThreadPoolExecutor(max_workers=workers), deque()
+    try:
+        for window in windows:
+            ahead.append(pool.submit(scan, window))
+            if len(ahead) == 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _first_hit(pos, masks):
+    """Index of the window's first allocation where every agent carries the bit, else -1."""
+    where = np.flatnonzero(masks.all(axis=1))
+    return pos + int(where[0]) if where.size else -1
 
 
 def exists(
@@ -186,20 +189,16 @@ def exists(
 
     Returns the first witness in enumeration order; the witness is
     re-verified with the exact checker before being reported. The scan
-    stops at the window holding the first witness. With several workers,
-    the first ``_kernels.scan_chunk(n)`` allocations are scanned in this
-    process, and a pool splits the rest only if they hold no witness.
+    stops at the window holding the first witness; with several workers, at
+    most 2 * workers windows past it are scanned.
     """
     total = inst.n**inst.m
     require_budget(total, budget, "existence scan")
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
     args = (values, totals, _mms_array(inst, notion is Notion.MMS, budget), 1 << notion.code)
-    head = total if workers <= 1 else min(total, _kernels.scan_chunk(inst.n))
-    found = _scan_first_satisfying(*args, 0, head)
-    if found < 0 and head < total:
-        hits = _scan_ranges(_scan_first_satisfying, args, head, total, workers)
-        found = min((h for h in hits if h >= 0), default=-1)
-
+    hits = _scan_windows(_first_hit, *args, 0, total, workers, FIRST_WINDOW)
+    with closing(hits):
+        found = next((hit for hit in hits if hit >= 0), -1)
     if found < 0:
         return ExistenceResult(notion, False, None, total)
     witness = allocation_from_index(inst.n, inst.m, found)
@@ -222,24 +221,17 @@ _AUDIT_TESTS = tuple(
 _AUDIT_WANT = sum({1 << notion.code for (_, a, c) in IMPLICATIONS for notion in (a, c)})
 
 
-def _collect_violations(values, totals, mms, want, start, stop):
-    """(allocation index, agent, label rank) arrays of the violations in [start, stop).
+def _violations(pos, masks):
+    """(allocation index, agent, label rank) arrays of a window's violations.
 
     An agent violates an implication when its mask has the antecedent's bit
-    and not the consequent's; ``want`` holds the bits of every implication.
+    and not the consequent's.
     """
-    n = len(values)
-    plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n))
-    index, agent, rank = [], [], []
-    for pos, count in plan.windows(start, stop):
-        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=want, plan=plan)
-        for label_rank, both, antecedent in _AUDIT_TESTS:
-            # Row-major positions in the window: row * n + agent.
-            flat = np.flatnonzero((masks & np.uint16(both)) == antecedent)
-            index.append(pos + flat // n)
-            agent.append(flat % n)
-            rank.append(np.full(flat.size, label_rank))
-    return np.concatenate(index), np.concatenate(agent), np.concatenate(rank)
+    # Row-major positions in the window: row * n + agent.
+    flats = [np.flatnonzero((masks & np.uint16(both)) == ante) for _, both, ante in _AUDIT_TESTS]
+    flat = np.concatenate(flats)
+    rank = np.repeat([label_rank for label_rank, _, _ in _AUDIT_TESTS], [f.size for f in flats])
+    return pos + flat // masks.shape[1], flat % masks.shape[1], rank
 
 
 def implication_audit(
@@ -255,7 +247,7 @@ def implication_audit(
     require_budget(total, budget, "audit")
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
     args = (values, totals, _mms_array(inst, True, budget), _AUDIT_WANT)
-    parts = _scan_ranges(_collect_violations, args, 0, total, workers)
+    parts = list(_scan_windows(_violations, *args, 0, total, workers))
     index, agent, rank = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((rank, agent, index))
     violations = tuple(

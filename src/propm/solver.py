@@ -703,7 +703,7 @@ def _verify_compare(inst: Instance, comp: Compare) -> None:
     lhs = comp.lhs_mult * _val(inst, comp.agent, comp.lhs_items)
     rhs = comp.rhs_mult * _val(inst, comp.agent, comp.rhs_items)
     _req(lhs == comp.lhs and rhs == comp.rhs, "recorded comparison values do not recompute")
-    _req(isinstance(comp.relation, str) and comp.relation in _REL, "unknown comparison relation")
+    _req(comp.relation in _REL, "unknown comparison relation")
     _req(_REL[comp.relation](lhs, rhs), "recorded comparison does not hold")
 
 
@@ -725,6 +725,14 @@ def _indices(inst: Instance, cert) -> tuple[set[int], set[int]]:
 
 
 def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
+    # A field of the wrong type (None, a list for a name) fails a check as TypeError and kin.
+    try:
+        return _replay_steps(inst, cert)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed certificate: {exc!r}") from exc
+
+
+def _replay_steps(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
     remaining_agents, remaining_items = _indices(inst, cert)
     level_agents = set(remaining_agents)
     level: tuple[tuple[int, ...], int] | None = None  # the last ladder's pool and agent count
@@ -745,10 +753,7 @@ def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
             )
             level = tuple(sorted(remaining_items)), len(remaining_agents)
         elif isinstance(step, CaseApplied):
-            _req(
-                isinstance(step.lemma, str) and step.lemma in KNOWN_LEMMAS,
-                "unknown case label",
-            )
+            _req(step.lemma in KNOWN_LEMMAS, "unknown case label")
             _req(
                 KNOWN_LEMMAS[step.lemma] == len(remaining_agents),
                 "case label does not match the remaining agent count",
@@ -780,7 +785,7 @@ def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
             bounds = _share_bounds(inst, *level, step.agents, step.items)
             _req(step.obs_bounds == bounds, "share bounds differ from their recomputation")
             _req(all(b.relation == ">=" for b in bounds), "a share bound does not hold")
-            inner = _replay(inst, step.certificate)
+            inner = _replay_steps(inst, step.certificate)
             _req(set(inner) == agent_set, "inner allocation covers the wrong agents")
             allocation.update(inner)
             remaining_agents -= agent_set

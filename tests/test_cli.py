@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propm.cli import main
 
@@ -272,3 +278,88 @@ def test_budget_from_the_environment(tmp_path, capsys, monkeypatch):
         code, _, err = _run(capsys, *exists_cmd, "--budget", budget)
         assert code == 2
         assert "budget must be positive" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", [["exists", "--notion", "prop"], ["audit"]])
+def test_bad_worker_counts_exit_2(tmp_path, capsys, command, workers):
+    path = tmp_path / "small.json"
+    path.write_text(_SMALL)
+    code, out, err = _run(capsys, *command, "--instance", str(path), "--workers", workers)
+    assert (code, out) == (2, "")
+    assert "workers must be an int of at least 1" in err
+
+
+# JSON trees of every kind the decoder yields, ints past int64 included.
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+    | st.integers()
+    | st.sampled_from([2**31, 2**63, 2**64 + 1, -(2**63), 10**40]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+_INSTANCE = {"n": 2, "m": 3, "values": [[1, 2, 3], [3, 2, 1]]}
+_ALLOCATION = {"bundles": [[0], [1, 2]]}
+# (document, path): the tree replaces the field at the path; () replaces the document.
+_FIELDS = [
+    ("instance", ()),
+    ("instance", ("n",)),
+    ("instance", ("m",)),
+    ("instance", ("values",)),
+    ("instance", ("values", 1)),
+    ("instance", ("values", 1, 2)),
+    ("allocation", ()),
+    ("allocation", ("bundles",)),
+    ("allocation", ("bundles", 1)),
+    ("allocation", ("bundles", 1, 0)),
+]
+# Command -> the JSON key that is false when its checked claim fails, or None
+# when the command checks no claim that can fail on valid input.
+_CLAIMS = {
+    ("verify", "--notion", "propm"): "all_satisfied",
+    ("exists", "--notion", "prop"): "exists",
+    ("audit",): "ok",
+    ("solve",): None,
+    ("leximin",): None,
+}
+
+
+def _placed(document, path, tree):
+    if not path:
+        return tree
+    document = json.loads(json.dumps(document))
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = tree
+    return document
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from(_FIELDS), tree=_JSON_TREES)
+def test_any_json_tree_in_any_field_exits_cleanly(field, tree):
+    docs = {"instance": _INSTANCE, "allocation": _ALLOCATION}
+    docs[field[0]] = _placed(docs[field[0]], field[1], tree)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, document in docs.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(document, fh)
+        for command, claim in _CLAIMS.items():
+            argv = [*command, "--instance", paths["instance"], "--json"]
+            if command[0] == "verify":
+                argv += ["--allocation", paths["allocation"]]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (command, code)
+            if code == 1:
+                assert claim is not None, command
+                assert json.loads(out.getvalue())[claim] is False, command
+            if code == 0 and claim is not None:
+                assert json.loads(out.getvalue())[claim] is True, command

@@ -1,6 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -67,40 +73,44 @@ def test_exists_propx_on_2a(i_2a):
     assert result.exists
 
 
-# 3^10 = 59049 allocations. With workers=2, exists scans the first
-# scan_chunk(3) = 8192 in process, and the remaining 50857 (past the break-even
-# that ``pool_starts`` sets) reach the pool, which splits them at index 33620.
-# Agent 2 values only item 9, so every PROP or EF witness gives it item 9 and
-# lies at index 2 * 3^9 or later, in the second worker's range.
+# 3^10 = 59049 allocations, 531,441 units of work (allocations x n^2): past
+# the break-even that ``small_break_even`` sets, so with workers=2 the scan runs
+# its first window in this thread and the later ones on a thread pool.
+# Agent 2 values only item 9, so every PROP or EF witness gives it item 9
+# and lies at index 2 * 3^9 or later, far past the first window.
 LATE_WITNESS = Instance.of([[5] * 9 + [0], [5] * 9 + [0], [0] * 9 + [9]])
 # Three identical agents with one dominant item: no PROP allocation exists.
 NO_PROP = Instance.of([[91] + [1] * 9] * 3)
 
 
-# Work of 4 * CHUNK allocations of three agents asking one notion: small
-# enough for the pool tests below to start pools on 3^10 allocations.
+# Work of 4 * CHUNK allocations of three agents: small enough for the pool
+# tests below to start pools on 3^10 allocations (``small_break_even``).
 _TEST_BREAK_EVEN = 4 * kernels.CHUNK * 3**2
 
 
 @pytest.fixture
-def pool_starts(monkeypatch):
-    """Count the process pools the oracle starts, at a test-sized break-even."""
+def small_break_even(monkeypatch):
     monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", _TEST_BREAK_EVEN)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Count the thread pools the oracle starts."""
     started = []
 
-    class CountingPool(oracle.ProcessPoolExecutor):
+    class CountingPool(oracle.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", CountingPool)
     return started
 
 
-def test_exists_workers_match_single(pool_starts):
+def test_exists_workers_match_single(small_break_even, pool_starts):
     # (instance, notion, pools started by workers=2): a witness in the first
-    # 8192 allocations is found in process, so only late and missing
-    # witnesses start a pool.
+    # window is found before any pool starts, and scans below the break-even
+    # start none, so only late and missing witnesses start a pool.
     cases = [
         (random_instance(3, 6, 30, seed=62), Notion.PROPM, 0),
         (random_instance(3, 6, 30, seed=62), Notion.EFX, 0),
@@ -112,14 +122,24 @@ def test_exists_workers_match_single(pool_starts):
     for inst, notion, pools in cases:
         solo = exists(inst, notion, workers=1)
         assert pool_starts == []
-        multi = exists(inst, notion, workers=2)
-        assert pool_starts == [2] * pools, (inst, notion)
-        pool_starts.clear()
-        assert solo.exists == multi.exists
-        assert solo.allocations_checked == multi.allocations_checked
-        assert solo.witness == multi.witness
+        for workers in (2, 3):
+            multi = exists(inst, notion, workers=workers)
+            assert pool_starts == [workers] * pools, (inst, notion)
+            pool_starts.clear()
+            assert solo.exists == multi.exists
+            assert solo.allocations_checked == multi.allocations_checked
+            assert solo.witness == multi.witness
     assert exists(LATE_WITNESS, Notion.PROP).allocations_checked > 2 * 3**9
     assert not exists(NO_PROP, Notion.PROP).exists
+
+
+@pytest.mark.parametrize("workers", [0, -5, True, 1.0, 2.5, "2", None])
+def test_bad_worker_counts_are_input_errors(workers):
+    inst = random_instance(3, 4, 20, seed=5)
+    with pytest.raises(InputError, match="workers"):
+        exists(inst, Notion.PROPM, workers=workers)
+    with pytest.raises(InputError, match="workers"):
+        implication_audit(inst, workers=workers)
 
 
 def test_audit_on_eps_flags_only_the_known_bad_edge(i_eps):
@@ -241,49 +261,60 @@ def test_exists_budget_error(i_eps):
         exists(i_eps, Notion.PROPM, budget=10)
 
 
-def test_audit_workers_match_single(pool_starts):
+def test_audit_workers_match_single(small_break_even, pool_starts):
     for inst in (random_instance(3, 5, 20, seed=818), random_instance(3, 10, 30, seed=818)):
         solo = implication_audit(inst, workers=1)
-        multi = implication_audit(inst, workers=2)
-        assert solo.violations == multi.violations
-        assert solo.allocations_checked == multi.allocations_checked
-    assert solo.violations  # the pooled audit has violations to merge
-    assert pool_starts == [2]
+        for workers in (2, 3):
+            multi = implication_audit(inst, workers=workers)
+            assert solo.violations == multi.violations
+            assert solo.allocations_checked == multi.allocations_checked
+    assert solo.violations  # the threaded audit has violations to merge
+    assert pool_starts == [2, 3]
 
 
-def test_pool_starts_only_past_the_break_even(monkeypatch):
-    started = []
+def test_threads_match_one_worker_under_a_short_switch_interval(small_break_even):
+    """Four threads on a 2-core host, switching every microsecond, read the
+    plan's tables the first window built and still give one worker's results."""
+    inst = random_instance(3, 10, 30, seed=818)
+    solo = implication_audit(inst, workers=1)
+    late = exists(LATE_WITNESS, Notion.EF, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert implication_audit(inst, workers=4).violations == solo.violations
+        assert exists(LATE_WITNESS, Notion.EF, workers=4) == late
+    finally:
+        sys.setswitchinterval(interval)
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
 
-        def __enter__(self):
-            return self
+def test_import_loads_no_process_machinery():
+    process = {"multiprocessing", "concurrent.futures.process"}
+    code = f"import sys, propm; print(sorted({process!r} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n")
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+def test_pool_starts_only_past_the_break_even(monkeypatch, pool_starts):
+    monkeypatch.setattr(kernels, "notion_masks", _fake_masks(-1, []))
     values = np.zeros((3, 1), np.int64)
+    totals, mms = np.zeros(3, np.int64), np.full(3, -1, np.int64)
 
-    def split(stop, want, workers=2):
-        return oracle._scan_ranges(lambda *a: a[-2:], (values, None, None, want), 0, stop, workers)
+    def windows(stop, workers=2):
+        def reduce(pos, masks):
+            return pos, len(masks)
 
-    # Three agents: one notion costs 9 work units per allocation, the audit's nine 81.
-    for want, per_allocation in ((1, 9), (oracle._AUDIT_WANT, 81)):
-        below = (oracle.POOL_BREAK_EVEN - 1) // per_allocation
-        assert split(below, want) == [(0, below)]
-        assert split(below + 1, want, workers=1) == [(0, below + 1)]
-        assert started == []
-        parts = split(below + 1, want)
-        assert started == [2]
-        assert [a for a, _ in parts] == [0, parts[0][1]] and parts[-1][1] == below + 1
-        started.clear()
-    assert bin(oracle._AUDIT_WANT).count("1") == 9
+        return list(oracle._scan_windows(reduce, values, totals, mms, 1, 0, stop, workers))
+
+    # Three agents: 9 work units per allocation.
+    below = (oracle.POOL_BREAK_EVEN - 1) // 9
+    assert windows(below) == windows(below, workers=1)
+    assert pool_starts == []
+    tiled = windows(below + 1, workers=1)
+    assert pool_starts == []
+    assert windows(below + 1) == tiled
+    assert pool_starts == [2]
+    assert tiled[0] == (0, kernels.CHUNK) and sum(c for _, c in tiled) == below + 1
 
 
 # -- the early-exit window schedule ------------------------------------------
@@ -302,13 +333,17 @@ def _fake_masks(witness, windows):
     return fake
 
 
-def _scan(monkeypatch, n, start, stop, witness):
+def _scan(monkeypatch, n, start, stop, witness, workers=1):
     windows = []
     monkeypatch.setattr(kernels, "notion_masks", _fake_masks(witness, windows))
     values = np.zeros((n, 1), np.int64)
     totals = np.zeros(n, np.int64)
     mms = np.full(n, -1, np.int64)
-    found = oracle._scan_first_satisfying(values, totals, mms, 1, start, stop)
+    hits = oracle._scan_windows(
+        oracle._first_hit, values, totals, mms, 1, start, stop, workers, FIRST_WINDOW
+    )
+    with closing(hits):
+        found = next((hit for hit in hits if hit >= 0), -1)
     return found, windows
 
 
@@ -347,6 +382,49 @@ def test_scan_window_sizes_are_pinned(monkeypatch):
     assert [c for _, c in windows] == [256, 512, 1024, 2048, 4096, 8192, 3872]
     _, windows = _scan(monkeypatch, 3, 7, 300, -1)
     assert windows == [(7, 256), (263, 37)]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_threads_stop_soon_after_the_witness_window(monkeypatch, workers):
+    """Threads scan at most 2 * workers windows ahead of the one read, so at
+    most that many past the witness's window."""
+    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 1)
+    chunk = kernels.scan_chunk(3)
+    stop = 40 * chunk
+    for witness in (0, FIRST_WINDOW + 5, 5 * chunk, 20 * chunk + 7, stop - 1):
+        found, windows = _scan(monkeypatch, 3, 0, stop, witness, workers)
+        assert found == witness
+        windows.sort()
+        assert _assert_doubling(windows, 0, chunk) <= stop
+        hit = next(k for k, (at, count) in enumerate(windows) if at <= witness < at + count)
+        assert len(windows) - 1 - hit <= 2 * workers, witness
+
+
+def test_closing_the_scan_cancels_queued_windows(monkeypatch):
+    """The first window runs in the calling thread. Once the witness is read,
+    the two threads are busy with at most the next two windows, and the
+    third one queued behind them is cancelled instead of scanned."""
+    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 1)
+    chunk = kernels.scan_chunk(3)
+    witness = 5 * chunk
+    ran = []
+
+    def slow_past_the_witness(values, totals, mms, start, count, want, plan=None):
+        ran.append((start, threading.get_ident()))
+        if start > witness:
+            time.sleep(0.2)
+        return _fake_masks(witness, [])(values, totals, mms, start, count, want, plan)
+
+    monkeypatch.setattr(kernels, "notion_masks", slow_past_the_witness)
+    values = np.zeros((3, 1), np.int64)
+    totals, mms = np.zeros(3, np.int64), np.full(3, -1, np.int64)
+    hits = oracle._scan_windows(
+        oracle._first_hit, values, totals, mms, 1, 0, 40 * chunk, 2, FIRST_WINDOW
+    )
+    with closing(hits):
+        assert next(hit for hit in hits if hit >= 0) == witness
+    assert ran[0] == (0, threading.get_ident())
+    assert len([start for start, _ in ran if start > witness]) <= 2
 
 
 @pytest.mark.parametrize("n", [3, 74])

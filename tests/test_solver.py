@@ -27,9 +27,13 @@ from propm.solver import (
     KNOWN_LEMMAS,
     BigItemReduction,
     CaseApplied,
+    Certificate,
     CertificateError,
     LadderBuilt,
     SubSplit,
+    _ladder_step,
+    _share_bounds,
+    _solve_level,
     certificate_from_json_dict,
     certificate_to_json_dict,
 )
@@ -618,6 +622,37 @@ def test_ladder_discipline_holds():
         assert ladder_discipline_ok(inst, certificate)
 
 
+def test_ladder_discipline_catches_a_bundle_mixing_rungs():
+    """A forged certificate that replays but breaks the rung-mixing rule.
+
+    The divider takes the middle rung A = (2, 3) of the ladder B, A, C =
+    (0, 5), (2, 3), (1, 4), and agents 1 and 2 split B and C between them,
+    so agent 2's bundle (0, 1, 5) holds items of the rung above A and of the
+    rung below it.
+    """
+    inst = random_instance(3, 6, 20, 0)
+    agents, pool = (0, 1, 2), tuple(range(6))
+    ladder = _ladder_step(inst, agents, pool)
+    assert ladder.rung_names == ("B", "A", "C")
+    assert ladder.rungs == ((0, 5), (2, 3), (1, 4))
+    case = CaseApplied(
+        lemma="n3.one_bundle", roles=(("divider", 0),), assignments=((0, (2, 3)),), comparisons=()
+    )
+    split_agents, split_items = (1, 2), (0, 1, 4, 5)
+    assignment, steps = _solve_level(inst, split_agents, split_items)
+    split = SubSplit(
+        agents=split_agents,
+        items=split_items,
+        obs_bounds=_share_bounds(inst, pool, 3, split_agents, split_items),
+        certificate=Certificate(agents=split_agents, items=split_items, steps=tuple(steps)),
+    )
+    forged = Certificate(agents=agents, items=pool, steps=(ladder, case, split))
+    allocation = Allocation.of([[2, 3], [4], [0, 1, 5]])
+    assert assignment == {1: (4,), 2: (0, 1, 5)}
+    assert verify_certificate(inst, allocation, forged)
+    assert not ladder_discipline_ok(inst, forged)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -916,6 +951,12 @@ _WRONG_TYPE_MUTATIONS = {
     "lemma-list": _replace_step(CaseApplied, lemma=["n4.c=1"]),
     "split-certificate-none": _replace_step(SubSplit, certificate=None),
     "split-agents-none": _replace_step(SubSplit, agents=None),
+    "steps-none": lambda cert: dataclasses.replace(cert, steps=None),
+    "assignments-none": _replace_step(CaseApplied, assignments=None),
+    "comparisons-none": _replace_step(CaseApplied, comparisons=None),
+    "assignment-items-none": _replace_step(CaseApplied, assignments=((0, None),)),
+    "role-name-int": _replace_step(CaseApplied, roles=lambda r: ((0, r[0][1]), *r[1:])),
+    "comparison-items-none": _replace_first_comparison(lhs_items=None),
 }
 
 
