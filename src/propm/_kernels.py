@@ -444,8 +444,6 @@ class ScanPlan:
     def window(self, name, agents, start, count):
         """Statistic ``name`` for allocations start..start+count-1, in index order."""
         lead, width = self._shape(name, agents)
-        if not count:
-            return np.empty((lead, width, 0), self.values.dtype)
         low, mid = self._halves(name, agents)
         op = _STATS[name]
         size, mid_size = self.low_size, self.mid_size
@@ -530,8 +528,7 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None)
     masks = np.zeros((n, count), np.uint16)  # [agent, allocation]
 
     def put(bit, ok, agents=slice(None)):
-        if want >> bit & 1:
-            masks[agents] |= ok * np.uint16(1 << bit)
+        masks[agents] |= ok * np.uint16(1 << bit)
 
     totals = totals[:, None]
     own = plan.window("own", slice(None), start, count)[0]
@@ -652,8 +649,6 @@ def mms_scan(row, n, start, count, plan=None):
     ``plan`` is the scan's ``ScanPlan`` over ``row[None, :]``; without one
     the call builds a plan for this window.
     """
-    if not count:
-        return -1
     if plan is None:
         plan = ScanPlan(row[None, :], n, count)
     sums = plan.window("val", slice(None), start, count)

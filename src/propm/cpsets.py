@@ -72,8 +72,6 @@ def _best_subset(vals: tuple[int, ...], cap: int):
     certificate reuses the tables its solve built.
     """
     m = len(vals)
-    if m == 0:
-        return 0, 0, 0
     if cap + 1 <= DP_SUM_LIMIT:
         return _kernels.cp_table(vals, cap)
     if m <= MITM_ITEM_LIMIT:
@@ -135,15 +133,11 @@ def validate_ladder(inst: Instance, ladder: CpLadder) -> bool:
     r = ladder.n_rungs
     if r < 1:
         return False
-    seen: set[int] = set()
     for rung in ladder.rungs:
         try:
             rung.validate_for(inst.m)
         except InputError:
             return False
-        if seen.intersection(rung.items):
-            return False
-        seen.update(rung.items)
     base = ladder.base()
     if ladder != cp_ladder(inst, ladder.divider, r, base):
         return False

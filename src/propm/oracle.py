@@ -15,7 +15,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ IMPLICATIONS: tuple[tuple[str, Notion, Notion], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AuditViolation:
+class AuditViolation(NamedTuple):
     implication: str
     allocation_index: int
     agent: int
@@ -86,14 +85,7 @@ class AuditReport:
             "implications": list(self.implications),
             "allocations_checked": self.allocations_checked,
             "ok": self.ok,
-            "violations": [
-                {
-                    "implication": v.implication,
-                    "allocation_index": v.allocation_index,
-                    "agent": v.agent,
-                }
-                for v in self.violations
-            ],
+            "violations": [v._asdict() for v in self.violations],
         }
 
 
@@ -250,9 +242,9 @@ def implication_audit(
     parts = list(_scan_windows(_violations, *args, 0, total, workers))
     index, agent, rank = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((rank, agent, index))
+    labels = map(_LABELS_SORTED.__getitem__, rank[order].tolist())
     violations = tuple(
-        AuditViolation(_LABELS_SORTED[r], i, a)
-        for i, a, r in zip(index[order].tolist(), agent[order].tolist(), rank[order].tolist())
+        map(AuditViolation._make, zip(labels, index[order].tolist(), agent[order].tolist()))
     )
     return AuditReport(
         implications=tuple(label for (label, _, _) in IMPLICATIONS),

@@ -176,8 +176,7 @@ class Reduction:
 
 
 def _val(inst: Instance, agent: int, items) -> int:
-    row = inst.values[agent]
-    return sum(row[j] for j in items)
+    return sum(map(inst.values[agent].__getitem__, items))
 
 
 def _merge(*item_groups) -> tuple[int, ...]:
@@ -272,18 +271,32 @@ def _ladder_step(inst: Instance, agents, pool) -> LadderBuilt:
     return LadderBuilt(divider=divider, rung_names=RUNG_NAMES[n], rungs=rungs)
 
 
+def _compare(inst, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation=None) -> Compare:
+    """The record of lhs_mult*v_agent(lhs_items) against rhs_mult*v_agent(rhs_items).
+
+    Without a ``relation`` it records ">=" or "<", whichever holds. A given
+    relation is one the construction guarantees; a failure is a solver bug.
+    """
+    lhs_items, rhs_items = tuple(lhs_items), tuple(rhs_items)
+    lhs = lhs_mult * _val(inst, agent, lhs_items)
+    rhs = rhs_mult * _val(inst, agent, rhs_items)
+    if relation is None:
+        relation = ">=" if lhs >= rhs else "<"
+    elif not _REL[relation](lhs, rhs):
+        raise InvariantViolationError(
+            f"expected {lhs_mult}*v[{agent}]{lhs_items} {relation} "
+            f"{rhs_mult}*v[{agent}]{rhs_items}, got {lhs} vs {rhs}"
+        )
+    return Compare(agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation, lhs, rhs)
+
+
 def _share_bounds(inst: Instance, pool, n: int, agents, items) -> tuple[Compare, ...]:
     """Compare n*v_a(items) with len(agents)*v_a(pool) for each a in ``agents``.
 
     A split of ``items`` among ``agents`` inside a level of n agents sharing
     ``pool`` lifts to that level when every relation is ">=".
     """
-    k = len(agents)
-    bounds = []
-    for a in agents:
-        lhs, rhs = n * _val(inst, a, items), k * _val(inst, a, pool)
-        bounds.append(Compare(a, items, n, pool, k, ">=" if lhs >= rhs else "<", lhs, rhs))
-    return tuple(bounds)
+    return tuple(_compare(inst, a, items, n, pool, len(agents)) for a in agents)
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +327,15 @@ class _Level:
 
     def claim(self, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation) -> None:
         """Record a comparison the construction guarantees; a failure is a solver bug."""
-        lhs_items, rhs_items = tuple(lhs_items), tuple(rhs_items)
-        lhs = lhs_mult * self.val(agent, lhs_items)
-        rhs = rhs_mult * self.val(agent, rhs_items)
-        if not _REL[relation](lhs, rhs):
-            raise InvariantViolationError(
-                f"expected {lhs_mult}*v[{agent}]{lhs_items} {relation} "
-                f"{rhs_mult}*v[{agent}]{rhs_items}, got {lhs} vs {rhs}"
-            )
         self.comps.append(
-            Compare(agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation, lhs, rhs)
+            _compare(self.inst, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation)
         )
 
     def at_least(self, agent: int, items, mult: int, pool_mult: int = 1) -> bool:
         """Record whether mult*v(items) >= pool_mult*v(pool) for ``agent``; return it."""
-        lhs = mult * self.val(agent, items)
-        rhs = pool_mult * self.totals[agent]
-        relation = ">=" if lhs >= rhs else "<"
-        self.comps.append(
-            Compare(agent, tuple(items), mult, self.pool, pool_mult, relation, lhs, rhs)
-        )
-        return lhs >= rhs
+        comp = _compare(self.inst, agent, items, mult, self.pool, pool_mult)
+        self.comps.append(comp)
+        return comp.relation == ">="
 
     def prefer(self, agent: int, x, y):
         """Record which of x, y ``agent`` values more (ties go to x); return (better, worse)."""
@@ -697,8 +698,9 @@ def _verify_compare(inst: Instance, comp: Compare) -> None:
     _req(
         type(comp.agent) is int
         and 0 <= comp.agent < inst.n
-        and all(type(j) is int and 0 <= j < m for j in (*comp.lhs_items, *comp.rhs_items)),
-        "comparison agent and items must be ints in range",
+        and all(type(j) is int and 0 <= j < m for j in (*comp.lhs_items, *comp.rhs_items))
+        and type(comp.lhs_mult) is type(comp.rhs_mult) is type(comp.lhs) is type(comp.rhs) is int,
+        "comparison agent, items, multipliers and values must be ints, in range",
     )
     lhs = comp.lhs_mult * _val(inst, comp.agent, comp.lhs_items)
     rhs = comp.rhs_mult * _val(inst, comp.agent, comp.rhs_items)
@@ -724,7 +726,8 @@ def _indices(inst: Instance, cert) -> tuple[set[int], set[int]]:
     return agent_set, item_set
 
 
-def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
+def _replay(inst: Instance, cert: Certificate) -> tuple[dict, list]:
+    """Every agent's items, and (rungs, position) for each whole rung a divider takes."""
     # A field of the wrong type (None, a list for a name) fails a check as TypeError and kin.
     try:
         return _replay_steps(inst, cert)
@@ -732,11 +735,12 @@ def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
         raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
 
-def _replay_steps(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
+def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
     remaining_agents, remaining_items = _indices(inst, cert)
     level_agents = set(remaining_agents)
-    level: tuple[tuple[int, ...], int] | None = None  # the last ladder's pool and agent count
+    ladder: LadderBuilt | None = None  # the last one; its rungs partition its level's pool
     allocation: dict[int, tuple[int, ...]] = {}
+    handouts: list[tuple[tuple[tuple[int, ...], ...], int]] = []
 
     for step in cert.steps:
         if isinstance(step, BigItemReduction):
@@ -751,7 +755,7 @@ def _replay_steps(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...
                 step == _ladder_step(inst, remaining_agents, remaining_items),
                 "ladder differs from its CP recomputation",
             )
-            level = tuple(sorted(remaining_items)), len(remaining_agents)
+            ladder = step
         elif isinstance(step, CaseApplied):
             _req(step.lemma in KNOWN_LEMMAS, "unknown case label")
             _req(
@@ -766,12 +770,16 @@ def _replay_steps(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...
             for agent, items in step.assignments:
                 _req(agent in remaining_agents, "assignment to an unavailable agent")
                 item_set = set(items)
+                _req(all(type(j) is int for j in items), "assignment items must be ints")
                 _req(len(item_set) == len(items), "duplicate items in an assignment")
                 _req(item_set <= remaining_items, "assignment of unavailable items")
                 _req(tuple(sorted(items)) == tuple(items), "assignment items not sorted")
                 allocation[agent] = items
                 remaining_agents.remove(agent)
                 remaining_items -= item_set
+                if ladder is not None and agent == ladder.divider:
+                    rungs = ladder.rungs
+                    handouts += [(rungs, p) for p, rung in enumerate(rungs) if tuple(items) == rung]
         elif isinstance(step, SubSplit):
             agent_set, item_set = _indices(inst, step.certificate)
             _req(agent_set <= remaining_agents, "sub-split agents unavailable")
@@ -781,13 +789,15 @@ def _replay_steps(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...
                 and step.items == step.certificate.items == tuple(sorted(item_set)),
                 "inner certificate does not match the sub-split",
             )
-            _req(level is not None, "sub-split outside a ladder level")
-            bounds = _share_bounds(inst, *level, step.agents, step.items)
+            _req(ladder is not None, "sub-split outside a ladder level")
+            pool, n = _merge(*ladder.rungs), len(ladder.rungs)
+            bounds = _share_bounds(inst, pool, n, step.agents, step.items)
             _req(step.obs_bounds == bounds, "share bounds differ from their recomputation")
             _req(all(b.relation == ">=" for b in bounds), "a share bound does not hold")
-            inner = _replay_steps(inst, step.certificate)
+            inner, inner_handouts = _replay_steps(inst, step.certificate)
             _req(set(inner) == agent_set, "inner allocation covers the wrong agents")
             allocation.update(inner)
+            handouts += inner_handouts
             remaining_agents -= agent_set
             remaining_items -= item_set
         else:
@@ -795,7 +805,7 @@ def _replay_steps(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...
 
     _req(not remaining_agents, "some agents never received a bundle")
     _req(not remaining_items, "some items were never assigned")
-    return allocation
+    return allocation, handouts
 
 
 def replay_certificate(inst: Instance, cert: Certificate) -> Allocation:
@@ -803,7 +813,7 @@ def replay_certificate(inst: Instance, cert: Certificate) -> Allocation:
 
     Raises CertificateError when any recorded fact fails to recompute.
     """
-    return _assemble(inst, _replay(inst, cert))
+    return _assemble(inst, _replay(inst, cert)[0])
 
 
 def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate) -> bool:
@@ -827,12 +837,12 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     the CP bundle of the verifier's own base set.
     """
     try:
-        if cert.agents != tuple(range(inst.n)) or cert.items != tuple(range(inst.m)):
-            return False
-        replayed = replay_certificate(inst, cert)
-    except (AttributeError, CertificateError, IndexError, KeyError, TypeError, ValueError):
+        replayed, _ = _replay(inst, cert)
+    except CertificateError:
         return False
-    return replayed.bundles == allocation.bundles
+    if cert.agents != tuple(range(inst.n)) or cert.items != tuple(range(inst.m)):
+        return False
+    return _assemble(inst, replayed).bundles == allocation.bundles
 
 
 def ladder_discipline_ok(inst: Instance, cert: Certificate) -> bool:
@@ -840,35 +850,19 @@ def ladder_discipline_ok(inst: Instance, cert: Certificate) -> bool:
 
     Whenever a level's divider receives a whole rung, no final bundle may mix
     items from higher rungs with items from lower rungs of that ladder.
+    Replay records those hand-outs at every depth; this reads them.
     """
     try:
-        final = _replay(inst, cert)
+        final, handouts = _replay(inst, cert)
     except CertificateError:
         return False
     bundles = [set(items) for items in final.values()]
-
-    def walk(c: Certificate) -> bool:
-        ladder: LadderBuilt | None = None
-        for step in c.steps:
-            if isinstance(step, LadderBuilt):
-                ladder = step
-            elif isinstance(step, CaseApplied) and ladder is not None:
-                for agent, items in step.assignments:
-                    if agent != ladder.divider:
-                        continue
-                    for pos, rung in enumerate(ladder.rungs):
-                        if tuple(items) == rung:
-                            higher = {j for r in ladder.rungs[:pos] for j in r}
-                            lower = {j for r in ladder.rungs[pos + 1 :] for j in r}
-                            for bundle in bundles:
-                                if bundle & higher and bundle & lower:
-                                    return False
-            elif isinstance(step, SubSplit):
-                if not walk(step.certificate):
-                    return False
-        return True
-
-    return walk(cert)
+    for rungs, pos in handouts:
+        higher = {j for r in rungs[:pos] for j in r}
+        lower = {j for r in rungs[pos + 1 :] for j in r}
+        if any(bundle & higher and bundle & lower for bundle in bundles):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propm import cli
 from propm.cli import main
+from propm.core import InvariantViolationError
 
 
 def _run(capsys, *argv):
@@ -160,6 +162,23 @@ def test_solve_unsupported_size(tmp_path, capsys):
     inst_path.write_text(json.dumps({"n": 8, "m": 8, "values": [[1] * 8] * 8}))
     code, _, err = _run(capsys, "solve", "--instance", str(inst_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("fault", ["invariant", "self-verification"])
+def test_solver_faults_exit_1(tmp_path, capsys, monkeypatch, fault):
+    def broken_solve(inst):
+        raise InvariantViolationError("a forced solver fault")
+
+    if fault == "invariant":
+        monkeypatch.setattr(cli, "solve_propm", broken_solve)
+    else:
+        monkeypatch.setattr(cli, "verify_certificate", lambda *args: False)
+    inst_path = tmp_path / "i2a.json"
+    inst_path.write_text(json.dumps({"n": 2, "m": 2, "values": [[60, 40], [10, 90]]}))
+    code, out, err = _run(capsys, "solve", "--instance", str(inst_path))
+    assert code == 1 and not out
+    expected = {"invariant": "invariant violation", "self-verification": "self-verification"}
+    assert expected[fault] in err
 
 
 def test_kernel_int64_range_is_input_error(tmp_path, capsys):

@@ -465,6 +465,23 @@ def test_validate_ladder_on_sub_base():
     assert validate_ladder(inst, ladder)
 
 
+@pytest.mark.parametrize(
+    "divider, rungs",
+    [
+        (1, ((0, 3), (1, 2))),  # divider out of range
+        (0, ()),  # no rungs
+        (0, ((0, 3), (1, 2, 4))),  # an item past m
+        (0, ((0, 3), (1, 2, 3))),  # overlapping rungs
+    ],
+    ids=["divider-out-of-range", "no-rungs", "item-past-m", "overlapping-rungs"],
+)
+def test_validate_ladder_rejects_malformed_ladders(i_cp, divider, rungs):
+    assert i_cp.n == 1 and i_cp.m == 4
+    assert validate_ladder(i_cp, cp_ladder(i_cp, 0, 2, i_cp.all_items()))
+    ladder = CpLadder(divider=divider, rungs=tuple(Bundle(r) for r in rungs))
+    assert not validate_ladder(i_cp, ladder)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ladder_bound_property(data):

@@ -29,6 +29,7 @@ from propm.solver import (
     CaseApplied,
     Certificate,
     CertificateError,
+    Compare,
     LadderBuilt,
     SubSplit,
     _ladder_step,
@@ -653,6 +654,54 @@ def test_ladder_discipline_catches_a_bundle_mixing_rungs():
     assert not ladder_discipline_ok(inst, forged)
 
 
+def test_ladder_discipline_catches_rung_mixing_inside_a_sub_split():
+    """The same forgery one level down, under an outer level that keeps the rule.
+
+    The outer divider takes its last rung D = (0,) and agents 1 to 3 split
+    the rest. In that sub-split, divider 1 takes the middle rung A = (2, 4)
+    of the ladder B, A, C = (3, 5, 7), (2, 4), (1, 6), and agent 3's bundle
+    (1, 5, 7) holds items of the rungs above and below it.
+    """
+    inst = random_instance(4, 8, 20, 13)
+    agents, pool = (0, 1, 2, 3), tuple(range(8))
+    ladder = _ladder_step(inst, agents, pool)
+    assert ladder.rungs[-1] == (0,)
+    case = CaseApplied(
+        lemma="n4.c=0a", roles=(("divider", 0),), assignments=((0, (0,)),), comparisons=()
+    )
+    inner_agents, inner_pool = (1, 2, 3), pool[1:]
+    inner_ladder = _ladder_step(inst, inner_agents, inner_pool)
+    assert inner_ladder.rungs == ((3, 5, 7), (2, 4), (1, 6))
+    inner_case = CaseApplied(
+        lemma="n3.one_bundle", roles=(("divider", 1),), assignments=((1, (2, 4)),), comparisons=()
+    )
+    split_agents, split_items = (2, 3), (1, 3, 5, 6, 7)
+    _, steps = _solve_level(inst, split_agents, split_items)
+    inner_split = SubSplit(
+        agents=split_agents,
+        items=split_items,
+        obs_bounds=_share_bounds(inst, inner_pool, 3, split_agents, split_items),
+        certificate=Certificate(agents=split_agents, items=split_items, steps=tuple(steps)),
+    )
+    inner = Certificate(
+        agents=inner_agents, items=inner_pool, steps=(inner_ladder, inner_case, inner_split)
+    )
+    split = SubSplit(
+        agents=inner_agents,
+        items=inner_pool,
+        obs_bounds=_share_bounds(inst, pool, 4, inner_agents, inner_pool),
+        certificate=inner,
+    )
+    forged = Certificate(agents=agents, items=pool, steps=(ladder, case, split))
+    allocation = Allocation.of([[0], [2, 4], [3, 6], [1, 5, 7]])
+    assert verify_certificate(inst, allocation, forged)
+    assert not ladder_discipline_ok(inst, forged)
+    # Under the same outer level, the solver's own sub-split keeps the rule.
+    _, steps = _solve_level(inst, inner_agents, inner_pool)
+    solved = dataclasses.replace(split, certificate=dataclasses.replace(inner, steps=tuple(steps)))
+    assert ladder_discipline_ok(inst, dataclasses.replace(forged, steps=(ladder, case, solved)))
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -957,6 +1006,7 @@ _WRONG_TYPE_MUTATIONS = {
     "assignment-items-none": _replace_step(CaseApplied, assignments=((0, None),)),
     "role-name-int": _replace_step(CaseApplied, roles=lambda r: ((0, r[0][1]), *r[1:])),
     "comparison-items-none": _replace_first_comparison(lhs_items=None),
+    "multiplier-float": _replace_first_comparison(lhs_mult=2.0),
 }
 
 
@@ -968,6 +1018,40 @@ def test_wrongly_typed_fields_fail_replay_cleanly(mutate):
     allocation, certificate = solve_propm(inst)
     mutated = mutate(certificate)
     with pytest.raises(CertificateError):
+        replay_certificate(inst, mutated)
+    assert not ladder_discipline_ok(inst, mutated)
+    assert not verify_certificate(inst, allocation, mutated)
+
+
+def test_a_float_multiplier_cannot_round_a_false_comparison_true():
+    # 2a < b exactly, but 2.0 * a rounds up to 2^54 + 8 > b.
+    a, b = 2**53 + 3, 2**54 + 7
+    inst = Instance.of([[a, b, 5, 9], [a, b, 6, 1]])
+    allocation, certificate = solve_propm(inst)
+    assert verify_certificate(inst, allocation, certificate)
+    for mult in (2.0, 2):
+        comp = Compare(1, (0,), mult, (1,), 1, ">=", mult * a, b)
+        forged = _replace_step(CaseApplied, comparisons=lambda c: (*c, comp))(certificate)
+        assert not verify_certificate(inst, allocation, forged), mult
+
+
+def test_a_step_of_unknown_type_fails_replay():
+    inst = Instance.of(_PINNED["n4.c=1"][0])
+    allocation, certificate = solve_propm(inst)
+    comp = next(step for step in certificate.steps if isinstance(step, CaseApplied)).comparisons[0]
+    mutated = dataclasses.replace(certificate, steps=(*certificate.steps, comp))
+    with pytest.raises(CertificateError, match="unknown step type Compare"):
+        replay_certificate(inst, mutated)
+    assert not verify_certificate(inst, allocation, mutated)
+
+
+def test_bool_items_in_an_assignment_fail_replay():
+    # True == 1, so only a type test tells (True, 2) from (1, 2).
+    inst = random_instance(2, 3, 20, 0)
+    allocation, certificate = solve2(inst)
+    assert certificate.steps[1].assignments == ((0, (0,)), (1, (1, 2)))
+    mutated = _replace_step(CaseApplied, assignments=((0, (0,)), (1, (True, 2))))(certificate)
+    with pytest.raises(CertificateError, match="must be ints"):
         replay_certificate(inst, mutated)
     assert not ladder_discipline_ok(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
