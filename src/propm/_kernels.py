@@ -21,16 +21,18 @@ statistics its requested notions read.
 
 Each scan builds one ``ScanPlan``. It fixes h as m // 2, lowered while n^h
 exceeds the scan's window (``scan_chunk``), and builds each statistic's
-tables once, by one broadcast op per item. So that no table outgrows a
-window, it tabulates only the high half's lowest k digits (n^k at most a
-window), and each window adds its few assignments of the remaining top
-items. The tables count against SCAN_BYTES together with a window's
-statistics: a plan narrows the mid table until both fit and keeps the
-tables for the whole scan, and if no width fits it rebuilds them for each
-window. Every scan sizes its plan with ``scan_chunk`` and takes its windows
-from ``ScanPlan.windows``: full windows for the exhaustive scans, windows
-that start small and double for the early-exit ``exists``. The kernels split
-very large agent counts into blocks.
+tables once: one ``np.where`` gives the contribution array, what each
+tabulated item adds under each owner, and one broadcast op per item folds
+it in. So that no table outgrows a window, it tabulates only the high
+half's lowest k digits (n^k at most a window), and each window adds its few
+assignments of the remaining top items. The tables and contribution arrays
+count against SCAN_BYTES together with a window's statistics: a plan
+narrows the mid table until all fit and keeps the tables for the whole
+scan, and if no width fits it rebuilds them for each window. Every scan
+sizes its plan with ``scan_chunk`` and takes its windows from
+``ScanPlan.windows``: full windows for the exhaustive scans, windows that
+start small and double for the early-exit ``exists``. The kernels split very
+large agent counts into blocks.
 
 Scan arithmetic uses the narrowest exact dtype. With T the largest agent
 total (at least 1), ``instance_arrays`` bounds every scan intermediate by
@@ -71,8 +73,8 @@ CP_TAKE_BYTES = 256 << 20
 
 # Bytes a scan's per-bundle statistics may take: a window's three values
 # (value, min, max, or two of them and a temporary) per allocation, agent
-# and bundle, plus the half tables its plan keeps. Windows are sized for
-# int64 values.
+# and bundle, plus the half tables its plan keeps and the contribution arrays
+# they are built from. Windows are sized for int64 values.
 SCAN_BYTES = 32 << 20
 _STAT_CELLS = 3
 _CELL_BYTES = _STAT_CELLS * 8
@@ -335,10 +337,14 @@ class ScanPlan:
     assignments b with the mid table, then the resulting high rows with the
     low table.
 
-    The tables of every statistic count against SCAN_BYTES together with a
-    window's statistics: k is lowered further until they fit, and the plan
-    keeps them for the rest of the scan. If they fit for no k, each window
-    builds and drops them. A plan lives for one scan.
+    Both tables of a statistic come from one contribution array,
+    [item, lead, mid, owner] over the h + k tabulated items, built by one
+    ``np.where`` and dropped once the tables are built; a plan with no
+    tabulated item builds none. The tables and contribution arrays of every
+    statistic count against SCAN_BYTES together with a window's statistics:
+    k is lowered further until they fit, and the plan keeps the tables for
+    the rest of the scan. If they fit for no k, each window builds and drops
+    them. A plan lives for one scan.
     """
 
     def __init__(self, values, n, window):
@@ -377,9 +383,10 @@ class ScanPlan:
             width = min(2 * width, self.chunk)
 
     def _bytes(self, h, k, window):
-        """Bytes of every table over h low and k mid items, plus a window's statistics."""
+        """Bytes of every table over h low and k mid items and of the items'
+        contribution arrays, plus a window's statistics."""
         n, rows = self.n, self.values.shape[0]
-        cols = (n**h if h else 0) + (n**k if k else 0)
+        cols = (n**h if h else 0) + (n**k if k else 0) + (h + k) * n
         cells = cols * (len(_PER_BUNDLE) * n * rows + rows + n) + _STAT_CELLS * n * rows * window
         return cells * self.values.dtype.itemsize
 
@@ -393,53 +400,61 @@ class ScanPlan:
             return self.n, len(range(self.values.shape[0])[agents])
         return 1, (self.values.shape[0] if name == "own" else self.n)
 
-    def _item(self, name, agents, j, owners):
-        """What item j adds to statistic ``name`` when each of ``owners`` gets it.
+    def _contributions(self, name, agents, lo, hi, owners):
+        """[item, lead, mid, owner]: what items lo..hi-1 add to statistic ``name``.
 
-        ``owners`` is an array of bundles, giving [lead, mid, owner], or a
-        single bundle, giving [lead, mid, 1].
+        Item j goes to bundle ``owners[j - lo, owner]``; ``owners`` with one
+        row gives every item the same owners. One ``np.where`` builds it.
         """
+        dtype = self.values.dtype
+        hit = self._bundles[:, None] == owners[:, None, :]  # [item, bundle, owner]
         if name in _PER_BUNDLE:
-            hit = self._bundles[:, None, None] == owners
-            add = self.values[agents, j][:, None]
+            hit, add = hit[:, :, None], self.values[agents, lo:hi]
         else:
-            hit = self._bundles[None, :, None] == owners
-            add = self.values[:, j][:, None] if name == "own" else 1
-        return np.where(hit, add, self.empty(name)).astype(self.values.dtype, copy=False)
+            hit = hit[:, None]
+            add = self.values[:, lo:hi] if name == "own" else np.ones((1, hi - lo), dtype)
+        add = add.T[:, None, :, None]
+        return np.where(hit, add, self.empty(name)).astype(dtype, copy=False)
 
-    def _table(self, name, agents, lo, hi):
-        """Statistic ``name`` of items lo..hi-1 for all n^(hi-lo) of their assignments.
+    def _table(self, name, items):
+        """Statistic ``name`` for all assignments of ``items``, [lead, mid, assignment].
 
-        Each item is the next more significant digit, so one broadcast op
-        per item builds new[..., d, l] = op(old[..., l], item[..., d]).
+        ``items`` are [lead, mid, owner] contributions, each the next more
+        significant digit, so one broadcast op per item builds
+        new[..., d, l] = op(old[..., l], item[..., d]).
         """
         op = _STATS[name]
         out = np.full((1, 1, 1), self.empty(name), self.values.dtype)
-        for j in range(lo, hi):
-            item = self._item(name, agents, j, self._bundles)
+        for item in items:
             out = op(out[..., None, :], item[..., None]).reshape(item.shape[0], item.shape[1], -1)
         return out
 
     def _halves(self, name, agents):
-        """(low table, mid table) of statistic ``name`` for the value rows ``agents``."""
+        """(low table, mid table) of statistic ``name`` for the value rows ``agents``.
+
+        Both are built from one contribution array, dropped once they are
+        built; with no tabulated item (h = k = 0) none is built.
+        """
         key = name, agents.start, agents.stop
         got = self._tables.get(key)
         if got is None:
-            h = self.h
-            got = self._table(name, agents, 0, h), self._table(name, agents, h, h + self.k)
+            h, tabulated = self.h, self.h + self.k
+            items = ()
+            if tabulated:
+                items = self._contributions(name, agents, 0, tabulated, self._bundles[None])
+            got = self._table(name, items[:h]), self._table(name, items[h:])
             if self._keep:
                 self._tables[key] = got
         return got
 
     def _top(self, name, agents, b):
         """Statistic ``name`` of the top items under their assignment b: [lead, mid, 1]."""
-        op = _STATS[name]
-        out = None
-        for j in range(self.h + self.k, self.m):
+        lo, digits = self.h + self.k, []
+        for _ in range(lo, self.m):
             b, d = divmod(b, self.n)
-            item = self._item(name, agents, j, d)
-            out = item if out is None else op(out, item)
-        return out
+            digits.append(d)
+        items = self._contributions(name, agents, lo, self.m, np.array(digits)[:, None])
+        return _STATS[name].reduce(items, axis=0, dtype=self.values.dtype)
 
     def window(self, name, agents, start, count):
         """Statistic ``name`` for allocations start..start+count-1, in index order."""
@@ -518,9 +533,11 @@ _REST_NOTIONS = 1 << ALT_MEDIAN | 1 << ALT_MODE
 def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None):
     """uint16[count, n]: bit b set iff the agent satisfies notion code b.
 
-    Only the notions whose bits are set in ``want`` are computed; every
-    other bit stays clear. ``plan`` is the scan's ``ScanPlan`` over
-    ``values``; without one the call builds a plan for this window.
+    The masks are computed as [agent, allocation] rows and returned as that
+    array's ``.T`` view, not copied: ``masks.T`` is C-contiguous. Only the
+    notions whose bits are set in ``want`` are computed; every other bit
+    stays clear. ``plan`` is the scan's ``ScanPlan`` over ``values``;
+    without one the call builds a plan for this window.
     """
     n, m = values.shape
     if plan is None:
@@ -547,7 +564,7 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None)
     if want & (_VAL_NOTIONS | _MAX_NOTIONS | _MIN_NOTIONS):
         for agents in plan.blocks:
             _bundle_notions(plan, totals[agents], own[agents], start, count, want, agents, put)
-    return np.ascontiguousarray(masks.T)
+    return masks.T
 
 
 def _bundle_notions(plan, total, own, start, count, want, agents, put):

@@ -219,11 +219,13 @@ def _violations(pos, masks):
     An agent violates an implication when its mask has the antecedent's bit
     and not the consequent's.
     """
-    # Row-major positions in the window: row * n + agent.
+    # Positions in the window's [agent, allocation] masks: agent * count + row.
+    masks = masks.T
     flats = [np.flatnonzero((masks & np.uint16(both)) == ante) for _, both, ante in _AUDIT_TESTS]
     flat = np.concatenate(flats)
     rank = np.repeat([label_rank for label_rank, _, _ in _AUDIT_TESTS], [f.size for f in flats])
-    return pos + flat // masks.shape[1], flat % masks.shape[1], rank
+    agent, row = np.divmod(flat, masks.shape[1])
+    return pos + row, agent, rank
 
 
 def implication_audit(

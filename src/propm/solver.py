@@ -680,12 +680,20 @@ def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
 # ---------------------------------------------------------------------------
 
 
-# Role names whose value is an agent index; the others hold rung positions.
-_AGENT_ROLES = ("divider", "chooser")
-
-
-def _is_agent_role(name: str) -> bool:
-    return name in _AGENT_ROLES or name.endswith("_agent")
+# The role names a case records whose value is an agent index. The only other
+# role, "unique_rung_pos", holds a position in the level's RUNG_NAMES.
+_AGENT_ROLES = (
+    "divider",
+    "chooser",
+    "leftover_agent",
+    "half_agent",
+    "quarter_agent",
+    "fifth_agent",
+    "low_abe_agent",
+    "ae_agent",
+    "low_ae_agent",
+    "abe_agent",
+)
 
 
 def _req(condition: bool, message: str) -> None:
@@ -764,8 +772,13 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
             )
             for comp in step.comparisons:
                 _verify_compare(inst, comp)
+            rung_names = RUNG_NAMES.get(len(remaining_agents), ())
             for name, value in step.roles:
-                if _is_agent_role(name):
+                _req(type(value) is int, "role values must be ints")
+                if name == "unique_rung_pos":
+                    _req(0 <= value < len(rung_names), "role rung position outside the ladder")
+                else:
+                    _req(name in _AGENT_ROLES, "unknown role name")
                     _req(value in level_agents, "role names an agent outside this level")
             for agent, items in step.assignments:
                 _req(agent in remaining_agents, "assignment to an unavailable agent")

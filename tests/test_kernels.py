@@ -1,7 +1,9 @@
 """The split-half scan kernels must agree exactly with the Fraction-based
 checker and with plain Python scans over every allocation."""
 
+import gc
 import random
+import weakref
 from itertools import product
 
 import numpy as np
@@ -570,3 +572,47 @@ def test_plans_narrow_the_mid_table_to_fit_the_budget(monkeypatch):
             assert np.array_equal(narrow.window(name, slice(None), start, count), expected)
             assert np.array_equal(rebuilt.window(name, slice(None), start, count), expected)
     assert narrow._tables and not rebuilt._tables
+
+
+def test_contribution_arrays_count_against_the_budget_and_are_not_kept(monkeypatch):
+    values = np.array(random_instance(3, 6, 9, seed=5610).values, np.int32)
+    built = []
+    contributions = kernels.ScanPlan._contributions
+
+    def recorded(plan, *args):
+        got = contributions(plan, *args)
+        built.append((got.size, weakref.ref(got)))
+        return got
+
+    monkeypatch.setattr(kernels.ScanPlan, "_contributions", recorded)
+    plan = kernels.ScanPlan(values, 3, 27)
+    h, k = plan.h, plan.k
+    assert (h, k, plan._keep) == (3, 3, True)
+    tables = sum(t.size for name in STATS for t in plan._halves(name, slice(None)))
+    assert len(built) == len(STATS)
+    # Every table, each statistic's contribution array and a window's statistics.
+    cells = tables + sum(size for size, _ in built) + kernels._STAT_CELLS * 3 * 3 * 27
+    assert plan._bytes(h, k, 27) == cells * values.itemsize
+    assert plan._bytes(h, k, 27) - plan._bytes(h, k - 1, 27) == (
+        (3**k - 3 ** (k - 1)) * (3 * 9 + 3 + 3) + 3 * (3 * 9 + 3 + 3)
+    ) * values.itemsize
+    # Below the bytes of a low table alone every window rebuilds the tables
+    # from a new contribution array, and the plan keeps neither.
+    monkeypatch.setattr(kernels, "SCAN_BYTES", plan._bytes(h, 0, 27) - 1)
+    rebuilt = kernels.ScanPlan(values, 3, 27)
+    assert not rebuilt._keep
+    for start, count in ((0, 27), (100, 27)):
+        for name in STATS:
+            rebuilt.window(name, slice(None), start, count)
+    assert len(built) == 3 * len(STATS) and not rebuilt._tables
+    gc.collect()
+    assert all(ref() is None for _, ref in built)
+
+
+def test_plans_without_tabulated_items_build_no_contribution_array(monkeypatch):
+    values = np.array(random_instance(5, 2, 9, seed=5620).values, np.int32)
+    plan = kernels.ScanPlan(values, 5, 3)
+    assert plan.h == plan.k == 0
+    monkeypatch.setattr(kernels.ScanPlan, "_contributions", None)
+    for name in STATS:
+        assert [t.shape for t in plan._halves(name, slice(None))] == [(1, 1, 1)] * 2

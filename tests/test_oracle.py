@@ -465,6 +465,38 @@ def test_audit_orders_violations_by_index_agent_label(monkeypatch):
     assert report.violations == tuple(expected)
 
 
+@pytest.mark.parametrize("n, count", [(1, 7), (3, 300), (4, 1), (5, 64)])
+def test_window_reductions_read_either_mask_layout(n, count):
+    """``notion_masks`` returns the ``.T`` view of an [agent, allocation]
+    array; the stand-ins above return C-contiguous [allocation, agent] ones."""
+    rng = np.random.default_rng(n * 1000 + count)
+    want = np.uint16(1 << Notion.EFX.code)
+    # Early-exit masks carry one bit; audit masks carry any of them.
+    for row_major in [np.where(rng.random((count, n)) < p, want, 0) for p in (0.3, 0.95, 1.0)] + [
+        rng.integers(0, 1 << kernels.NOTION_COUNT, (count, n))
+    ]:
+        row_major = row_major.astype(np.uint16)
+        agent_major = np.ascontiguousarray(row_major.T).T
+        assert np.array_equal(agent_major, row_major) and agent_major.T.flags.c_contiguous
+        assert oracle._first_hit(5, agent_major) == oracle._first_hit(5, row_major)
+        for got, expected in zip(
+            oracle._violations(5, agent_major), oracle._violations(5, row_major), strict=True
+        ):
+            assert np.array_equal(got, expected)
+
+
+def test_notion_masks_are_a_view_of_agent_major_masks():
+    inst = random_instance(3, 5, 20, seed=7)
+    values, totals = kernels.instance_arrays(inst.values, inst.totals)
+    mms = np.full(inst.n, -1, np.int64)
+    for notion in (Notion.PROP, Notion.EFX):
+        masks = kernels.notion_masks(values, totals, mms, 10, 200, want=1 << notion.code)
+        assert masks.shape == (200, 3) and masks.T.flags.c_contiguous
+        first = oracle._first_hit(10, masks)
+        assert first == oracle._first_hit(10, np.ascontiguousarray(masks)) >= 10
+        assert check(inst, allocation_from_index(3, 5, first), notion).all_satisfied
+
+
 def _first_satisfying(inst, notion):
     for k, allocation in enumerate(enumerate_allocations(inst.n, inst.m)):
         if check(inst, allocation, notion).all_satisfied:

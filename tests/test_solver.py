@@ -1055,3 +1055,20 @@ def test_bool_items_in_an_assignment_fail_replay():
         replay_certificate(inst, mutated)
     assert not ladder_discipline_ok(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
+
+
+@pytest.mark.parametrize(
+    "role",
+    [("chooser", True), ("bogus", 99), ("unique_rung_pos", 17), ("divider", 1.0)],
+    ids=["agent-bool", "unknown-name", "rung-pos-out-of-range", "agent-float"],
+)
+def test_case_roles_must_be_ones_the_solver_records(role):
+    # True == 1.0 == 1, so only a type test tells the first and last from agent 1.
+    inst = random_instance(3, 6, 20, 0)
+    allocation, certificate = solve_propm(inst)
+    assert verify_certificate(inst, allocation, certificate)
+    mutated = _replace_step(CaseApplied, roles=lambda roles: (*roles, role))(certificate)
+    with pytest.raises(CertificateError, match="role"):
+        replay_certificate(inst, mutated)
+    assert not ladder_discipline_ok(inst, mutated)
+    assert not verify_certificate(inst, allocation, mutated)
