@@ -37,9 +37,10 @@ large agent counts into blocks.
 Scan arithmetic uses the narrowest exact dtype. With T the largest agent
 total (at least 1), ``instance_arrays`` bounds every scan intermediate by
 worst = n * (m+1) * T and returns int16 arrays when worst is below 2^15,
-int32 below 2^31 and int64 below 2^63; it rejects larger inputs. Every
-table, window statistic, alt-median and alt-mode row and leximin profile
-takes that dtype. Each intermediate is bounded by worst (m >= 1):
+int32 below 2^31 and int64 below 2^63; larger inputs raise
+ResourceBudgetError (exit 3), which no budget lifts. Every table, window
+statistic, alt-median and alt-mode row and leximin profile takes that
+dtype. Each intermediate is bounded by worst (m >= 1):
 
     test                        intermediate              bound
     alt-mean                    n*(own*cnt + T - own)     n(m+1)T
@@ -52,13 +53,41 @@ takes that dtype. Each intermediate is bounded by worst (m >= 1):
 A kernel edit that builds a larger intermediate must raise ``worst`` to
 cover it. The exact-arithmetic reference paths in the rest of the package
 use unbounded Python integers.
+
+numpy loads on the first kernel call, not on ``import propm``: commands
+that run no kernel (``verify`` of every notion but MMS, ``gen``,
+``counterexample``, ``--help``) never import it. Until then the module's
+``np`` is a stand-in whose first attribute read imports numpy and rebinds
+``np`` to it. The module itself loads eagerly, so the notion codes,
+budgets and kernel functions are attributes from the start, and code that
+patches or wraps them sees one module object. ``importlib.util.LazyLoader``
+is not used: before Python 3.12.3 (cpython gh-114763) threads that touch a
+lazily loaded module at once can see it half loaded, while a plain
+``import numpy`` in the stand-in is serialized by the import system's
+module lock.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from .core import ResourceBudgetError
 
-from .core import InputError, ResourceBudgetError
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy until a kernel first reads one of its attributes.
+
+    That read imports numpy and rebinds the module's ``np`` to it, so later
+    reads go straight to numpy and ``import propm`` never loads it.
+    """
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _NumpyOnFirstUse()
 
 # Name of the scan implementation, for tools that stamp their records with it.
 BACKEND = "numpy"
@@ -295,18 +324,19 @@ def _agent_blocks(n, count):
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-# Statistic -> how two sets of items combine. Every statistic is an array
+# Statistic -> the name of the numpy ufunc that combines two sets of items
+# (a name, so that the table needs no numpy). Every statistic is an array
 # [lead, mid, allocation], allocations innermost so the broadcast combine
 # runs over long contiguous rows: "val", "min" and "max" are [bundle, agent,
 # allocation], reduced over the leading axis; "own" (each agent's own-bundle
 # value) and "size" are [0, agent or bundle, allocation]. An empty bundle
 # holds 0, or the dtype's largest value for "min".
 _STATS = {
-    "val": np.add,
-    "min": np.minimum,
-    "max": np.maximum,
-    "own": np.add,
-    "size": np.add,
+    "val": "add",
+    "min": "minimum",
+    "max": "maximum",
+    "own": "add",
+    "size": "add",
 }
 _PER_BUNDLE = ("val", "min", "max")
 
@@ -423,7 +453,7 @@ class ScanPlan:
         significant digit, so one broadcast op per item builds
         new[..., d, l] = op(old[..., l], item[..., d]).
         """
-        op = _STATS[name]
+        op = getattr(np, _STATS[name])
         out = np.full((1, 1, 1), self.empty(name), self.values.dtype)
         for item in items:
             out = op(out[..., None, :], item[..., None]).reshape(item.shape[0], item.shape[1], -1)
@@ -454,13 +484,13 @@ class ScanPlan:
             b, d = divmod(b, self.n)
             digits.append(d)
         items = self._contributions(name, agents, lo, self.m, np.array(digits)[:, None])
-        return _STATS[name].reduce(items, axis=0, dtype=self.values.dtype)
+        return getattr(np, _STATS[name]).reduce(items, axis=0, dtype=self.values.dtype)
 
     def window(self, name, agents, start, count):
         """Statistic ``name`` for allocations start..start+count-1, in index order."""
         lead, width = self._shape(name, agents)
         low, mid = self._halves(name, agents)
-        op = _STATS[name]
+        op = getattr(np, _STATS[name])
         size, mid_size = self.low_size, self.mid_size
         r0, l0 = divmod(start, size)
         r1 = (start + count - 1) // size
@@ -715,15 +745,15 @@ def instance_arrays(values, totals):
     leximin profile (2n-1)T, the bundle sizes m, and the "min" sentinel,
     the dtype's largest value, exceeds T. The arrays are int16 when worst
     is below 2^15, int32 below 2^31 and int64 below 2^63; larger inputs
-    are rejected.
+    raise ResourceBudgetError, which ``--budget`` cannot lift.
     """
     n = len(values)
     m = len(values[0]) if n else 0
     worst = n * (m + 1) * max(max(totals, default=0), 1)
     if worst >= 1 << 63:
-        raise InputError(
-            f"n * (m+1) * max total = {worst} for n={n}, m={m} exceeds the "
-            "kernels' exact int64 range (below 2^63)"
+        raise ResourceBudgetError(
+            f"n * (m+1) * max total = {worst} for n={n}, m={m} exceeds the scan "
+            "kernels' exact int64 range (below 2^63); --budget cannot lift it"
         )
     dtype = np.int16 if worst < 1 << 15 else np.int32 if worst < 1 << 31 else np.int64
     return np.array(values, dtype), np.array(totals, dtype)

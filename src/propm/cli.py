@@ -2,8 +2,10 @@
 
 Exit codes: 0 the command succeeded and any claim it checked holds;
 1 a checked claim fails (verification failed, notion does not exist, audit
-found violations, solver invariant broke); 2 malformed input; 3 the
-enumeration budget was exceeded.
+found violations, solver invariant broke); 2 malformed input; 3 a resource
+limit was reached: the enumeration budget, a CP bundle out of reach, or
+values whose scan would leave the kernels' exact int64 range (valid input
+that ``--budget`` cannot lift).
 
 Instances and allocations travel as JSON:
   instance   {"n": int, "m": int, "values": [[int, ...], ...]}

@@ -20,7 +20,12 @@ class InputError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """An exhaustive operation would exceed its enumeration budget."""
+    """An operation would exceed a resource limit.
+
+    The limits: an exhaustive operation's enumeration budget, a CP table's
+    take-row bytes, a CP query past both CP kernels' reach, and values past
+    the scan kernels' exact int64 range (which no budget lifts).
+    """
 
 
 class UnsupportedSizeError(InputError):

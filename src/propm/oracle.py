@@ -17,8 +17,6 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from . import _kernels
 from .core import (
     Allocation,
@@ -116,7 +114,9 @@ def enumerate_allocations(n: int, m: int, budget: int | None = None) -> Iterator
 FIRST_WINDOW = 256
 
 
-def _mms_array(inst: Instance, needed: bool, budget: int | None) -> np.ndarray:
+def _mms_array(inst: Instance, needed: bool, budget: int | None):
+    """int64 array of every agent's MMS value, or of -1s when the scan reads none."""
+    np = _kernels.np
     if not needed:
         return np.full(inst.n, -1, dtype=np.int64)
     return np.array([mms_value(inst, i, budget=budget) for i in range(inst.n)], np.int64)
@@ -167,7 +167,7 @@ def _scan_windows(reduce, values, totals, mms, want, start, stop, workers, first
 
 def _first_hit(pos, masks):
     """Index of the window's first allocation where every agent carries the bit, else -1."""
-    where = np.flatnonzero(masks.all(axis=1))
+    where = _kernels.np.flatnonzero(masks.all(axis=1))
     return pos + int(where[0]) if where.size else -1
 
 
@@ -219,6 +219,7 @@ def _violations(pos, masks):
     An agent violates an implication when its mask has the antecedent's bit
     and not the consequent's.
     """
+    np = _kernels.np
     # Positions in the window's [agent, allocation] masks: agent * count + row.
     masks = masks.T
     flats = [np.flatnonzero((masks & np.uint16(both)) == ante) for _, both, ante in _AUDIT_TESTS]
@@ -242,6 +243,7 @@ def implication_audit(
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
     args = (values, totals, _mms_array(inst, True, budget), _AUDIT_WANT)
     parts = list(_scan_windows(_violations, *args, 0, total, workers))
+    np = _kernels.np
     index, agent, rank = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((rank, agent, index))
     labels = map(_LABELS_SORTED.__getitem__, rank[order].tolist())

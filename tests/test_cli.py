@@ -181,13 +181,34 @@ def test_solver_faults_exit_1(tmp_path, capsys, monkeypatch, fault):
     assert expected[fault] in err
 
 
-def test_kernel_int64_range_is_input_error(tmp_path, capsys):
+def test_kernel_int64_range_is_budget_error(tmp_path, capsys):
     # n * total = 10^4 * 2^50 passes 2^63: the scan kernels would overflow int64.
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"n": 10**4, "m": 1, "values": [[2**50]] * 10**4}))
     code, _, err = _run(capsys, "exists", "--instance", str(huge), "--notion", "ef")
-    assert code == 2
+    assert code == 3
     assert "int64" in err
+    # 81 allocations, a valid instance: every scan exits 3, not 2, whatever --budget.
+    values = [[10**18, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 3, "m": 4, "values": values}))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"bundles": [[0], [1, 2], [3]]}))
+    for command in (
+        ["exists", "--notion", "propm"],
+        ["audit"],
+        ["leximin"],
+        ["verify", "--allocation", str(alloc), "--notion", "mms"],
+    ):
+        for budget in ([], ["--budget", str(10**9)]):
+            code, out, err = _run(capsys, *command, "--instance", str(big), *budget)
+            assert (code, out) == (3, ""), command
+            assert "int64" in err and "--budget cannot lift it" in err, command
+    # Commands that run no scan answer it exactly.
+    code, _, _ = _run(capsys, "verify", "--instance", str(big), "--allocation", str(alloc),
+                      "--notion", "propm")
+    assert code == 0
+    assert _run(capsys, "solve", "--instance", str(big))[0] == 0
 
 
 def test_budget_flag_only_on_enumerating_commands(tmp_path, capsys):

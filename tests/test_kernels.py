@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import propm._kernels as kernels
-from propm import Instance, InputError, Notion, adjusted_profile, check, mms_value
+from propm import Instance, Notion, ResourceBudgetError, adjusted_profile, check, mms_value
 from propm.leximin import leximin_max
 from propm.oracle import FIRST_WINDOW, allocation_from_index, random_instance
 
@@ -290,11 +290,11 @@ def test_instance_arrays_guard():
     row = (limit // 2, limit // 4, limit // 4 - 1)  # total = limit - 1
     kernels.instance_arrays((row, row), (limit - 1, limit - 1))
     over = (limit // 2, limit // 4, limit // 4)
-    with pytest.raises(InputError):
+    with pytest.raises(ResourceBudgetError, match="int64"):
         kernels.instance_arrays((over, row), (limit, limit - 1))
     # n = 10^4, m = 1 at totals near 2^50 would overflow silently.
     big = ((1 << 50),) * 10**4
-    with pytest.raises(InputError):
+    with pytest.raises(ResourceBudgetError, match="int64"):
         kernels.instance_arrays(tuple((v,) for v in big), big)
 
 
