@@ -8,9 +8,10 @@ solved in the original agent and item indices: it takes the agents (the
 lowest one divides) and the item pool it shares, and writes its
 allocation and certificate steps directly, so no step is ever relabelled.
 Every run emits a Certificate: a replayable trace of reductions, ladder
-constructions, case applications (with the exact threshold comparisons
-that selected them) and recursive sub-splits. ``verify_certificate``
-re-checks a trace from scratch without consulting any solver code path.
+constructions, case applications (a label and the whole bundles the case
+hands out) and recursive sub-splits. ``verify_certificate`` rebuilds from
+the instance alone what each step must satisfy, so an accepted certificate
+proves its allocation PROPm without consulting any solver code path.
 
 Case labels, with the counts that select them:
   n2.cut_and_choose      divider cuts via CP, the other agent chooses
@@ -43,13 +44,6 @@ from .fairness import Notion, check
 class CertificateError(Exception):
     """A certificate failed to replay. Internal to verify_certificate."""
 
-
-_REL = {
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-}
 
 RUNG_NAMES = {
     2: ("A", "B"),
@@ -89,11 +83,11 @@ KNOWN_LEMMAS = {
 
 @dataclass(frozen=True)
 class Compare:
-    """A recorded exact comparison lhs_mult*v_agent(lhs_items) REL rhs_mult*v_agent(rhs_items).
+    """An exact comparison lhs_mult*v_agent(lhs_items) REL rhs_mult*v_agent(rhs_items).
 
-    ``lhs`` and ``rhs`` are the concrete products at record time; replay
-    recomputes both from the instance and requires equality plus the stated
-    relation.
+    ``relation`` is ">=" or "<", whichever holds, and ``lhs`` and ``rhs``
+    are the two products. Only a SubSplit's ``obs_bounds`` hold these;
+    replay rebuilds each one whole and requires it to equal the record.
     """
 
     agent: int
@@ -128,20 +122,26 @@ class LadderBuilt:
 
 @dataclass(frozen=True)
 class CaseApplied:
+    """The case a level applies: its label and the bundles it hands out whole.
+
+    ``assignments`` pairs each directly served agent with its sorted items;
+    the level's other agents are served by the sub-splits that follow.
+    """
+
     type: ClassVar[str] = "case"
     lemma: str
-    roles: tuple[tuple[str, int], ...]
     assignments: tuple[tuple[int, tuple[int, ...]], ...]
-    comparisons: tuple[Compare, ...]
 
 
 @dataclass(frozen=True)
 class SubSplit:
     """A recursive PROPm sub-solve of ``items`` among ``agents``.
 
-    ``obs_bounds`` are the comparisons showing each split member values the
-    sub-pool at least |agents|/n of her level total, which lifts local
-    satisfaction to the full allocation.
+    ``obs_bounds`` compare, for each member, n*v(items) with
+    |agents|*v(pool) over the level's n agents and pool. Replay requires
+    every one to read ">=": the member then values the sub-pool at least
+    |agents|/n of the level's pool, so a PROPm split of the sub-pool is
+    PROPm for the level too.
     """
 
     type: ClassVar[str] = "split"
@@ -271,32 +271,18 @@ def _ladder_step(inst: Instance, agents, pool) -> LadderBuilt:
     return LadderBuilt(divider=divider, rung_names=RUNG_NAMES[n], rungs=rungs)
 
 
-def _compare(inst, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation=None) -> Compare:
-    """The record of lhs_mult*v_agent(lhs_items) against rhs_mult*v_agent(rhs_items).
-
-    Without a ``relation`` it records ">=" or "<", whichever holds. A given
-    relation is one the construction guarantees; a failure is a solver bug.
-    """
-    lhs_items, rhs_items = tuple(lhs_items), tuple(rhs_items)
-    lhs = lhs_mult * _val(inst, agent, lhs_items)
-    rhs = rhs_mult * _val(inst, agent, rhs_items)
-    if relation is None:
-        relation = ">=" if lhs >= rhs else "<"
-    elif not _REL[relation](lhs, rhs):
-        raise InvariantViolationError(
-            f"expected {lhs_mult}*v[{agent}]{lhs_items} {relation} "
-            f"{rhs_mult}*v[{agent}]{rhs_items}, got {lhs} vs {rhs}"
-        )
-    return Compare(agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation, lhs, rhs)
-
-
 def _share_bounds(inst: Instance, pool, n: int, agents, items) -> tuple[Compare, ...]:
     """Compare n*v_a(items) with len(agents)*v_a(pool) for each a in ``agents``.
 
     A split of ``items`` among ``agents`` inside a level of n agents sharing
     ``pool`` lifts to that level when every relation is ">=".
     """
-    return tuple(_compare(inst, a, items, n, pool, len(agents)) for a in agents)
+    items, pool, k = tuple(items), tuple(pool), len(agents)
+    bounds = []
+    for a in agents:
+        lhs, rhs = n * _val(inst, a, items), k * _val(inst, a, pool)
+        bounds.append(Compare(a, items, n, pool, k, ">=" if lhs >= rhs else "<", lhs, rhs))
+    return tuple(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +295,7 @@ class _Level:
 
     Everything is in original indices. ``agents[0]`` is the divider and
     ``totals[a]`` is agent a's value for the pool. The case code records its
-    comparisons, roles, direct assignments and sub-splits here.
+    direct assignments and sub-splits here.
     """
 
     def __init__(self, inst: Instance, agents: tuple[int, ...], pool: tuple[int, ...]):
@@ -317,33 +303,16 @@ class _Level:
         self.agents = agents
         self.pool = pool
         self.totals = {a: _val(inst, a, pool) for a in agents}
-        self.roles: list[tuple[str, int]] = [("divider", agents[0])]
         self.assignment: dict[int, tuple[int, ...]] = {}
-        self.comps: list[Compare] = []
         self.sub_steps: list[SubSplit] = []
 
-    def val(self, agent: int, items) -> int:
-        return _val(self.inst, agent, items)
-
-    def claim(self, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation) -> None:
-        """Record a comparison the construction guarantees; a failure is a solver bug."""
-        self.comps.append(
-            _compare(self.inst, agent, lhs_items, lhs_mult, rhs_items, rhs_mult, relation)
-        )
-
     def at_least(self, agent: int, items, mult: int, pool_mult: int = 1) -> bool:
-        """Record whether mult*v(items) >= pool_mult*v(pool) for ``agent``; return it."""
-        comp = _compare(self.inst, agent, items, mult, self.pool, pool_mult)
-        self.comps.append(comp)
-        return comp.relation == ">="
+        """Whether mult*v(items) >= pool_mult*v(pool) for ``agent``."""
+        return mult * _val(self.inst, agent, items) >= pool_mult * self.totals[agent]
 
     def prefer(self, agent: int, x, y):
-        """Record which of x, y ``agent`` values more (ties go to x); return (better, worse)."""
-        if self.val(agent, x) >= self.val(agent, y):
-            self.claim(agent, x, 1, y, 1, ">=")
-            return x, y
-        self.claim(agent, y, 1, x, 1, ">")
-        return y, x
+        """(better, worse) of x and y for ``agent``; ties go to x."""
+        return (x, y) if _val(self.inst, agent, x) >= _val(self.inst, agent, y) else (y, x)
 
     def split(self, agents, items: tuple[int, ...]) -> None:
         """Solve ``items`` among ``agents`` one level down, recorded as a SubSplit.
@@ -364,7 +333,7 @@ class _Level:
 
 
 def _rung_choice(lv: _Level, pair, by_name: dict[str, tuple[int, ...]], mult: int):
-    """Record which rungs each agent of ``pair`` values at 1/mult of the pool.
+    """Find the rungs each agent of ``pair`` values at 1/mult of the pool.
 
     Returns the first distinct choice in ``by_name`` order as three rung
     names (the first agent's, the second's, the leftover), or a single name
@@ -393,17 +362,12 @@ def _leftover(lv: _Level, a_items: tuple[int, ...], last: tuple[int, ...], mult:
     remains.
     """
     divider, others = lv.agents[0], lv.agents[1:]
-    takers = [i for i in others if mult * lv.val(i, last) >= lv.totals[i]]
+    takers = [i for i in others if lv.at_least(i, last, mult)]
     if not takers:
-        for i in others:
-            lv.claim(i, last, mult, lv.pool, 1, "<")
-        lv.claim(divider, last, mult, lv.pool, 1, ">=")
         lv.assignment[divider] = last
         lv.split(others, _without(lv.pool, last))
         return True
     i0 = takers[0]
-    lv.roles.append(("leftover_agent", i0))
-    lv.claim(i0, last, mult, lv.pool, 1, ">=")
     lv.assignment[i0] = last
     lv.assignment[divider] = a_items
     lv.split([i for i in others if i != i0], _without(lv.pool, a_items + last))
@@ -412,7 +376,6 @@ def _leftover(lv: _Level, a_items: tuple[int, ...], last: tuple[int, ...], mult:
 
 def _case2(lv: _Level, a_items, b_items) -> str:
     divider, chooser = lv.agents
-    lv.roles.append(("chooser", chooser))
     lv.assignment[chooser], lv.assignment[divider] = lv.prefer(chooser, a_items, b_items)
     return "n2.cut_and_choose"
 
@@ -425,7 +388,6 @@ def _case3(lv: _Level, b_items, a_items, c_items) -> str:
         for agent, name in zip((u, w, divider), pick):
             lv.assignment[agent] = by_name[name]
         return "n3.two_distinct"
-    lv.roles.append(("unique_rung_pos", RUNG_NAMES[3].index(pick[0])))
     if pick[0] in ("A", "B"):
         lv.assignment[divider] = c_items
         lv.split((u, w), _merge(a_items, b_items))
@@ -438,14 +400,12 @@ def _case3(lv: _Level, b_items, a_items, c_items) -> str:
 def _case4(lv: _Level, c_items, b_items, a_items, d_items) -> str:
     divider, others = lv.agents[0], lv.agents[1:]
     ad = _merge(a_items, d_items)
-    lv.claim(divider, ad, 2, lv.pool, 1, ">=")
     halves = [i for i in others if lv.at_least(i, ad, 2)]
 
     if not halves:
         return "n4.c=0a" if _leftover(lv, a_items, d_items, 4) else "n4.c=0b"
     if len(halves) == 1:
         i0 = halves[0]
-        lv.roles.append(("half_agent", i0))
         lv.split((divider, i0), ad)
         lv.split([i for i in others if i != i0], _merge(b_items, c_items))
         return "n4.c=1"
@@ -453,24 +413,15 @@ def _case4(lv: _Level, c_items, b_items, a_items, d_items) -> str:
         lemma = "n4.c=2"
         i0 = next(i for i in others if i not in halves)
     else:
-        quarter = [
-            i
-            for i in others
-            if 4 * lv.val(i, b_items) >= lv.totals[i] or 4 * lv.val(i, c_items) >= lv.totals[i]
-        ]
+        quarter = [i for i in others if lv.at_least(i, b_items, 4) or lv.at_least(i, c_items, 4)]
         if not quarter:
-            for i in others:
-                lv.claim(i, b_items, 4, lv.pool, 1, "<")
-                lv.claim(i, c_items, 4, lv.pool, 1, "<")
             lv.assignment[divider] = c_items
             lv.split(others, _merge(a_items, b_items, d_items))
             return "n4.c=3b"
         lemma = "n4.c=3a"
         i0 = quarter[0]
     # One agent outside the A+D pair takes whichever of B and C it values more.
-    lv.roles.append(("quarter_agent", i0))
     fav, other = lv.prefer(i0, b_items, c_items)
-    lv.claim(i0, fav, 4, lv.pool, 1, ">=")
     lv.assignment[i0] = fav
     lv.assignment[divider] = other
     lv.split([i for i in others if i != i0], ad)
@@ -479,12 +430,9 @@ def _case4(lv: _Level, c_items, b_items, a_items, d_items) -> str:
 
 def _case5(lv: _Level, d_items, c_items, b_items, a_items, e_items) -> str:
     divider, others = lv.agents[0], lv.agents[1:]
-    totals = lv.totals
     ae = _merge(a_items, e_items)
     abe = _merge(a_items, b_items, e_items)
     cd = _merge(c_items, d_items)
-    lv.claim(divider, ae, 5, lv.pool, 2, ">=")
-    lv.claim(divider, abe, 5, lv.pool, 3, ">=")
     abe_set = []
     ae_set = []
     for i in others:
@@ -494,34 +442,23 @@ def _case5(lv: _Level, d_items, c_items, b_items, a_items, e_items) -> str:
             ae_set.append(i)
 
     if len(abe_set) == 4:
-        fifth = [
-            i
-            for i in others
-            if 5 * lv.val(i, c_items) >= totals[i] or 5 * lv.val(i, d_items) >= totals[i]
-        ]
+        fifth = [i for i in others if lv.at_least(i, c_items, 5) or lv.at_least(i, d_items, 5)]
         if fifth:
             i0 = fifth[0]
-            lv.roles.append(("fifth_agent", i0))
-            if 5 * lv.val(i0, c_items) >= totals[i0]:
+            if lv.at_least(i0, c_items, 5):
                 give, other = c_items, d_items
             else:
                 give, other = d_items, c_items
-            lv.claim(i0, give, 5, lv.pool, 1, ">=")
             lv.assignment[i0] = give
             lv.assignment[divider] = other
             lv.split([i for i in others if i != i0], abe)
             return "n5.cABE=4a"
-        for i in others:
-            lv.claim(i, c_items, 5, lv.pool, 1, "<")
-            lv.claim(i, d_items, 5, lv.pool, 1, "<")
         lv.assignment[divider] = d_items
         lv.split(others, _merge(a_items, b_items, c_items, e_items))
         return "n5.cABE=4b"
     if len(abe_set) == 3:
         i0 = next(i for i in others if i not in abe_set)
-        lv.roles.append(("low_abe_agent", i0))
         fav, other = lv.prefer(i0, c_items, d_items)
-        lv.claim(i0, fav, 5, lv.pool, 1, ">=")
         lv.assignment[i0] = fav
         lv.assignment[divider] = other
         lv.split(abe_set, abe)
@@ -539,7 +476,6 @@ def _case5(lv: _Level, d_items, c_items, b_items, a_items, e_items) -> str:
             for agent, name in zip((*pair, divider), pick):
                 lv.assignment[agent] = by_name[name]
             return "n5.cAE=2a"
-        lv.roles.append(("unique_rung_pos", RUNG_NAMES[5].index(pick[0])))
         if pick[0] in ("B", "C"):
             lv.assignment[divider] = d_items
             lv.split(pair, _merge(b_items, c_items))
@@ -549,7 +485,6 @@ def _case5(lv: _Level, d_items, c_items, b_items, a_items, e_items) -> str:
         return "n5.cAE=2c"
     if len(ae_set) == 1:
         i0 = ae_set[0]
-        lv.roles.append(("ae_agent", i0))
         lv.split((divider, i0), ae)
         lv.split([i for i in others if i != i0], _merge(b_items, c_items, d_items))
         return "n5.cAE=1"
@@ -558,11 +493,8 @@ def _case5(lv: _Level, d_items, c_items, b_items, a_items, e_items) -> str:
 
     # At most one agent clears the A+B+E bar, and three or four the A+E bar.
     low_ae = [i for i in others if i not in ae_set]
-    lv.roles.extend(("low_ae_agent", i) for i in low_ae)
-    lv.roles.extend(("abe_agent", i) for i in abe_set)
     if abe_set and abe_set == low_ae:
         w = abe_set[0]
-        lv.claim(w, b_items, 5, lv.pool, 1, ">")
         lv.assignment[w] = b_items
         lv.split((divider, ae_set[0]), ae)
         lv.split(ae_set[1:], cd)
@@ -598,12 +530,7 @@ def _solve_level(
     """
     divider = agents[0]
     if len(agents) == 1:
-        case = CaseApplied(
-            lemma="n1.take_all",
-            roles=(("divider", divider),),
-            assignments=((divider, pool),),
-            comparisons=(),
-        )
+        case = CaseApplied(lemma="n1.take_all", assignments=((divider, pool),))
         return {divider: pool}, [case]
     n = len(agents)
     ladder = _ladder_step(inst, agents, pool)
@@ -612,11 +539,9 @@ def _solve_level(
     split_agents = {a for step in lv.sub_steps for a in step.agents}
     case = CaseApplied(
         lemma=lemma,
-        roles=tuple(lv.roles),
         assignments=tuple(
             sorted((a, items) for a, items in lv.assignment.items() if a not in split_agents)
         ),
-        comparisons=tuple(lv.comps),
     )
     _verify_propm(inst, agents, pool, lv.assignment, f"solve{n}")
     return lv.assignment, [ladder, case, *lv.sub_steps]
@@ -680,41 +605,9 @@ def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
 # ---------------------------------------------------------------------------
 
 
-# The role names a case records whose value is an agent index. The only other
-# role, "unique_rung_pos", holds a position in the level's RUNG_NAMES.
-_AGENT_ROLES = (
-    "divider",
-    "chooser",
-    "leftover_agent",
-    "half_agent",
-    "quarter_agent",
-    "fifth_agent",
-    "low_abe_agent",
-    "ae_agent",
-    "low_ae_agent",
-    "abe_agent",
-)
-
-
 def _req(condition: bool, message: str) -> None:
     if not condition:
         raise CertificateError(message)
-
-
-def _verify_compare(inst: Instance, comp: Compare) -> None:
-    m = inst.m
-    _req(
-        type(comp.agent) is int
-        and 0 <= comp.agent < inst.n
-        and all(type(j) is int and 0 <= j < m for j in (*comp.lhs_items, *comp.rhs_items))
-        and type(comp.lhs_mult) is type(comp.rhs_mult) is type(comp.lhs) is type(comp.rhs) is int,
-        "comparison agent, items, multipliers and values must be ints, in range",
-    )
-    lhs = comp.lhs_mult * _val(inst, comp.agent, comp.lhs_items)
-    rhs = comp.rhs_mult * _val(inst, comp.agent, comp.rhs_items)
-    _req(lhs == comp.lhs and rhs == comp.rhs, "recorded comparison values do not recompute")
-    _req(comp.relation in _REL, "unknown comparison relation")
-    _req(_REL[comp.relation](lhs, rhs), "recorded comparison does not hold")
 
 
 def _indices(inst: Instance, cert) -> tuple[set[int], set[int]]:
@@ -743,105 +636,129 @@ def _replay(inst: Instance, cert: Certificate) -> tuple[dict, list]:
         raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
 
+def _step(steps, k: int, kind):
+    """``steps[k]``, which the order of a level's steps requires to be a ``kind``."""
+    found = steps[k] if k < len(steps) else None
+    _req(isinstance(found, kind), f"step {k} is {type(found).__name__}, expected {kind.__name__}")
+    return found
+
+
 def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
-    remaining_agents, remaining_items = _indices(inst, cert)
-    level_agents = set(remaining_agents)
-    ladder: LadderBuilt | None = None  # the last one; its rungs partition its level's pool
+    """Replay one level: its steps, their order and its case's obligations."""
+    agents, items = _indices(inst, cert)
+    steps = cert.steps
     allocation: dict[int, tuple[int, ...]] = {}
     handouts: list[tuple[tuple[tuple[int, ...], ...], int]] = []
+    k = 0
+    while k < len(steps) and isinstance(steps[k], BigItemReduction):
+        expected = _first_reduction(inst, agents, items)
+        _req(steps[k] == expected, "reduction is not the lexicographically first over-share pair")
+        allocation[expected.agent] = (expected.item,)
+        agents.remove(expected.agent)
+        items.remove(expected.item)
+        k += 1
 
-    for step in cert.steps:
-        if isinstance(step, BigItemReduction):
-            expected = _first_reduction(inst, remaining_agents, remaining_items)
-            _req(step == expected, "reduction is not the lexicographically first over-share pair")
-            allocation[expected.agent] = (expected.item,)
-            remaining_agents.remove(expected.agent)
-            remaining_items.remove(expected.item)
-        elif isinstance(step, LadderBuilt):
-            _req(len(remaining_agents) in RUNG_NAMES, "no ladder for this many agents")
+    n, pool = len(agents), tuple(sorted(items))
+    ladder = None
+    if n > 1:
+        ladder = _step(steps, k, LadderBuilt)
+        _req(n in RUNG_NAMES, "no ladder for this many agents")
+        _req(ladder == _ladder_step(inst, agents, pool), "ladder differs from its CP recomputation")
+        k += 1
+    case = _step(steps, k, CaseApplied)
+    _req(case.lemma in KNOWN_LEMMAS, "unknown case label")
+    _req(KNOWN_LEMMAS[case.lemma] == n, "case label does not match the remaining agent count")
+    for agent, bundle in case.assignments:
+        _req(
+            type(agent) is int and all(type(j) is int for j in bundle),
+            "assignment agents and items must be ints",
+        )
+        _req(agent in agents, "assignment to an unavailable agent")
+        bundle_set = set(bundle)
+        _req(len(bundle_set) == len(bundle), "duplicate items in an assignment")
+        _req(bundle_set <= items, "assignment of unavailable items")
+        _req(tuple(sorted(bundle)) == tuple(bundle), "assignment items not sorted")
+        if ladder is not None and agent == ladder.divider:
+            rungs = ladder.rungs
+            whole = [(rungs, p) for p, rung in enumerate(rungs) if tuple(bundle) == rung]
+            _req(bool(whole), "the divider's bundle is not one whole rung")
+            handouts += whole
+        elif ladder is not None:
             _req(
-                step == _ladder_step(inst, remaining_agents, remaining_items),
-                "ladder differs from its CP recomputation",
+                n * _val(inst, agent, bundle) >= _val(inst, agent, pool),
+                "an agent served directly gets less than 1/n of the level's pool",
             )
-            ladder = step
-        elif isinstance(step, CaseApplied):
-            _req(step.lemma in KNOWN_LEMMAS, "unknown case label")
-            _req(
-                KNOWN_LEMMAS[step.lemma] == len(remaining_agents),
-                "case label does not match the remaining agent count",
-            )
-            for comp in step.comparisons:
-                _verify_compare(inst, comp)
-            rung_names = RUNG_NAMES.get(len(remaining_agents), ())
-            for name, value in step.roles:
-                _req(type(value) is int, "role values must be ints")
-                if name == "unique_rung_pos":
-                    _req(0 <= value < len(rung_names), "role rung position outside the ladder")
-                else:
-                    _req(name in _AGENT_ROLES, "unknown role name")
-                    _req(value in level_agents, "role names an agent outside this level")
-            for agent, items in step.assignments:
-                _req(agent in remaining_agents, "assignment to an unavailable agent")
-                item_set = set(items)
-                _req(all(type(j) is int for j in items), "assignment items must be ints")
-                _req(len(item_set) == len(items), "duplicate items in an assignment")
-                _req(item_set <= remaining_items, "assignment of unavailable items")
-                _req(tuple(sorted(items)) == tuple(items), "assignment items not sorted")
-                allocation[agent] = items
-                remaining_agents.remove(agent)
-                remaining_items -= item_set
-                if ladder is not None and agent == ladder.divider:
-                    rungs = ladder.rungs
-                    handouts += [(rungs, p) for p, rung in enumerate(rungs) if tuple(items) == rung]
-        elif isinstance(step, SubSplit):
-            agent_set, item_set = _indices(inst, step.certificate)
-            _req(agent_set <= remaining_agents, "sub-split agents unavailable")
-            _req(item_set <= remaining_items, "sub-split items unavailable")
-            _req(
-                step.agents == step.certificate.agents == tuple(sorted(agent_set))
-                and step.items == step.certificate.items == tuple(sorted(item_set)),
-                "inner certificate does not match the sub-split",
-            )
-            _req(ladder is not None, "sub-split outside a ladder level")
-            pool, n = _merge(*ladder.rungs), len(ladder.rungs)
-            bounds = _share_bounds(inst, pool, n, step.agents, step.items)
-            _req(step.obs_bounds == bounds, "share bounds differ from their recomputation")
-            _req(all(b.relation == ">=" for b in bounds), "a share bound does not hold")
-            inner, inner_handouts = _replay_steps(inst, step.certificate)
-            _req(set(inner) == agent_set, "inner allocation covers the wrong agents")
-            allocation.update(inner)
-            handouts += inner_handouts
-            remaining_agents -= agent_set
-            remaining_items -= item_set
-        else:
-            raise CertificateError(f"unknown step type {type(step).__name__}")
+        allocation[agent] = bundle
+        agents.remove(agent)
+        items -= bundle_set
 
-    _req(not remaining_agents, "some agents never received a bundle")
-    _req(not remaining_items, "some items were never assigned")
+    for k in range(k + 1, len(steps)):
+        split = _step(steps, k, SubSplit)
+        _req(ladder is not None, "sub-split outside a ladder level")
+        agent_set, item_set = _indices(inst, split.certificate)
+        _req(agent_set <= agents, "sub-split agents unavailable")
+        _req(item_set <= items, "sub-split items unavailable")
+        _req(
+            split.agents == split.certificate.agents == tuple(sorted(agent_set))
+            and split.items == split.certificate.items == tuple(sorted(item_set)),
+            "inner certificate does not match the sub-split",
+        )
+        bounds = _share_bounds(inst, pool, n, split.agents, split.items)
+        _req(split.obs_bounds == bounds, "share bounds differ from their recomputation")
+        _req(all(b.relation == ">=" for b in bounds), "a share bound does not hold")
+        inner, inner_handouts = _replay_steps(inst, split.certificate)
+        _req(set(inner) == agent_set, "inner allocation covers the wrong agents")
+        allocation.update(inner)
+        handouts += inner_handouts
+        agents -= agent_set
+        items -= item_set
+
+    _req(not agents, "some agents never received a bundle")
+    _req(not items, "some items were never assigned")
     return allocation, handouts
 
 
-def replay_certificate(inst: Instance, cert: Certificate) -> Allocation:
-    """Reproduce the allocation a certificate describes, re-checking every record.
+def _rungs_unmixed(final: dict, handouts: list) -> bool:
+    """No final bundle holds items from both above and below a rung a divider took whole."""
+    bundles = [set(items) for items in final.values()]
+    for rungs, pos in handouts:
+        higher = {j for r in rungs[:pos] for j in r}
+        lower = {j for r in rungs[pos + 1 :] for j in r}
+        if any(bundle & higher and bundle & lower for bundle in bundles):
+            return False
+    return True
 
-    Raises CertificateError when any recorded fact fails to recompute.
+
+def replay_certificate(inst: Instance, cert: Certificate) -> Allocation:
+    """Reproduce the allocation a certificate describes, re-checking every step.
+
+    Raises CertificateError when a step is out of order, a rebuilt fact
+    differs from its record, or a case's obligation fails.
     """
     return _assemble(inst, _replay(inst, cert)[0])
 
 
 def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate) -> bool:
-    """True iff the certificate replays to exactly this allocation.
+    """True iff the certificate replays to exactly this allocation and proves it PROPm.
 
     A certificate that fails to replay gives False, including one whose
     fields hold values of the wrong type.
 
-    Replay is independent of the solver's control flow. The steps that
-    follow from the instance alone are rebuilt whole by the definitions the
-    solver records them with, and must equal the record: each reduction
-    (the lexicographically first over-share pair, ``_first_reduction``),
-    each ladder (``_ladder_step`` over ``cp_ladder``) and each sub-split's
-    share bounds (``_share_bounds``). A case's comparisons are recomputed as
-    recorded, and the step structure must cover all agents and items.
+    Replay is independent of the solver's control flow: it rebuilds from the
+    instance alone what each step must satisfy. Each reduction (the
+    lexicographically first over-share pair, ``_first_reduction``), each
+    ladder (``_ladder_step`` over ``cp_ladder``) and each sub-split's share
+    bounds (``_share_bounds``) are rebuilt whole and must equal the record.
+    The steps of a level must come in the solver's order (reductions, then a
+    lone agent's ``n1.take_all`` case or a ladder and one case, then only
+    sub-splits) and cover all its agents and items. At a level of n agents
+    sharing pool P, a divider the case serves directly takes one whole rung
+    and any other agent it serves gets n*v(bundle) >= v(P); finally no bundle
+    may mix items from above and below a rung a divider took whole (the rule
+    ``ladder_discipline_ok`` audits). These give every agent its PROPm
+    bound: a reduced agent by the over-share test, a direct one at its level
+    by its 1/n share or by the CP rungs, a sub-split member by recursion and
+    its share bound. The case label is checked only against the agent count.
 
     Rung recomputation may answer from the CP memo the solve filled. That
     memo holds outputs of a pure function of (values, cap), which solver and
@@ -850,12 +767,15 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     the CP bundle of the verifier's own base set.
     """
     try:
-        replayed, _ = _replay(inst, cert)
+        replayed, handouts = _replay(inst, cert)
     except CertificateError:
         return False
     if cert.agents != tuple(range(inst.n)) or cert.items != tuple(range(inst.m)):
         return False
-    return _assemble(inst, replayed).bundles == allocation.bundles
+    return (
+        _assemble(inst, replayed).bundles == allocation.bundles
+        and _rungs_unmixed(replayed, handouts)
+    )
 
 
 def ladder_discipline_ok(inst: Instance, cert: Certificate) -> bool:
@@ -869,13 +789,7 @@ def ladder_discipline_ok(inst: Instance, cert: Certificate) -> bool:
         final, handouts = _replay(inst, cert)
     except CertificateError:
         return False
-    bundles = [set(items) for items in final.values()]
-    for rungs, pos in handouts:
-        higher = {j for r in rungs[:pos] for j in r}
-        lower = {j for r in rungs[pos + 1 :] for j in r}
-        if any(bundle & higher and bundle & lower for bundle in bundles):
-            return False
-    return True
+    return _rungs_unmixed(final, handouts)
 
 
 # ---------------------------------------------------------------------------

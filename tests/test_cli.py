@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propm import cli
+from propm import Allocation, Instance, cli, verify_certificate
 from propm.cli import main
 from propm.core import InvariantViolationError
+from propm.cpsets import _best_subset
+from propm.solver import certificate_from_json_dict
 
 
 def _run(capsys, *argv):
@@ -78,11 +80,16 @@ def test_solve_balanced_pair_uses_cut_and_choose(tmp_path, capsys):
 
 def test_solve_writes_certificate(tmp_path, capsys, eps_file):
     cert_path = tmp_path / "cert.json"
-    code, _, _ = _run(capsys, "solve", "--instance", str(eps_file),
-                      "--certificate-out", str(cert_path))
+    code, out, _ = _run(capsys, "solve", "--instance", str(eps_file), "--json",
+                        "--certificate-out", str(cert_path))
     assert code == 0
     cert = json.loads(cert_path.read_text())
-    assert cert["steps"][0]["type"] == "reduction"
+    assert [step["type"] for step in cert["steps"]] == ["reduction", "ladder", "case"]
+    # The written file alone proves the printed allocation, with no CP bundle remembered.
+    inst = Instance.of(json.loads(eps_file.read_text())["values"])
+    allocation = Allocation.of(json.loads(out)["allocation"]["bundles"])
+    _best_subset.cache_clear()
+    assert verify_certificate(inst, allocation, certificate_from_json_dict(cert))
 
 
 def test_exists_alt_median_counterexample(eps_file, capsys):

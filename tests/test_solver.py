@@ -3,6 +3,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propm import (
     Allocation,
@@ -29,7 +31,6 @@ from propm.solver import (
     CaseApplied,
     Certificate,
     CertificateError,
-    Compare,
     LadderBuilt,
     SubSplit,
     _ladder_step,
@@ -152,12 +153,14 @@ def test_solve4_c0_leftover_branch():
     for s in range(4000):
         inst = random_instance(4, 6, 100, seed=9000 + s)
         allocation, certificate = solve4(inst)
-        case = next(st for st in certificate.steps if isinstance(st, CaseApplied))
+        case = next(step for step in certificate.steps if isinstance(step, CaseApplied))
         if case.lemma == "n4.c=0b":
             hits += 1
             _assert_solved(inst, (allocation, certificate))
-            roles = dict(case.roles)
-            assert "leftover_agent" in roles
+            ladder = next(step for step in certificate.steps if isinstance(step, LadderBuilt))
+            served = dict(case.assignments)
+            assert served.pop(0) == ladder.rungs[2]
+            assert list(served.values()) == [ladder.rungs[3]]
             break
     assert hits, "no instance dispatched the c=0 leftover branch"
 
@@ -250,23 +253,23 @@ def _lemmas(cert, out=None):
 _PINNED = {
     "n1.take_all": (
         [[0, 0], [1, 0]],
-        "94aaacf526330116096ca22a62477e06",
+        "fad2d1d45575bf7089edf4bd0fcce30b",
     ),
     "n2.cut_and_choose": (
         [[0, 0], [0, 0]],
-        "7979d51936f88bf5f30d9d0ca90ace92",
+        "8b11b5faacebcce527f9843a9d0c693b",
     ),
     "n3.two_distinct": (
         [[0, 1, 1, 1], [3, 5, 4, 4], [5, 4, 1, 5]],
-        "cfa37569276723712a3ffa81127e20ef",
+        "fc4a0a00669b17787698aabf2f3a9aef",
     ),
     "n3.one_bundle": (
         [[3, 3, 4, 3], [4, 4, 4, 1], [4, 4, 4, 1]],
-        "55429bd2e4b50c72db865c9ef3ad2957",
+        "ce8ed91f9bec855aa74fd92c4dc62b08",
     ),
     "n4.c=0a": (
         [[2, 0, 2, 1, 1, 2], [3, 4, 3, 0, 3, 3], [4, 4, 4, 1, 3, 3], [3, 1, 5, 5, 2, 4]],
-        "2bea295c3f52cd9650345a30e9c0f174",
+        "9c746f8fbffe574ed51dab43f1153525",
     ),
     "n4.c=0b": (
         [
@@ -275,23 +278,23 @@ _PINNED = {
             [47, 98, 81, 99, 96, 86],
             [64, 77, 71, 47, 98, 84],
         ],
-        "9702a5116bec1006b9858e6951b63080",
+        "e093caf2d002614c44801883e58269da",
     ),
     "n4.c=1": (
         [[4, 3, 2, 5, 2, 5], [3, 3, 4, 5, 2, 3], [4, 3, 4, 3, 5, 3], [4, 2, 4, 4, 0, 4]],
-        "ffb62c7a6a09a4235eb4ada0de748d37",
+        "f018a3b5babb963431e89efcdf8a7a6b",
     ),
     "n4.c=2": (
         [[7, 1, 9, 9, 9, 2], [9, 10, 8, 5, 1, 8], [10, 7, 3, 5, 9, 7], [0, 7, 6, 8, 4, 7]],
-        "d0023dd3df69fda44e8cdcd05c75b462",
+        "b17168cff8c06dcc08b1855665e6648b",
     ),
     "n4.c=3a": (
         [[28, 29, 13, 27, 24], [29, 27, 14, 27, 22], [28, 30, 14, 24, 24], [27, 31, 14, 28, 24]],
-        "3e9edf6c05f1858eb59e3310b3e70e3f",
+        "80578bc03b3f195f6ba8d3bd9778c528",
     ),
     "n4.c=3b": (
         [[8, 11, 12, 10, 7], [9, 9, 11, 10, 7], [8, 10, 9, 11, 8], [8, 11, 9, 8, 9]],
-        "cddc6e0fb11ed912f1c556a561604a89",
+        "1f308bffb2d7b8204003fe16027ec601",
     ),
     "n5.cABE=4a": (
         [
@@ -301,7 +304,7 @@ _PINNED = {
             [25, 24, 23, 24, 17, 23],
             [24, 24, 24, 22, 17, 23],
         ],
-        "4508d8495e3461ba6319695580ee1775",
+        "1775efecd52e67fd0d7e1b1438d1fdd6",
     ),
     "n5.cABE=4b": (
         [
@@ -311,7 +314,7 @@ _PINNED = {
             [22, 23, 27, 23, 21, 24],
             [26, 24, 25, 24, 22, 27],
         ],
-        "e9067c16b3c1c697da91240f38fe902b",
+        "a9a8f57f030794ce30fec8080511fe5b",
     ),
     "n5.cABE=3": (
         [
@@ -321,7 +324,7 @@ _PINNED = {
             [6, 6, 5, 7, 8, 8, 1],
             [8, 8, 4, 6, 8, 7, 4],
         ],
-        "e626957583362f8879b34186d814a560",
+        "6854480954e17634d5d5daf33dc1d025",
     ),
     "n5.cABE=2": (
         [
@@ -331,7 +334,7 @@ _PINNED = {
             [9, 11, 11, 8, 3, 10, 8],
             [10, 9, 9, 8, 4, 7, 10],
         ],
-        "4dd2ba279186b8332f9e41871a67546f",
+        "acd6a796110ecf9c66e9d2ab87631e5a",
     ),
     "n5.cAE=2a": (
         [
@@ -341,7 +344,7 @@ _PINNED = {
             [3, 4, 2, 3, 5, 3, 3, 2],
             [4, 4, 4, 3, 1, 5, 2, 2],
         ],
-        "db7e3c14cd5d4c52cddeb4717a81a9f0",
+        "ff8aa85c11c6a4281db31cccbd0a72bc",
     ),
     "n5.cAE=2b": (
         [
@@ -351,7 +354,7 @@ _PINNED = {
             [9, 4, 12, 7, 10, 8, 9, 9],
             [8, 3, 9, 7, 9, 6, 6, 10],
         ],
-        "2374d7286ee9bc988e3a2f350c903447",
+        "b0f2381c355a312265199ea173a97d37",
     ),
     "n5.cAE=2c": (
         [
@@ -361,7 +364,7 @@ _PINNED = {
             [7, 7, 0, 6, 8, 5, 7, 8],
             [9, 8, 0, 10, 6, 9, 4, 5],
         ],
-        "769b2b4b89325f37e27e72bcc9d6731b",
+        "30f42cb46a1b76cce4188a8a24ac1e38",
     ),
     "n5.cAE=1": (
         [
@@ -371,7 +374,7 @@ _PINNED = {
             [25, 24, 29, 12, 22, 22, 12],
             [27, 23, 27, 13, 20, 25, 9],
         ],
-        "9535ebf3709df00a48a8c5b4e2368227",
+        "80be220ba0fbf8129ac30f0903e8f86f",
     ),
     "n5.cAE=0a": (
         [
@@ -381,7 +384,7 @@ _PINNED = {
             [4, 3, 4, 4, 3, 3, 1, 1, 5],
             [2, 0, 5, 5, 4, 5, 0, 3, 2],
         ],
-        "737120d5b9183e4281e24043da19cfcb",
+        "27a3857a6786059f9404736082ce5c14",
     ),
     "n5.cAE=0b": (
         [
@@ -391,7 +394,7 @@ _PINNED = {
             [4, 4, 5, 7, 5, 3, 4, 5],
             [6, 5, 3, 6, 4, 5, 3, 3],
         ],
-        "dec158f8ba8baf83200455b2e48634ae",
+        "6b8b293450e72499c618f14fac77e976",
     ),
     "n5.cAE=4.cABE=0": (
         [
@@ -401,7 +404,7 @@ _PINNED = {
             [8, 5, 1, 7, 7, 4, 8, 5],
             [8, 4, 1, 7, 5, 4, 6, 5],
         ],
-        "29105fe99ae9899a5225e71743a268ff",
+        "4da14dde1d225d8c4d501a95d694f7f5",
     ),
     "n5.cAE=4.cABE=1": (
         [
@@ -411,7 +414,7 @@ _PINNED = {
             [7, 9, 10, 9, 8, 9, 5],
             [7, 5, 9, 9, 9, 7, 4],
         ],
-        "f98cbb7a8d1da1bbdda87e5baa841dc0",
+        "df978768509fbd3341bdf399a46f5053",
     ),
     "n5.cAE=3.cABE=0": (
         [
@@ -421,7 +424,7 @@ _PINNED = {
             [6, 6, 6, 3, 8, 3, 5, 7],
             [5, 6, 5, 4, 7, 5, 3, 6],
         ],
-        "44b597c619ef6b35a8247b174054223f",
+        "801efb7c67f6aa2b9130d63bccc84f0b",
     ),
     "n5.cAE=3.cABE=1a": (
         [
@@ -431,7 +434,7 @@ _PINNED = {
             [10, 2, 7, 7, 8, 6, 5, 6, 1],
             [7, 6, 9, 7, 6, 4, 7, 4, 1],
         ],
-        "728e7d8fc7a73716cb45099670f70ed8",
+        "10e5f71c59a0432fef972b3807c4775a",
     ),
     "n5.cAE=3.cABE=1b": (
         [
@@ -441,7 +444,7 @@ _PINNED = {
             [15, 12, 17, 26, 19, 23, 19],
             [15, 13, 20, 26, 19, 25, 21],
         ],
-        "eba90199967d193fc191ae1c81b692a8",
+        "78324ae2a89bfddf88532db2d857023c",
     ),
 }
 
@@ -467,8 +470,8 @@ def test_pinned_certificates_round_trip_through_json(lemma):
 # as `propm solve --json` and `--certificate-out` print it: between them the
 # two certificates hold every step type.
 _KEY_ORDER_PINNED = {
-    "n1.take_all": "713496d0d5ddeafc230554dee0dee711",
-    "n4.c=2": "2b7234ee00883c38f7655f591120c0b0",
+    "n1.take_all": "23da33968d6e65b4c6c57c745832f18e",
+    "n4.c=2": "aa5184f1443b10c13271dedf2ffdda92",
 }
 
 
@@ -629,16 +632,15 @@ def test_ladder_discipline_catches_a_bundle_mixing_rungs():
     The divider takes the middle rung A = (2, 3) of the ladder B, A, C =
     (0, 5), (2, 3), (1, 4), and agents 1 and 2 split B and C between them,
     so agent 2's bundle (0, 1, 5) holds items of the rung above A and of the
-    rung below it.
+    rung below it. The allocation happens to be PROPm, but the certificate's
+    argument for the divider fails, so it does not verify.
     """
     inst = random_instance(3, 6, 20, 0)
     agents, pool = (0, 1, 2), tuple(range(6))
     ladder = _ladder_step(inst, agents, pool)
     assert ladder.rung_names == ("B", "A", "C")
     assert ladder.rungs == ((0, 5), (2, 3), (1, 4))
-    case = CaseApplied(
-        lemma="n3.one_bundle", roles=(("divider", 0),), assignments=((0, (2, 3)),), comparisons=()
-    )
+    case = CaseApplied(lemma="n3.one_bundle", assignments=((0, (2, 3)),))
     split_agents, split_items = (1, 2), (0, 1, 4, 5)
     assignment, steps = _solve_level(inst, split_agents, split_items)
     split = SubSplit(
@@ -650,8 +652,10 @@ def test_ladder_discipline_catches_a_bundle_mixing_rungs():
     forged = Certificate(agents=agents, items=pool, steps=(ladder, case, split))
     allocation = Allocation.of([[2, 3], [4], [0, 1, 5]])
     assert assignment == {1: (4,), 2: (0, 1, 5)}
-    assert verify_certificate(inst, allocation, forged)
+    assert replay_certificate(inst, forged) == allocation
+    assert check(inst, allocation, Notion.PROPM).all_satisfied
     assert not ladder_discipline_ok(inst, forged)
+    assert not verify_certificate(inst, allocation, forged)
 
 
 def test_ladder_discipline_catches_rung_mixing_inside_a_sub_split():
@@ -666,15 +670,11 @@ def test_ladder_discipline_catches_rung_mixing_inside_a_sub_split():
     agents, pool = (0, 1, 2, 3), tuple(range(8))
     ladder = _ladder_step(inst, agents, pool)
     assert ladder.rungs[-1] == (0,)
-    case = CaseApplied(
-        lemma="n4.c=0a", roles=(("divider", 0),), assignments=((0, (0,)),), comparisons=()
-    )
+    case = CaseApplied(lemma="n4.c=0a", assignments=((0, (0,)),))
     inner_agents, inner_pool = (1, 2, 3), pool[1:]
     inner_ladder = _ladder_step(inst, inner_agents, inner_pool)
     assert inner_ladder.rungs == ((3, 5, 7), (2, 4), (1, 6))
-    inner_case = CaseApplied(
-        lemma="n3.one_bundle", roles=(("divider", 1),), assignments=((1, (2, 4)),), comparisons=()
-    )
+    inner_case = CaseApplied(lemma="n3.one_bundle", assignments=((1, (2, 4)),))
     split_agents, split_items = (2, 3), (1, 3, 5, 6, 7)
     _, steps = _solve_level(inst, split_agents, split_items)
     inner_split = SubSplit(
@@ -694,8 +694,9 @@ def test_ladder_discipline_catches_rung_mixing_inside_a_sub_split():
     )
     forged = Certificate(agents=agents, items=pool, steps=(ladder, case, split))
     allocation = Allocation.of([[0], [2, 4], [3, 6], [1, 5, 7]])
-    assert verify_certificate(inst, allocation, forged)
+    assert replay_certificate(inst, forged) == allocation
     assert not ladder_discipline_ok(inst, forged)
+    assert not verify_certificate(inst, allocation, forged)
     # Under the same outer level, the solver's own sub-split keeps the rule.
     _, steps = _solve_level(inst, inner_agents, inner_pool)
     solved = dataclasses.replace(split, certificate=dataclasses.replace(inner, steps=tuple(steps)))
@@ -723,23 +724,6 @@ def test_certificate_rejects_wrong_allocation(i_2a):
     allocation, certificate = solve2(i_2a)
     other = Allocation.of([[1], [0]])
     assert not verify_certificate(i_2a, other, certificate)
-
-
-def test_certificate_rejects_flipped_comparison():
-    inst = random_instance(4, 7, 100, seed=77)
-    allocation, certificate = solve_propm(inst)
-
-    def flip_first_case(cert):
-        steps = list(cert.steps)
-        for idx, step in enumerate(steps):
-            if isinstance(step, CaseApplied) and step.comparisons:
-                comp = step.comparisons[0]
-                flipped = dataclasses.replace(comp, lhs=comp.lhs + 1)
-                steps[idx] = dataclasses.replace(step, comparisons=(flipped,) + step.comparisons[1:])
-                return dataclasses.replace(cert, steps=tuple(steps))
-        raise AssertionError("expected a case with comparisons")
-
-    assert not verify_certificate(inst, allocation, flip_first_case(certificate))
 
 
 def test_certificate_rejects_mutated_subsplit():
@@ -846,36 +830,36 @@ _MISSING = object()  # deletes the key at the path
 @pytest.mark.parametrize(
     "path, value, parses",
     [
-        (("steps", 1, "comparisons", 0, "lhs_items"), ["x"], True),
-        (("steps", 1, "comparisons", 0, "agent"), "0", True),
-        (("steps", 1, "roles", 0, 1), [0], True),
+        (("steps", 2, "obs_bounds", 0, "lhs_items"), ["x"], True),
+        (("steps", 2, "obs_bounds", 0, "agent"), "0", True),
+        (("steps", 1, "assignments", 0, 0), [0], True),
         (("agents",), 5, False),
         (("steps",), None, False),
         (("steps", 1), ["case"], False),
         (("steps", 1, "assignments", 0, 1), None, False),
-        (("steps", 1, "roles", 0), ["divider", 0, 1], False),
+        (("steps", 1, "assignments", 0), [0, [1], 2], False),
         (("steps", 1, "type"), "bogus", False),
-        (("steps", 1, "comparisons", 0, "rhs"), _MISSING, False),
+        (("steps", 2, "obs_bounds", 0, "rhs"), _MISSING, False),
     ],
     ids=[
         "item-not-int",
         "agent-not-int",
-        "role-not-int",
+        "assignment-agent-not-int",
         "agents-not-list",
         "steps-null",
         "step-is-list",
         "assignment-items-null",
-        "role-three-entries",
+        "assignment-three-entries",
         "unknown-step-type",
         "comparison-without-rhs",
     ],
 )
 def test_malformed_certificate_json(path, value, parses):
-    # a certificate whose first case has a role, direct assignments and comparisons
+    # a certificate whose case has direct assignments and whose sub-split has share bounds
     inst = Instance.of(_PINNED["n4.c=2"][0])
     allocation, certificate = solve_propm(inst)
     data = certificate_to_json_dict(certificate)
-    assert data["steps"][1]["type"] == "case"
+    assert [step["type"] for step in data["steps"]] == ["ladder", "case", "split"]
     target = data
     for key in path[:-1]:
         target = target[key]
@@ -894,18 +878,6 @@ def _replace_entries(field, mutate):
     return lambda cert: dataclasses.replace(cert, **{field: mutate(getattr(cert, field))})
 
 
-def _replace_first_comparison(**changes):
-    def apply(cert):
-        steps = list(cert.steps)
-        idx = next(i for i, s in enumerate(steps) if isinstance(s, CaseApplied) and s.comparisons)
-        first, *rest = steps[idx].comparisons
-        comparisons = (dataclasses.replace(first, **changes), *rest)
-        steps[idx] = dataclasses.replace(steps[idx], comparisons=comparisons)
-        return dataclasses.replace(cert, steps=tuple(steps))
-
-    return apply
-
-
 _ENTRY_MUTATIONS = {
     "item-str": _replace_entries("items", lambda t: t[:-1] + ("x",)),
     "extra-item-str": _replace_entries("items", lambda t: t + ("x",)),
@@ -913,8 +885,6 @@ _ENTRY_MUTATIONS = {
     "item-float": _replace_entries("items", lambda t: t[:-1] + (float(t[-1]),)),
     "agent-str": _replace_entries("agents", lambda t: t[:-1] + ("x",)),
     "agent-bool": _replace_entries("agents", lambda t: (False,) + t[1:]),
-    "comparison-agent-str": _replace_first_comparison(agent="0"),
-    "comparison-item-str": _replace_first_comparison(lhs_items=("x", 0)),
 }
 
 
@@ -971,6 +941,8 @@ _DERIVED_STEP_MUTATIONS = {
     "bound-lhs": _replace_step(SubSplit, obs_bounds=_bump_first(lhs_mult=2, lhs=0)),
     "bound-relation": _replace_step(SubSplit, obs_bounds=_bump_first(relation=">")),
     "bound-pool": _replace_step(SubSplit, obs_bounds=_bump_first(rhs_items=(0,), rhs=0)),
+    "bound-agent-str": _replace_step(SubSplit, obs_bounds=_bump_first(agent="0")),
+    "bound-item-str": _replace_step(SubSplit, obs_bounds=_bump_first(lhs_items=("x", 0))),
     "reduction-agent": _replace_step(BigItemReduction, agent=lambda a: a + 1),
     "reduction-item": _replace_step(BigItemReduction, item=lambda j: j + 1),
     "reduction-agent-count": _replace_step(BigItemReduction, residual_agent_count=4),
@@ -996,17 +968,16 @@ def test_share_bounds_and_reductions_are_rebuilt_whole(mutate):
 
 
 _WRONG_TYPE_MUTATIONS = {
-    "relation-list": _replace_first_comparison(relation=[">="]),
+    "relation-list": _replace_step(SubSplit, obs_bounds=_bump_first(relation=[">="])),
     "lemma-list": _replace_step(CaseApplied, lemma=["n4.c=1"]),
     "split-certificate-none": _replace_step(SubSplit, certificate=None),
     "split-agents-none": _replace_step(SubSplit, agents=None),
     "steps-none": lambda cert: dataclasses.replace(cert, steps=None),
     "assignments-none": _replace_step(CaseApplied, assignments=None),
-    "comparisons-none": _replace_step(CaseApplied, comparisons=None),
+    "comparisons-none": _replace_step(SubSplit, obs_bounds=None),
     "assignment-items-none": _replace_step(CaseApplied, assignments=((0, None),)),
-    "role-name-int": _replace_step(CaseApplied, roles=lambda r: ((0, r[0][1]), *r[1:])),
-    "comparison-items-none": _replace_first_comparison(lhs_items=None),
-    "multiplier-float": _replace_first_comparison(lhs_mult=2.0),
+    "assignment-agent-str": _replace_step(CaseApplied, assignments=(("0", ()),)),
+    "comparison-items-none": _replace_step(SubSplit, obs_bounds=_bump_first(lhs_items=None)),
 }
 
 
@@ -1023,24 +994,12 @@ def test_wrongly_typed_fields_fail_replay_cleanly(mutate):
     assert not verify_certificate(inst, allocation, mutated)
 
 
-def test_a_float_multiplier_cannot_round_a_false_comparison_true():
-    # 2a < b exactly, but 2.0 * a rounds up to 2^54 + 8 > b.
-    a, b = 2**53 + 3, 2**54 + 7
-    inst = Instance.of([[a, b, 5, 9], [a, b, 6, 1]])
-    allocation, certificate = solve_propm(inst)
-    assert verify_certificate(inst, allocation, certificate)
-    for mult in (2.0, 2):
-        comp = Compare(1, (0,), mult, (1,), 1, ">=", mult * a, b)
-        forged = _replace_step(CaseApplied, comparisons=lambda c: (*c, comp))(certificate)
-        assert not verify_certificate(inst, allocation, forged), mult
-
-
 def test_a_step_of_unknown_type_fails_replay():
     inst = Instance.of(_PINNED["n4.c=1"][0])
     allocation, certificate = solve_propm(inst)
-    comp = next(step for step in certificate.steps if isinstance(step, CaseApplied)).comparisons[0]
+    comp = next(step for step in certificate.steps if isinstance(step, SubSplit)).obs_bounds[0]
     mutated = dataclasses.replace(certificate, steps=(*certificate.steps, comp))
-    with pytest.raises(CertificateError, match="unknown step type Compare"):
+    with pytest.raises(CertificateError, match="is Compare, expected SubSplit"):
         replay_certificate(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
 
@@ -1057,18 +1016,180 @@ def test_bool_items_in_an_assignment_fail_replay():
     assert not verify_certificate(inst, allocation, mutated)
 
 
-@pytest.mark.parametrize(
-    "role",
-    [("chooser", True), ("bogus", 99), ("unique_rung_pos", 17), ("divider", 1.0)],
-    ids=["agent-bool", "unknown-name", "rung-pos-out-of-range", "agent-float"],
+
+# ---------------------------------------------------------------------------
+# accepted certificates prove PROPm
+# ---------------------------------------------------------------------------
+
+
+def _swapped_cut_and_choose():
+    """random_instance(2, 7, 50, 0) with its two cut-and-choose bundles swapped.
+
+    The ladder and the label still recompute, but the chooser now holds a
+    rung worth less than half of the pool to it, and the allocation is not
+    PROPm.
+    """
+    inst = random_instance(2, 7, 50, 0)
+    _, certificate = solve_propm(inst)
+    assert [type(step) for step in certificate.steps] == [LadderBuilt, CaseApplied]
+    (a, x), (b, y) = certificate.steps[1].assignments
+    swapped = _replace_step(CaseApplied, assignments=((a, y), (b, x)))(certificate)
+    allocation = Allocation.of([y, x])
+    assert not check(inst, allocation, Notion.PROPM).all_satisfied
+    return inst, allocation, swapped
+
+
+def test_swapped_direct_assignments_are_rejected():
+    inst, allocation, swapped = _swapped_cut_and_choose()
+    with pytest.raises(CertificateError, match="less than 1/n"):
+        replay_certificate(inst, swapped)
+    assert not verify_certificate(inst, allocation, swapped)
+
+
+def test_a_divider_served_directly_takes_a_whole_rung():
+    # Item 0 moves from the divider's rung to the chooser, who keeps at least
+    # half of the pool; the divider falls short of its PROPm bound.
+    inst = random_instance(2, 7, 50, 0)
+    _, certificate = solve_propm(inst)
+    assert certificate.steps[1].assignments == ((0, (0, 4, 5)), (1, (1, 2, 3, 6)))
+    moved = _replace_step(CaseApplied, assignments=((0, (4, 5)), (1, (0, 1, 2, 3, 6))))(certificate)
+    allocation = Allocation.of([(4, 5), (0, 1, 2, 3, 6)])
+    assert not check(inst, allocation, Notion.PROPM).all_satisfied
+    with pytest.raises(CertificateError, match="not one whole rung"):
+        replay_certificate(inst, moved)
+    assert not verify_certificate(inst, allocation, moved)
+
+
+def test_a_level_of_several_agents_needs_its_ladder():
+    # Without the ladder no step says who divides or what the rungs are.
+    inst, allocation, swapped = _swapped_cut_and_choose()
+    dropped = dataclasses.replace(swapped, steps=swapped.steps[1:])
+    with pytest.raises(CertificateError, match="step 0 is CaseApplied, expected LadderBuilt"):
+        replay_certificate(inst, dropped)
+    assert not verify_certificate(inst, allocation, dropped)
+
+
+def test_only_sub_splits_follow_a_case():
+    """A second ladder and case inside one level would skip the share bound.
+
+    The divider of random_instance(3, 8, 50, 2) takes its rung (0, 4, 7).
+    Agents 1 and 2 then cut and choose the rest under a ladder of their own,
+    written into the same step list instead of a SubSplit. Each case meets
+    its obligations at its own ladder, but agent 2 values the rest below 2/3
+    of the pool, so without a share bound the allocation is not PROPm.
+    """
+    inst = random_instance(3, 8, 50, 2)
+    pool, rung = tuple(range(8)), (0, 4, 7)
+    ladder = _ladder_step(inst, (0, 1, 2), pool)
+    assert rung in ladder.rungs
+    rest = tuple(j for j in pool if j not in rung)
+    second = _ladder_step(inst, (1, 2), rest)
+    assert second.rungs == ((1, 2, 5, 6), (3,))
+    values = inst.values[2]
+    assert 2 * sum(values[j] for j in (1, 2, 5, 6)) >= sum(values[j] for j in rest)
+    assert 3 * sum(values[j] for j in rest) < 2 * sum(values)
+    forged = Certificate(
+        agents=(0, 1, 2),
+        items=pool,
+        steps=(
+            ladder,
+            CaseApplied(lemma="n3.one_bundle", assignments=((0, rung),)),
+            second,
+            CaseApplied(lemma="n2.cut_and_choose", assignments=((1, (3,)), (2, (1, 2, 5, 6)))),
+        ),
+    )
+    allocation = Allocation.of([rung, (3,), (1, 2, 5, 6)])
+    assert not check(inst, allocation, Notion.PROPM).all_satisfied
+    with pytest.raises(CertificateError, match="step 2 is LadderBuilt, expected SubSplit"):
+        replay_certificate(inst, forged)
+    assert not verify_certificate(inst, allocation, forged)
+
+
+def _level_paths(cert, path=()):
+    """The step-index path to every level of a certificate, the top one first."""
+    yield path
+    for idx, step in enumerate(cert.steps):
+        if isinstance(step, SubSplit):
+            yield from _level_paths(step.certificate, (*path, idx))
+
+
+def _edit_level(cert, path, edit):
+    """``cert`` with the step list of the level at ``path`` replaced by ``edit(steps)``."""
+    if not path:
+        return dataclasses.replace(cert, steps=tuple(edit(list(cert.steps))))
+    idx, *rest = path
+    steps = list(cert.steps)
+    inner = _edit_level(steps[idx].certificate, rest, edit)
+    steps[idx] = dataclasses.replace(steps[idx], certificate=inner)
+    return dataclasses.replace(cert, steps=tuple(steps))
+
+
+def _forge_case(data, steps, kind):
+    """Permute a case's direct bundles among its agents, or move one item between them."""
+    cases = [k for k, step in enumerate(steps) if isinstance(step, CaseApplied)]
+    k = data.draw(st.sampled_from(cases))
+    agents = [agent for agent, _ in steps[k].assignments]
+    bundles = [bundle for _, bundle in steps[k].assignments]
+    if kind == "permute":
+        bundles = data.draw(st.permutations(bundles))
+    else:
+        sources = [p for p, bundle in enumerate(bundles) if bundle]
+        if len(bundles) < 2 or not sources:
+            return steps
+        src = data.draw(st.sampled_from(sources))
+        dst = data.draw(st.sampled_from([p for p in range(len(bundles)) if p != src]))
+        item = data.draw(st.sampled_from(bundles[src]))
+        bundles[src] = tuple(j for j in bundles[src] if j != item)
+        bundles[dst] = tuple(sorted((*bundles[dst], item)))
+    steps[k] = dataclasses.replace(steps[k], assignments=tuple(zip(agents, bundles)))
+    return steps
+
+
+def _forge_ladder(data, steps, kind):
+    """Drop or duplicate the level's ladder."""
+    k = next((k for k, step in enumerate(steps) if isinstance(step, LadderBuilt)), None)
+    if k is not None:
+        steps[k : k + 1] = [] if kind == "drop-ladder" else [steps[k]] * 2
+    return steps
+
+
+def _forge_extra_level(data, steps, kind):
+    """Write a sub-split's own steps into this level in place of the SubSplit."""
+    splits = [k for k, step in enumerate(steps) if isinstance(step, SubSplit)]
+    if splits:
+        k = data.draw(st.sampled_from(splits))
+        steps[k : k + 1] = steps[k].certificate.steps
+    return steps
+
+
+_FORGERIES = {
+    "permute": _forge_case,
+    "move-item": _forge_case,
+    "drop-ladder": _forge_ladder,
+    "duplicate-ladder": _forge_ladder,
+    "extra-level": _forge_extra_level,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    m=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_case_roles_must_be_ones_the_solver_records(role):
-    # True == 1.0 == 1, so only a type test tells the first and last from agent 1.
-    inst = random_instance(3, 6, 20, 0)
-    allocation, certificate = solve_propm(inst)
-    assert verify_certificate(inst, allocation, certificate)
-    mutated = _replace_step(CaseApplied, roles=lambda roles: (*roles, role))(certificate)
-    with pytest.raises(CertificateError, match="role"):
-        replay_certificate(inst, mutated)
-    assert not ladder_discipline_ok(inst, mutated)
-    assert not verify_certificate(inst, allocation, mutated)
+def test_every_certificate_that_verifies_is_propm(n, m, seed, data):
+    # One or two forgeries at any depth, so an extra level can also carry
+    # forged assignments; whatever verifies must pass the reference check.
+    inst = random_instance(n, m, 50, seed)
+    _, forged = solve_propm(inst)
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_level_paths(forged))))
+        kind = data.draw(st.sampled_from(list(_FORGERIES)))
+        forged = _edit_level(forged, path, lambda steps: _FORGERIES[kind](data, steps, kind))
+    try:
+        allocation = replay_certificate(inst, forged)
+    except CertificateError:
+        return
+    if verify_certificate(inst, allocation, forged):
+        assert check(inst, allocation, Notion.PROPM).all_satisfied
