@@ -34,6 +34,22 @@ sizes its plan with ``scan_chunk`` and takes its windows from
 start small and double for the early-exit ``exists``. The kernels split very
 large agent counts into blocks.
 
+The exhaustive scans (the audit's window loop, ``leximin_max`` and the MMS
+scan) build their plans with ``workspace=True``. Their windows then write
+each statistic and its same-sized temporaries into named slots of a
+``threading.local`` workspace ("own", "size", "val", "rival" and the bool
+"cmp"), not into new arrays. Each slot's buffer grows when a window needs
+more and is then kept, so later windows and later scans in the thread reuse
+memory that is already paged in. (Window arrays of a few hundred KB,
+allocated afresh, go back to the OS when freed and fault in again in the
+next window.) The slots hold at most one window's statistics, which
+SCAN_BYTES already counts, and a worker thread's workspace goes when the
+thread ends. No kernel returns a view of the workspace. ``exists`` keeps none: its windows start at 256
+allocations and most of its scans end in the first one, while buffers grown
+for its wide windows (n = 10 or 16) would stay resident after it; its
+windows allocate as before, and the in-place steps still spare their
+temporaries.
+
 Scan arithmetic uses the narrowest exact dtype. With T the largest agent
 total (at least 1), ``instance_arrays`` bounds every scan intermediate by
 worst = n * (m+1) * T and returns int16 arrays when worst is below 2^15,
@@ -69,6 +85,9 @@ module lock.
 
 from __future__ import annotations
 
+import math
+import threading
+
 from .core import ResourceBudgetError
 
 
@@ -103,7 +122,11 @@ CP_TAKE_BYTES = 256 << 20
 # Bytes a scan's per-bundle statistics may take: a window's three values
 # (value, min, max, or two of them and a temporary) per allocation, agent
 # and bundle, plus the half tables its plan keeps and the contribution arrays
-# they are built from. Windows are sized for int64 values.
+# they are built from. Windows are sized for int64 values. The per-thread
+# workspace of the exhaustive scans (audit, leximin, MMS; not ``exists``)
+# keeps at most one window's "val", rival ("max" or "min") and bool "cmp"
+# statistics and its "own" and "size" rows. That stays within SCAN_BYTES, so
+# the workspace needs no budget of its own.
 SCAN_BYTES = 32 << 20
 _STAT_CELLS = 3
 _CELL_BYTES = _STAT_CELLS * 8
@@ -349,6 +372,31 @@ def _digits_within(n, limit, most):
     return d
 
 
+class _Workspace(threading.local):
+    """One thread's window buffers: a flat byte buffer per slot, kept between scans.
+
+    The slots are "own", "size", "val", "rival" ("max", then "min" once
+    "max" is dead) and "cmp" (bool comparisons of a per-bundle statistic).
+    A buffer grows when a window needs more and is then kept, so later
+    windows write into memory that is already paged in.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, slot, shape, dtype):
+        """A ``shape`` array of ``dtype`` over the front of this thread's ``slot`` buffer."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buf = self.buffers.get(slot)
+        if buf is None or buf.size < size:
+            buf = self.buffers[slot] = np.empty(size, np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
 class ScanPlan:
     """Split point and half tables shared by every window of one scan.
 
@@ -374,10 +422,11 @@ class ScanPlan:
     statistic count against SCAN_BYTES together with a window's statistics:
     k is lowered further until they fit, and the plan keeps the tables for
     the rest of the scan. If they fit for no k, each window builds and drops
-    them. A plan lives for one scan.
+    them. A plan lives for one scan. With ``workspace`` a window named a
+    slot writes into the calling thread's kept buffer for it (``buffer``).
     """
 
-    def __init__(self, values, n, window):
+    def __init__(self, values, n, window, workspace=False):
         self.values = values
         self.n = n
         self.m = m = values.shape[1]
@@ -396,6 +445,7 @@ class ScanPlan:
         self._bundles = np.arange(n)
         self._big = np.iinfo(values.dtype).max
         self._tables = {}
+        self._workspace = _WORKSPACE if workspace else None
 
     def windows(self, start, stop, first=None):
         """(start, count) windows that tile [start, stop) in order.
@@ -423,6 +473,16 @@ class ScanPlan:
     def empty(self, name):
         """The value statistic ``name`` holds for an empty bundle."""
         return self._big if name == "min" else 0
+
+    def buffer(self, slot, shape, dtype):
+        """An uninitialised ``shape`` array for workspace ``slot``.
+
+        It is a view of the calling thread's kept buffer when the plan keeps a
+        workspace and a slot is named, else a new array.
+        """
+        if slot is None or self._workspace is None:
+            return np.empty(shape, dtype)
+        return self._workspace.take(slot, shape, dtype)
 
     def _shape(self, name, agents):
         """[lead, mid] of statistic ``name`` for the value rows ``agents``."""
@@ -486,8 +546,12 @@ class ScanPlan:
         items = self._contributions(name, agents, lo, self.m, np.array(digits)[:, None])
         return getattr(np, _STATS[name]).reduce(items, axis=0, dtype=self.values.dtype)
 
-    def window(self, name, agents, start, count):
-        """Statistic ``name`` for allocations start..start+count-1, in index order."""
+    def window(self, name, agents, start, count, slot=None):
+        """Statistic ``name`` for allocations start..start+count-1, in index order.
+
+        Given a ``slot``, it is written into that slot of the plan's workspace
+        (``buffer``), so it lives until the slot's next use in this thread.
+        """
         lead, width = self._shape(name, agents)
         low, mid = self._halves(name, agents)
         op = getattr(np, _STATS[name])
@@ -502,7 +566,7 @@ class ScanPlan:
                 part = op(part, self._top(name, agents, b))
             parts.append(part)
         high = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        out = np.empty((lead, width, count), self.values.dtype)
+        out = self.buffer(slot, (lead, width, count), self.values.dtype)
         # At most three blocks: the end of the first high row, whole rows, the
         # start of the last row.
         pos, r, l = 0, 0, l0
@@ -538,14 +602,15 @@ def _diagonal(agents, n):
     return np.arange(idx.start, idx.stop), np.arange(len(idx))
 
 
-def _zero_own_and_empty(mn, agents):
+def _zero_own_and_empty(plan, mn, agents):
     """Zero each agent's own bundle and every empty bundle in a "min" statistic.
 
     A maximum over bundles is then the maximin bonus d_i, a sum the AEFX
-    bonus.
+    bonus. The empty-bundle mask is built in the plan's "cmp" slot.
     """
+    nonempty = np.not_equal(mn, plan.empty("min"), out=plan.buffer("cmp", mn.shape, np.bool_))
     # Multiplying by the mask is several times faster than a masked store.
-    np.multiply(mn, mn != np.iinfo(mn.dtype).max, out=mn)
+    np.multiply(mn, nonempty, out=mn)
     mn[_diagonal(agents, mn.shape[0])] = 0
     return mn
 
@@ -578,14 +643,14 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None)
         masks[agents] |= ok * np.uint16(1 << bit)
 
     totals = totals[:, None]
-    own = plan.window("own", slice(None), start, count)[0]
+    own = plan.window("own", slice(None), start, count, "own")[0]
     if want >> PROP & 1:
         put(PROP, n * own >= totals)
     if want >> MMS & 1:
         put(MMS, (own >= mms[:, None]) & (mms[:, None] >= 0))
     if want & (1 << ALT_MEAN | _REST_NOTIONS):
         # Items the others own, [agent, allocation].
-        cnt = m - plan.window("size", slice(None), start, count)[0]
+        cnt = m - plan.window("size", slice(None), start, count, "size")[0]
     if want >> ALT_MEAN & 1:
         mean_ok = n * (own * cnt + (totals - own)) >= cnt * totals
         put(ALT_MEAN, np.where(cnt == 0, n * own >= totals, mean_ok))
@@ -598,13 +663,17 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None)
 
 
 def _bundle_notions(plan, total, own, start, count, want, agents, put):
-    """The notions that read other agents' bundles, for one block of agents."""
+    """The notions that read other agents' bundles, for one block of agents.
+
+    "val" takes the plan's "val" slot and "max", then "min", its "rival"
+    slot; EF1 and EFX overwrite the rival statistic with val minus it.
+    """
     n = plan.n
     diag = _diagonal(agents, n)
     big = plan.empty("min")
 
-    def stat(name):
-        return plan.window(name, agents, start, count)
+    def stat(name, slot):
+        return plan.window(name, agents, start, count, slot)
 
     def pooled(bundle_stat, reduce, diag_value):
         # Reduce over the rival bundles; big means there is none.
@@ -613,11 +682,16 @@ def _bundle_notions(plan, total, own, start, count, want, agents, put):
         np.multiply(got, got != big, out=got)
         return got
 
-    val = stat("val") if want & _VAL_NOTIONS else None
+    def within_own(bundle_stat):
+        # Every bundle's statistic at most the agent's own value.
+        cmp = plan.buffer("cmp", bundle_stat.shape, np.bool_)
+        return np.less_equal(bundle_stat, own, out=cmp).all(axis=0)
+
+    val = stat("val", "val") if want & _VAL_NOTIONS else None
     if want >> EF & 1:
-        put(EF, (val <= own).all(axis=0), agents)
+        put(EF, within_own(val), agents)
     if want & _MAX_NOTIONS:
-        mx = stat("max")
+        mx = stat("max", "rival")
         if want >> PROP1 & 1:
             put(PROP1, n * (own + pooled(mx, np.max, 0)) >= total, agents)
         if want >> ALT_MINIMAX & 1:
@@ -625,19 +699,19 @@ def _bundle_notions(plan, total, own, start, count, want, agents, put):
             put(ALT_MINIMAX, n * (own + pooled(mx, np.min, big)) >= total, agents)
         if want >> EF1 & 1:
             # The diagonal holds own - max <= own whatever max it holds.
-            put(EF1, (val - mx <= own).all(axis=0), agents)
+            put(EF1, within_own(np.subtract(val, mx, out=mx)), agents)
         del mx
     if want & _MIN_NOTIONS:
-        mn = stat("min")
+        mn = stat("min", "rival")
         if want >> PROPX & 1:
             put(PROPX, n * (own + pooled(mn, np.min, big)) >= total, agents)
-        _zero_own_and_empty(mn, agents)
+        _zero_own_and_empty(plan, mn, agents)
         if want >> PROPM & 1:
             put(PROPM, n * (own + mn.max(axis=0)) >= total, agents)
         if want >> AEFX & 1:
             put(AEFX, n * own + mn.sum(axis=0, dtype=mn.dtype) >= total, agents)
         if want >> EFX & 1:
-            put(EFX, (val - mn <= own).all(axis=0), agents)
+            put(EFX, within_own(np.subtract(val, mn, out=mn)), agents)
 
 
 def _rest_notions(values, totals, own, cnt, start, count, want, put):
@@ -698,7 +772,7 @@ def mms_scan(row, n, start, count, plan=None):
     """
     if plan is None:
         plan = ScanPlan(row[None, :], n, count)
-    sums = plan.window("val", slice(None), start, count)
+    sums = plan.window("val", slice(None), start, count, "val")
     return int(sums.min(axis=0).max())
 
 
@@ -722,9 +796,9 @@ def leximin_scan(values, start, count, plan=None):
     n = values.shape[0]
     if plan is None:
         plan = ScanPlan(values, n, count)
-    profiles = n * plan.window("own", slice(None), start, count)[0]
+    profiles = n * plan.window("own", slice(None), start, count, "own")[0]
     for agents in plan.blocks:
-        mn = _zero_own_and_empty(plan.window("min", agents, start, count), agents)
+        mn = _zero_own_and_empty(plan, plan.window("min", agents, start, count, "rival"), agents)
         profiles[agents] += (n - 1) * mn.max(axis=0)
     floor = profiles.min(axis=0)
     best = np.flatnonzero(floor == floor.max())

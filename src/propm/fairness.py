@@ -226,7 +226,7 @@ def mms_value(inst: Instance, agent: int, budget: int | None = None) -> int:
 def _mms_cached(inst: Instance, agent: int) -> int:
     row = _kernels.instance_arrays(inst.values, inst.totals)[0][agent]
     n = inst.n
-    plan = _kernels.ScanPlan(row[None, :], n, _kernels.scan_chunk(n))
+    plan = _kernels.ScanPlan(row[None, :], n, _kernels.scan_chunk(n), workspace=True)
     # Indices below n^(m-1) are exactly the assignments of item m-1 to bundle 0.
     windows = plan.windows(0, n ** (inst.m - 1) if inst.m else 1)
     return max(_kernels.mms_scan(row, n, pos, count, plan=plan) for pos, count in windows)

@@ -121,7 +121,7 @@ def leximin_max(
     values, _ = _kernels.instance_arrays(inst.values, inst.totals)
     best_idx = -1
     best_profile: list[int] | None = None
-    plan = _kernels.ScanPlan(values, inst.n, _kernels.scan_chunk(inst.n))
+    plan = _kernels.ScanPlan(values, inst.n, _kernels.scan_chunk(inst.n), workspace=True)
     for pos, count in plan.windows(0, total):
         idx, profile = _kernels.leximin_scan(values, pos, count, plan=plan)
         profile = profile.tolist()

@@ -126,6 +126,10 @@ def _mms_array(inst: Instance, needed: bool, budget: int | None):
 # a shared 2-core host (numpy backend) exists(EF) on 5^9, 6^8, 7^7 (40-61 M) and
 # audits of 4^10, 5^9, 7^7, 8^6 (17-49 M) ran slower with two; exists(EF) on 10^6,
 # 8^7, 16^5 and the audit of 8^7 (100-268 M) ran faster, and below, only 12^5 EF.
+# With the audit's kept window buffers (random_instance(n, m, 100, 0), best of
+# 3, two runs) two threads still lost on the audits of 4^10 and 5^9 (0.65-0.89x),
+# broke even on 8^6 (1.02-1.07x), were mixed on 7^7 (0.98-1.41x) and won on 8^7
+# (1.55-1.64x): no crossing below 100 M, so the constant stays.
 POOL_BREAK_EVEN = 100_000_000
 
 
@@ -142,7 +146,9 @@ def _scan_windows(reduce, values, totals, mms, want, start, stop, workers, first
     if type(workers) is not int or workers < 1:
         raise InputError(f"workers must be an int of at least 1, got {workers!r}")
     n = len(values)
-    plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n))
+    # The exhaustive audit keeps its window buffers in each thread's workspace.
+    # An early-exit scan mostly ends in its first small window, so it does not.
+    plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n), workspace=first is None)
 
     def scan(window):
         masks = _kernels.notion_masks(values, totals, mms, *window, want=want, plan=plan)

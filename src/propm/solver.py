@@ -820,7 +820,8 @@ def _to_json(obj):
 def _from_json(hint, data):
     """Rebuild a value of type ``hint`` from what ``_to_json`` wrote.
 
-    Scalars pass through unchecked; a missing field, a pair of the wrong
+    A scalar whose type is not exactly its field's ``int`` or ``str`` (a
+    float, or a bool for an int), a missing field, a pair of the wrong
     length or an unknown step type raises.
     """
     origin = get_origin(hint)
@@ -837,6 +838,8 @@ def _from_json(hint, data):
         raise InputError(f"unknown certificate step type {kind!r}")
     if is_dataclass(hint):
         return hint(**{name: _from_json(t, data[name]) for name, t in _field_types(hint).items()})
+    if type(data) is not hint:
+        raise InputError(f"certificate field must be {hint.__name__}, got {data!r}")
     return data
 
 
@@ -847,8 +850,10 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
 def certificate_from_json_dict(data: dict) -> Certificate:
     """Parse certificate JSON. A document of the wrong shape raises InputError.
 
-    Field values are not type-checked here: ``verify_certificate`` rejects a
-    certificate whose indices or values are not what it recomputes.
+    So does a scalar whose type is not its field's: a float or a bool where
+    an int belongs loads no certificate, even one equal in value. Ranges and
+    values are checked by ``verify_certificate``, which rejects indices or
+    values that are not what it recomputes.
     """
     try:
         return _from_json(Certificate, data)

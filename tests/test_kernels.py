@@ -3,6 +3,8 @@ checker and with plain Python scans over every allocation."""
 
 import gc
 import random
+import threading
+import tracemalloc
 import weakref
 from itertools import product
 
@@ -12,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import propm._kernels as kernels
+import propm.oracle as oracle
 from propm import Instance, Notion, ResourceBudgetError, adjusted_profile, check, mms_value
+from propm.fairness import _mms_cached
 from propm.leximin import leximin_max
 from propm.oracle import FIRST_WINDOW, allocation_from_index, random_instance
 
@@ -435,7 +439,9 @@ def test_scans_match_the_reference_on_fuzzed_windows(inst, data):
     )
     mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
     total = n**m
-    plan = kernels.ScanPlan(values, n, data.draw(st.integers(1, 40)))
+    # A kept workspace holds whatever earlier examples left in it.
+    workspace = data.draw(st.booleans())
+    plan = kernels.ScanPlan(values, n, data.draw(st.integers(1, 40)), workspace=workspace)
     for use_plan in (True, True, False):
         start = data.draw(st.integers(0, total - 1))
         count = data.draw(st.integers(1, min(total - start, 10)))
@@ -451,7 +457,9 @@ def test_scans_match_the_reference_on_fuzzed_windows(inst, data):
         assert index == ref_index
         assert [int(p) for p in profile] == [int(n * v) for v in ref]
     for i in range(n):
-        row_plan = kernels.ScanPlan(values[i][None, :], n, data.draw(st.integers(1, 40)))
+        row_plan = kernels.ScanPlan(
+            values[i][None, :], n, data.draw(st.integers(1, 40)), workspace=workspace
+        )
         start = data.draw(st.integers(0, total - 1))
         count = data.draw(st.integers(1, min(total - start, 30)))
         expected = _brute_mms_window(inst.values[i], n, start, count)
@@ -613,3 +621,184 @@ def test_plans_without_tabulated_items_build_no_contribution_array(monkeypatch):
     monkeypatch.setattr(kernels.ScanPlan, "_contributions", None)
     for name in STATS:
         assert [t.shape for t in plan._halves(name, slice(None))] == [(1, 1, 1)] * 2
+
+
+# -- the kept workspace ----------------------------------------------------------
+
+
+def _in_a_fresh_thread(fn):
+    """fn() run in a new thread, whose workspace starts empty; its error re-raised."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = fn()
+        except Exception as exc:  # pragma: no cover - re-raised below
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def _audit_arrays(n, m, seed):
+    inst = random_instance(n, m, 100, seed)
+    values, totals = _arrays(inst)
+    mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
+    return inst, values, totals, mms
+
+
+@pytest.mark.parametrize("n, m", [(3, 9), (4, 7), (5, 6)])
+def test_a_kept_plan_allocates_little_past_its_first_window(n, m):
+    """The audit's masks and the leximin scan of a later window write their
+    statistics into the kept workspace: what they newly allocate peaks at
+    1.5 [n, n, count] statistics (about 4x and 2x without the workspace)."""
+    _, values, totals, mms = _audit_arrays(n, m, 5800 + n)
+    plan = kernels.ScanPlan(values, n, kernels.scan_chunk(n), workspace=True)
+    (first, second) = list(plan.windows(0, n**m))[:2]
+    statistic = n * n * second[1] * values.itemsize
+    scans = {
+        "notion_masks": lambda start, count: kernels.notion_masks(
+            values, totals, mms, start, count, want=oracle._AUDIT_WANT, plan=plan
+        ),
+        "leximin_scan": lambda start, count: kernels.leximin_scan(values, start, count, plan=plan),
+    }
+    for name, scan in scans.items():
+        scan(*first)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scan(*second)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * statistic, (name, peak / statistic)
+
+
+def test_window_results_survive_the_next_window():
+    """No kernel returns a view of the workspace: masks, profiles and MMS
+    values of one window keep their values while the next window runs."""
+    n, m = 4, 7
+    _, values, totals, mms = _audit_arrays(n, m, 5810)
+    plan = kernels.ScanPlan(values, n, 300, workspace=True)
+    row_plan = kernels.ScanPlan(values[0][None, :], n, 300, workspace=True)
+    kept = []
+    for start, count in list(plan.windows(0, n**m))[:4]:
+        got = (
+            kernels.notion_masks(values, totals, mms, start, count, plan=plan),
+            kernels.leximin_scan(values, start, count, plan=plan),
+            kernels.mms_scan(values[0], n, start, count, plan=row_plan),
+        )
+        fresh = (
+            kernels.notion_masks(values, totals, mms, start, count),
+            kernels.leximin_scan(values, start, count),
+            kernels.mms_scan(values[0], n, start, count),
+        )
+        kept.append((got, fresh))
+    for (masks, (index, profile), best), (ref_masks, (ref_index, ref_profile), ref_best) in kept:
+        assert np.array_equal(masks, ref_masks)
+        assert (index, best) == (ref_index, ref_best)
+        assert np.array_equal(profile, ref_profile)
+
+
+def _reference_audit(inst):
+    """(implication, allocation index, agent) of every violation, by the exact checker."""
+    found = []
+    for index in range(inst.n**inst.m):
+        allocation = allocation_from_index(inst.n, inst.m, index)
+        ok = {
+            notion: [v.satisfied for v in check(inst, allocation, notion).per_agent]
+            for notion in {n for _, a, c in oracle.IMPLICATIONS for n in (a, c)}
+        }
+        for agent in range(inst.n):
+            for label, a, c in sorted(oracle.IMPLICATIONS):
+                if ok[a][agent] and not ok[c][agent]:
+                    found.append((label, index, agent))
+    return found
+
+
+def test_a_workspace_warmed_by_a_larger_audit_gives_exact_small_scans():
+    """An n = 6 audit leaves wider buffers in the thread's workspace; an
+    n = 3 audit, leximin maximum and MMS scan then read their windows from
+    the front of them, at int16 and at int32."""
+    small = [random_instance(3, 6, 50, 5820), random_instance(3, 6, 10**6, 5821)]
+    assert [_arrays(inst)[0].dtype for inst in small] == [np.int16, np.int32]
+
+    def scans():
+        oracle.implication_audit(random_instance(6, 6, 100, 5822))
+        warmed = {slot: buf.size for slot, buf in kernels._WORKSPACE.buffers.items()}
+        results = []
+        for inst in small:
+            _mms_cached.cache_clear()
+            report = oracle.implication_audit(inst)
+            results.append(
+                (
+                    [(v.implication, v.allocation_index, v.agent) for v in report.violations],
+                    leximin_max(inst),
+                    [mms_value(inst, i) for i in range(inst.n)],
+                )
+            )
+        after = {slot: buf.size for slot, buf in kernels._WORKSPACE.buffers.items()}
+        return warmed, after, results
+
+    warmed, after, results = _in_a_fresh_thread(scans)
+    # The audit reads no bundle sizes; the small scans grew no buffer.
+    assert set(warmed) == {"own", "val", "rival", "cmp"} and after == warmed
+    for inst, (violations, (allocation, profile), mms) in zip(small, results):
+        assert violations == _reference_audit(inst)
+        ref_index, ref = _python_leximin(inst, 0, inst.n**inst.m)
+        assert allocation == allocation_from_index(inst.n, inst.m, ref_index)
+        assert profile.ascending == ref
+        assert mms == [_brute_mms_window(row, inst.n, 0, inst.n**inst.m) for row in inst.values]
+
+
+def test_a_workspace_stays_within_the_scan_budget(monkeypatch):
+    """Each slot holds at most one window's statistic, and all of a thread's
+    slots together stay within SCAN_BYTES, here small enough that it, not
+    CHUNK, sizes the windows, at int16 and int64."""
+    monkeypatch.setattr(kernels, "SCAN_BYTES", 1 << 16)
+    instances = [random_instance(n, 5, top, 5830 + n) for n in (3, 4, 5) for top in (9, 10**15)]
+
+    def scans():
+        largest = 0
+        for inst in instances:
+            values = _arrays(inst)[0]
+            oracle.implication_audit(inst)
+            leximin_max(inst)
+            _mms_cached.cache_clear()
+            mms_value(inst, 0)
+            window = kernels.scan_chunk(inst.n) * inst.n * inst.n * values.itemsize
+            largest = max(largest, window)
+        return largest, {slot: buf.size for slot, buf in kernels._WORKSPACE.buffers.items()}
+
+    largest, sizes = _in_a_fresh_thread(scans)
+    assert max(sizes.values()) <= largest
+    assert sum(sizes.values()) <= kernels.SCAN_BYTES
+
+
+def test_pool_threads_drop_their_workspaces(monkeypatch):
+    """Windows scanned on pool threads fill those threads' own workspaces,
+    which go with the pool; the calling thread's stays."""
+    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 0)
+    monkeypatch.setattr(kernels, "CHUNK", 64)
+    made = []
+    take = kernels._Workspace.take
+
+    def recorded(workspace, slot, shape, dtype):
+        got = take(workspace, slot, shape, dtype)
+        made.append((threading.get_ident(), weakref.ref(workspace.buffers[slot])))
+        return got
+
+    monkeypatch.setattr(kernels._Workspace, "take", recorded)
+    inst = random_instance(3, 6, 50, 5840)
+    assert oracle.implication_audit(inst, workers=2) == oracle.implication_audit(inst)
+    gc.collect()
+    caller = threading.get_ident()
+    pooled = [ref for ident, ref in made if ident != caller]
+    assert pooled and all(ref() is None for ref in pooled)
+    assert {"own", "val", "rival", "cmp"} <= set(kernels._WORKSPACE.buffers)

@@ -830,9 +830,9 @@ _MISSING = object()  # deletes the key at the path
 @pytest.mark.parametrize(
     "path, value, parses",
     [
-        (("steps", 2, "obs_bounds", 0, "lhs_items"), ["x"], True),
-        (("steps", 2, "obs_bounds", 0, "agent"), "0", True),
-        (("steps", 1, "assignments", 0, 0), [0], True),
+        (("steps", 2, "obs_bounds", 0, "lhs_items"), ["x"], False),
+        (("steps", 2, "obs_bounds", 0, "agent"), "0", False),
+        (("steps", 1, "assignments", 0, 0), [0], False),
         (("agents",), 5, False),
         (("steps",), None, False),
         (("steps", 1), ["case"], False),
@@ -965,6 +965,30 @@ def test_share_bounds_and_reductions_are_rebuilt_whole(mutate):
     with pytest.raises(CertificateError):
         replay_certificate(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("steps", 0, "item_value"), 22.0),
+        (("steps", 4, "obs_bounds", 0, "lhs_mult"), 3.0),
+        (("steps", 0, "agent"), True),
+    ],
+    ids=["reduction-item-value-float", "bound-lhs-mult-float", "reduction-agent-bool"],
+)
+def test_certificate_json_numbers_must_be_ints(path, value):
+    """A float or a bool equal in value to the int the solver wrote does not load."""
+    inst = _REDUCED_THEN_SPLIT
+    _, certificate = solve_propm(inst)
+    data = certificate_to_json_dict(certificate)
+    assert certificate_from_json_dict(data) == certificate
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    assert target[path[-1]] == value and type(target[path[-1]]) is int
+    target[path[-1]] = value
+    with pytest.raises(InputError, match="must be int"):
+        certificate_from_json_dict(data)
 
 
 _WRONG_TYPE_MUTATIONS = {
