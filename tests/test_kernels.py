@@ -6,6 +6,7 @@ import random
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -627,29 +628,16 @@ def test_plans_without_tabulated_items_build_no_contribution_array(monkeypatch):
 
 
 def _in_a_fresh_thread(fn):
-    """fn() run in a new thread, whose workspace starts empty; its error re-raised."""
-    out = {}
-
-    def run():
-        try:
-            out["result"] = fn()
-        except Exception as exc:  # pragma: no cover - re-raised below
-            out["error"] = exc
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    if "error" in out:
-        raise out["error"]
-    return out["result"]
+    """fn() run in a new thread, whose workspace starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
 
 
 def _audit_arrays(n, m, seed):
     inst = random_instance(n, m, 100, seed)
     values, totals = _arrays(inst)
     mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
-    return inst, values, totals, mms
+    return values, totals, mms
 
 
 @pytest.mark.parametrize("n, m", [(3, 9), (4, 7), (5, 6)])
@@ -657,7 +645,7 @@ def test_a_kept_plan_allocates_little_past_its_first_window(n, m):
     """The audit's masks and the leximin scan of a later window write their
     statistics into the kept workspace: what they newly allocate peaks at
     1.5 [n, n, count] statistics (about 4x and 2x without the workspace)."""
-    _, values, totals, mms = _audit_arrays(n, m, 5800 + n)
+    values, totals, mms = _audit_arrays(n, m, 5800 + n)
     plan = kernels.ScanPlan(values, n, kernels.scan_chunk(n), workspace=True)
     (first, second) = list(plan.windows(0, n**m))[:2]
     statistic = n * n * second[1] * values.itemsize
@@ -684,7 +672,7 @@ def test_window_results_survive_the_next_window():
     """No kernel returns a view of the workspace: masks, profiles and MMS
     values of one window keep their values while the next window runs."""
     n, m = 4, 7
-    _, values, totals, mms = _audit_arrays(n, m, 5810)
+    values, totals, mms = _audit_arrays(n, m, 5810)
     plan = kernels.ScanPlan(values, n, 300, workspace=True)
     row_plan = kernels.ScanPlan(values[0][None, :], n, 300, workspace=True)
     kept = []
