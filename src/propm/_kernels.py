@@ -11,13 +11,20 @@ written in base n, least significant digit first. The engine splits the
 items into a low half (items 0..h-1) and a high half, so index t is
 l + L*r with L = n^h. It tabulates the bundle statistics for the
 assignments of each half: per agent and bundle the value, least and
-greatest item, each agent's own-bundle value and the bundle sizes. A window
+greatest item; per agent the own-bundle value and the greatest and least
+value of the items the other agents own; and the bundle sizes. A window
 of allocations then combines a low row with a high row by one broadcast
 add, min or max, the meet-in-the-middle idea ``cp_mitm`` uses for CP
 bundles. Alt-median and alt-mode do not split across halves: they decode
 the window's owner digits once and score every agent in one walk over
 each agent's items in value order. Each kernel computes only the
-statistics its requested notions read.
+statistics its requested notions read, and a notion that needs only
+per-agent quantities pays per agent: PROP1 reads the others' greatest item
+and PROPx their least, so only EF1 and alt-minimax build the per-bundle
+"max" statistic, and only PROPm, AEFX, EFx and the leximin scan "min". The
+envy tests (EF, EF1, EFx) take one maximum over the bundles. ``mms_scan``
+answers every agent at once: one "val" window over all rows, its minimum
+over the bundles, then the maximum over the window's allocations.
 
 Each scan builds one ``ScanPlan``. It fixes h as m // 2, lowered while n^h
 exceeds the scan's window (``scan_chunk``), and builds each statistic's
@@ -37,15 +44,15 @@ large agent counts into blocks.
 The exhaustive scans (the audit's window loop, ``leximin_max`` and the MMS
 scan) build their plans with ``workspace=True``. Their windows then write
 each statistic and its same-sized temporaries into named slots of a
-``threading.local`` workspace ("own", "size", "val", "rival" and the bool
-"cmp"), not into new arrays. Each slot's buffer grows when a window needs
+``threading.local`` workspace ("own", "size", "others", "val", "rival" and
+the bool "cmp"), not into new arrays. Each slot's buffer grows when a window needs
 more and is then kept, so later windows and later scans in the thread reuse
 memory that is already paged in. (Window arrays of a few hundred KB,
 allocated afresh, go back to the OS when freed and fault in again in the
 next window.) The slots hold at most one window's statistics, which
 SCAN_BYTES already counts, and a worker thread's workspace goes when the
-thread ends. No kernel returns a view of the workspace. ``exists`` keeps none: its windows start at 256
-allocations and most of its scans end in the first one, while buffers grown
+thread ends. No kernel returns a view of the workspace. ``exists`` keeps
+none: its windows start at 256 allocations and most of its scans end in the first one, while buffers grown
 for its wide windows (n = 10 or 16) would stay resident after it; its
 windows allocate as before, and the in-place steps still spare their
 temporaries.
@@ -121,12 +128,16 @@ CP_TAKE_BYTES = 256 << 20
 
 # Bytes a scan's per-bundle statistics may take: a window's three values
 # (value, min, max, or two of them and a temporary) per allocation, agent
-# and bundle, plus the half tables its plan keeps and the contribution arrays
-# they are built from. Windows are sized for int64 values. The per-thread
-# workspace of the exhaustive scans (audit, leximin, MMS; not ``exists``)
-# keeps at most one window's "val", rival ("max" or "min") and bool "cmp"
-# statistics and its "own" and "size" rows. That stays within SCAN_BYTES, so
-# the workspace needs no budget of its own.
+# and bundle, plus the half tables its plan keeps (every statistic's, the
+# per-agent "own", "others_max" and "others_min" included) and the
+# contribution arrays they are built from. Windows are sized for int64
+# values. The per-thread workspace of the exhaustive scans (audit, leximin,
+# MMS; not ``exists``) keeps at most one window's "val", rival ("max" or
+# "min") and bool "cmp" statistics, 17 of the 24 bytes per cell, and its
+# "own", "size" and "others" rows, 24n bytes per allocation against the
+# 7n^2 left. That fits from n = 4; below it the window is CHUNK, not
+# SCAN_BYTES, bound and all of it takes a few MB. So the workspace needs no
+# budget of its own.
 SCAN_BYTES = 32 << 20
 _STAT_CELLS = 3
 _CELL_BYTES = _STAT_CELLS * 8
@@ -352,16 +363,21 @@ def _agent_blocks(n, count):
 # [lead, mid, allocation], allocations innermost so the broadcast combine
 # runs over long contiguous rows: "val", "min" and "max" are [bundle, agent,
 # allocation], reduced over the leading axis; "own" (each agent's own-bundle
-# value) and "size" are [0, agent or bundle, allocation]. An empty bundle
-# holds 0, or the dtype's largest value for "min".
+# value), "others_max" and "others_min" (the greatest and least value, to
+# each agent, of the items the other agents own) are [0, agent, allocation]
+# and "size" is [0, bundle, allocation]. An empty set of items holds 0, or
+# the dtype's largest value for a minimum.
 _STATS = {
     "val": "add",
     "min": "minimum",
     "max": "maximum",
     "own": "add",
+    "others_max": "maximum",
+    "others_min": "minimum",
     "size": "add",
 }
 _PER_BUNDLE = ("val", "min", "max")
+_PER_AGENT = ("own", "others_max", "others_min")
 
 
 def _digits_within(n, limit, most):
@@ -400,10 +416,9 @@ _WORKSPACE = _Workspace()
 class ScanPlan:
     """Split point and half tables shared by every window of one scan.
 
-    ``values`` holds the rows the scan reads: every agent's item values, or
-    one agent's row for ``mms_scan``. ``n`` is the number of bundles and
-    ``window`` the largest window the scan asks for, kept as ``chunk``;
-    ``windows`` yields the scan's window schedule.
+    ``values`` holds every agent's item values, ``n`` is the number of
+    bundles and ``window`` the largest window the scan asks for, kept as
+    ``chunk``; ``windows`` yields the scan's window schedule.
 
     Item j is digit j of the allocation index, so index t is l + L*r with
     L = n^h: low items 0..h-1 give l, the high items give row r. The high
@@ -467,12 +482,13 @@ class ScanPlan:
         contribution arrays, plus a window's statistics."""
         n, rows = self.n, self.values.shape[0]
         cols = (n**h if h else 0) + (n**k if k else 0) + (h + k) * n
-        cells = cols * (len(_PER_BUNDLE) * n * rows + rows + n) + _STAT_CELLS * n * rows * window
+        per_column = (len(_PER_BUNDLE) * n + len(_PER_AGENT)) * rows + n
+        cells = cols * per_column + _STAT_CELLS * n * rows * window
         return cells * self.values.dtype.itemsize
 
     def empty(self, name):
-        """The value statistic ``name`` holds for an empty bundle."""
-        return self._big if name == "min" else 0
+        """The value statistic ``name`` holds for an empty set of items."""
+        return self._big if _STATS[name] == "minimum" else 0
 
     def buffer(self, slot, shape, dtype):
         """An uninitialised ``shape`` array for workspace ``slot``.
@@ -488,7 +504,7 @@ class ScanPlan:
         """[lead, mid] of statistic ``name`` for the value rows ``agents``."""
         if name in _PER_BUNDLE:
             return self.n, len(range(self.values.shape[0])[agents])
-        return 1, (self.values.shape[0] if name == "own" else self.n)
+        return 1, (self.values.shape[0] if name in _PER_AGENT else self.n)
 
     def _contributions(self, name, agents, lo, hi, owners):
         """[item, lead, mid, owner]: what items lo..hi-1 add to statistic ``name``.
@@ -501,8 +517,9 @@ class ScanPlan:
         if name in _PER_BUNDLE:
             hit, add = hit[:, :, None], self.values[agents, lo:hi]
         else:
-            hit = hit[:, None]
-            add = self.values[:, lo:hi] if name == "own" else np.ones((1, hi - lo), dtype)
+            # Agent a's own bundle is bundle a; "others_*" read its complement.
+            hit = hit[:, None] if name in ("own", "size") else ~hit[:, None]
+            add = self.values[:, lo:hi] if name != "size" else np.ones((1, hi - lo), dtype)
         add = add.T[:, None, :, None]
         return np.where(hit, add, self.empty(name)).astype(dtype, copy=False)
 
@@ -620,8 +637,8 @@ def _zero_own_and_empty(plan, mn, agents):
 # ---------------------------------------------------------------------------
 
 _VAL_NOTIONS = 1 << EF | 1 << EF1 | 1 << EFX
-_MAX_NOTIONS = 1 << PROP1 | 1 << EF1 | 1 << ALT_MINIMAX
-_MIN_NOTIONS = 1 << PROPX | 1 << PROPM | 1 << AEFX | 1 << EFX
+_MAX_NOTIONS = 1 << EF1 | 1 << ALT_MINIMAX
+_MIN_NOTIONS = 1 << PROPM | 1 << AEFX | 1 << EFX
 _REST_NOTIONS = 1 << ALT_MEDIAN | 1 << ALT_MODE
 
 
@@ -648,6 +665,15 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None)
         put(PROP, n * own >= totals)
     if want >> MMS & 1:
         put(MMS, (own >= mms[:, None]) & (mms[:, None] >= 0))
+    if want >> PROP1 & 1:
+        # The others' greatest item; 0 where they own none.
+        best = plan.window("others_max", slice(None), start, count, "others")[0]
+        put(PROP1, n * (own + best) >= totals)
+    if want >> PROPX & 1:
+        # The others' least item; the sentinel, zeroed, where they own none.
+        least = plan.window("others_min", slice(None), start, count, "others")[0]
+        np.multiply(least, least != plan.empty("others_min"), out=least)
+        put(PROPX, n * (own + least) >= totals)
     if want & (1 << ALT_MEAN | _REST_NOTIONS):
         # Items the others own, [agent, allocation].
         cnt = m - plan.window("size", slice(None), start, count, "size")[0]
@@ -663,49 +689,40 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None)
 
 
 def _bundle_notions(plan, total, own, start, count, want, agents, put):
-    """The notions that read other agents' bundles, for one block of agents.
+    """The notions that read each other bundle, for one block of agents.
 
     "val" takes the plan's "val" slot and "max", then "min", its "rival"
-    slot; EF1 and EFX overwrite the rival statistic with val minus it.
+    slot; EF1 and EFX overwrite the rival statistic with val minus it. An
+    envy test holds when the largest term over the bundles, the agent's own
+    bundle included, is at most the agent's own value.
     """
     n = plan.n
-    diag = _diagonal(agents, n)
     big = plan.empty("min")
 
     def stat(name, slot):
         return plan.window(name, agents, start, count, slot)
 
-    def pooled(bundle_stat, reduce, diag_value):
-        # Reduce over the rival bundles; big means there is none.
-        bundle_stat[diag] = diag_value
-        got = reduce(bundle_stat, axis=0)
-        np.multiply(got, got != big, out=got)
-        return got
-
     def within_own(bundle_stat):
-        # Every bundle's statistic at most the agent's own value.
-        cmp = plan.buffer("cmp", bundle_stat.shape, np.bool_)
-        return np.less_equal(bundle_stat, own, out=cmp).all(axis=0)
+        return bundle_stat.max(axis=0) <= own
 
     val = stat("val", "val") if want & _VAL_NOTIONS else None
     if want >> EF & 1:
         put(EF, within_own(val), agents)
     if want & _MAX_NOTIONS:
         mx = stat("max", "rival")
-        if want >> PROP1 & 1:
-            put(PROP1, n * (own + pooled(mx, np.max, 0)) >= total, agents)
         if want >> ALT_MINIMAX & 1:
-            # An empty rival bundle counts as a maximum of 0.
-            put(ALT_MINIMAX, n * (own + pooled(mx, np.min, big)) >= total, agents)
+            # The least greatest item over the rival bundles, big where there
+            # is none; an empty rival bundle counts as a maximum of 0.
+            mx[_diagonal(agents, n)] = big
+            least = mx.min(axis=0)
+            np.multiply(least, least != big, out=least)
+            put(ALT_MINIMAX, n * (own + least) >= total, agents)
         if want >> EF1 & 1:
             # The diagonal holds own - max <= own whatever max it holds.
             put(EF1, within_own(np.subtract(val, mx, out=mx)), agents)
         del mx
     if want & _MIN_NOTIONS:
-        mn = stat("min", "rival")
-        if want >> PROPX & 1:
-            put(PROPX, n * (own + pooled(mn, np.min, big)) >= total, agents)
-        _zero_own_and_empty(plan, mn, agents)
+        mn = _zero_own_and_empty(plan, stat("min", "rival"), agents)
         if want >> PROPM & 1:
             put(PROPM, n * (own + mn.max(axis=0)) >= total, agents)
         if want >> AEFX & 1:
@@ -760,20 +777,26 @@ def _rest_notions(values, totals, own, cnt, start, count, want, put):
 
 
 # ---------------------------------------------------------------------------
-# Maximin-share scan for a single agent
+# Maximin-share scan for every agent at once
 # ---------------------------------------------------------------------------
 
 
-def mms_scan(row, n, start, count, plan=None):
-    """Best worst-bundle value of ``row`` over allocations start..start+count-1.
+def mms_scan(values, n, start, count, plan=None):
+    """Each row's best worst-bundle value over allocations start..start+count-1.
 
-    ``plan`` is the scan's ``ScanPlan`` over ``row[None, :]``; without one
-    the call builds a plan for this window.
+    ``values`` holds one row per agent, and the result is an array with one
+    value per row: the "val" window, its minimum over the n bundles, then
+    the maximum over the window's allocations. ``plan`` is the scan's
+    ``ScanPlan`` over ``values``; without one the call builds a plan for
+    this window.
     """
     if plan is None:
-        plan = ScanPlan(row[None, :], n, count)
-    sums = plan.window("val", slice(None), start, count, "val")
-    return int(sums.min(axis=0).max())
+        plan = ScanPlan(values, n, count)
+    best = np.empty(values.shape[0], values.dtype)
+    for agents in plan.blocks:
+        sums = plan.window("val", agents, start, count, "val")
+        best[agents] = sums.min(axis=0).max(axis=-1)
+    return best
 
 
 # ---------------------------------------------------------------------------

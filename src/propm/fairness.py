@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import _kernels
 from .core import (
@@ -188,8 +188,8 @@ def check(
 ) -> FairnessReport:
     """Exact per-agent verdicts for one notion over a complete allocation.
 
-    The MMS notion enumerates all n^m partitions per agent; ``budget``
-    bounds that enumeration.
+    The MMS notion enumerates the partitions into n bundles once for all
+    agents (``mms_value``); ``budget`` bounds that enumeration.
     """
     allocation.validate_for(inst)
     verdicts = []
@@ -212,21 +212,29 @@ def mms_value(inst: Instance, agent: int, budget: int | None = None) -> int:
 
     Relabelling bundles keeps every worst-bundle value, so the scan puts the
     last item in bundle 0 and covers n^(m-1) assignments. The enumeration
-    budget still guards n^m.
+    budget still guards n^m. One scan answers every agent of the instance,
+    and the last MMS_MEMO_SIZE instances' answers are kept, so asking for
+    each agent in turn scans once; a single agent's first call pays for all.
     """
     if not 0 <= agent < inst.n:
         raise InputError(f"agent index {agent} out of range for n={inst.n}")
     if inst.n == 1:
         return inst.totals[agent]
     require_budget(inst.n**inst.m, budget, "mms_value")
-    return _mms_cached(inst, agent)
+    return _mms_cached(inst)[agent]
 
 
-@lru_cache(maxsize=4096)
-def _mms_cached(inst: Instance, agent: int) -> int:
-    row = _kernels.instance_arrays(inst.values, inst.totals)[0][agent]
+# Instances whose MMS values are kept (each entry holds n ints).
+MMS_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=MMS_MEMO_SIZE)
+def _mms_cached(inst: Instance) -> tuple[int, ...]:
+    """Every agent's MMS value, from one scan over all the agents' rows."""
+    values = _kernels.instance_arrays(inst.values, inst.totals)[0]
     n = inst.n
-    plan = _kernels.ScanPlan(row[None, :], n, _kernels.scan_chunk(n), workspace=True)
+    plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n), workspace=True)
     # Indices below n^(m-1) are exactly the assignments of item m-1 to bundle 0.
     windows = plan.windows(0, n ** (inst.m - 1) if inst.m else 1)
-    return max(_kernels.mms_scan(row, n, pos, count, plan=plan) for pos, count in windows)
+    best = (_kernels.mms_scan(values, n, pos, count, plan=plan) for pos, count in windows)
+    return tuple(reduce(_kernels.np.maximum, best).tolist())

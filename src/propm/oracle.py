@@ -122,14 +122,19 @@ def _mms_array(inst: Instance, needed: bool, budget: int | None):
     return np.array([mms_value(inst, i, budget=budget) for i in range(inst.n)], np.int64)
 
 
-# Scan work (allocations x n^2) below which two threads mostly lose to one: on
-# a shared 2-core host (numpy backend) exists(EF) on 5^9, 6^8, 7^7 (40-61 M) and
-# audits of 4^10, 5^9, 7^7, 8^6 (17-49 M) ran slower with two; exists(EF) on 10^6,
-# 8^7, 16^5 and the audit of 8^7 (100-268 M) ran faster, and below, only 12^5 EF.
-# With the audit's kept window buffers (random_instance(n, m, 100, 0), best of
-# 3, two runs) two threads still lost on the audits of 4^10 and 5^9 (0.65-0.89x),
-# broke even on 8^6 (1.02-1.07x), were mixed on 7^7 (0.98-1.41x) and won on 8^7
-# (1.55-1.64x): no crossing below 100 M, so the constant stays.
+# Scan work (allocations x n^2) below which two threads mostly lose to one. On
+# a shared 2-core host (numpy backend), two threads against one, best of 3:
+# - audits of random_instance(n, m, 100, 0), with the kept window buffers, two
+#   runs: lost on 4^10 and 5^9 (17-49 M; 0.65-0.89x), broke even on 8^6
+#   (1.02-1.07x), were mixed on 7^7 (0.98-1.41x) and won on 8^7 (134 M;
+#   1.55-1.64x);
+# - exists(EF) on n copies of random_instance(1, m, 100, 0)'s row with item 0
+#   raised above the sum of the rest, so that no allocation is EF and the scan
+#   reads all n^m: lost or broke even on 12^5, 7^7, 5^9, 6^8, 10^6, 8^7, 16^5
+#   (two runs) and 5^10 (36-268 M; 0.70-1.03x), and won on 7^8, 9^7 and 10^7
+#   (282 M-1 G; 1.21-1.60x).
+# The audit crosses lower than exists does. The constant keeps the audit's win
+# on 8^7 and costs exists at most 0.70x between it and exists' crossing.
 POOL_BREAK_EVEN = 100_000_000
 
 

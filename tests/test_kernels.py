@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import propm._kernels as kernels
 import propm.oracle as oracle
 from propm import Instance, Notion, ResourceBudgetError, adjusted_profile, check, mms_value
-from propm.fairness import _mms_cached
+from propm.fairness import MMS_MEMO_SIZE, _mms_cached
 from propm.leximin import leximin_max
 from propm.oracle import FIRST_WINDOW, allocation_from_index, random_instance
 
@@ -165,6 +165,34 @@ def test_alt_median_and_mode_edge_cases(rows, want):
     _assert_masks(kernels.notion_masks(values, totals, mms, 0, total, want=want), inst, 0, want)
 
 
+# PROP1 and PROPx read the greatest and least item the others own: fewer
+# items than agents (so others often own nothing), one agent, zeros, ties,
+# and a row of zeros next to identical rows.
+BONUS_EDGES = [
+    [[], []],
+    [[4, 0, 2]],
+    [[5], [5], [0]],
+    [[3, 0], [3, 0], [1, 2], [0, 0]],
+    [[0, 6, 6], [2, 2, 2], [0, 0, 0], [9, 0, 1], [1, 1, 7]],
+    [[1, 1, 5, 5, 4], [0, 3, 3, 0, 1]],
+]
+_BONUS_BITS = (1 << kernels.PROP1, 1 << kernels.PROPX)
+
+
+@pytest.mark.parametrize("rows", BONUS_EDGES)
+@pytest.mark.parametrize("want", [_BONUS_BITS[0] | _BONUS_BITS[1], *_BONUS_BITS])
+def test_prop1_and_propx_edge_cases(rows, want):
+    inst = Instance.of(rows)
+    values, totals = _arrays(inst)
+    total = inst.n**inst.m
+    # Every allocation, so also each one that gives one agent every item.
+    for plan in (None, kernels.ScanPlan(values, inst.n, 2, workspace=True)):
+        masks = kernels.notion_masks(
+            values, totals, np.full(inst.n, -1, np.int64), 0, total, want=want, plan=plan
+        )
+        _assert_masks(masks, inst, 0, want)
+
+
 def test_alt_median_and_mode_take_the_smaller_of_two_candidates():
     # Agent 0 holds item 4 (worth 4 of 16) at index 15; the others hold
     # 1, 1, 5, 5. The lower median and the smaller mode are 1, so
@@ -268,21 +296,74 @@ def test_leximin_max_keeps_the_first_index_across_small_windows(monkeypatch, val
 
 @pytest.mark.parametrize("n, m", [(1, 4), (2, 0), (2, 5), (3, 4), (4, 3), (5, 2)])
 def test_mms_scan_matches_brute_force(n, m):
-    row = random_instance(1, m, 40, seed=5500 + n * 10 + m).values[0]
-    arr = np.array(row, np.int64)
+    rows = random_instance(n, m, 40, seed=5500 + n * 10 + m).values
+    arr = np.array(rows, np.int64)
     total = n**m
-    worst = []
+    worst = [[] for _ in rows]
     for owners in product(range(n), repeat=m):
-        sums = [0] * n
-        for j, k in enumerate(reversed(owners)):
-            sums[k] += row[j]
-        worst.append(min(sums))
-    assert kernels.mms_scan(arr, n, 0, total) == max(worst)
+        for row, out in zip(rows, worst):
+            sums = [0] * n
+            for j, k in enumerate(reversed(owners)):
+                sums[k] += row[j]
+            out.append(min(sums))
+    assert kernels.mms_scan(arr, n, 0, total).tolist() == [max(w) for w in worst]
     rng = random.Random(n + m)
     for _ in range(5):
         start = rng.randrange(total)
         count = rng.randint(1, total - start)
-        assert kernels.mms_scan(arr, n, start, count) == max(worst[start : start + count])
+        got = kernels.mms_scan(arr, n, start, count).tolist()
+        assert got == [max(w[start : start + count]) for w in worst], (start, count)
+
+
+def _brute_mms(rows, n):
+    """Every row's maximin share over all n^m allocations, by numpy brute force."""
+    m = len(rows[0]) if rows else 0
+    owners = np.array(list(product(range(n), repeat=m)), np.int64).reshape(n**m, m)
+    values = np.array(rows, np.int64).reshape(len(rows), m)
+    in_bundle = owners[None, :, :] == np.arange(n)[:, None, None]  # [bundle, alloc, item]
+    sums = (in_bundle[None] * values[:, None, None, :]).sum(axis=-1)  # [row, bundle, alloc]
+    return sums.min(axis=1).max(axis=1).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", range(8))
+def test_mms_value_matches_brute_force_for_every_agent(n, m):
+    """Zeros, ties, two identical rows and an all-zero row; every agent's
+    value comes from one scan of the instance."""
+    rng = random.Random(n * 100 + m)
+    rows = [[rng.choice((0, 0, 1, 2, 2, 7, 30)) for _ in range(m)] for _ in range(n)]
+    if n > 2:
+        rows[1] = list(rows[0])
+        rows[2] = [0] * m
+    inst = Instance.of(rows)
+    _mms_cached.cache_clear()
+    assert [mms_value(inst, i) for i in range(n)] == _brute_mms(rows, n)
+
+
+def test_mms_values_of_every_agent_come_from_one_scan(monkeypatch):
+    calls = []
+    scan = kernels.mms_scan
+
+    def counted(values, n, start, count, plan=None):
+        calls.append((values.shape[0], start, count))
+        return scan(values, n, start, count, plan=plan)
+
+    monkeypatch.setattr(kernels, "mms_scan", counted)
+    small, wide = random_instance(4, 5, 30, 5510), random_instance(3, 11, 30, 5511)
+    for inst in (small, wide):
+        _mms_cached.cache_clear()
+        calls.clear()
+        first = [mms_value(inst, i) for i in range(inst.n)]
+        assert first == _brute_mms(inst.values, inst.n)
+        # One window schedule over [0, n^(m-1)), each window for all n rows.
+        plan = kernels.ScanPlan(_arrays(inst)[0], inst.n, kernels.scan_chunk(inst.n))
+        windows = list(plan.windows(0, inst.n ** (inst.m - 1)))
+        assert calls == [(inst.n, start, count) for start, count in windows]
+        assert [mms_value(inst, i) for i in reversed(range(inst.n))] == first[::-1]
+        oracle.exists(inst, Notion.MMS)
+        assert len(calls) == len(windows)
+    assert len(windows) > 1
+    assert _mms_cached.cache_info().maxsize == MMS_MEMO_SIZE
 
 
 def test_backend_flag_reported():
@@ -350,9 +431,9 @@ def _assert_scans_exact(rows, dtype):
     ref_index, ref = _python_leximin(inst, 0, count)
     assert index == ref_index
     assert [int(p) for p in profile] == [int(n * v) for v in ref]
-    for i in range(n):
-        assert kernels.mms_scan(values[i], n, 0, count) == _brute_mms_window(rows[i], n, 0, count)
-        assert mms[i] == _brute_mms_window(rows[i], n, 0, count // n)
+    expected = [_brute_mms_window(row, n, 0, count) for row in rows]
+    assert kernels.mms_scan(values, n, 0, count).tolist() == expected
+    assert mms.tolist() == [_brute_mms_window(row, n, 0, count // n) for row in rows]
 
 
 # n = 2, m = 3: n * (m+1) * max total = 8 * total. 2^31 - 1 is prime, so no
@@ -457,14 +538,11 @@ def test_scans_match_the_reference_on_fuzzed_windows(inst, data):
         ref_index, ref = _python_leximin(inst, start, count)
         assert index == ref_index
         assert [int(p) for p in profile] == [int(n * v) for v in ref]
-    for i in range(n):
-        row_plan = kernels.ScanPlan(
-            values[i][None, :], n, data.draw(st.integers(1, 40)), workspace=workspace
-        )
-        start = data.draw(st.integers(0, total - 1))
-        count = data.draw(st.integers(1, min(total - start, 30)))
-        expected = _brute_mms_window(inst.values[i], n, start, count)
-        assert kernels.mms_scan(values[i], n, start, count, plan=row_plan) == expected
+    mms_plan = kernels.ScanPlan(values, n, data.draw(st.integers(1, 40)), workspace=workspace)
+    start = data.draw(st.integers(0, total - 1))
+    count = data.draw(st.integers(1, min(total - start, 30)))
+    expected = [_brute_mms_window(row, n, start, count) for row in inst.values]
+    assert kernels.mms_scan(values, n, start, count, plan=mms_plan).tolist() == expected
 
 
 # -- the scan plan ---------------------------------------------------------------
@@ -479,6 +557,11 @@ def _direct_stat(values, n, name, agents, owners):
     big = np.iinfo(values.dtype).max
     if name == "own":
         return [[sum(int(values[a][j]) for j, b in owners.items() if b == a) for a in rows]]
+    if name in ("others_max", "others_min"):
+        others = [[int(values[a][j]) for j, b in owners.items() if b != a] for a in rows]
+        if name == "others_max":
+            return [[max(got, default=0) for got in others]]
+        return [[min(got, default=big) for got in others]]
     if name == "size":
         return [[sum(1 for b in owners.values() if b == d) for d in range(n)]]
     out = []
@@ -502,7 +585,7 @@ def _digits(index, n, items):
     return owners
 
 
-STATS = ("val", "min", "max", "own", "size")
+STATS = ("val", "min", "max", "own", "others_max", "others_min", "size")
 
 # (n, m, planned window): top items above the mid items (windows straddle
 # several top assignments), a full high table, one agent, no items, one item,
@@ -674,24 +757,25 @@ def test_window_results_survive_the_next_window():
     n, m = 4, 7
     values, totals, mms = _audit_arrays(n, m, 5810)
     plan = kernels.ScanPlan(values, n, 300, workspace=True)
-    row_plan = kernels.ScanPlan(values[0][None, :], n, 300, workspace=True)
+    mms_plan = kernels.ScanPlan(values, n, 300, workspace=True)
     kept = []
     for start, count in list(plan.windows(0, n**m))[:4]:
         got = (
             kernels.notion_masks(values, totals, mms, start, count, plan=plan),
             kernels.leximin_scan(values, start, count, plan=plan),
-            kernels.mms_scan(values[0], n, start, count, plan=row_plan),
+            kernels.mms_scan(values, n, start, count, plan=mms_plan),
         )
         fresh = (
             kernels.notion_masks(values, totals, mms, start, count),
             kernels.leximin_scan(values, start, count),
-            kernels.mms_scan(values[0], n, start, count),
+            kernels.mms_scan(values, n, start, count),
         )
         kept.append((got, fresh))
     for (masks, (index, profile), best), (ref_masks, (ref_index, ref_profile), ref_best) in kept:
         assert np.array_equal(masks, ref_masks)
-        assert (index, best) == (ref_index, ref_best)
+        assert index == ref_index
         assert np.array_equal(profile, ref_profile)
+        assert np.array_equal(best, ref_best)
 
 
 def _reference_audit(inst):
@@ -736,7 +820,7 @@ def test_a_workspace_warmed_by_a_larger_audit_gives_exact_small_scans():
 
     warmed, after, results = _in_a_fresh_thread(scans)
     # The audit reads no bundle sizes; the small scans grew no buffer.
-    assert set(warmed) == {"own", "val", "rival", "cmp"} and after == warmed
+    assert set(warmed) == {"own", "others", "val", "rival", "cmp"} and after == warmed
     for inst, (violations, (allocation, profile), mms) in zip(small, results):
         assert violations == _reference_audit(inst)
         ref_index, ref = _python_leximin(inst, 0, inst.n**inst.m)

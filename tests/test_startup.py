@@ -169,8 +169,12 @@ def test_tracer_installed_before_numpy_loads():
     assert not got["loaded_at_install"]
     assert got["missing"] == []
     counts = got["counts"]
-    # 3^5 allocations fit one window of each scan; MMS puts the last item in bundle 0.
+    # 3^5 allocations fit one window of each scan; MMS puts the last item in bundle 0
+    # and scans each allocation once for all three agents.
     assert counts["kernels.notion_masks.allocs"] == 2 * 3**5
     assert counts["kernels.leximin_scan.allocs"] == 3**5
-    assert counts["kernels.mms_scan.allocs"] == 3 * 3**4
+    assert counts["kernels.mms_scan.allocs"] == 3**4
+    # The audit still asks mms_value once per agent; the first call scans.
+    assert counts["fairness.mms_value.calls"] == 3
+    assert counts["kernels.mms_scan.calls"] == 1
     assert counts["oracle.exists.allocs_needed"] == got["allocations_checked"]
