@@ -391,8 +391,9 @@ def _digits_within(n, limit, most):
 class _Workspace(threading.local):
     """One thread's window buffers: a flat byte buffer per slot, kept between scans.
 
-    The slots are "own", "size", "val", "rival" ("max", then "min" once
-    "max" is dead) and "cmp" (bool comparisons of a per-bundle statistic).
+    The slots are "own", "size", "others" ("others_max", then
+    "others_min"), "val", "rival" ("max", then "min" once "max" is dead)
+    and "cmp" (bool comparisons of a per-bundle statistic).
     A buffer grows when a window needs more and is then kept, so later
     windows write into memory that is already paged in.
     """
