@@ -46,18 +46,7 @@ from .oracle import (
     make_counterexample,
     random_instance,
 )
-from .solver import (
-    Certificate,
-    ladder_discipline_ok,
-    reduce_big_items,
-    replay_certificate,
-    solve2,
-    solve3,
-    solve4,
-    solve5,
-    solve_propm,
-    verify_certificate,
-)
+from .solver import Certificate, reduce_big_items, solve_propm, verify_certificate
 
 __version__ = "0.1.0"
 
@@ -86,7 +75,6 @@ __all__ = [
     "envy_graph",
     "exists",
     "implication_audit",
-    "ladder_discipline_ok",
     "leximin_compare",
     "leximin_max",
     "make_counterexample",
@@ -96,12 +84,7 @@ __all__ = [
     "parse_notion",
     "random_instance",
     "reduce_big_items",
-    "replay_certificate",
     "restrict",
-    "solve2",
-    "solve3",
-    "solve4",
-    "solve5",
     "solve_propm",
     "validate_ladder",
     "value_of",

@@ -127,6 +127,11 @@ def validate_ladder(inst: Instance, ladder: CpLadder) -> bool:
     All bounds are relative to the ladder's own base set (the union of its
     rungs): with r rungs, for every k the items strictly below rung k are
     worth at least (k-1)/r of the base to the divider.
+
+    This is the reference check of those (k-1)/r bounds: the acceptance
+    suite (criterion 5) and the cpsets tests hold every ladder the solver
+    builds against it. Certificate replay never checks the bounds; it only
+    requires each recorded ladder to equal its ``cp_ladder`` recomputation.
     """
     if not 0 <= ladder.divider < inst.n:
         return False

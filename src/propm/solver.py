@@ -7,11 +7,16 @@ or recursively split unions of rungs. Every level of that recursion is
 solved in the original agent and item indices: it takes the agents (the
 lowest one divides) and the item pool it shares, and writes its
 allocation and certificate steps directly, so no step is ever relabelled.
-Every run emits a Certificate: a replayable trace of reductions, ladder
-constructions, case applications (a label and the whole bundles the case
-hands out) and recursive sub-splits. ``verify_certificate`` rebuilds from
-the instance alone what each step must satisfy, so an accepted certificate
-proves its allocation PROPm without consulting any solver code path.
+Every run emits a Certificate that records the construction's choices
+only: each big-item reduction (agent, item), each ladder (divider, rungs),
+each case applied (a label and the whole bundles the case hands out) and
+each recursive sub-split (a nested certificate over its members and
+sub-pool). ``verify_certificate`` is the one verification entry point. Its
+replay derives the rest from the instance alone: which reduction comes
+first, the CP rungs, every case's obligations and every sub-split's share
+bound, and it checks each recorded choice against them. So an accepted
+certificate proves its allocation PROPm without consulting any solver code
+path.
 
 Case labels, with the counts that select them:
   n2.cut_and_choose      divider cuts via CP, the other agent chooses
@@ -45,13 +50,6 @@ class CertificateError(Exception):
     """A certificate failed to replay. Internal to verify_certificate."""
 
 
-RUNG_NAMES = {
-    2: ("A", "B"),
-    3: ("B", "A", "C"),
-    4: ("C", "B", "A", "D"),
-    5: ("D", "C", "B", "A", "E"),
-}
-
 KNOWN_LEMMAS = {
     "n1.take_all": 1,
     "n2.cut_and_choose": 2,
@@ -82,41 +80,24 @@ KNOWN_LEMMAS = {
 
 
 @dataclass(frozen=True)
-class Compare:
-    """An exact comparison lhs_mult*v_agent(lhs_items) REL rhs_mult*v_agent(rhs_items).
-
-    ``relation`` is ">=" or "<", whichever holds, and ``lhs`` and ``rhs``
-    are the two products. Only a SubSplit's ``obs_bounds`` hold these;
-    replay rebuilds each one whole and requires it to equal the record.
-    """
-
-    agent: int
-    lhs_items: tuple[int, ...]
-    lhs_mult: int
-    rhs_items: tuple[int, ...]
-    rhs_mult: int
-    relation: str
-    lhs: int
-    rhs: int
-
-
-@dataclass(frozen=True)
 class BigItemReduction:
     """One agent takes one item worth more than her residual proportional share."""
 
     type: ClassVar[str] = "reduction"
     agent: int
     item: int
-    residual_agent_count: int
-    item_value: int
-    residual_total: int
 
 
 @dataclass(frozen=True)
 class LadderBuilt:
+    """The divider's CP ladder over its level's pool, one rung per agent, top rung first.
+
+    The case functions name the rungs by position (their parameters: for
+    three agents B, A, C).
+    """
+
     type: ClassVar[str] = "ladder"
     divider: int
-    rung_names: tuple[str, ...]
     rungs: tuple[tuple[int, ...], ...]
 
 
@@ -135,19 +116,17 @@ class CaseApplied:
 
 @dataclass(frozen=True)
 class SubSplit:
-    """A recursive PROPm sub-solve of ``items`` among ``agents``.
+    """A recursive PROPm sub-solve, recorded as its own certificate.
 
-    ``obs_bounds`` compare, for each member, n*v(items) with
-    |agents|*v(pool) over the level's n agents and pool. Replay requires
-    every one to read ">=": the member then values the sub-pool at least
-    |agents|/n of the level's pool, so a PROPm split of the sub-pool is
-    PROPm for the level too.
+    The nested certificate's ``agents`` and ``items`` are the sub-split's
+    members and sub-pool. Nothing else is recorded: replay derives each
+    member's share bound, n*v(items) >= |agents|*v(pool) over the level's n
+    agents and pool (``_share_holds``). When every bound holds, each member
+    values the sub-pool at least |agents|/n of the level's pool, so a PROPm
+    split of the sub-pool is PROPm for the level too.
     """
 
     type: ClassVar[str] = "split"
-    agents: tuple[int, ...]
-    items: tuple[int, ...]
-    obs_bounds: tuple[Compare, ...]
     certificate: "Certificate"
 
 
@@ -189,11 +168,6 @@ def _merge(*item_groups) -> tuple[int, ...]:
 def _without(pool: tuple[int, ...], items) -> tuple[int, ...]:
     drop = set(items)
     return tuple(j for j in pool if j not in drop)
-
-
-def _require_n(inst: Instance, n: int) -> None:
-    if inst.n != n:
-        raise InputError(f"this solver handles exactly {n} agents, got {inst.n}")
 
 
 def _assemble(inst: Instance, assignment: dict[int, tuple[int, ...]]) -> Allocation:
@@ -239,7 +213,7 @@ def _first_reduction(inst: Instance, agents, items) -> BigItemReduction | None:
         total_i = sum(row[j] for j in pool)
         for j in pool:
             if n_res * row[j] > total_i:
-                return BigItemReduction(i, j, n_res, row[j], total_i)
+                return BigItemReduction(i, j)
     return None
 
 
@@ -268,21 +242,17 @@ def _ladder_step(inst: Instance, agents, pool) -> LadderBuilt:
     """The CP ladder over ``pool`` of the lowest of ``agents``, one rung per agent (2 to 5)."""
     divider, n = min(agents), len(agents)
     rungs = tuple(r.items for r in cp_ladder(inst, divider, n, Bundle(tuple(sorted(pool)))).rungs)
-    return LadderBuilt(divider=divider, rung_names=RUNG_NAMES[n], rungs=rungs)
+    return LadderBuilt(divider=divider, rungs=rungs)
 
 
-def _share_bounds(inst: Instance, pool, n: int, agents, items) -> tuple[Compare, ...]:
-    """Compare n*v_a(items) with len(agents)*v_a(pool) for each a in ``agents``.
+def _share_holds(inst: Instance, pool, n: int, agents, items) -> bool:
+    """Whether n*v_a(items) >= len(agents)*v_a(pool) for every a in ``agents``.
 
     A split of ``items`` among ``agents`` inside a level of n agents sharing
-    ``pool`` lifts to that level when every relation is ">=".
+    ``pool`` then lifts to that level.
     """
-    items, pool, k = tuple(items), tuple(pool), len(agents)
-    bounds = []
-    for a in agents:
-        lhs, rhs = n * _val(inst, a, items), k * _val(inst, a, pool)
-        bounds.append(Compare(a, items, n, pool, k, ">=" if lhs >= rhs else "<", lhs, rhs))
-    return tuple(bounds)
+    k = len(agents)
+    return all(n * _val(inst, a, items) >= k * _val(inst, a, pool) for a in agents)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +287,14 @@ class _Level:
     def split(self, agents, items: tuple[int, ...]) -> None:
         """Solve ``items`` among ``agents`` one level down, recorded as a SubSplit.
 
-        ``obs_bounds`` show that each member values ``items`` at least
-        |agents|/n of this level's pool.
+        Each member must value ``items`` at least |agents|/n of this level's pool.
         """
         agents = tuple(sorted(agents))
-        obs = _share_bounds(self.inst, self.pool, len(self.agents), agents, items)
-        if any(bound.relation != ">=" for bound in obs):
+        if not _share_holds(self.inst, self.pool, len(self.agents), agents, items):
             raise InvariantViolationError(f"a member of {agents} values {items} below its share")
         assignment, steps = _solve_level(self.inst, agents, items)
         self.assignment.update(assignment)
-        inner = Certificate(agents=agents, items=items, steps=tuple(steps))
-        self.sub_steps.append(
-            SubSplit(agents=agents, items=items, obs_bounds=obs, certificate=inner)
-        )
+        self.sub_steps.append(SubSplit(Certificate(agents=agents, items=items, steps=tuple(steps))))
 
 
 def _rung_choice(lv: _Level, pair, by_name: dict[str, tuple[int, ...]], mult: int):
@@ -536,44 +501,15 @@ def _solve_level(
     ladder = _ladder_step(inst, agents, pool)
     lv = _Level(inst, agents, pool)
     lemma = _CASES[n](lv, *ladder.rungs)
-    split_agents = {a for step in lv.sub_steps for a in step.agents}
+    split_agents = {a for step in lv.sub_steps for a in step.certificate.agents}
     case = CaseApplied(
         lemma=lemma,
         assignments=tuple(
             sorted((a, items) for a, items in lv.assignment.items() if a not in split_agents)
         ),
     )
-    _verify_propm(inst, agents, pool, lv.assignment, f"solve{n}")
+    _verify_propm(inst, agents, pool, lv.assignment, f"the {n}-agent case")
     return lv.assignment, [ladder, case, *lv.sub_steps]
-
-
-def _solve_all(inst: Instance, n: int) -> tuple[Allocation, Certificate]:
-    _require_n(inst, n)
-    agents, items = tuple(range(n)), tuple(range(inst.m))
-    assignment, steps = _solve_level(inst, agents, items)
-    return _assemble(inst, assignment), Certificate(agents=agents, items=items, steps=tuple(steps))
-
-
-def solve2(inst: Instance) -> tuple[Allocation, Certificate]:
-    """Cut-and-choose: the divider splits via her CP bundle, the other agent picks."""
-    return _solve_all(inst, 2)
-
-
-def solve3(inst: Instance) -> tuple[Allocation, Certificate]:
-    """Three agents: hand out distinct rungs, or give the divider the rung the
-    others ignore and let them split the complement."""
-    return _solve_all(inst, 3)
-
-
-def solve4(inst: Instance) -> tuple[Allocation, Certificate]:
-    """Four agents: case analysis on how many of agents 1..3 value A+D at least 1/2."""
-    return _solve_all(inst, 4)
-
-
-def solve5(inst: Instance) -> tuple[Allocation, Certificate]:
-    """Five agents: case analysis on how many of agents 1..4 value A+B+E at
-    least 3/5 and A+E at least 2/5."""
-    return _solve_all(inst, 5)
 
 
 def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
@@ -662,7 +598,7 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
     ladder = None
     if n > 1:
         ladder = _step(steps, k, LadderBuilt)
-        _req(n in RUNG_NAMES, "no ladder for this many agents")
+        _req(n in _CASES, "no ladder for this many agents")
         _req(ladder == _ladder_step(inst, agents, pool), "ladder differs from its CP recomputation")
         k += 1
     case = _step(steps, k, CaseApplied)
@@ -695,17 +631,15 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
     for k in range(k + 1, len(steps)):
         split = _step(steps, k, SubSplit)
         _req(ladder is not None, "sub-split outside a ladder level")
+        members, sub_pool = split.certificate.agents, split.certificate.items
         agent_set, item_set = _indices(inst, split.certificate)
         _req(agent_set <= agents, "sub-split agents unavailable")
         _req(item_set <= items, "sub-split items unavailable")
         _req(
-            split.agents == split.certificate.agents == tuple(sorted(agent_set))
-            and split.items == split.certificate.items == tuple(sorted(item_set)),
-            "inner certificate does not match the sub-split",
+            members == tuple(sorted(agent_set)) and sub_pool == tuple(sorted(item_set)),
+            "sub-split agents or items not sorted",
         )
-        bounds = _share_bounds(inst, pool, n, split.agents, split.items)
-        _req(split.obs_bounds == bounds, "share bounds differ from their recomputation")
-        _req(all(b.relation == ">=" for b in bounds), "a share bound does not hold")
+        _req(_share_holds(inst, pool, n, members, sub_pool), "a share bound does not hold")
         inner, inner_handouts = _replay_steps(inst, split.certificate)
         _req(set(inner) == agent_set, "inner allocation covers the wrong agents")
         allocation.update(inner)
@@ -729,36 +663,31 @@ def _rungs_unmixed(final: dict, handouts: list) -> bool:
     return True
 
 
-def replay_certificate(inst: Instance, cert: Certificate) -> Allocation:
-    """Reproduce the allocation a certificate describes, re-checking every step.
-
-    Raises CertificateError when a step is out of order, a rebuilt fact
-    differs from its record, or a case's obligation fails.
-    """
-    return _assemble(inst, _replay(inst, cert)[0])
-
-
 def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate) -> bool:
     """True iff the certificate replays to exactly this allocation and proves it PROPm.
 
     A certificate that fails to replay gives False, including one whose
     fields hold values of the wrong type.
 
-    Replay is independent of the solver's control flow: it rebuilds from the
-    instance alone what each step must satisfy. Each reduction (the
-    lexicographically first over-share pair, ``_first_reduction``), each
-    ladder (``_ladder_step`` over ``cp_ladder``) and each sub-split's share
-    bounds (``_share_bounds``) are rebuilt whole and must equal the record.
+    A certificate records choices: each reduction's (agent, item), each
+    ladder's divider and rungs, each case's label and direct assignments,
+    and each sub-split's nested certificate, whose agents and items are its
+    members and sub-pool. Replay (``_replay``) is independent of the
+    solver's control flow and derives the rest from the instance alone.
+    Each reduction must be the lexicographically first over-share pair of
+    what is left (``_first_reduction``) and each ladder the lowest agent's
+    CP ladder over its level's pool (``_ladder_step`` over ``cp_ladder``).
     The steps of a level must come in the solver's order (reductions, then a
     lone agent's ``n1.take_all`` case or a ladder and one case, then only
     sub-splits) and cover all its agents and items. At a level of n agents
     sharing pool P, a divider the case serves directly takes one whole rung
-    and any other agent it serves gets n*v(bundle) >= v(P); finally no bundle
-    may mix items from above and below a rung a divider took whole (the rule
-    ``ladder_discipline_ok`` audits). These give every agent its PROPm
-    bound: a reduced agent by the over-share test, a direct one at its level
-    by its 1/n share or by the CP rungs, a sub-split member by recursion and
-    its share bound. The case label is checked only against the agent count.
+    and any other agent it serves gets n*v(bundle) >= v(P); each sub-split
+    member gets n*v(sub-pool) >= |members|*v(P) (``_share_holds``). Finally
+    no bundle may mix items from above and below a rung a divider took whole
+    (``_rungs_unmixed``). These give every agent its PROPm bound: a reduced
+    agent by the over-share test, a direct one at its level by its 1/n share
+    or by the CP rungs, a sub-split member by recursion and its share bound.
+    The case label is checked only against the agent count.
 
     Rung recomputation may answer from the CP memo the solve filled. That
     memo holds outputs of a pure function of (values, cap), which solver and
@@ -776,20 +705,6 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
         _assemble(inst, replayed).bundles == allocation.bundles
         and _rungs_unmixed(replayed, handouts)
     )
-
-
-def ladder_discipline_ok(inst: Instance, cert: Certificate) -> bool:
-    """Structural audit of the rung-mixing rule.
-
-    Whenever a level's divider receives a whole rung, no final bundle may mix
-    items from higher rungs with items from lower rungs of that ladder.
-    Replay records those hand-outs at every depth; this reads them.
-    """
-    try:
-        final, handouts = _replay(inst, cert)
-    except CertificateError:
-        return False
-    return _rungs_unmixed(final, handouts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,21 @@ from propm import (
     leximin_max,
     make_counterexample,
     random_instance,
-    replay_certificate,
     solve_propm,
     validate_ladder,
     value_of,
     verify_certificate,
 )
 from propm.cpsets import CpLadder
-from propm.solver import BigItemReduction, CaseApplied, CertificateError, LadderBuilt, SubSplit
+from propm.solver import (
+    BigItemReduction,
+    CaseApplied,
+    CertificateError,
+    LadderBuilt,
+    SubSplit,
+    _assemble,
+    _replay,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +314,10 @@ def test_criterion_7_adjusted_value_sufficiency(criterion3_audits):
 
 def _step_mutations(step, cert_agents, cert_items):
     if isinstance(step, BigItemReduction):
-        yield "reduction.item_value", dataclasses.replace(step, item_value=step.item_value + 1)
-        yield "reduction.residual_total", dataclasses.replace(
-            step, residual_total=step.residual_total + 1
-        )
-        yield "reduction.agent_count", dataclasses.replace(
-            step, residual_agent_count=step.residual_agent_count + 1
-        )
+        yield "reduction.agent", dataclasses.replace(step, agent=step.agent + 1)
+        yield "reduction.item", dataclasses.replace(step, item=step.item + 1)
     elif isinstance(step, LadderBuilt):
         yield "ladder.divider", dataclasses.replace(step, divider=step.divider + 1)
-        names = ("Z",) + step.rung_names[1:]
-        yield "ladder.name", dataclasses.replace(step, rung_names=names)
         for pos, rung in enumerate(step.rungs):
             if rung:
                 target = (pos + 1) % len(step.rungs)
@@ -369,9 +369,11 @@ def _step_mutations(step, cert_agents, cert_items):
                     )
             break
     elif isinstance(step, SubSplit):
-        yield "split.drop_agent", dataclasses.replace(step, agents=step.agents[:-1])
-        if step.items:
-            yield "split.drop_item", dataclasses.replace(step, items=step.items[:-1])
+        # A sub-split's members and sub-pool are its nested certificate's agents and items.
+        inner = step.certificate
+        yield "split.drop_agent", SubSplit(dataclasses.replace(inner, agents=inner.agents[:-1]))
+        if inner.items:
+            yield "split.drop_item", SubSplit(dataclasses.replace(inner, items=inner.items[:-1]))
 
 
 def _certificate_mutations(cert):
@@ -406,7 +408,7 @@ def test_criterion_8_certificate_audit(criterion1_results):
             rejected += 1
             # A mutation that describes another allocation may verify only if it proves it.
             try:
-                own = replay_certificate(inst, mutated)
+                own = _assemble(inst, _replay(inst, mutated)[0])
             except CertificateError:
                 continue
             if verify_certificate(inst, own, mutated):

@@ -12,13 +12,7 @@ from propm import (
     Instance,
     Notion,
     check,
-    ladder_discipline_ok,
     reduce_big_items,
-    replay_certificate,
-    solve2,
-    solve3,
-    solve4,
-    solve5,
     solve_propm,
     verify_certificate,
 )
@@ -33,8 +27,9 @@ from propm.solver import (
     CertificateError,
     LadderBuilt,
     SubSplit,
+    _assemble,
     _ladder_step,
-    _share_bounds,
+    _replay,
     _solve_level,
     certificate_from_json_dict,
     certificate_to_json_dict,
@@ -47,6 +42,74 @@ def _assert_solved(inst, result):
     assert report.all_satisfied
     assert verify_certificate(inst, allocation, certificate)
     return allocation, certificate
+
+
+def _solve_cases(inst):
+    """The case code on the whole instance, with no big-item reduction first.
+
+    Replay does not require a reduction that could fire, so the certificate
+    still verifies.
+    """
+    agents, items = tuple(range(inst.n)), tuple(range(inst.m))
+    assignment, steps = _solve_level(inst, agents, items)
+    return _assemble(inst, assignment), Certificate(agents, items, tuple(steps))
+
+
+def _replayed(inst, cert):
+    """The allocation a certificate replays to; CertificateError if it does not replay."""
+    return _assemble(inst, _replay(inst, cert)[0])
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+
+def test_public_surface_is_pinned():
+    # One solver entry point and one verifier; replay is internal to the verifier.
+    import propm
+
+    assert propm.__all__ == [
+        "Allocation",
+        "AdjustedProfile",
+        "AuditReport",
+        "Bundle",
+        "Certificate",
+        "CpLadder",
+        "EnvyGraph",
+        "ExistenceResult",
+        "FairnessReport",
+        "InputError",
+        "Instance",
+        "InvariantViolationError",
+        "Notion",
+        "ResourceBudgetError",
+        "UnsupportedSizeError",
+        "adjusted_profile",
+        "check",
+        "cp_bundle",
+        "cp_ladder",
+        "cycle_swap",
+        "enumerate_allocations",
+        "envy_graph",
+        "exists",
+        "implication_audit",
+        "leximin_compare",
+        "leximin_max",
+        "make_counterexample",
+        "maximin_value",
+        "min_item",
+        "mms_value",
+        "parse_notion",
+        "random_instance",
+        "reduce_big_items",
+        "restrict",
+        "solve_propm",
+        "validate_ladder",
+        "value_of",
+        "verify_certificate",
+    ]
+    assert all(hasattr(propm, name) for name in propm.__all__)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +149,12 @@ def test_reduce_thresholds_are_residual_relative():
 
 
 # ---------------------------------------------------------------------------
-# solve2 / solve3 / solve4 / solve5
+# the case code for two to five agents
 # ---------------------------------------------------------------------------
 
 
 def test_solve2_cut_and_choose(i_2a):
-    allocation, certificate = _assert_solved(i_2a, solve2(i_2a))
+    allocation, certificate = _assert_solved(i_2a, _solve_cases(i_2a))
     assert [b.items for b in allocation.bundles] == [(0,), (1,)]
     case = next(s for s in certificate.steps if isinstance(s, CaseApplied))
     assert case.lemma == "n2.cut_and_choose"
@@ -99,21 +162,16 @@ def test_solve2_cut_and_choose(i_2a):
 
 def test_solve2_identical_items():
     inst = Instance.of([[50, 50], [50, 50]])
-    allocation, _ = _assert_solved(inst, solve2(inst))
+    allocation, _ = _assert_solved(inst, _solve_cases(inst))
     assert all(len(b) == 1 for b in allocation.bundles)
 
 
 def test_solve2_single_item():
     inst = Instance.of([[100], [100]])
-    allocation, _ = _assert_solved(inst, solve2(inst))
+    allocation, _ = _assert_solved(inst, _solve_cases(inst))
     # chooser (agent 1) takes the item, divider is satisfied via the bonus
     assert allocation.bundles[1].items == (0,)
     assert allocation.bundles[0].items == ()
-
-
-def test_solve2_wrong_size(i_eps):
-    with pytest.raises(InputError):
-        solve2(i_eps)
 
 
 def test_solve3_eps_via_solve_propm(i_eps):
@@ -125,24 +183,24 @@ def test_solve3_eps_via_solve_propm(i_eps):
 
 def test_solve3_identical_three_items():
     inst = Instance.of([[10, 10, 10]] * 3)
-    allocation, _ = _assert_solved(inst, solve3(inst))
+    allocation, _ = _assert_solved(inst, _solve_cases(inst))
     assert sorted(len(b) for b in allocation.bundles) == [1, 1, 1]
 
 
 def test_solve3_randoms():
     for s in range(80):
         inst = random_instance(3, 6, 100, seed=7700 + s)
-        _assert_solved(inst, solve3(inst))
+        _assert_solved(inst, _solve_cases(inst))
 
 
 def test_solve4_identical():
     inst = Instance.of([[30, 25, 20, 15, 10]] * 4)
-    _assert_solved(inst, solve4(inst))
+    _assert_solved(inst, _solve_cases(inst))
 
 
 def test_solve4_four_equal_items():
     inst = Instance.of([[25, 25, 25, 25]] * 4)
-    allocation, _ = _assert_solved(inst, solve4(inst))
+    allocation, _ = _assert_solved(inst, _solve_cases(inst))
     assert sorted(len(b) for b in allocation.bundles) == [1, 1, 1, 1]
 
 
@@ -152,7 +210,7 @@ def test_solve4_c0_leftover_branch():
     hits = 0
     for s in range(4000):
         inst = random_instance(4, 6, 100, seed=9000 + s)
-        allocation, certificate = solve4(inst)
+        allocation, certificate = _solve_cases(inst)
         case = next(step for step in certificate.steps if isinstance(step, CaseApplied))
         if case.lemma == "n4.c=0b":
             hits += 1
@@ -167,19 +225,19 @@ def test_solve4_c0_leftover_branch():
 
 def test_solve5_five_equal_items():
     inst = Instance.of([[20, 20, 20, 20, 20]] * 5)
-    allocation, _ = _assert_solved(inst, solve5(inst))
+    allocation, _ = _assert_solved(inst, _solve_cases(inst))
     assert sorted(len(b) for b in allocation.bundles) == [1, 1, 1, 1, 1]
 
 
 def test_solve5_identical():
     inst = Instance.of([[35, 25, 20, 12, 8]] * 5)
-    _assert_solved(inst, solve5(inst))
+    _assert_solved(inst, _solve_cases(inst))
 
 
 def test_solve5_randoms():
     for s in range(60):
         inst = random_instance(5, 9, 100, seed=5500 + s)
-        _assert_solved(inst, solve5(inst))
+        _assert_solved(inst, _solve_cases(inst))
 
 
 def test_solve5_low_ae_agent_is_the_abe_agent():
@@ -195,7 +253,7 @@ def test_solve5_low_ae_agent_is_the_abe_agent():
             [12, 13, 12, 13, 5, 5, 10, 10, 10, 10],
         ]
     )
-    allocation, certificate = _assert_solved(inst, solve5(inst))
+    allocation, certificate = _assert_solved(inst, _solve_cases(inst))
     case = next(s for s in certificate.steps if isinstance(s, CaseApplied))
     assert case.lemma == "n5.cAE=3.cABE=1a"
     assert allocation.bundles[1].items == (4, 5)
@@ -213,10 +271,10 @@ def test_case_dispatch_variety():
                 collect(step.certificate)
 
     for s in range(250):
-        _, cert = solve4(random_instance(4, 4 + s % 7, 100, seed=100000 + s))
+        _, cert = _solve_cases(random_instance(4, 4 + s % 7, 100, seed=100000 + s))
         collect(cert)
     for s in range(250):
-        _, cert = solve5(random_instance(5, 5 + s % 6, 100, seed=200000 + s))
+        _, cert = _solve_cases(random_instance(5, 5 + s % 6, 100, seed=200000 + s))
         collect(cert)
     expected = {
         "n2.cut_and_choose",
@@ -518,7 +576,7 @@ def test_solver_checks_each_split_once(monkeypatch, i_eps):
 
 def test_solver_handles_zero_valuations():
     inst = Instance.of([[0, 0, 0], [5, 5, 5], [1, 2, 3]])
-    _assert_solved(inst, solve3(inst))
+    _assert_solved(inst, _solve_cases(inst))
 
 
 def test_solve_propm_large_n_with_reductions():
@@ -623,7 +681,7 @@ def test_ladder_discipline_holds():
         n = 3 + s % 3
         inst = random_instance(n, 8, 100, seed=3300 + s)
         allocation, certificate = solve_propm(inst)
-        assert ladder_discipline_ok(inst, certificate)
+        assert verify_certificate(inst, allocation, certificate)
 
 
 def test_ladder_discipline_catches_a_bundle_mixing_rungs():
@@ -638,23 +696,16 @@ def test_ladder_discipline_catches_a_bundle_mixing_rungs():
     inst = random_instance(3, 6, 20, 0)
     agents, pool = (0, 1, 2), tuple(range(6))
     ladder = _ladder_step(inst, agents, pool)
-    assert ladder.rung_names == ("B", "A", "C")
     assert ladder.rungs == ((0, 5), (2, 3), (1, 4))
     case = CaseApplied(lemma="n3.one_bundle", assignments=((0, (2, 3)),))
     split_agents, split_items = (1, 2), (0, 1, 4, 5)
     assignment, steps = _solve_level(inst, split_agents, split_items)
-    split = SubSplit(
-        agents=split_agents,
-        items=split_items,
-        obs_bounds=_share_bounds(inst, pool, 3, split_agents, split_items),
-        certificate=Certificate(agents=split_agents, items=split_items, steps=tuple(steps)),
-    )
+    split = SubSplit(Certificate(agents=split_agents, items=split_items, steps=tuple(steps)))
     forged = Certificate(agents=agents, items=pool, steps=(ladder, case, split))
     allocation = Allocation.of([[2, 3], [4], [0, 1, 5]])
     assert assignment == {1: (4,), 2: (0, 1, 5)}
-    assert replay_certificate(inst, forged) == allocation
+    assert _replayed(inst, forged) == allocation
     assert check(inst, allocation, Notion.PROPM).all_satisfied
-    assert not ladder_discipline_ok(inst, forged)
     assert not verify_certificate(inst, allocation, forged)
 
 
@@ -678,29 +729,20 @@ def test_ladder_discipline_catches_rung_mixing_inside_a_sub_split():
     split_agents, split_items = (2, 3), (1, 3, 5, 6, 7)
     _, steps = _solve_level(inst, split_agents, split_items)
     inner_split = SubSplit(
-        agents=split_agents,
-        items=split_items,
-        obs_bounds=_share_bounds(inst, inner_pool, 3, split_agents, split_items),
-        certificate=Certificate(agents=split_agents, items=split_items, steps=tuple(steps)),
+        Certificate(agents=split_agents, items=split_items, steps=tuple(steps))
     )
     inner = Certificate(
         agents=inner_agents, items=inner_pool, steps=(inner_ladder, inner_case, inner_split)
     )
-    split = SubSplit(
-        agents=inner_agents,
-        items=inner_pool,
-        obs_bounds=_share_bounds(inst, pool, 4, inner_agents, inner_pool),
-        certificate=inner,
-    )
-    forged = Certificate(agents=agents, items=pool, steps=(ladder, case, split))
+    forged = Certificate(agents=agents, items=pool, steps=(ladder, case, SubSplit(inner)))
     allocation = Allocation.of([[0], [2, 4], [3, 6], [1, 5, 7]])
-    assert replay_certificate(inst, forged) == allocation
-    assert not ladder_discipline_ok(inst, forged)
+    assert _replayed(inst, forged) == allocation
     assert not verify_certificate(inst, allocation, forged)
     # Under the same outer level, the solver's own sub-split keeps the rule.
     _, steps = _solve_level(inst, inner_agents, inner_pool)
-    solved = dataclasses.replace(split, certificate=dataclasses.replace(inner, steps=tuple(steps)))
-    assert ladder_discipline_ok(inst, dataclasses.replace(forged, steps=(ladder, case, solved)))
+    solved = SubSplit(dataclasses.replace(inner, steps=tuple(steps)))
+    kept = dataclasses.replace(forged, steps=(ladder, case, solved))
+    assert verify_certificate(inst, _replayed(inst, kept), kept)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +751,7 @@ def test_ladder_discipline_catches_rung_mixing_inside_a_sub_split():
 
 
 def test_certificate_json_round_trip(i_2a):
-    _, certificate = solve2(i_2a)
+    _, certificate = solve_propm(i_2a)
     data = certificate_to_json_dict(certificate)
     assert certificate_from_json_dict(data) == certificate
 
@@ -717,11 +759,11 @@ def test_certificate_json_round_trip(i_2a):
 def test_replay_reproduces_allocation():
     inst = random_instance(5, 9, 100, seed=123)
     allocation, certificate = solve_propm(inst)
-    assert replay_certificate(inst, certificate) == allocation
+    assert _replayed(inst, certificate) == allocation
 
 
 def test_certificate_rejects_wrong_allocation(i_2a):
-    allocation, certificate = solve2(i_2a)
+    allocation, certificate = solve_propm(i_2a)
     other = Allocation.of([[1], [0]])
     assert not verify_certificate(i_2a, other, certificate)
 
@@ -732,7 +774,8 @@ def test_certificate_rejects_mutated_subsplit():
     steps = list(certificate.steps)
     for idx, step in enumerate(steps):
         if isinstance(step, SubSplit):
-            steps[idx] = dataclasses.replace(step, agents=step.agents[:-1])
+            inner = step.certificate
+            steps[idx] = SubSplit(dataclasses.replace(inner, agents=inner.agents[:-1]))
             mutated = dataclasses.replace(certificate, steps=tuple(steps))
             assert not verify_certificate(inst, allocation, mutated)
             return
@@ -740,7 +783,7 @@ def test_certificate_rejects_mutated_subsplit():
 
 
 def test_certificate_shape_must_match(i_2a, i_eps):
-    allocation, certificate = solve2(i_2a)
+    allocation, certificate = solve_propm(i_2a)
     assert not verify_certificate(i_eps, Allocation.of([[0], [1], [2, 3, 4, 5, 6]]), certificate)
 
 
@@ -779,7 +822,7 @@ def test_tampered_rung_rejected_after_the_solve_warmed_the_memo():
     assert _best_subset.cache_info().currsize > 0
     tampered = _tamper_top_rung(certificate)
     with pytest.raises(CertificateError, match="CP recomputation"):
-        replay_certificate(inst, tampered)
+        _replay(inst, tampered)
     assert not verify_certificate(inst, allocation, tampered)
 
 
@@ -803,7 +846,7 @@ def test_tampered_ladders_are_rejected(tamper):
     steps[idx] = dataclasses.replace(steps[idx], rungs=tamper(rungs))
     tampered = dataclasses.replace(certificate, steps=tuple(steps))
     with pytest.raises(CertificateError):
-        replay_certificate(inst, tampered)
+        _replay(inst, tampered)
     assert not verify_certificate(inst, allocation, tampered)
 
 
@@ -830,8 +873,8 @@ _MISSING = object()  # deletes the key at the path
 @pytest.mark.parametrize(
     "path, value, parses",
     [
-        (("steps", 2, "obs_bounds", 0, "lhs_items"), ["x"], False),
-        (("steps", 2, "obs_bounds", 0, "agent"), "0", False),
+        (("steps", 2, "certificate", "items"), ["x"], False),
+        (("steps", 2, "certificate", "agents", 0), "0", False),
         (("steps", 1, "assignments", 0, 0), [0], False),
         (("agents",), 5, False),
         (("steps",), None, False),
@@ -839,7 +882,7 @@ _MISSING = object()  # deletes the key at the path
         (("steps", 1, "assignments", 0, 1), None, False),
         (("steps", 1, "assignments", 0), [0, [1], 2], False),
         (("steps", 1, "type"), "bogus", False),
-        (("steps", 2, "obs_bounds", 0, "rhs"), _MISSING, False),
+        (("steps", 2, "certificate", "items"), _MISSING, False),
     ],
     ids=[
         "item-not-int",
@@ -851,11 +894,11 @@ _MISSING = object()  # deletes the key at the path
         "assignment-items-null",
         "assignment-three-entries",
         "unknown-step-type",
-        "comparison-without-rhs",
+        "split-certificate-without-items",
     ],
 )
 def test_malformed_certificate_json(path, value, parses):
-    # a certificate whose case has direct assignments and whose sub-split has share bounds
+    # a certificate whose case has direct assignments and that has a sub-split
     inst = Instance.of(_PINNED["n4.c=2"][0])
     allocation, certificate = solve_propm(inst)
     data = certificate_to_json_dict(certificate)
@@ -894,8 +937,7 @@ def test_non_int_agents_and_items_are_rejected(mutate):
     allocation, certificate = solve_propm(inst)
     mutated = mutate(certificate)
     with pytest.raises(CertificateError, match="must be ints"):
-        replay_certificate(inst, mutated)
-    assert not ladder_discipline_ok(inst, mutated)
+        _replay(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
 
 
@@ -909,9 +951,8 @@ def test_verify_rejects_a_subsplit_without_a_certificate():
     assert not verify_certificate(inst, allocation, mutated)
 
 
-
 # Two big-item reductions, then a three-agent level that splits part of its
-# pool between two agents, so its sub-split records two share bounds.
+# pool between two agents, so replay derives two share bounds for its sub-split.
 _REDUCED_THEN_SPLIT = random_instance(5, 7, 30, seed=1)
 
 
@@ -929,25 +970,30 @@ def _replace_step(kind, **changes):
     return apply
 
 
-def _bump_first(**changes):
-    return lambda bounds: (dataclasses.replace(bounds[0], **changes), *bounds[1:])
+def _replace_split(field, mutate):
+    """Apply ``mutate`` to ``field`` of the first sub-split's nested certificate."""
+    return _replace_step(SubSplit, certificate=_replace_entries(field, mutate))
 
 
+# Replay derives a sub-split's share bounds from its members and sub-pool (the
+# nested certificate's agents and items), so the bound-* cases tamper those.
 _DERIVED_STEP_MUTATIONS = {
-    "bounds-dropped": _replace_step(SubSplit, obs_bounds=()),
-    "last-bound-dropped": _replace_step(SubSplit, obs_bounds=lambda b: b[:-1]),
-    "bounds-reordered": _replace_step(SubSplit, obs_bounds=lambda b: b[::-1]),
-    "bound-repeated": _replace_step(SubSplit, obs_bounds=lambda b: b + b[:1]),
-    "bound-lhs": _replace_step(SubSplit, obs_bounds=_bump_first(lhs_mult=2, lhs=0)),
-    "bound-relation": _replace_step(SubSplit, obs_bounds=_bump_first(relation=">")),
-    "bound-pool": _replace_step(SubSplit, obs_bounds=_bump_first(rhs_items=(0,), rhs=0)),
-    "bound-agent-str": _replace_step(SubSplit, obs_bounds=_bump_first(agent="0")),
-    "bound-item-str": _replace_step(SubSplit, obs_bounds=_bump_first(lhs_items=("x", 0))),
+    "bounds-dropped": _replace_split("agents", lambda t: ()),
+    "last-bound-dropped": _replace_split("agents", lambda t: t[:-1]),
+    "bounds-reordered": _replace_split("agents", lambda t: t[::-1]),
+    "bound-repeated": _replace_split("agents", lambda t: t + t[:1]),
+    "bound-lhs": _replace_split("items", lambda t: t[:-1]),
+    "bound-agent-str": _replace_split("agents", lambda t: (str(t[0]),) + t[1:]),
+    "bound-item-str": _replace_split("items", lambda t: ("x",) + t[1:]),
+    "split-items-reordered": _replace_split("items", lambda t: t[::-1]),
+    # Item 1 went to agent 1 by the first reduction.
+    "split-item-unavailable": _replace_split("items", lambda t: (1,) + t),
     "reduction-agent": _replace_step(BigItemReduction, agent=lambda a: a + 1),
     "reduction-item": _replace_step(BigItemReduction, item=lambda j: j + 1),
-    "reduction-agent-count": _replace_step(BigItemReduction, residual_agent_count=4),
-    "reduction-item-value": _replace_step(BigItemReduction, item_value=lambda v: v + 1),
-    "reduction-total": _replace_step(BigItemReduction, residual_total=lambda t: t + 1),
+    "reduction-dropped": lambda cert: dataclasses.replace(cert, steps=cert.steps[1:]),
+    "reductions-swapped": lambda cert: dataclasses.replace(
+        cert, steps=(cert.steps[1], cert.steps[0], *cert.steps[2:])
+    ),
 }
 
 
@@ -959,22 +1005,22 @@ def test_share_bounds_and_reductions_are_rebuilt_whole(mutate):
     allocation, certificate = solve_propm(inst)
     kinds = [type(step) for step in certificate.steps]
     assert kinds == [BigItemReduction, BigItemReduction, LadderBuilt, CaseApplied, SubSplit]
-    assert len(certificate.steps[-1].obs_bounds) == 2
+    assert certificate.steps[-1].certificate.agents == (3, 4)
     mutated = mutate(certificate)
     assert mutated != certificate
     with pytest.raises(CertificateError):
-        replay_certificate(inst, mutated)
+        _replay(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
 
 
 @pytest.mark.parametrize(
     "path, value",
     [
-        (("steps", 0, "item_value"), 22.0),
-        (("steps", 4, "obs_bounds", 0, "lhs_mult"), 3.0),
+        (("steps", 0, "item"), 1.0),
+        (("steps", 4, "certificate", "items", 0), 4.0),
         (("steps", 0, "agent"), True),
     ],
-    ids=["reduction-item-value-float", "bound-lhs-mult-float", "reduction-agent-bool"],
+    ids=["reduction-item-float", "split-item-float", "reduction-agent-bool"],
 )
 def test_certificate_json_numbers_must_be_ints(path, value):
     """A float or a bool equal in value to the int the solver wrote does not load."""
@@ -992,16 +1038,16 @@ def test_certificate_json_numbers_must_be_ints(path, value):
 
 
 _WRONG_TYPE_MUTATIONS = {
-    "relation-list": _replace_step(SubSplit, obs_bounds=_bump_first(relation=[">="])),
     "lemma-list": _replace_step(CaseApplied, lemma=["n4.c=1"]),
     "split-certificate-none": _replace_step(SubSplit, certificate=None),
-    "split-agents-none": _replace_step(SubSplit, agents=None),
+    "split-agents-none": _replace_split("agents", lambda t: None),
+    "split-items-none": _replace_split("items", lambda t: None),
+    "split-steps-none": _replace_split("steps", lambda t: None),
     "steps-none": lambda cert: dataclasses.replace(cert, steps=None),
     "assignments-none": _replace_step(CaseApplied, assignments=None),
-    "comparisons-none": _replace_step(SubSplit, obs_bounds=None),
     "assignment-items-none": _replace_step(CaseApplied, assignments=((0, None),)),
     "assignment-agent-str": _replace_step(CaseApplied, assignments=(("0", ()),)),
-    "comparison-items-none": _replace_step(SubSplit, obs_bounds=_bump_first(lhs_items=None)),
+    "rungs-none": _replace_step(LadderBuilt, rungs=None),
 }
 
 
@@ -1013,30 +1059,28 @@ def test_wrongly_typed_fields_fail_replay_cleanly(mutate):
     allocation, certificate = solve_propm(inst)
     mutated = mutate(certificate)
     with pytest.raises(CertificateError):
-        replay_certificate(inst, mutated)
-    assert not ladder_discipline_ok(inst, mutated)
+        _replay(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
 
 
 def test_a_step_of_unknown_type_fails_replay():
     inst = Instance.of(_PINNED["n4.c=1"][0])
     allocation, certificate = solve_propm(inst)
-    comp = next(step for step in certificate.steps if isinstance(step, SubSplit)).obs_bounds[0]
-    mutated = dataclasses.replace(certificate, steps=(*certificate.steps, comp))
-    with pytest.raises(CertificateError, match="is Compare, expected SubSplit"):
-        replay_certificate(inst, mutated)
+    inner = next(step for step in certificate.steps if isinstance(step, SubSplit)).certificate
+    mutated = dataclasses.replace(certificate, steps=(*certificate.steps, inner))
+    with pytest.raises(CertificateError, match="is Certificate, expected SubSplit"):
+        _replay(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
 
 
 def test_bool_items_in_an_assignment_fail_replay():
     # True == 1, so only a type test tells (True, 2) from (1, 2).
     inst = random_instance(2, 3, 20, 0)
-    allocation, certificate = solve2(inst)
+    allocation, certificate = _solve_cases(inst)
     assert certificate.steps[1].assignments == ((0, (0,)), (1, (1, 2)))
     mutated = _replace_step(CaseApplied, assignments=((0, (0,)), (1, (True, 2))))(certificate)
     with pytest.raises(CertificateError, match="must be ints"):
-        replay_certificate(inst, mutated)
-    assert not ladder_discipline_ok(inst, mutated)
+        _replay(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
 
 
@@ -1066,7 +1110,7 @@ def _swapped_cut_and_choose():
 def test_swapped_direct_assignments_are_rejected():
     inst, allocation, swapped = _swapped_cut_and_choose()
     with pytest.raises(CertificateError, match="less than 1/n"):
-        replay_certificate(inst, swapped)
+        _replay(inst, swapped)
     assert not verify_certificate(inst, allocation, swapped)
 
 
@@ -1080,7 +1124,7 @@ def test_a_divider_served_directly_takes_a_whole_rung():
     allocation = Allocation.of([(4, 5), (0, 1, 2, 3, 6)])
     assert not check(inst, allocation, Notion.PROPM).all_satisfied
     with pytest.raises(CertificateError, match="not one whole rung"):
-        replay_certificate(inst, moved)
+        _replay(inst, moved)
     assert not verify_certificate(inst, allocation, moved)
 
 
@@ -1089,7 +1133,7 @@ def test_a_level_of_several_agents_needs_its_ladder():
     inst, allocation, swapped = _swapped_cut_and_choose()
     dropped = dataclasses.replace(swapped, steps=swapped.steps[1:])
     with pytest.raises(CertificateError, match="step 0 is CaseApplied, expected LadderBuilt"):
-        replay_certificate(inst, dropped)
+        _replay(inst, dropped)
     assert not verify_certificate(inst, allocation, dropped)
 
 
@@ -1125,7 +1169,35 @@ def test_only_sub_splits_follow_a_case():
     allocation = Allocation.of([rung, (3,), (1, 2, 5, 6)])
     assert not check(inst, allocation, Notion.PROPM).all_satisfied
     with pytest.raises(CertificateError, match="step 2 is LadderBuilt, expected SubSplit"):
-        replay_certificate(inst, forged)
+        _replay(inst, forged)
+    assert not verify_certificate(inst, allocation, forged)
+
+
+def test_a_sub_split_below_its_share_fails_replay():
+    """The forgery above, with agents 1 and 2 in a well-formed SubSplit.
+
+    The steps are in order and every field has its type, but agent 2 values
+    the sub-pool below 2/3 of the level's pool, so the share bound replay
+    derives for it fails.
+    """
+    inst = random_instance(3, 8, 50, 2)
+    pool, rung = tuple(range(8)), (0, 4, 7)
+    rest = tuple(j for j in pool if j not in rung)
+    assert 3 * sum(inst.values[2][j] for j in rest) < 2 * sum(inst.values[2])
+    _, steps = _solve_level(inst, (1, 2), rest)
+    forged = Certificate(
+        agents=(0, 1, 2),
+        items=pool,
+        steps=(
+            _ladder_step(inst, (0, 1, 2), pool),
+            CaseApplied(lemma="n3.one_bundle", assignments=((0, rung),)),
+            SubSplit(Certificate(agents=(1, 2), items=rest, steps=tuple(steps))),
+        ),
+    )
+    allocation = Allocation.of([rung, (3,), (1, 2, 5, 6)])
+    assert not check(inst, allocation, Notion.PROPM).all_satisfied
+    with pytest.raises(CertificateError, match="a share bound does not hold"):
+        _replay(inst, forged)
     assert not verify_certificate(inst, allocation, forged)
 
 
@@ -1212,7 +1284,7 @@ def test_every_certificate_that_verifies_is_propm(n, m, seed, data):
         kind = data.draw(st.sampled_from(list(_FORGERIES)))
         forged = _edit_level(forged, path, lambda steps: _FORGERIES[kind](data, steps, kind))
     try:
-        allocation = replay_certificate(inst, forged)
+        allocation = _replayed(inst, forged)
     except CertificateError:
         return
     if verify_certificate(inst, allocation, forged):
