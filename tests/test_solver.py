@@ -311,23 +311,23 @@ def _lemmas(cert, out=None):
 _PINNED = {
     "n1.take_all": (
         [[0, 0], [1, 0]],
-        "fad2d1d45575bf7089edf4bd0fcce30b",
+        "511f29e2277bbfad1906430ec4679af5",
     ),
     "n2.cut_and_choose": (
         [[0, 0], [0, 0]],
-        "8b11b5faacebcce527f9843a9d0c693b",
+        "1c598bd8fb08ed9431f06c413306273a",
     ),
     "n3.two_distinct": (
         [[0, 1, 1, 1], [3, 5, 4, 4], [5, 4, 1, 5]],
-        "fc4a0a00669b17787698aabf2f3a9aef",
+        "db119c0dabd657e2fdd1bb977e057d1d",
     ),
     "n3.one_bundle": (
         [[3, 3, 4, 3], [4, 4, 4, 1], [4, 4, 4, 1]],
-        "ce8ed91f9bec855aa74fd92c4dc62b08",
+        "5b9a10c4e867508d0d65d9276615bb3e",
     ),
     "n4.c=0a": (
         [[2, 0, 2, 1, 1, 2], [3, 4, 3, 0, 3, 3], [4, 4, 4, 1, 3, 3], [3, 1, 5, 5, 2, 4]],
-        "9c746f8fbffe574ed51dab43f1153525",
+        "0ea0ea216bd2898ada9f2ce1c820ba30",
     ),
     "n4.c=0b": (
         [
@@ -336,23 +336,23 @@ _PINNED = {
             [47, 98, 81, 99, 96, 86],
             [64, 77, 71, 47, 98, 84],
         ],
-        "e093caf2d002614c44801883e58269da",
+        "300db71d52b7ee49a0b31811dbe35acb",
     ),
     "n4.c=1": (
         [[4, 3, 2, 5, 2, 5], [3, 3, 4, 5, 2, 3], [4, 3, 4, 3, 5, 3], [4, 2, 4, 4, 0, 4]],
-        "f018a3b5babb963431e89efcdf8a7a6b",
+        "c94cf9f52feed74084422081458b038f",
     ),
     "n4.c=2": (
         [[7, 1, 9, 9, 9, 2], [9, 10, 8, 5, 1, 8], [10, 7, 3, 5, 9, 7], [0, 7, 6, 8, 4, 7]],
-        "b17168cff8c06dcc08b1855665e6648b",
+        "b5913f38fc6d1f6e64d9cb73a6b8d8fb",
     ),
     "n4.c=3a": (
         [[28, 29, 13, 27, 24], [29, 27, 14, 27, 22], [28, 30, 14, 24, 24], [27, 31, 14, 28, 24]],
-        "80578bc03b3f195f6ba8d3bd9778c528",
+        "f72cee47c0d62da7279fd6cb60ba59e3",
     ),
     "n4.c=3b": (
         [[8, 11, 12, 10, 7], [9, 9, 11, 10, 7], [8, 10, 9, 11, 8], [8, 11, 9, 8, 9]],
-        "1f308bffb2d7b8204003fe16027ec601",
+        "743a2dad2fc4e5e448d5a4c8934032b4",
     ),
     "n5.cABE=4a": (
         [
@@ -362,7 +362,7 @@ _PINNED = {
             [25, 24, 23, 24, 17, 23],
             [24, 24, 24, 22, 17, 23],
         ],
-        "1775efecd52e67fd0d7e1b1438d1fdd6",
+        "3fdfa8f1bec75a2d88f16f9ce7e51894",
     ),
     "n5.cABE=4b": (
         [
@@ -372,7 +372,7 @@ _PINNED = {
             [22, 23, 27, 23, 21, 24],
             [26, 24, 25, 24, 22, 27],
         ],
-        "a9a8f57f030794ce30fec8080511fe5b",
+        "54d39f7ec4c531843a4f9677741687c2",
     ),
     "n5.cABE=3": (
         [
@@ -382,7 +382,7 @@ _PINNED = {
             [6, 6, 5, 7, 8, 8, 1],
             [8, 8, 4, 6, 8, 7, 4],
         ],
-        "6854480954e17634d5d5daf33dc1d025",
+        "6170ad6011eb2ab4e85b2b7137ce60c0",
     ),
     "n5.cABE=2": (
         [
@@ -392,7 +392,7 @@ _PINNED = {
             [9, 11, 11, 8, 3, 10, 8],
             [10, 9, 9, 8, 4, 7, 10],
         ],
-        "acd6a796110ecf9c66e9d2ab87631e5a",
+        "3a8e254248d16050f4d2b97ddb673f04",
     ),
     "n5.cAE=2a": (
         [
@@ -402,7 +402,7 @@ _PINNED = {
             [3, 4, 2, 3, 5, 3, 3, 2],
             [4, 4, 4, 3, 1, 5, 2, 2],
         ],
-        "ff8aa85c11c6a4281db31cccbd0a72bc",
+        "f66eda40ba47118e950404c854bc8bac",
     ),
     "n5.cAE=2b": (
         [
@@ -412,7 +412,7 @@ _PINNED = {
             [9, 4, 12, 7, 10, 8, 9, 9],
             [8, 3, 9, 7, 9, 6, 6, 10],
         ],
-        "b0f2381c355a312265199ea173a97d37",
+        "1f35041e076b981c32ff5e76dbc286ac",
     ),
     "n5.cAE=2c": (
         [
@@ -422,7 +422,7 @@ _PINNED = {
             [7, 7, 0, 6, 8, 5, 7, 8],
             [9, 8, 0, 10, 6, 9, 4, 5],
         ],
-        "30f42cb46a1b76cce4188a8a24ac1e38",
+        "dfcffd4111ff0857bc812253c7e298e7",
     ),
     "n5.cAE=1": (
         [
@@ -432,7 +432,7 @@ _PINNED = {
             [25, 24, 29, 12, 22, 22, 12],
             [27, 23, 27, 13, 20, 25, 9],
         ],
-        "80be220ba0fbf8129ac30f0903e8f86f",
+        "69dc7ca4dd39a653caf2352a0bc516cc",
     ),
     "n5.cAE=0a": (
         [
@@ -442,7 +442,7 @@ _PINNED = {
             [4, 3, 4, 4, 3, 3, 1, 1, 5],
             [2, 0, 5, 5, 4, 5, 0, 3, 2],
         ],
-        "27a3857a6786059f9404736082ce5c14",
+        "8139ba96776e025c58d9608620c959a2",
     ),
     "n5.cAE=0b": (
         [
@@ -452,7 +452,7 @@ _PINNED = {
             [4, 4, 5, 7, 5, 3, 4, 5],
             [6, 5, 3, 6, 4, 5, 3, 3],
         ],
-        "6b8b293450e72499c618f14fac77e976",
+        "0d11a53b900c7d42bbd307061d2c6389",
     ),
     "n5.cAE=4.cABE=0": (
         [
@@ -462,7 +462,7 @@ _PINNED = {
             [8, 5, 1, 7, 7, 4, 8, 5],
             [8, 4, 1, 7, 5, 4, 6, 5],
         ],
-        "4da14dde1d225d8c4d501a95d694f7f5",
+        "c4f52e973a8e6b63c2396b833b6ebe4e",
     ),
     "n5.cAE=4.cABE=1": (
         [
@@ -472,7 +472,7 @@ _PINNED = {
             [7, 9, 10, 9, 8, 9, 5],
             [7, 5, 9, 9, 9, 7, 4],
         ],
-        "df978768509fbd3341bdf399a46f5053",
+        "58b109d2c5d485b8697fadc2e88168e1",
     ),
     "n5.cAE=3.cABE=0": (
         [
@@ -482,7 +482,7 @@ _PINNED = {
             [6, 6, 6, 3, 8, 3, 5, 7],
             [5, 6, 5, 4, 7, 5, 3, 6],
         ],
-        "801efb7c67f6aa2b9130d63bccc84f0b",
+        "a333e1bc8446a39d663f6e800f3cff7b",
     ),
     "n5.cAE=3.cABE=1a": (
         [
@@ -492,7 +492,7 @@ _PINNED = {
             [10, 2, 7, 7, 8, 6, 5, 6, 1],
             [7, 6, 9, 7, 6, 4, 7, 4, 1],
         ],
-        "10e5f71c59a0432fef972b3807c4775a",
+        "3b258b9e94c902427dbcbe9176fea9db",
     ),
     "n5.cAE=3.cABE=1b": (
         [
@@ -502,7 +502,7 @@ _PINNED = {
             [15, 12, 17, 26, 19, 23, 19],
             [15, 13, 20, 26, 19, 25, 21],
         ],
-        "78324ae2a89bfddf88532db2d857023c",
+        "7e535e7c4eba42a9243cde9fc17ccc11",
     ),
 }
 
@@ -528,8 +528,8 @@ def test_pinned_certificates_round_trip_through_json(lemma):
 # as `propm solve --json` and `--certificate-out` print it: between them the
 # two certificates hold every step type.
 _KEY_ORDER_PINNED = {
-    "n1.take_all": "23da33968d6e65b4c6c57c745832f18e",
-    "n4.c=2": "aa5184f1443b10c13271dedf2ffdda92",
+    "n1.take_all": "c5b22e0812582ff74c2148ac01c2e41e",
+    "n4.c=2": "b4cbbb56aa7a694f7a078c2d657b1b85",
 }
 
 
