@@ -294,7 +294,8 @@ class _Level:
             raise InvariantViolationError(f"a member of {agents} values {items} below its share")
         assignment, steps = _solve_level(self.inst, agents, items)
         self.assignment.update(assignment)
-        self.sub_steps.append(SubSplit(Certificate(agents=agents, items=items, steps=tuple(steps))))
+        inner = Certificate(agents=agents, items=items, steps=tuple(steps))
+        self.sub_steps.append(SubSplit(inner))
 
 
 def _rung_choice(lv: _Level, pair, by_name: dict[str, tuple[int, ...]], mult: int):
@@ -631,16 +632,18 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
     for k in range(k + 1, len(steps)):
         split = _step(steps, k, SubSplit)
         _req(ladder is not None, "sub-split outside a ladder level")
-        members, sub_pool = split.certificate.agents, split.certificate.items
-        agent_set, item_set = _indices(inst, split.certificate)
+        nested = split.certificate
+        agent_set, item_set = _indices(inst, nested)
         _req(agent_set <= agents, "sub-split agents unavailable")
         _req(item_set <= items, "sub-split items unavailable")
         _req(
-            members == tuple(sorted(agent_set)) and sub_pool == tuple(sorted(item_set)),
+            nested.agents == tuple(sorted(agent_set)) and nested.items == tuple(sorted(item_set)),
             "sub-split agents or items not sorted",
         )
-        _req(_share_holds(inst, pool, n, members, sub_pool), "a share bound does not hold")
-        inner, inner_handouts = _replay_steps(inst, split.certificate)
+        _req(
+            _share_holds(inst, pool, n, nested.agents, nested.items), "a share bound does not hold"
+        )
+        inner, inner_handouts = _replay_steps(inst, nested)
         _req(set(inner) == agent_set, "inner allocation covers the wrong agents")
         allocation.update(inner)
         handouts += inner_handouts
