@@ -1,8 +1,11 @@
 """Hot numeric kernels.
 
-``cp_table`` (a subset-sum DP) and ``cp_mitm`` (meet-in-the-middle) find
-close-to-proportional bundles, the first when the value cap is moderate,
-the second when it is huge but the item count small. The allocation
+``cp_bits`` (bit-parallel subset sum on Python ints), ``cp_table`` (a numpy
+subset-sum DP) and ``cp_mitm`` (numpy meet-in-the-middle) find
+close-to-proportional bundles with one contract. ``cpsets._best_subset``
+sends a query to the first when its suffix sets are small (every query of
+the README's sizes), to the second when the value cap is moderate, and to
+the third when it is huge but the item count small. The allocation
 scans (``notion_masks``, ``mms_scan`` and ``leximin_scan``) share one
 split-half engine, vectorized with numpy.
 
@@ -77,11 +80,11 @@ A kernel edit that builds a larger intermediate must raise ``worst`` to
 cover it. The exact-arithmetic reference paths in the rest of the package
 use unbounded Python integers.
 
-numpy loads on the first kernel call, not on ``import propm``: commands
-that run no kernel (``verify`` of every notion but MMS, ``gen``,
-``counterexample``, ``--help``) never import it. Until then the module's
-``np`` is a stand-in whose first attribute read imports numpy and rebinds
-``np`` to it. The module itself loads eagerly, so the notion codes,
+numpy loads on the first call of a numpy kernel (all but ``cp_bits``), not
+on ``import propm``: commands that run none (``verify`` of every notion but
+MMS, ``gen``, ``counterexample``, ``--help``) never import it. Until then
+the module's ``np`` is a stand-in whose first attribute read imports numpy
+and rebinds ``np`` to it. The module itself loads eagerly, so the notion codes,
 budgets and kernel functions are attributes from the start, and code that
 patches or wraps them sees one module object. ``importlib.util.LazyLoader``
 is not used: before Python 3.12.3 (cpython gh-114763) threads that touch a
@@ -280,6 +283,48 @@ def cp_table(vals, cap: int) -> tuple[int, int, int]:
             mask |= 1 << (m - 1 - p)
             s -= v
     return best_sum, int(card[best_sum]), mask
+
+
+def cp_bits(vals, cap: int) -> tuple[int, int, int]:
+    """(sum, cardinality, mask) of the best subset of ``vals`` with sum <= cap.
+
+    Same contract as ``cp_table``, by bit-parallel subset sum (Pisinger,
+    "Dynamic programming on the word RAM", Algorithmica 35, 2003) on
+    Python ints, with no numpy. A subset of sum s and cardinality c is bit
+    W = s*(m+1) + c; since c <= m, s <= cap exactly when
+    W <= cap*(m+1) + m, and a larger W is a larger sum, then a larger
+    cardinality. A backward pass keeps the reachable set of each suffix
+    p..m-1 as one int: item p with v <= cap shifts it by v*(m+1) + 1 and ORs
+    it in, masked to the cap; items above the cap are never taken and shift
+    nothing. The best subset is the top bit of the whole set, and a forward
+    walk takes each item at the first opportunity, while what is left stays
+    reachable in the next suffix's set, which yields the lexicographically
+    smallest witness.
+
+    The m suffix sets take up to m*(m+1)*(cap+1) bits, so this kernel suits
+    small tables only; ``cpsets._best_subset`` bounds that total.
+    """
+    vals = [int(v) for v in vals]
+    m = len(vals)
+    full = (1 << (cap + 1) * (m + 1)) - 1
+    shifts = [v * (m + 1) + 1 if v <= cap else 0 for v in vals]
+    # rows[p] is the reachable set of items p+1..m-1.
+    rows = [0] * m
+    reach = 1
+    for p in range(m - 1, -1, -1):
+        rows[p] = reach
+        shift = shifts[p]
+        if shift:
+            reach |= (reach << shift) & full
+    w = reach.bit_length() - 1
+    best_sum, card = divmod(w, m + 1)
+    mask = 0
+    for p in range(m):
+        shift = shifts[p]
+        if shift and w >= shift and (rows[p] >> (w - shift)) & 1:
+            mask |= 1 << (m - 1 - p)
+            w -= shift
+    return best_sum, card, mask
 
 
 def _subset_states(vals, dtype, m, offset):

@@ -588,8 +588,12 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
     handouts: list[tuple[tuple[tuple[int, ...], ...], int]] = []
     k = 0
     while k < len(steps) and isinstance(steps[k], BigItemReduction):
-        expected = _first_reduction(inst, agents, items)
-        _req(steps[k] == expected, "reduction is not the lexicographically first over-share pair")
+        step, expected = steps[k], _first_reduction(inst, agents, items)
+        _req(
+            type(step.agent) is int and type(step.item) is int,
+            "reduction agent and item must be ints",
+        )
+        _req(step == expected, "reduction is not the lexicographically first over-share pair")
         allocation[expected.agent] = (expected.item,)
         agents.remove(expected.agent)
         items.remove(expected.item)
@@ -600,6 +604,11 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
     if n > 1:
         ladder = _step(steps, k, LadderBuilt)
         _req(n in _CASES, "no ladder for this many agents")
+        _req(
+            type(ladder.divider) is int
+            and all(type(j) is int for rung in ladder.rungs for j in rung),
+            "ladder divider and rung items must be ints",
+        )
         _req(ladder == _ladder_step(inst, agents, pool), "ladder differs from its CP recomputation")
         k += 1
     case = _step(steps, k, CaseApplied)

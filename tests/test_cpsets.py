@@ -16,7 +16,14 @@ from propm import (
     value_of,
 )
 from propm import _kernels
-from propm.cpsets import CP_MEMO_SIZE, DP_SUM_LIMIT, MITM_ITEM_LIMIT, CpLadder, _best_subset
+from propm.cpsets import (
+    BITS_LIMIT,
+    CP_MEMO_SIZE,
+    DP_SUM_LIMIT,
+    MITM_ITEM_LIMIT,
+    CpLadder,
+    _best_subset,
+)
 from propm.fairness import Notion, check
 from propm.oracle import enumerate_allocations, random_instance
 
@@ -405,6 +412,108 @@ def test_explicit_cp_strategy_keeps_the_size_limits(vals, cap, strategy, monkeyp
         _best_subset.cache_clear()
     assert got == expected
     assert peak < 4 << 20
+
+
+_PAST_INT64 = (1 << 64) + 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 8, 13, 40, _PAST_INT64]), max_size=12).flatmap(
+        lambda vals: st.tuples(
+            st.just(vals), st.integers(0, sum(v for v in vals if v != _PAST_INT64) + 2)
+        )
+    )
+)
+@example(case=([0, 0, 0, 0], 0))
+@example(case=([0, 0, 0], 3))
+@example(case=([5, 5, 5, 5], 0))
+@example(case=([5, 5, 5, 5], 10))
+@example(case=([40, 1, 1, 40], 41))
+@example(case=([_PAST_INT64, 3, 0, 4], 7))
+def test_cp_bits_matches_brute_force(case):
+    vals, cap = case
+    got = _kernels.cp_bits(tuple(vals), cap)
+    value, card, combo = brute_force_best(vals, cap)
+    assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vals=st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 7, 40, _PAST_INT64]), max_size=200),
+    cap=st.integers(0, 30),
+)
+@example(vals=[0] * 200, cap=0)
+@example(vals=[3] * 200, cap=29)
+@example(vals=[_PAST_INT64] + [1, 0] * 90, cap=30)
+def test_cp_bits_matches_cp_table_on_many_items(vals, cap):
+    assert _kernels.cp_bits(vals, cap) == _kernels.cp_table(vals, cap)
+
+
+def _bits_boundary_cases():
+    """(vals, cap) pairs whose m*(m+1)*(cap+1) sits just inside and just past BITS_LIMIT."""
+    vals = tuple(random_instance(1, 16, 300, seed=31).values[0])
+    assert sum(vals) > 2000
+    inside = BITS_LIMIT // (16 * 17) - 1
+    zeros = next(m for m in range(1, BITS_LIMIT) if m * (m + 1) > BITS_LIMIT)
+    return [
+        ((vals, inside), True),
+        ((vals, inside + 1), False),
+        (((0,) * (zeros - 1), 0), True),
+        (((0,) * zeros, 0), False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "query, bitset",
+    _bits_boundary_cases(),
+    ids=["cap-inside", "cap-past", "zeros-inside", "zeros-past"],
+)
+def test_cp_bitset_answers_only_tables_within_its_bound(query, bitset, monkeypatch):
+    vals, cap = query
+    m = len(vals)
+    assert (m * (m + 1) * (cap + 1) <= BITS_LIMIT) is bitset
+    expected = _kernels.cp_mitm(vals, cap) if m <= MITM_ITEM_LIMIT else (0, m, (1 << m) - 1)
+    ran = []
+    for name in ("cp_bits", "cp_table", "cp_mitm"):
+
+        def spy(vals, cap, name=name, kernel=getattr(_kernels, name)):
+            ran.append(name)
+            return kernel(vals, cap)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    _best_subset.cache_clear()
+    try:
+        assert _best_subset(vals, cap) == expected
+    finally:
+        _best_subset.cache_clear()
+    assert ran == ["cp_bits" if bitset else "cp_table"]
+
+
+@pytest.mark.parametrize(
+    "vals, cap",
+    [
+        ((241,) * 16, BITS_LIMIT // (16 * 17) - 1),  # 16 wide sets
+        ((1,) * 127, BITS_LIMIT // (127 * 128) - 1),  # 127 sets of 32 sums
+        ((0,) * 723, 0),  # 723 sets of one sum
+    ],
+    ids=["wide", "many", "zeros"],
+)
+def test_cp_bitset_memory_at_its_bound(vals, cap):
+    # The suffix sets total at most 2^19 bits (64 KiB).
+    m = len(vals)
+    assert BITS_LIMIT - m * (m + 1) < m * (m + 1) * (cap + 1) <= BITS_LIMIT
+    assert sum(vals) > cap or not any(vals)
+    _best_subset.cache_clear()
+    tracemalloc.start()
+    try:
+        got = _best_subset(vals, cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _best_subset.cache_clear()
+    assert got == reference_dp(vals, cap)
+    assert peak < 1 << 20
 
 
 def test_cp_memo_stays_bounded():

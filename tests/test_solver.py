@@ -801,19 +801,27 @@ def _tamper_top_rung(cert):
 
 def test_solve_and_verify_build_each_cp_table_once(monkeypatch):
     tables = []
-    kernel = _kernels.cp_table
+    for name in ("cp_bits", "cp_table", "cp_mitm"):
 
-    def counted(vals, cap):
-        tables.append((tuple(vals), cap))
-        return kernel(vals, cap)
+        def counted(vals, cap, name=name, kernel=getattr(_kernels, name)):
+            tables.append((name, tuple(vals), cap))
+            return kernel(vals, cap)
 
-    monkeypatch.setattr(_kernels, "cp_table", counted)
-    inst = random_instance(5, 24, 1000, seed=11)
-    allocation, certificate = solve_propm(inst)
-    built = len(tables)
-    assert built == len(set(tables)) > 0
-    assert verify_certificate(inst, allocation, certificate)
-    assert len(tables) == built
+        monkeypatch.setattr(_kernels, name, counted)
+    # The first instance's smaller tables go to the bitset; the second's
+    # (values up to 10^4, 32 items) are past its bound and go to the numpy DP.
+    for inst, kernel in [
+        (random_instance(5, 24, 1000, seed=11), "cp_bits"),
+        (random_instance(4, 32, 10**4, seed=11), "cp_table"),
+    ]:
+        _best_subset.cache_clear()
+        tables.clear()
+        allocation, certificate = solve_propm(inst)
+        built = len(tables)
+        assert built == len(set(tables)) > 0
+        assert kernel in {name for name, _, _ in tables}
+        assert verify_certificate(inst, allocation, certificate)
+        assert len(tables) == built
 
 
 def test_tampered_rung_rejected_after_the_solve_warmed_the_memo():
@@ -1048,6 +1056,14 @@ _WRONG_TYPE_MUTATIONS = {
     "assignment-items-none": _replace_step(CaseApplied, assignments=((0, None),)),
     "assignment-agent-str": _replace_step(CaseApplied, assignments=(("0", ()),)),
     "rungs-none": _replace_step(LadderBuilt, rungs=None),
+    # Each of these equals the solver's step (True == 1, 1.0 == 1, False == 0),
+    # so only a type test rejects it.
+    "reduction-agent-bool": _replace_step(BigItemReduction, agent=True),
+    "reduction-item-float": _replace_step(BigItemReduction, item=float),
+    "ladder-divider-bool": _replace_step(LadderBuilt, divider=False),
+    "ladder-rung-items-float": _replace_step(
+        LadderBuilt, rungs=lambda rungs: tuple(tuple(map(float, rung)) for rung in rungs)
+    ),
 }
 
 
@@ -1055,8 +1071,10 @@ _WRONG_TYPE_MUTATIONS = {
     "mutate", list(_WRONG_TYPE_MUTATIONS.values()), ids=list(_WRONG_TYPE_MUTATIONS)
 )
 def test_wrongly_typed_fields_fail_replay_cleanly(mutate):
-    inst = Instance.of(_PINNED["n4.c=1"][0])
+    inst = _REDUCED_THEN_SPLIT
     allocation, certificate = solve_propm(inst)
+    assert certificate.steps[0] == BigItemReduction(1, 1)
+    assert certificate.steps[2].divider == 0
     mutated = mutate(certificate)
     with pytest.raises(CertificateError):
         _replay(inst, mutated)

@@ -1,4 +1,4 @@
-"""numpy loads on the first kernel call, never on ``import propm``.
+"""numpy loads on the first numpy kernel call, never on ``import propm``.
 
 Each check runs in a fresh interpreter, so that the modules pytest and the
 other tests have imported cannot hide an import.
@@ -153,6 +153,24 @@ def test_kernel_commands_load_numpy_and_answer_as_before(tmp_path, capsys):
         assert loaded
         assert [[code, out]] == _in_process(capsys, [argv])
     assert out == "alt-median: does not exist (2187 allocations scanned)\n"
+
+
+def test_only_solves_past_the_bitset_bound_load_numpy(tmp_path, capsys):
+    # n = 4, m = 12, values up to 100: every CP query fits cpsets.BITS_LIMIT,
+    # so the bit-parallel kernel answers all of them and numpy never loads.
+    # Values up to 10^4 over 32 items need the numpy DP.
+    expected = []
+    for m, top in ((12, 100), (32, 10**4)):
+        inst = tmp_path / f"inst-{m}.json"
+        gen = ["gen", "--n", "4", "--m", str(m), "--max-value", str(top), "--seed", "3"]
+        assert main([*gen, "--out", str(inst)]) == 0
+        capsys.readouterr()
+        argv = ["solve", "--instance", str(inst)]
+        got = fresh(_RUN_CLI, json.dumps([argv]))
+        (code, out, loaded), = got["runs"]
+        assert [[code, out]] == _in_process(capsys, [argv])
+        expected.append((code, loaded))
+    assert expected == [(0, False), (0, True)]
 
 
 def test_first_kernel_calls_from_six_threads_at_once():
