@@ -29,36 +29,37 @@ envy tests (EF, EF1, EFx) take one maximum over the bundles. ``mms_scan``
 answers every agent at once: one "val" window over all rows, its minimum
 over the bundles, then the maximum over the window's allocations.
 
-Each scan builds one ``ScanPlan``. It fixes h as m // 2, lowered while n^h
-exceeds the scan's window (``scan_chunk``), and builds each statistic's
-tables once: one ``np.where`` gives the contribution array, what each
-tabulated item adds under each owner, and one broadcast op per item folds
-it in. So that no table outgrows a window, it tabulates only the high
-half's lowest k digits (n^k at most a window), and each window adds its few
-assignments of the remaining top items. The tables and contribution arrays
-count against SCAN_BYTES together with a window's statistics: a plan
-narrows the mid table until all fit and keeps the tables for the whole
-scan, and if no width fits it rebuilds them for each window. Every scan
-sizes its plan with ``scan_chunk`` and takes its windows from
-``ScanPlan.windows``: full windows for the exhaustive scans, windows that
-start small and double for the early-exit ``exists``. The kernels split very
-large agent counts into blocks.
+Every scan (``exists``, the audit, ``leximin_max`` and the MMS pass) reads
+its windows from one driver, ``scan_windows``. It builds the scan's one
+``ScanPlan`` and yields a result per window of ``ScanPlan.windows``, in index
+order: full windows of ``scan_chunk`` allocations for the exhaustive scans,
+windows that start small and double for the early-exit ``exists``. The
+plan fixes h as m // 2, lowered while n^h exceeds the window, and builds
+each statistic's tables once: one ``np.where`` gives the contribution
+array, what each tabulated item adds under each owner, and one broadcast op
+per item folds it in. So that no table outgrows a window, it tabulates only
+the high half's lowest k digits (n^k at most a window), and each window
+adds its few assignments of the remaining top items. The tables and
+contribution arrays count against SCAN_BYTES together with a window's
+statistics: a plan narrows the mid table until all fit and keeps the tables
+for the whole scan, and if no width fits it rebuilds them for each window.
+The kernels split very large agent counts into blocks.
 
-The exhaustive scans (the audit's window loop, ``leximin_max`` and the MMS
-scan) build their plans with ``workspace=True``. Their windows then write
-each statistic and its same-sized temporaries into named slots of a
+The driver gives the exhaustive scans (the audit, ``leximin_max`` and the
+MMS pass) plans with ``workspace=True``. Their windows then write each
+statistic and its same-sized temporaries into named slots of a
 ``threading.local`` workspace ("own", "size", "others", "val", "rival" and
-the bool "cmp"), not into new arrays. Each slot's buffer grows when a window needs
-more and is then kept, so later windows and later scans in the thread reuse
-memory that is already paged in. (Window arrays of a few hundred KB,
+the bool "cmp"), not into new arrays. Each slot's buffer grows when a window
+needs more and is then kept, so later windows and later scans in the thread
+reuse memory that is already paged in. (Window arrays of a few hundred KB,
 allocated afresh, go back to the OS when freed and fault in again in the
 next window.) The slots hold at most one window's statistics, which
 SCAN_BYTES already counts, and a worker thread's workspace goes when the
 thread ends. No kernel returns a view of the workspace. ``exists`` keeps
-none: its windows start at 256 allocations and most of its scans end in the first one, while buffers grown
-for its wide windows (n = 10 or 16) would stay resident after it; its
-windows allocate as before, and the in-place steps still spare their
-temporaries.
+none: its windows start at 256 allocations and most of its scans end in the
+first one, while buffers grown for its wide windows (n = 10 or 16) would
+stay resident after it. Its windows allocate as before, and the in-place
+steps still spare their temporaries.
 
 Scan arithmetic uses the narrowest exact dtype. With T the largest agent
 total (at least 1), ``instance_arrays`` bounds every scan intermediate by
@@ -96,7 +97,10 @@ module lock.
 from __future__ import annotations
 
 import math
+import os
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 from .core import ResourceBudgetError
 
@@ -462,9 +466,9 @@ _WORKSPACE = _Workspace()
 class ScanPlan:
     """Split point and half tables shared by every window of one scan.
 
-    ``values`` holds every agent's item values, ``n`` is the number of
-    bundles and ``window`` the largest window the scan asks for, kept as
-    ``chunk``; ``windows`` yields the scan's window schedule.
+    ``values`` holds every agent's item values, one row per agent and bundle.
+    Windows hold at most ``chunk = scan_chunk(n)`` allocations, ``windows``
+    yields the scan's schedule, and ``scan_windows`` builds each scan's plan.
 
     Item j is digit j of the allocation index, so index t is l + L*r with
     L = n^h: low items 0..h-1 give l, the high items give row r. The high
@@ -487,11 +491,10 @@ class ScanPlan:
     slot writes into the calling thread's kept buffer for it (``buffer``).
     """
 
-    def __init__(self, values, n, window, workspace=False):
+    def __init__(self, values, workspace=False):
         self.values = values
-        self.n = n
-        self.m = m = values.shape[1]
-        self.chunk = window
+        self.n, self.m = n, m = values.shape
+        self.chunk = window = scan_chunk(n)
         self.h = h = _digits_within(n, window, m // 2)
         k = _digits_within(n, window, m - h)
         # The widest mid table whose tables fit SCAN_BYTES beside a window's
@@ -646,6 +649,54 @@ class ScanPlan:
         return out
 
 
+# Scan work (allocations x n^2) below which two threads mostly lose to one, per
+# scan kind. Two threads against one on a shared 2-core host (numpy), best of 3:
+# - audits of random_instance(n, m, 100, 0), with the kept window buffers, two
+#   runs: lost on 4^10 and 5^9 (17-49 M; 0.65-0.89x), broke even on 8^6
+#   (1.02-1.07x), were mixed on 7^7 (0.98-1.41x) and won on 8^7 (134 M;
+#   1.55-1.64x);
+# - exists(EF) on n copies of random_instance(1, m, 100, 0)'s row with item 0
+#   raised above the sum of the rest, so that no allocation is EF and the scan
+#   reads all n^m: lost or broke even on 12^5, 7^7, 5^9, 6^8, 10^6, 8^7, 16^5
+#   (two runs) and 5^10 (36-268 M; 0.70-1.03x), and won on 7^8, 9^7 and 10^7
+#   (282 M-1 G; 1.21-1.60x).
+# POOL_BREAK_EVEN keeps the audit's win on 8^7; EARLY_EXIT_BREAK_EVEN sits below exists' first.
+POOL_BREAK_EVEN = 100_000_000
+EARLY_EXIT_BREAK_EVEN = 280_000_000
+
+
+def scan_windows(values, window, start, stop, workers=1, first=None):
+    """Yield ``window(plan, pos, count)`` per window of [start, stop), in index order.
+
+    ``plan`` is the scan's one ``ScanPlan`` over ``values``, and the windows
+    its ``windows(start, stop, first)``. An early-exit scan (given ``first``)
+    mostly ends in its first small window and keeps no workspace. Past the
+    scan kind's break-even, min(workers, os.cpu_count()) threads run the
+    windows after the first, at most twice that many ahead of the one read;
+    the first fills the plan's tables in this thread (not safe from two).
+    Closing the generator cancels the windows not yet started.
+    """
+    plan = ScanPlan(values, workspace=first is None)
+    windows = plan.windows(start, stop, first)
+    # os.cpu_count() reads /sys on Linux (about 4 us), so one worker skips it.
+    threads = min(workers, os.cpu_count() or 1) if workers > 1 else 1
+    break_even = POOL_BREAK_EVEN if first is None else EARLY_EXIT_BREAK_EVEN
+    if threads == 1 or (stop - start) * plan.n**2 < break_even:
+        yield from (window(plan, *w) for w in windows)
+        return
+    yield window(plan, *next(windows))
+    pool, ahead = ThreadPoolExecutor(max_workers=threads), deque()
+    try:
+        for w in windows:
+            ahead.append(pool.submit(window, plan, *w))
+            if len(ahead) == 2 * threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _decode_owners(n, m, start, count):
     """[item, allocation] owner digits of allocations start..start+count-1.
 
@@ -688,18 +739,15 @@ _MIN_NOTIONS = 1 << PROPM | 1 << AEFX | 1 << EFX
 _REST_NOTIONS = 1 << ALT_MEDIAN | 1 << ALT_MODE
 
 
-def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, plan=None):
+def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, *, plan):
     """uint16[count, n]: bit b set iff the agent satisfies notion code b.
 
     The masks are computed as [agent, allocation] rows and returned as that
     array's ``.T`` view, not copied: ``masks.T`` is C-contiguous. Only the
     notions whose bits are set in ``want`` are computed; every other bit
-    stays clear. ``plan`` is the scan's ``ScanPlan`` over ``values``;
-    without one the call builds a plan for this window.
+    stays clear. ``plan`` is the scan's ``ScanPlan`` over ``values``.
     """
     n, m = values.shape
-    if plan is None:
-        plan = ScanPlan(values, n, count)
     masks = np.zeros((n, count), np.uint16)  # [agent, allocation]
 
     def put(bit, ok, agents=slice(None)):
@@ -827,17 +875,14 @@ def _rest_notions(values, totals, own, cnt, start, count, want, put):
 # ---------------------------------------------------------------------------
 
 
-def mms_scan(values, n, start, count, plan=None):
+def mms_scan(values, start, count, *, plan):
     """Each row's best worst-bundle value over allocations start..start+count-1.
 
     ``values`` holds one row per agent, and the result is an array with one
     value per row: the "val" window, its minimum over the n bundles, then
     the maximum over the window's allocations. ``plan`` is the scan's
-    ``ScanPlan`` over ``values``; without one the call builds a plan for
-    this window.
+    ``ScanPlan`` over ``values``.
     """
-    if plan is None:
-        plan = ScanPlan(values, n, count)
     best = np.empty(values.shape[0], values.dtype)
     for agents in plan.blocks:
         sums = plan.window("val", agents, start, count, "val")
@@ -853,18 +898,15 @@ def mms_scan(values, n, start, count, plan=None):
 # ---------------------------------------------------------------------------
 
 
-def leximin_scan(values, start, count, plan=None):
+def leximin_scan(values, start, count, *, plan):
     """(allocation index, ascending integer profile) of the chunk's leximin best.
 
     The leximin best has the largest minimum, so only the allocations that
     reach the window's best minimum are sorted; their ascending profiles
     are then narrowed column by column. Ties go to the smallest allocation
-    index. ``plan`` is the scan's ``ScanPlan`` over ``values``; without one
-    the call builds a plan for this window.
+    index. ``plan`` is the scan's ``ScanPlan`` over ``values``.
     """
     n = values.shape[0]
-    if plan is None:
-        plan = ScanPlan(values, n, count)
     profiles = n * plan.window("own", slice(None), start, count, "own")[0]
     for agents in plan.blocks:
         mn = _zero_own_and_empty(plan, plan.window("min", agents, start, count, "rival"), agents)
@@ -883,12 +925,10 @@ def instance_arrays(values, totals):
     """Convert exact integer tables to the arrays the kernels take.
 
     worst = n * (m+1) * T, with T the largest total but at least 1, bounds
-    every scan intermediate (the table in the module docstring): the
-    alt-mean test reaches n(m+1)T, the bonus tests 2nT, AEFX (n+1)T, the
-    leximin profile (2n-1)T, the bundle sizes m, and the "min" sentinel,
-    the dtype's largest value, exceeds T. The arrays are int16 when worst
-    is below 2^15, int32 below 2^31 and int64 below 2^63; larger inputs
-    raise ResourceBudgetError, which ``--budget`` cannot lift.
+    every scan intermediate (the table in the module docstring). The arrays
+    are int16 when worst is below 2^15, int32 below 2^31 and int64 below
+    2^63; larger inputs raise ResourceBudgetError, which ``--budget`` cannot
+    lift.
     """
     n = len(values)
     m = len(values[0]) if n else 0

@@ -232,9 +232,9 @@ MMS_MEMO_SIZE = 64
 def _mms_cached(inst: Instance) -> tuple[int, ...]:
     """Every agent's MMS value, from one scan over all the agents' rows."""
     values = _kernels.instance_arrays(inst.values, inst.totals)[0]
-    n = inst.n
-    plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n), workspace=True)
     # Indices below n^(m-1) are exactly the assignments of item m-1 to bundle 0.
-    windows = plan.windows(0, n ** (inst.m - 1) if inst.m else 1)
-    best = (_kernels.mms_scan(values, n, pos, count, plan=plan) for pos, count in windows)
+    stop = inst.n ** (inst.m - 1) if inst.m else 1
+    best = _kernels.scan_windows(
+        values, lambda plan, pos, count: _kernels.mms_scan(values, pos, count, plan=plan), 0, stop
+    )
     return tuple(reduce(_kernels.np.maximum, best).tolist())

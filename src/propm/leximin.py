@@ -119,14 +119,12 @@ def leximin_max(
     total = inst.n**inst.m
     require_budget(total, budget, "leximin scan")
     values, _ = _kernels.instance_arrays(inst.values, inst.totals)
-    best_idx = -1
-    best_profile: list[int] | None = None
-    plan = _kernels.ScanPlan(values, inst.n, _kernels.scan_chunk(inst.n), workspace=True)
-    for pos, count in plan.windows(0, total):
-        idx, profile = _kernels.leximin_scan(values, pos, count, plan=plan)
-        profile = profile.tolist()
-        if best_profile is None or profile > best_profile:
-            best_idx, best_profile = idx, profile
+
+    def window(plan, pos, count):
+        return _kernels.leximin_scan(values, pos, count, plan=plan)
+
+    # max keeps the first of equal profiles: the earliest window's best.
+    best_idx, _ = max(_kernels.scan_windows(values, window, 0, total), key=lambda b: b[1].tolist())
     allocation = allocation_from_index(inst.n, inst.m, best_idx)
     return allocation, adjusted_profile(inst, allocation)
 

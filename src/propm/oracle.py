@@ -2,17 +2,16 @@
 
 Allocation index -> allocation: item j is owned by digit j of the index in
 base n, least significant digit first, so index 0 gives every item to agent
-0. ``exists`` and ``implication_audit`` read one result per window of
-``ScanPlan.windows`` from one loop, ``_scan_windows``, in index order
+0. ``exists`` and ``implication_audit`` read one result per window from the
+scan driver every scan shares, ``_kernels.scan_windows``, in index order
 whatever the worker count: ``exists`` stops at its first hit, the audit
-concatenates them. Past POOL_BREAK_EVEN, several workers scan the windows
-after the first on threads, a few ahead of the reader.
+concatenates them. Past the scan kind's break-even, several workers scan
+the windows after the first on at most ``os.cpu_count()`` threads, a few
+ahead of the reader. A bad worker count is refused before any scan work.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -122,58 +121,19 @@ def _mms_array(inst: Instance, needed: bool, budget: int | None):
     return np.array([mms_value(inst, i, budget=budget) for i in range(inst.n)], np.int64)
 
 
-# Scan work (allocations x n^2) below which two threads mostly lose to one. On
-# a shared 2-core host (numpy backend), two threads against one, best of 3:
-# - audits of random_instance(n, m, 100, 0), with the kept window buffers, two
-#   runs: lost on 4^10 and 5^9 (17-49 M; 0.65-0.89x), broke even on 8^6
-#   (1.02-1.07x), were mixed on 7^7 (0.98-1.41x) and won on 8^7 (134 M;
-#   1.55-1.64x);
-# - exists(EF) on n copies of random_instance(1, m, 100, 0)'s row with item 0
-#   raised above the sum of the rest, so that no allocation is EF and the scan
-#   reads all n^m: lost or broke even on 12^5, 7^7, 5^9, 6^8, 10^6, 8^7, 16^5
-#   (two runs) and 5^10 (36-268 M; 0.70-1.03x), and won on 7^8, 9^7 and 10^7
-#   (282 M-1 G; 1.21-1.60x).
-# The audit crosses lower than exists does. The constant keeps the audit's win
-# on 8^7 and costs exists at most 0.70x between it and exists' crossing.
-POOL_BREAK_EVEN = 100_000_000
-
-
-def _scan_windows(reduce, values, totals, mms, want, start, stop, workers, first=None):
-    """Yield ``reduce(pos, masks)`` for each window of [start, stop), in index order.
-
-    ``masks`` are the ``notion_masks`` of the ``want`` bits over the windows
-    of ``ScanPlan.windows(start, stop, first)``. With several workers and
-    work past POOL_BREAK_EVEN, the first window runs in this thread and
-    fills the plan's tables (not safe to fill from two threads); the later
-    ones run on ``workers`` threads, at most 2 * workers ahead of the one
-    read. Closing the generator cancels the windows not yet started.
-    """
+def _require_workers(workers):
     if type(workers) is not int or workers < 1:
         raise InputError(f"workers must be an int of at least 1, got {workers!r}")
-    n = len(values)
-    # The exhaustive audit keeps its window buffers in each thread's workspace.
-    # An early-exit scan mostly ends in its first small window, so it does not.
-    plan = _kernels.ScanPlan(values, n, _kernels.scan_chunk(n), workspace=first is None)
 
-    def scan(window):
-        masks = _kernels.notion_masks(values, totals, mms, *window, want=want, plan=plan)
-        return reduce(window[0], masks)
 
-    windows = plan.windows(start, stop, first)
-    if workers == 1 or (stop - start) * n * n < POOL_BREAK_EVEN:
-        yield from map(scan, windows)
-        return
-    yield scan(next(windows))
-    pool, ahead = ThreadPoolExecutor(max_workers=workers), deque()
-    try:
-        for window in windows:
-            ahead.append(pool.submit(scan, window))
-            if len(ahead) == 2 * workers:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _mask_scan(reduce, values, totals, mms, want, start, stop, workers, first=None):
+    """The scan driver's ``reduce(pos, masks)`` of each window's ``want`` masks."""
+
+    def window(plan, pos, count):
+        masks = _kernels.notion_masks(values, totals, mms, pos, count, want=want, plan=plan)
+        return reduce(pos, masks)
+
+    return _kernels.scan_windows(values, window, start, stop, workers, first)
 
 
 def _first_hit(pos, masks):
@@ -195,11 +155,12 @@ def exists(
     stops at the window holding the first witness; with several workers, at
     most 2 * workers windows past it are scanned.
     """
+    _require_workers(workers)
     total = inst.n**inst.m
     require_budget(total, budget, "existence scan")
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
     args = (values, totals, _mms_array(inst, notion is Notion.MMS, budget), 1 << notion.code)
-    hits = _scan_windows(_first_hit, *args, 0, total, workers, FIRST_WINDOW)
+    hits = _mask_scan(_first_hit, *args, 0, total, workers, FIRST_WINDOW)
     with closing(hits):
         found = next((hit for hit in hits if hit >= 0), -1)
     if found < 0:
@@ -249,11 +210,12 @@ def implication_audit(
 
     Violations are ordered by (allocation index, agent, label).
     """
+    _require_workers(workers)
     total = inst.n**inst.m
     require_budget(total, budget, "audit")
     values, totals = _kernels.instance_arrays(inst.values, inst.totals)
     args = (values, totals, _mms_array(inst, True, budget), _AUDIT_WANT)
-    parts = list(_scan_windows(_violations, *args, 0, total, workers))
+    parts = list(_mask_scan(_violations, *args, 0, total, workers))
     np = _kernels.np
     index, agent, rank = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((rank, agent, index))

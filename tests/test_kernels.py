@@ -26,6 +26,17 @@ def _arrays(inst):
     return kernels.instance_arrays(inst.values, inst.totals)
 
 
+def _plan(values, window, workspace=False):
+    """The ScanPlan over ``values`` whose windows hold ``window`` allocations.
+
+    Plans take their window from ``scan_chunk``; patching it for the
+    construction gives the window even where SCAN_BYTES would narrow it.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "scan_chunk", lambda n: window)
+        return kernels.ScanPlan(values, workspace=workspace)
+
+
 def _expected_masks(inst, index):
     """{notion: per-agent verdicts of the exact checker} at allocation ``index``."""
     allocation = allocation_from_index(inst.n, inst.m, index)
@@ -73,7 +84,7 @@ def test_masks_match_exact_checker(seed):
     values, totals = _arrays(inst)
     mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
     total = n**m
-    masks = kernels.notion_masks(values, totals, mms, 0, total)
+    masks = kernels.notion_masks(values, totals, mms, 0, total, plan=_plan(values, total))
     for index in range(total):
         allocation = allocation_from_index(n, m, index)
         for notion in Notion:
@@ -105,7 +116,8 @@ def test_masks_match_checker_on_windows_and_subsets(n, m):
         start = rng.randrange(total)
         count = rng.randint(1, total - start)
         want = rng.randrange(1 << kernels.NOTION_COUNT)
-        masks = kernels.notion_masks(values, totals, mms, start, count, want=want)
+        plan = _plan(values, count)
+        masks = kernels.notion_masks(values, totals, mms, start, count, want=want, plan=plan)
         assert masks.shape == (count, n)
         for t in range(count):
             for notion in Notion:
@@ -131,7 +143,7 @@ def test_masks_match_checker_for_wide_agent_counts(n, m):
     total = n**m
     edges = (0, FIRST_WINDOW, 3 * FIRST_WINDOW, total)
     near = sorted({t for edge in edges for t in range(edge - 5, edge + 5) if 0 <= t < total})
-    plan = kernels.ScanPlan(values, n, kernels.scan_chunk(n))
+    plan = kernels.ScanPlan(values)
     for start, count in plan.windows(0, total, FIRST_WINDOW):
         inside = [t for t in near if start <= t < start + count]
         if inside:
@@ -162,7 +174,9 @@ def test_alt_median_and_mode_edge_cases(rows, want):
     values, totals = _arrays(inst)
     mms = np.full(inst.n, -1, np.int64)
     total = inst.n**inst.m
-    _assert_masks(kernels.notion_masks(values, totals, mms, 0, total, want=want), inst, 0, want)
+    plan = _plan(values, total)
+    masks = kernels.notion_masks(values, totals, mms, 0, total, want=want, plan=plan)
+    _assert_masks(masks, inst, 0, want)
 
 
 # PROP1 and PROPx read the greatest and least item the others own: fewer
@@ -186,7 +200,7 @@ def test_prop1_and_propx_edge_cases(rows, want):
     values, totals = _arrays(inst)
     total = inst.n**inst.m
     # Every allocation, so also each one that gives one agent every item.
-    for plan in (None, kernels.ScanPlan(values, inst.n, 2, workspace=True)):
+    for plan in (_plan(values, total), _plan(values, 2, workspace=True)):
         masks = kernels.notion_masks(
             values, totals, np.full(inst.n, -1, np.int64), 0, total, want=want, plan=plan
         )
@@ -199,7 +213,8 @@ def test_alt_median_and_mode_take_the_smaller_of_two_candidates():
     # 2 * (4 + 1) < 16 fails where the upper median or larger mode, 5, passes.
     inst = Instance.of([[1, 1, 5, 5, 4], [0, 3, 3, 0, 1]])
     values, totals = _arrays(inst)
-    masks = kernels.notion_masks(values, totals, np.full(2, -1, np.int64), 15, 1)
+    mms = np.full(2, -1, np.int64)
+    masks = kernels.notion_masks(values, totals, mms, 15, 1, plan=_plan(values, 1))
     assert int(masks[0, 0]) & (_ALT_BITS[0] | _ALT_BITS[1]) == 0
     for notion in (Notion.ALT_MEDIAN, Notion.ALT_MODE):
         assert not check(inst, allocation_from_index(2, 5, 15), notion).per_agent[0].satisfied
@@ -212,15 +227,15 @@ def test_agent_blocks_and_small_windows_give_the_same_masks(monkeypatch):
     inst = random_instance(5, 5, 30, seed=5300)
     values, totals = _arrays(inst)
     mms = np.array([mms_value(inst, i) for i in range(5)], np.int64)
-    whole = kernels.notion_masks(values, totals, mms, 0, 5**5)
-    lexi = kernels.leximin_scan(values, 0, 5**5)
+    whole = kernels.notion_masks(values, totals, mms, 0, 5**5, plan=_plan(values, 5**5))
+    lexi = kernels.leximin_scan(values, 0, 5**5, plan=_plan(values, 5**5))
     monkeypatch.setattr(kernels, "SCAN_BYTES", 1)
     assert kernels.scan_chunk(5) == 1
     assert len(kernels._agent_blocks(5, 7)) == 5
     for start, count in ((0, 5**5), (7, 3), (1234, 1), (3000, 125)):
-        got = kernels.notion_masks(values, totals, mms, start, count)
+        got = kernels.notion_masks(values, totals, mms, start, count, plan=_plan(values, count))
         assert np.array_equal(got, whole[start : start + count])
-    assert kernels.leximin_scan(values, 0, 5**5)[0] == lexi[0]
+    assert kernels.leximin_scan(values, 0, 5**5, plan=_plan(values, 5**5))[0] == lexi[0]
 
 
 def _python_leximin(inst, start, count):
@@ -251,7 +266,7 @@ def test_leximin_scan_matches_python_scan(values):
         (s, rng.randint(1, total - s)) for s in (rng.randrange(total) for _ in range(4))
     ]
     for start, count in windows:
-        index, profile = kernels.leximin_scan(arr, start, count)
+        index, profile = kernels.leximin_scan(arr, start, count, plan=_plan(arr, count))
         ref_index, ref = _python_leximin(inst, start, count)
         assert index == ref_index, (start, count)
         # integer profile is n * adjusted value
@@ -275,7 +290,7 @@ def test_leximin_scan_keeps_the_first_index_on_every_window_of_a_tie(values):
         adjusted_profile(inst, allocation_from_index(inst.n, inst.m, t)).ascending
         for t in range(total)
     ]
-    plan = kernels.ScanPlan(arr, inst.n, total)
+    plan = _plan(arr, total)
     for start in range(total):
         for stop in range(start + 1, total + 1):
             best = max(profiles[start:stop])
@@ -306,12 +321,13 @@ def test_mms_scan_matches_brute_force(n, m):
             for j, k in enumerate(reversed(owners)):
                 sums[k] += row[j]
             out.append(min(sums))
-    assert kernels.mms_scan(arr, n, 0, total).tolist() == [max(w) for w in worst]
+    best = kernels.mms_scan(arr, 0, total, plan=_plan(arr, total))
+    assert best.tolist() == [max(w) for w in worst]
     rng = random.Random(n + m)
     for _ in range(5):
         start = rng.randrange(total)
         count = rng.randint(1, total - start)
-        got = kernels.mms_scan(arr, n, start, count).tolist()
+        got = kernels.mms_scan(arr, start, count, plan=_plan(arr, count)).tolist()
         assert got == [max(w[start : start + count]) for w in worst], (start, count)
 
 
@@ -344,9 +360,9 @@ def test_mms_values_of_every_agent_come_from_one_scan(monkeypatch):
     calls = []
     scan = kernels.mms_scan
 
-    def counted(values, n, start, count, plan=None):
+    def counted(values, start, count, *, plan):
         calls.append((values.shape[0], start, count))
-        return scan(values, n, start, count, plan=plan)
+        return scan(values, start, count, plan=plan)
 
     monkeypatch.setattr(kernels, "mms_scan", counted)
     small, wide = random_instance(4, 5, 30, 5510), random_instance(3, 11, 30, 5511)
@@ -356,7 +372,7 @@ def test_mms_values_of_every_agent_come_from_one_scan(monkeypatch):
         first = [mms_value(inst, i) for i in range(inst.n)]
         assert first == _brute_mms(inst.values, inst.n)
         # One window schedule over [0, n^(m-1)), each window for all n rows.
-        plan = kernels.ScanPlan(_arrays(inst)[0], inst.n, kernels.scan_chunk(inst.n))
+        plan = kernels.ScanPlan(_arrays(inst)[0])
         windows = list(plan.windows(0, inst.n ** (inst.m - 1)))
         assert calls == [(inst.n, start, count) for start, count in windows]
         assert [mms_value(inst, i) for i in reversed(range(inst.n))] == first[::-1]
@@ -391,7 +407,7 @@ def test_masks_exact_at_the_int64_boundary():
     )
     values, totals = _arrays(inst)
     mms = np.array([mms_value(inst, i) for i in range(2)], np.int64)
-    masks = kernels.notion_masks(values, totals, mms, 0, 8)
+    masks = kernels.notion_masks(values, totals, mms, 0, 8, plan=_plan(values, 8))
     for index in range(8):
         allocation = allocation_from_index(2, 3, index)
         for notion in Notion:
@@ -426,13 +442,14 @@ def _assert_scans_exact(rows, dtype):
     values, totals = _arrays(inst)
     assert values.dtype == dtype and totals.dtype == dtype
     mms = np.array([mms_value(inst, i) for i in range(n)], np.int64)
-    _assert_masks(kernels.notion_masks(values, totals, mms, 0, count), inst, 0)
-    index, profile = kernels.leximin_scan(values, 0, count)
+    masks = kernels.notion_masks(values, totals, mms, 0, count, plan=_plan(values, count))
+    _assert_masks(masks, inst, 0)
+    index, profile = kernels.leximin_scan(values, 0, count, plan=_plan(values, count))
     ref_index, ref = _python_leximin(inst, 0, count)
     assert index == ref_index
     assert [int(p) for p in profile] == [int(n * v) for v in ref]
     expected = [_brute_mms_window(row, n, 0, count) for row in rows]
-    assert kernels.mms_scan(values, n, 0, count).tolist() == expected
+    assert kernels.mms_scan(values, 0, count, plan=_plan(values, count)).tolist() == expected
     assert mms.tolist() == [_brute_mms_window(row, n, 0, count // n) for row in rows]
 
 
@@ -523,26 +540,28 @@ def test_scans_match_the_reference_on_fuzzed_windows(inst, data):
     total = n**m
     # A kept workspace holds whatever earlier examples left in it.
     workspace = data.draw(st.booleans())
-    plan = kernels.ScanPlan(values, n, data.draw(st.integers(1, 40)), workspace=workspace)
+    plan = _plan(values, data.draw(st.integers(1, 40)), workspace=workspace)
     for use_plan in (True, True, False):
         start = data.draw(st.integers(0, total - 1))
         count = data.draw(st.integers(1, min(total - start, 10)))
         want = data.draw(st.integers(0, kernels.ALL_NOTIONS))
-        window_plan = plan if use_plan else None
+        # Else each call plans for its own window alone.
+        window_plan = plan if use_plan else _plan(values, count)
         masks = kernels.notion_masks(
             values, totals, mms, start, count, want=want, plan=window_plan
         )
         assert masks.shape == (count, n)
         _assert_masks(masks, inst, start, want)
+        window_plan = plan if use_plan else _plan(values, count)
         index, profile = kernels.leximin_scan(values, start, count, plan=window_plan)
         ref_index, ref = _python_leximin(inst, start, count)
         assert index == ref_index
         assert [int(p) for p in profile] == [int(n * v) for v in ref]
-    mms_plan = kernels.ScanPlan(values, n, data.draw(st.integers(1, 40)), workspace=workspace)
+    mms_plan = _plan(values, data.draw(st.integers(1, 40)), workspace=workspace)
     start = data.draw(st.integers(0, total - 1))
     count = data.draw(st.integers(1, min(total - start, 30)))
     expected = [_brute_mms_window(row, n, start, count) for row in inst.values]
-    assert kernels.mms_scan(values, n, start, count, plan=mms_plan).tolist() == expected
+    assert kernels.mms_scan(values, start, count, plan=mms_plan).tolist() == expected
 
 
 # -- the scan plan ---------------------------------------------------------------
@@ -602,7 +621,7 @@ def test_plan_tables_and_windows_match_a_direct_computation(monkeypatch, n, m, w
     values = np.array(
         [[rng.choice((0, 1, 2, 2, 7, 30)) for _ in range(m)] for _ in range(n)], np.int32
     )
-    plan = kernels.ScanPlan(values, n, window)
+    plan = _plan(values, window)
     h, k = plan.h, plan.k
     assert h <= m // 2 and k <= m - h
     assert (h == 0 or n**h <= window) and (k == 0 or n**k <= window)
@@ -636,9 +655,9 @@ def test_plans_split_agents_into_blocks_under_a_small_budget(monkeypatch):
     # Two agents' 4 x 4 int64 window statistics of one allocation.
     monkeypatch.setattr(kernels, "SCAN_BYTES", 3 * 8 * 4 * 2)
     values = np.array(random_instance(4, 3, 9, seed=5600).values, np.int32)
-    plan = kernels.ScanPlan(values, 4, 1)
+    plan = _plan(values, 1)
     assert len(plan.blocks) == 2
-    whole = kernels.ScanPlan(values, 4, 64)
+    whole = _plan(values, 64)
     for agents in plan.blocks:
         for start, count in ((0, 64), (5, 1), (17, 9)):
             assert np.array_equal(
@@ -649,14 +668,14 @@ def test_plans_split_agents_into_blocks_under_a_small_budget(monkeypatch):
 
 def test_plans_narrow_the_mid_table_to_fit_the_budget(monkeypatch):
     values = np.array(random_instance(3, 6, 9, seed=5610).values, np.int32)
-    wide = kernels.ScanPlan(values, 3, 27)
+    wide = _plan(values, 27)
     assert (wide.h, wide.k, wide._keep) == (3, 3, True)
     monkeypatch.setattr(kernels, "SCAN_BYTES", wide._bytes(3, 2, 27))
-    narrow = kernels.ScanPlan(values, 3, 27)
+    narrow = _plan(values, 27)
     assert (narrow.h, narrow.k, narrow._keep) == (3, 2, True)
     # Below the bytes of a low table alone nothing is kept, and k stays widest.
     monkeypatch.setattr(kernels, "SCAN_BYTES", wide._bytes(3, 0, 27) - 1)
-    rebuilt = kernels.ScanPlan(values, 3, 27)
+    rebuilt = _plan(values, 27)
     assert (rebuilt.h, rebuilt.k, rebuilt._keep) == (3, 3, False)
     for name in STATS:
         for start, count in ((0, 27), (20, 27), (100, 300), (728, 1)):
@@ -677,7 +696,7 @@ def test_contribution_arrays_count_against_the_budget_and_are_not_kept(monkeypat
         return got
 
     monkeypatch.setattr(kernels.ScanPlan, "_contributions", recorded)
-    plan = kernels.ScanPlan(values, 3, 27)
+    plan = _plan(values, 27)
     h, k = plan.h, plan.k
     assert (h, k, plan._keep) == (3, 3, True)
     tables = sum(t.size for name in STATS for t in plan._halves(name, slice(None)))
@@ -688,7 +707,7 @@ def test_contribution_arrays_count_against_the_budget_and_are_not_kept(monkeypat
     # Below the bytes of a low table alone every window rebuilds the tables
     # from a new contribution array, and the plan keeps neither.
     monkeypatch.setattr(kernels, "SCAN_BYTES", plan._bytes(h, 0, 27) - 1)
-    rebuilt = kernels.ScanPlan(values, 3, 27)
+    rebuilt = _plan(values, 27)
     assert not rebuilt._keep
     for start, count in ((0, 27), (100, 27)):
         for name in STATS:
@@ -700,7 +719,7 @@ def test_contribution_arrays_count_against_the_budget_and_are_not_kept(monkeypat
 
 def test_plans_without_tabulated_items_build_no_contribution_array(monkeypatch):
     values = np.array(random_instance(5, 2, 9, seed=5620).values, np.int32)
-    plan = kernels.ScanPlan(values, 5, 3)
+    plan = _plan(values, 3)
     assert plan.h == plan.k == 0
     monkeypatch.setattr(kernels.ScanPlan, "_contributions", None)
     for name in STATS:
@@ -729,7 +748,7 @@ def test_a_kept_plan_allocates_little_past_its_first_window(n, m):
     statistics into the kept workspace: what they newly allocate peaks at
     1.5 [n, n, count] statistics (about 4x and 2x without the workspace)."""
     values, totals, mms = _audit_arrays(n, m, 5800 + n)
-    plan = kernels.ScanPlan(values, n, kernels.scan_chunk(n), workspace=True)
+    plan = kernels.ScanPlan(values, workspace=True)
     (first, second) = list(plan.windows(0, n**m))[:2]
     statistic = n * n * second[1] * values.itemsize
     scans = {
@@ -756,19 +775,19 @@ def test_window_results_survive_the_next_window():
     values of one window keep their values while the next window runs."""
     n, m = 4, 7
     values, totals, mms = _audit_arrays(n, m, 5810)
-    plan = kernels.ScanPlan(values, n, 300, workspace=True)
-    mms_plan = kernels.ScanPlan(values, n, 300, workspace=True)
+    plan = _plan(values, 300, workspace=True)
+    mms_plan = _plan(values, 300, workspace=True)
     kept = []
     for start, count in list(plan.windows(0, n**m))[:4]:
         got = (
             kernels.notion_masks(values, totals, mms, start, count, plan=plan),
             kernels.leximin_scan(values, start, count, plan=plan),
-            kernels.mms_scan(values, n, start, count, plan=mms_plan),
+            kernels.mms_scan(values, start, count, plan=mms_plan),
         )
         fresh = (
-            kernels.notion_masks(values, totals, mms, start, count),
-            kernels.leximin_scan(values, start, count),
-            kernels.mms_scan(values, n, start, count),
+            kernels.notion_masks(values, totals, mms, start, count, plan=_plan(values, count)),
+            kernels.leximin_scan(values, start, count, plan=_plan(values, count)),
+            kernels.mms_scan(values, start, count, plan=_plan(values, count)),
         )
         kept.append((got, fresh))
     for (masks, (index, profile), best), (ref_masks, (ref_index, ref_profile), ref_best) in kept:
@@ -856,7 +875,8 @@ def test_a_workspace_stays_within_the_scan_budget(monkeypatch):
 def test_pool_threads_drop_their_workspaces(monkeypatch):
     """Windows scanned on pool threads fill those threads' own workspaces,
     which go with the pool; the calling thread's stays."""
-    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 0)
+    monkeypatch.setattr(kernels, "POOL_BREAK_EVEN", 0)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(kernels, "CHUNK", 64)
     made = []
     take = kernels._Workspace.take

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from contextlib import closing
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from propm import (
     random_instance,
     solve_propm,
 )
+from propm.fairness import _mms_cached
 from propm.oracle import FIRST_WINDOW, allocation_from_index
 
 
@@ -74,8 +76,8 @@ def test_exists_propx_on_2a(i_2a):
 
 
 # 3^10 = 59049 allocations, 531,441 units of work (allocations x n^2): past
-# the break-even that ``small_break_even`` sets, so with workers=2 the scan runs
-# its first window in this thread and the later ones on a thread pool.
+# the break-evens that ``small_break_even`` sets, so with workers=2 the scan
+# runs its first window in this thread and the later ones on a thread pool.
 # Agent 2 values only item 9, so every PROP or EF witness gives it item 9
 # and lies at index 2 * 3^9 or later, far past the first window.
 LATE_WITNESS = Instance.of([[5] * 9 + [0], [5] * 9 + [0], [0] * 9 + [9]])
@@ -88,22 +90,30 @@ NO_PROP = Instance.of([[91] + [1] * 9] * 3)
 _TEST_BREAK_EVEN = 4 * kernels.CHUNK * 3**2
 
 
+def _cores(monkeypatch, count):
+    """Report ``count`` cores to the scan driver, whatever the host has."""
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: count)
+
+
 @pytest.fixture
 def small_break_even(monkeypatch):
-    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", _TEST_BREAK_EVEN)
+    """Both scan kinds' break-evens at _TEST_BREAK_EVEN, on four cores."""
+    monkeypatch.setattr(kernels, "POOL_BREAK_EVEN", _TEST_BREAK_EVEN)
+    monkeypatch.setattr(kernels, "EARLY_EXIT_BREAK_EVEN", _TEST_BREAK_EVEN)
+    _cores(monkeypatch, 4)
 
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Count the thread pools the oracle starts."""
+    """Count the thread pools the scan driver starts."""
     started = []
 
-    class CountingPool(oracle.ThreadPoolExecutor):
+    class CountingPool(kernels.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", CountingPool)
     return started
 
 
@@ -140,6 +150,32 @@ def test_bad_worker_counts_are_input_errors(workers):
         exists(inst, Notion.PROPM, workers=workers)
     with pytest.raises(InputError, match="workers"):
         implication_audit(inst, workers=workers)
+
+
+def test_bad_worker_counts_are_refused_before_any_scan(monkeypatch):
+    """Neither the MMS pass nor a window of masks runs before the refusal."""
+    calls = []
+
+    def spy(name):
+        kernel = getattr(kernels, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+
+    spy("mms_scan")
+    spy("notion_masks")
+    inst = random_instance(3, 9, 100, 5)
+    for scan in (partial(exists, inst, Notion.MMS), partial(implication_audit, inst)):
+        _mms_cached.cache_clear()
+        with pytest.raises(InputError, match="workers"):
+            scan(workers=0)
+        assert calls == []
+    _mms_cached.cache_clear()
+    implication_audit(inst)
+    assert calls.count("mms_scan") == 1 and "notion_masks" in calls
 
 
 def test_audit_on_eps_flags_only_the_known_bad_edge(i_eps):
@@ -296,18 +332,14 @@ def test_import_loads_no_process_machinery():
 
 
 def test_pool_starts_only_past_the_break_even(monkeypatch, pool_starts):
-    monkeypatch.setattr(kernels, "notion_masks", _fake_masks(-1, []))
+    _cores(monkeypatch, 2)
     values = np.zeros((3, 1), np.int64)
-    totals, mms = np.zeros(3, np.int64), np.full(3, -1, np.int64)
 
     def windows(stop, workers=2):
-        def reduce(pos, masks):
-            return pos, len(masks)
-
-        return list(oracle._scan_windows(reduce, values, totals, mms, 1, 0, stop, workers))
+        return list(kernels.scan_windows(values, lambda plan, *window: window, 0, stop, workers))
 
     # Three agents: 9 work units per allocation.
-    below = (oracle.POOL_BREAK_EVEN - 1) // 9
+    below = (kernels.POOL_BREAK_EVEN - 1) // 9
     assert windows(below) == windows(below, workers=1)
     assert pool_starts == []
     tiled = windows(below + 1, workers=1)
@@ -315,6 +347,59 @@ def test_pool_starts_only_past_the_break_even(monkeypatch, pool_starts):
     assert windows(below + 1) == tiled
     assert pool_starts == [2]
     assert tiled[0] == (0, kernels.CHUNK) and sum(c for _, c in tiled) == below + 1
+
+
+def _mask_threads(monkeypatch):
+    """The ident of the thread of every ``notion_masks`` call, as they run."""
+    ran = []
+    masks = kernels.notion_masks
+
+    def recorded(*args, **kwargs):
+        ran.append(threading.get_ident())
+        return masks(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "notion_masks", recorded)
+    return ran
+
+
+def test_each_scan_kind_has_its_own_break_even(monkeypatch, pool_starts):
+    """Work between the two break-evens: the early-exit scan stays in the
+    calling thread, the exhaustive audit starts a pool."""
+    work = 3**10 * 3**2
+    monkeypatch.setattr(kernels, "POOL_BREAK_EVEN", work // 2)
+    monkeypatch.setattr(kernels, "EARLY_EXIT_BREAK_EVEN", 2 * work)
+    _cores(monkeypatch, 2)
+    ran = _mask_threads(monkeypatch)
+    caller = threading.get_ident()
+    # No allocation is PROP, so exists reads all 3^10 as the audit does.
+    for scan, pools in (
+        (partial(exists, NO_PROP, Notion.PROP), []),
+        (partial(implication_audit, NO_PROP), [2]),
+    ):
+        solo = scan(workers=1)
+        assert solo.allocations_checked == 3**10
+        ran.clear()
+        assert scan(workers=2) == solo
+        assert pool_starts == pools
+        assert (set(ran) == {caller}) == (not pools)
+
+
+def test_threads_are_bounded_by_the_core_count(monkeypatch, pool_starts):
+    """Eight workers on two cores: at most two pool threads run windows."""
+    monkeypatch.setattr(kernels, "POOL_BREAK_EVEN", 0)
+    monkeypatch.setattr(kernels, "EARLY_EXIT_BREAK_EVEN", 0)
+    monkeypatch.setattr(kernels, "CHUNK", 64)
+    _cores(monkeypatch, 2)
+    ran = _mask_threads(monkeypatch)
+    inst = random_instance(3, 7, 30, seed=818)
+    caller = threading.get_ident()
+    for scan in (partial(exists, NO_PROP, Notion.PROP), partial(implication_audit, inst)):
+        solo = scan(workers=1)
+        ran.clear()
+        assert scan(workers=8) == solo
+        pooled = set(ran) - {caller}
+        assert 1 <= len(pooled) <= 2 and len(ran) > 8
+    assert pool_starts == [2, 2]
 
 
 # -- the early-exit window schedule ------------------------------------------
@@ -339,7 +424,7 @@ def _scan(monkeypatch, n, start, stop, witness, workers=1):
     values = np.zeros((n, 1), np.int64)
     totals = np.zeros(n, np.int64)
     mms = np.full(n, -1, np.int64)
-    hits = oracle._scan_windows(
+    hits = oracle._mask_scan(
         oracle._first_hit, values, totals, mms, 1, start, stop, workers, FIRST_WINDOW
     )
     with closing(hits):
@@ -388,7 +473,8 @@ def test_scan_window_sizes_are_pinned(monkeypatch):
 def test_threads_stop_soon_after_the_witness_window(monkeypatch, workers):
     """Threads scan at most 2 * workers windows ahead of the one read, so at
     most that many past the witness's window."""
-    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 1)
+    monkeypatch.setattr(kernels, "EARLY_EXIT_BREAK_EVEN", 1)
+    _cores(monkeypatch, 4)
     chunk = kernels.scan_chunk(3)
     stop = 40 * chunk
     for witness in (0, FIRST_WINDOW + 5, 5 * chunk, 20 * chunk + 7, stop - 1):
@@ -404,7 +490,8 @@ def test_closing_the_scan_cancels_queued_windows(monkeypatch):
     """The first window runs in the calling thread. Once the witness is read,
     the two threads are busy with at most the next two windows, and the
     third one queued behind them is cancelled instead of scanned."""
-    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 1)
+    monkeypatch.setattr(kernels, "EARLY_EXIT_BREAK_EVEN", 1)
+    _cores(monkeypatch, 2)
     chunk = kernels.scan_chunk(3)
     witness = 5 * chunk
     ran = []
@@ -418,7 +505,7 @@ def test_closing_the_scan_cancels_queued_windows(monkeypatch):
     monkeypatch.setattr(kernels, "notion_masks", slow_past_the_witness)
     values = np.zeros((3, 1), np.int64)
     totals, mms = np.zeros(3, np.int64), np.full(3, -1, np.int64)
-    hits = oracle._scan_windows(
+    hits = oracle._mask_scan(
         oracle._first_hit, values, totals, mms, 1, 0, 40 * chunk, 2, FIRST_WINDOW
     )
     with closing(hits):
@@ -430,7 +517,7 @@ def test_closing_the_scan_cancels_queued_windows(monkeypatch):
 @pytest.mark.parametrize("n", [3, 74])
 def test_plan_windows_without_first_are_full(n):
     chunk = kernels.scan_chunk(n)
-    plan = kernels.ScanPlan(np.zeros((n, 1), np.int64), n, chunk)
+    plan = kernels.ScanPlan(np.zeros((n, 1), np.int64))
     start, stop = 1000, 1000 + 3 * chunk + 123
     windows = list(plan.windows(start, stop))
     assert _assert_doubling(windows, start, chunk, first=chunk) == stop
@@ -485,12 +572,15 @@ def test_window_reductions_read_either_mask_layout(n, count):
             assert np.array_equal(got, expected)
 
 
-def test_notion_masks_are_a_view_of_agent_major_masks():
+def test_notion_masks_are_a_view_of_agent_major_masks(monkeypatch):
     inst = random_instance(3, 5, 20, seed=7)
     values, totals = kernels.instance_arrays(inst.values, inst.totals)
     mms = np.full(inst.n, -1, np.int64)
+    # Each call plans for its 200-allocation window alone.
+    monkeypatch.setattr(kernels, "CHUNK", 200)
     for notion in (Notion.PROP, Notion.EFX):
-        masks = kernels.notion_masks(values, totals, mms, 10, 200, want=1 << notion.code)
+        want, plan = 1 << notion.code, kernels.ScanPlan(values)
+        masks = kernels.notion_masks(values, totals, mms, 10, 200, want=want, plan=plan)
         assert masks.shape == (200, 3) and masks.T.flags.c_contiguous
         first = oracle._first_hit(10, masks)
         assert first == oracle._first_hit(10, np.ascontiguousarray(masks)) >= 10
