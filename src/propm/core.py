@@ -163,9 +163,13 @@ class Allocation:
         if not isinstance(data, dict) or "bundles" not in data:
             raise InputError("allocation JSON must be an object with a 'bundles' key")
         bundles = data["bundles"]
-        if not isinstance(bundles, list):
+        if not isinstance(bundles, list) or not all(isinstance(b, list) for b in bundles):
             raise InputError("'bundles' must be a list of item-index lists")
-        return cls.of(bundles)
+        allocation = cls.of(bundles)
+        for i, (raw, bundle) in enumerate(zip(bundles, allocation.bundles)):
+            if len(raw) != len(bundle):
+                raise InputError(f"bundle {i} lists an item more than once")
+        return allocation
 
 
 @dataclass(frozen=True)
@@ -220,6 +224,8 @@ class Instance:
         for key in ("n", "m", "values"):
             if key not in data:
                 raise InputError(f"instance JSON missing key {key!r}")
+        if type(data["n"]) is not int or type(data["m"]) is not int:
+            raise InputError("instance JSON 'n' and 'm' must be integers")
         inst = cls.of(data["values"])
         if inst.n != data["n"] or inst.m != data["m"]:
             raise InputError(

@@ -40,7 +40,6 @@ from .core import (
     Instance,
     InvariantViolationError,
     UnsupportedSizeError,
-    restrict,
 )
 from .cpsets import cp_ladder
 from .fairness import Notion, check
@@ -177,22 +176,6 @@ def _assemble(inst: Instance, assignment: dict[int, tuple[int, ...]]) -> Allocat
     allocation = Allocation(bundles)
     allocation.validate_for(inst)
     return allocation
-
-
-def _verify_propm(inst: Instance, agents, pool, assignment, context: str) -> None:
-    """Run the reference PROPm check on one level, restricted to its agents and pool."""
-    level = restrict(inst, agents, pool)
-    position = {j: p for p, j in enumerate(pool)}
-    allocation = Allocation(
-        tuple(Bundle(tuple(position[j] for j in assignment.get(a, ()))) for a in agents)
-    )
-    report = check(level, allocation, Notion.PROPM)
-    if not report.all_satisfied:
-        bad = [agents[i] for i, v in enumerate(report.per_agent) if not v.satisfied]
-        raise InvariantViolationError(
-            f"{context} produced an allocation that fails the maximin-item test "
-            f"for agents {bad}; this is a solver bug"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +492,6 @@ def _solve_level(
             sorted((a, items) for a, items in lv.assignment.items() if a not in split_agents)
         ),
     )
-    _verify_propm(inst, agents, pool, lv.assignment, f"the {n}-agent case")
     return lv.assignment, [ladder, case, *lv.sub_steps]
 
 
@@ -517,7 +499,9 @@ def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
     """Big-item preprocessing, then the constructive solver for the residual.
 
     Supports any instance whose residual after reductions has at most five
-    agents; the output always passes the exact maximin-item test.
+    agents. The returned allocation is checked once with the exact
+    maximin-item test (``check``, PROPm); if an agent fails it, this raises
+    InvariantViolationError naming the failing agents, which is a solver bug.
     """
     red = reduce_big_items(inst)
     if len(red.residual_agents) > 5:
@@ -531,9 +515,13 @@ def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
         agents=tuple(range(inst.n)), items=tuple(range(inst.m)), steps=(*red.steps, *steps)
     )
     allocation = _assemble(inst, assignment)
-    if red.steps:
-        # With no reduction the top level above already checked this very split.
-        _verify_propm(inst, certificate.agents, certificate.items, assignment, "solve_propm")
+    report = check(inst, allocation, Notion.PROPM)
+    if not report.all_satisfied:
+        bad = [i for i, v in enumerate(report.per_agent) if not v.satisfied]
+        raise InvariantViolationError(
+            f"solve_propm produced an allocation that fails the maximin-item test "
+            f"for agents {bad}; this is a solver bug"
+        )
     return allocation, certificate
 
 

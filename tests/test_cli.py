@@ -265,8 +265,22 @@ _SMALL = json.dumps({"n": 2, "m": 3, "values": [[1, 2, 3], [3, 2, 1]]})
         ('{"n": 1, "m": 1, "values": [[' + "9" * 5000 + "]]}", "[[0]]"),
         (_SMALL, "[[[0]], [1, 2]]"),
         (_SMALL, '[[0, "a"], [1, 2]]'),
+        (_SMALL, "[[0, 0], [1, 2]]"),
+        (_SMALL, "[{}, [0, 1, 2]]"),
+        ('{"n": true, "m": 3, "values": [[1, 2, 3]]}', "[[0, 1, 2]]"),
+        ('{"n": 2.0, "m": 3.0, "values": [[1, 2, 3], [3, 2, 1]]}', "[[0], [1, 2]]"),
     ],
-    ids=["values-null", "deep-nesting", "5000-digit-int", "nested-bundle", "mixed-bundle"],
+    ids=[
+        "values-null",
+        "deep-nesting",
+        "5000-digit-int",
+        "nested-bundle",
+        "mixed-bundle",
+        "repeated-item",
+        "object-bundle",
+        "bool-header",
+        "float-header",
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, instance, bundles):
     inst = tmp_path / "inst.json"

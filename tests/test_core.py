@@ -88,10 +88,20 @@ def test_instance_rows_must_be_lists(rows):
         Instance.of(rows)
 
 
-@pytest.mark.parametrize("bundles", [[[[0]], [1, 2]], [[0], 1], [[0, "a"], [1]]], ids=repr)
+@pytest.mark.parametrize(
+    "bundles",
+    [[[[0]], [1, 2]], [[0], 1], [[0, "a"], [1]], [[0, 0], [1]], [[0], [2, 1, 2]], [{}, [0, 1]], ["", [0, 1]]],
+    ids=repr,
+)
 def test_bundles_must_be_lists_of_indices(bundles):
     with pytest.raises(InputError):
         Allocation.from_json_dict({"bundles": bundles})
+
+
+@pytest.mark.parametrize("n, m", [(True, 2), (1.0, 2.0), (1, 2.0)], ids=repr)
+def test_instance_header_must_be_ints(n, m):
+    with pytest.raises(InputError, match="'n' and 'm' must be integers"):
+        Instance.from_json_dict({"n": n, "m": m, "values": [[1, 2]]})
 
 
 def test_totals_cached(i_eps):

@@ -541,18 +541,8 @@ def test_certificate_key_order_is_pinned(lemma):
     assert digest == _KEY_ORDER_PINNED[lemma]
 
 
-def _levels(cert):
-    """Solver levels of two or more agents in a certificate: one ladder each."""
-    count = 0
-    for step in cert.steps:
-        if isinstance(step, LadderBuilt):
-            count += 1
-        elif isinstance(step, SubSplit):
-            count += _levels(step.certificate)
-    return count
-
-
-def test_solver_checks_each_split_once(monkeypatch, i_eps):
+@pytest.mark.parametrize("case", ["no-reduction", "reduction", "one-agent"])
+def test_solver_checks_its_allocation_once(monkeypatch, i_eps, case):
     from propm import solver
 
     calls = []
@@ -562,16 +552,30 @@ def test_solver_checks_each_split_once(monkeypatch, i_eps):
         return check(*args, **kwargs)
 
     monkeypatch.setattr(solver, "check", spy)
-    # No reduction fires: the top level's check already covers the whole split.
-    inst = Instance.of(_PINNED["n5.cAE=1"][0])
-    assert not reduce_big_items(inst).steps
-    _, certificate = solve_propm(inst)
-    assert len(calls) == _levels(certificate) == 4
-    # A reduction fires: one more check over the final allocation.
-    calls.clear()
-    assert reduce_big_items(i_eps).steps
-    _, certificate = solve_propm(i_eps)
-    assert len(calls) == _levels(certificate) + 1 == 2
+    inst = {
+        "no-reduction": Instance.of(_PINNED["n5.cAE=1"][0]),
+        "reduction": i_eps,
+        "one-agent": Instance.of([[3, 4]]),
+    }[case]
+    assert bool(reduce_big_items(inst).steps) == (case == "reduction")
+    allocation, _ = solve_propm(inst)
+    assert calls == [(inst, allocation, Notion.PROPM)]
+
+
+def test_solver_names_the_agents_its_allocation_fails(monkeypatch):
+    from propm import InvariantViolationError, solver
+
+    def divider_takes_all(lv, *rungs):
+        lv.assignment[lv.agents[0]] = lv.pool
+        return "n2.cut_and_choose"
+
+    monkeypatch.setitem(solver._CASES, 2, divider_takes_all)
+    # Agent 0 is reduced away with item 0; agent 1 divides and takes items 1-3,
+    # which leaves agent 2 (residual agent 1) with nothing and below its PROPm bound.
+    inst = Instance.of([[10, 0, 0, 0], [0, 1, 1, 1], [1, 5, 5, 5]])
+    assert reduce_big_items(inst).assignments == ((0, 0),)
+    with pytest.raises(InvariantViolationError, match=r"for agents \[2\];"):
+        solve_propm(inst)
 
 
 def test_solver_handles_zero_valuations():
