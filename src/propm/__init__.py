@@ -15,7 +15,6 @@ from .core import (
     InvariantViolationError,
     ResourceBudgetError,
     UnsupportedSizeError,
-    restrict,
     value_of,
 )
 from .cpsets import CpLadder, cp_bundle, cp_ladder, validate_ladder
@@ -23,8 +22,6 @@ from .fairness import (
     FairnessReport,
     Notion,
     check,
-    maximin_value,
-    min_item,
     mms_value,
     parse_notion,
 )
@@ -34,13 +31,11 @@ from .leximin import (
     adjusted_profile,
     cycle_swap,
     envy_graph,
-    leximin_compare,
     leximin_max,
 )
 from .oracle import (
     AuditReport,
     ExistenceResult,
-    enumerate_allocations,
     exists,
     implication_audit,
     make_counterexample,
@@ -71,20 +66,15 @@ __all__ = [
     "cp_bundle",
     "cp_ladder",
     "cycle_swap",
-    "enumerate_allocations",
     "envy_graph",
     "exists",
     "implication_audit",
-    "leximin_compare",
     "leximin_max",
     "make_counterexample",
-    "maximin_value",
-    "min_item",
     "mms_value",
     "parse_notion",
     "random_instance",
     "reduce_big_items",
-    "restrict",
     "solve_propm",
     "validate_ladder",
     "value_of",

@@ -37,27 +37,15 @@ class InvariantViolationError(RuntimeError):
 
 
 DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "PROPM_BUDGET"
 
 
 def resolve_budget(budget: int | None) -> int:
-    """Pick the enumeration budget: explicit arg, else $PROPM_BUDGET, else the default."""
-    import os
-
-    if budget is not None:
-        if budget < 1:
-            raise InputError(f"budget must be positive, got {budget}")
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR, "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise InputError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-        return value
-    return DEFAULT_BUDGET
+    """The enumeration budget: ``budget``, a positive int (bools are not), else the default."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if type(budget) is not int or budget < 1:
+        raise InputError(f"budget must be a positive int, got {budget!r}")
+    return budget
 
 
 def require_budget(count: int, budget: int | None, what: str) -> None:
@@ -74,6 +62,9 @@ class Bundle:
     items: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.items) is not tuple:
+            kind = type(self.items).__name__
+            raise InputError(f"items must be a tuple, not {kind}; use Bundle.of")
         prev = -1
         for j in self.items:
             if not isinstance(j, int) or isinstance(j, bool):
@@ -95,15 +86,9 @@ class Bundle:
         if self.items and self.items[-1] >= m:
             raise InputError(f"item index {self.items[-1]} out of range for m={m}")
 
-    def union(self, other: "Bundle") -> "Bundle":
-        return Bundle.of(self.items + other.items)
-
     def difference(self, other: "Bundle") -> "Bundle":
         drop = set(other.items)
         return Bundle(tuple(j for j in self.items if j not in drop))
-
-    def __or__(self, other: "Bundle") -> "Bundle":
-        return self.union(other)
 
     def __sub__(self, other: "Bundle") -> "Bundle":
         return self.difference(other)
@@ -126,6 +111,11 @@ class Allocation:
     """A complete partition of the items into one bundle per agent (bundles may be empty)."""
 
     bundles: tuple[Bundle, ...]
+
+    def __post_init__(self) -> None:
+        if type(self.bundles) is not tuple:
+            kind = type(self.bundles).__name__
+            raise InputError(f"bundles must be a tuple, not {kind}; use Allocation.of")
 
     @classmethod
     def of(cls, bundles: Iterable[Iterable[int]]) -> "Allocation":
@@ -179,10 +169,16 @@ class Instance:
     values: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.values) is not tuple:
+            kind = type(self.values).__name__
+            raise InputError(f"values must be a tuple, not {kind}; use Instance.of")
         if not self.values:
             raise InputError("instance needs at least one agent")
         width = len(self.values[0])
         for row in self.values:
+            if type(row) is not tuple:
+                kind = type(row).__name__
+                raise InputError(f"a valuation row must be a tuple, not {kind}; use Instance.of")
             if len(row) != width:
                 raise InputError("valuation rows must all have the same length")
             for v in row:
@@ -242,23 +238,6 @@ def value_of(inst: Instance, agent: int, bundle: Bundle) -> int:
     bundle.validate_for(inst.m)
     row = inst.values[agent]
     return sum(row[j] for j in bundle.items)
-
-
-def restrict(inst: Instance, agents: Iterable[int], items: Iterable[int]) -> Instance:
-    """The sub-instance of the given agents and items, each kept in index order.
-
-    Sub-agent k is the k-th smallest agent of the subset, and likewise for
-    items. The agent subset must be non-empty; the item subset may be empty.
-    """
-    agent_tuple = tuple(sorted(set(agents)))
-    item_tuple = tuple(sorted(set(items)))
-    if not agent_tuple:
-        raise InputError("restriction needs at least one agent")
-    if agent_tuple[0] < 0 or agent_tuple[-1] >= inst.n:
-        raise InputError(f"agent subset {agent_tuple} out of range for n={inst.n}")
-    if item_tuple and (item_tuple[0] < 0 or item_tuple[-1] >= inst.m):
-        raise InputError(f"item subset {item_tuple} out of range for m={inst.m}")
-    return Instance(tuple(tuple(inst.values[i][j] for j in item_tuple) for i in agent_tuple))
 
 
 def fraction_str(value: Fraction) -> str:

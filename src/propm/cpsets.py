@@ -3,7 +3,8 @@
 A CP bundle for agent i, parameter k, base set S is the most valuable subset
 B of S with k * v_i(B) <= v_i(S); ties go first to maximum cardinality and
 then to the lexicographically smallest sorted index list, which makes every
-construction downstream deterministic and certifiable.
+construction downstream deterministic and certifiable. The ``CpLadder`` that
+``cp_ladder`` returns is also, as is, a solver certificate's ladder step.
 
 Finding a CP bundle is as hard as subset sum, so computation is exact but
 not polynomial. ``_best_subset`` picks one of three kernels with one
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 from . import _kernels
 from .core import Bundle, InputError, Instance, ResourceBudgetError, value_of
@@ -42,25 +44,18 @@ CP_MEMO_SIZE = 64
 
 @dataclass(frozen=True)
 class CpLadder:
-    """Recursively built bundles [S_r, S_(r-1), ..., S_1] for one divider agent.
+    """Recursively built rungs [S_r, S_(r-1), ..., S_1] of one divider agent, top rung first.
 
     S_k is the CP bundle with parameter k over what remains after the higher
     rungs were removed; S_1 is the leftover. The rungs partition the base set
-    they were built from.
+    they were built from, and each is its sorted item indices. The ladder is
+    also a certificate step (its ``type`` tag): the solver records
+    ``cp_ladder``'s result as is, and replay compares it with its own.
     """
 
+    type: ClassVar[str] = "ladder"
     divider: int
-    rungs: tuple[Bundle, ...]
-
-    @property
-    def n_rungs(self) -> int:
-        return len(self.rungs)
-
-    def base(self) -> Bundle:
-        items: tuple[int, ...] = ()
-        for rung in self.rungs:
-            items = items + rung.items
-        return Bundle.of(items)
+    rungs: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=CP_MEMO_SIZE)
@@ -130,9 +125,9 @@ def cp_ladder(inst: Instance, agent: int, n_rungs: int, base: Bundle) -> CpLadde
     remaining = base
     for k in range(n_rungs, 1, -1):
         rung = cp_bundle(inst, agent, k, remaining)
-        rungs.append(rung)
+        rungs.append(rung.items)
         remaining = remaining - rung
-    rungs.append(remaining)
+    rungs.append(remaining.items)
     return CpLadder(divider=agent, rungs=tuple(rungs))
 
 
@@ -150,21 +145,21 @@ def validate_ladder(inst: Instance, ladder: CpLadder) -> bool:
     """
     if not 0 <= ladder.divider < inst.n:
         return False
-    r = ladder.n_rungs
+    r = len(ladder.rungs)
     if r < 1:
         return False
-    for rung in ladder.rungs:
-        try:
-            rung.validate_for(inst.m)
-        except InputError:
-            return False
-    base = ladder.base()
+    try:
+        base = Bundle.of(j for rung in ladder.rungs for j in rung)
+        base.validate_for(inst.m)
+    except InputError:
+        return False
     if ladder != cp_ladder(inst, ladder.divider, r, base):
         return False
 
+    row = inst.values[ladder.divider]
     base_value = below = value_of(inst, ladder.divider, base)
     for pos, k in enumerate(range(r, 0, -1)):
-        below -= value_of(inst, ladder.divider, ladder.rungs[pos])
+        below -= sum(row[j] for j in ladder.rungs[pos])
         # 'below' is now the divider's value for S_(k-1) + ... + S_1.
         if r * below < (k - 1) * base_value:
             return False

@@ -23,7 +23,6 @@ from functools import lru_cache, reduce
 from . import _kernels
 from .core import (
     Allocation,
-    Bundle,
     InputError,
     Instance,
     fraction_str,
@@ -60,6 +59,11 @@ def parse_notion(name: str) -> Notion:
         raise InputError(f"unknown notion {name!r}; expected one of: {valid}") from exc
 
 
+def _require_notion(notion) -> None:
+    if not isinstance(notion, Notion):
+        raise InputError(f"notion must be a Notion, got {notion!r}; parse_notion reads a name")
+
+
 @dataclass(frozen=True)
 class AgentVerdict:
     satisfied: bool
@@ -84,25 +88,6 @@ class FairnessReport:
                 for i, v in enumerate(self.per_agent)
             ],
         }
-
-
-def min_item(inst: Instance, agent: int, bundle: Bundle) -> int | None:
-    """Least item value in the bundle for the agent; None for the empty bundle."""
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent index {agent} out of range for n={inst.n}")
-    bundle.validate_for(inst.m)
-    if not bundle:
-        return None
-    row = inst.values[agent]
-    return min(row[j] for j in bundle.items)
-
-
-def maximin_value(inst: Instance, agent: int, allocation: Allocation) -> int:
-    """Best per-bundle minimum over the other agents' non-empty bundles (0 if none)."""
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent index {agent} out of range for n={inst.n}")
-    allocation.validate_for(inst)
-    return _maximin(_bundle_view(inst, agent, allocation)[1])
 
 
 def _bundle_view(
@@ -191,6 +176,7 @@ def check(
     The MMS notion enumerates the partitions into n bundles once for all
     agents (``mms_value``); ``budget`` bounds that enumeration.
     """
+    _require_notion(notion)
     allocation.validate_for(inst)
     verdicts = []
     for i in range(inst.n):

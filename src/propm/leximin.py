@@ -19,7 +19,6 @@ from functools import cached_property
 from . import _kernels
 from .core import (
     Allocation,
-    InputError,
     Instance,
     fraction_str,
     require_budget,
@@ -98,18 +97,6 @@ def adjusted_profile(inst: Instance, allocation: Allocation) -> AdjustedProfile:
         own, others = _bundle_view(inst, i, allocation)
         values.append(Fraction(n * own + (n - 1) * _maximin(others), n))
     return AdjustedProfile(tuple(values))
-
-
-def leximin_compare(p: AdjustedProfile, q: AdjustedProfile) -> int:
-    """-1, 0 or +1: lexicographic comparison of ascending-sorted profiles."""
-    if len(p.values) != len(q.values):
-        raise InputError(
-            f"profiles have different lengths: {len(p.values)} vs {len(q.values)}"
-        )
-    for a, b in zip(p.ascending, q.ascending):
-        if a != b:
-            return 1 if a > b else -1
-    return 0
 
 
 def leximin_max(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import _kernels
 from .core import (
@@ -24,7 +24,7 @@ from .core import (
     Instance,
     require_budget,
 )
-from .fairness import Notion, check, mms_value
+from .fairness import Notion, _require_notion, check, mms_value
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,6 @@ class AuditReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def violations_for(self, label: str) -> tuple[AuditViolation, ...]:
-        return tuple(v for v in self.violations if v.implication == label)
-
     def to_json_dict(self) -> dict:
         return {
             "implications": list(self.implications),
@@ -95,17 +92,6 @@ def allocation_from_index(n: int, m: int, index: int) -> Allocation:
         bundles[rem % n].append(j)
         rem //= n
     return Allocation(tuple(Bundle(tuple(b)) for b in bundles))
-
-
-def enumerate_allocations(n: int, m: int, budget: int | None = None) -> Iterator[Allocation]:
-    """Yield every complete allocation exactly once, in index order."""
-    if n < 1:
-        raise InputError(f"need at least one agent, got n={n}")
-    if m < 0:
-        raise InputError(f"item count must be non-negative, got m={m}")
-    require_budget(n**m, budget, "enumeration")
-    for index in range(n**m):
-        yield allocation_from_index(n, m, index)
 
 
 # Allocations in the first window of an early-exit scan; later windows double,
@@ -155,6 +141,7 @@ def exists(
     stops at the window holding the first witness; with several workers, at
     most 2 * workers windows past it are scanned.
     """
+    _require_notion(notion)
     _require_workers(workers)
     total = inst.n**inst.m
     require_budget(total, budget, "existence scan")

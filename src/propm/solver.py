@@ -8,15 +8,15 @@ solved in the original agent and item indices: it takes the agents (the
 lowest one divides) and the item pool it shares, and writes its
 allocation and certificate steps directly, so no step is ever relabelled.
 Every run emits a Certificate that records the construction's choices
-only: each big-item reduction (agent, item), each ladder (divider, rungs),
-each case applied (a label and the whole bundles the case hands out) and
-each recursive sub-split (a nested certificate over its members and
-sub-pool). ``verify_certificate`` is the one verification entry point. Its
-replay derives the rest from the instance alone: which reduction comes
-first, the CP rungs, every case's obligations and every sub-split's share
-bound, and it checks each recorded choice against them. So an accepted
-certificate proves its allocation PROPm without consulting any solver code
-path.
+only: each big-item reduction (agent, item), each ladder (the
+``CpLadder`` that ``cp_ladder`` returns: divider, rungs), each case applied
+(a label and the whole bundles the case hands out) and each recursive
+sub-split (a nested certificate over its members and sub-pool).
+``verify_certificate`` is the one verification entry point. Its replay
+derives the rest from the instance alone: which reduction comes first, the
+CP rungs, every case's obligations and every sub-split's share bound, and
+it checks each recorded choice against them. So an accepted certificate
+proves its allocation PROPm without consulting any solver code path.
 
 Case labels, with the counts that select them:
   n2.cut_and_choose      divider cuts via CP, the other agent chooses
@@ -41,7 +41,7 @@ from .core import (
     InvariantViolationError,
     UnsupportedSizeError,
 )
-from .cpsets import cp_ladder
+from .cpsets import CpLadder, cp_ladder
 from .fairness import Notion, check
 
 
@@ -88,19 +88,6 @@ class BigItemReduction:
 
 
 @dataclass(frozen=True)
-class LadderBuilt:
-    """The divider's CP ladder over its level's pool, one rung per agent, top rung first.
-
-    The case functions name the rungs by position (their parameters: for
-    three agents B, A, C).
-    """
-
-    type: ClassVar[str] = "ladder"
-    divider: int
-    rungs: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class CaseApplied:
     """The case a level applies: its label and the bundles it hands out whole.
 
@@ -129,8 +116,10 @@ class SubSplit:
     certificate: "Certificate"
 
 
-# Certificate JSON tells the steps apart by their ``type`` tags.
-Step = Union[BigItemReduction, LadderBuilt, CaseApplied, SubSplit]
+# Certificate JSON tells the steps apart by their ``type`` tags. A ladder step
+# is the divider's CP ladder over its level's pool, one rung per agent; the
+# case functions name the rungs by position (for three agents B, A, C).
+Step = Union[BigItemReduction, CpLadder, CaseApplied, SubSplit]
 
 
 @dataclass(frozen=True)
@@ -142,7 +131,6 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Reduction:
-    assignments: tuple[tuple[int, int], ...]
     residual_agents: tuple[int, ...]
     residual_items: tuple[int, ...]
     steps: tuple[BigItemReduction, ...]
@@ -214,18 +202,10 @@ def reduce_big_items(inst: Instance) -> Reduction:
         agents.remove(step.agent)
         items.remove(step.item)
     return Reduction(
-        assignments=tuple((step.agent, step.item) for step in steps),
         residual_agents=tuple(sorted(agents)),
         residual_items=tuple(sorted(items)),
         steps=tuple(steps),
     )
-
-
-def _ladder_step(inst: Instance, agents, pool) -> LadderBuilt:
-    """The CP ladder over ``pool`` of the lowest of ``agents``, one rung per agent (2 to 5)."""
-    divider, n = min(agents), len(agents)
-    rungs = tuple(r.items for r in cp_ladder(inst, divider, n, Bundle(tuple(sorted(pool)))).rungs)
-    return LadderBuilt(divider=divider, rungs=rungs)
 
 
 def _share_holds(inst: Instance, pool, n: int, agents, items) -> bool:
@@ -482,7 +462,7 @@ def _solve_level(
         case = CaseApplied(lemma="n1.take_all", assignments=((divider, pool),))
         return {divider: pool}, [case]
     n = len(agents)
-    ladder = _ladder_step(inst, agents, pool)
+    ladder = cp_ladder(inst, divider, n, Bundle(pool))
     lv = _Level(inst, agents, pool)
     lemma = _CASES[n](lv, *ladder.rungs)
     split_agents = {a for step in lv.sub_steps for a in step.certificate.agents}
@@ -509,8 +489,8 @@ def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
             f"residual instance has {len(red.residual_agents)} agents; at most 5 supported"
         )
     assignment, steps = _solve_level(inst, red.residual_agents, red.residual_items)
-    for agent, item in red.assignments:
-        assignment[agent] = (item,)
+    for step in red.steps:
+        assignment[step.agent] = (step.item,)
     certificate = Certificate(
         agents=tuple(range(inst.n)), items=tuple(range(inst.m)), steps=(*red.steps, *steps)
     )
@@ -590,14 +570,17 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
     n, pool = len(agents), tuple(sorted(items))
     ladder = None
     if n > 1:
-        ladder = _step(steps, k, LadderBuilt)
+        ladder = _step(steps, k, CpLadder)
         _req(n in _CASES, "no ladder for this many agents")
         _req(
             type(ladder.divider) is int
             and all(type(j) is int for rung in ladder.rungs for j in rung),
             "ladder divider and rung items must be ints",
         )
-        _req(ladder == _ladder_step(inst, agents, pool), "ladder differs from its CP recomputation")
+        _req(
+            ladder == cp_ladder(inst, min(agents), n, Bundle(pool)),
+            "ladder differs from its CP recomputation",
+        )
         k += 1
     case = _step(steps, k, CaseApplied)
     _req(case.lemma in KNOWN_LEMMAS, "unknown case label")
@@ -675,11 +658,11 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     members and sub-pool. Replay (``_replay``) is independent of the
     solver's control flow and derives the rest from the instance alone.
     Each reduction must be the lexicographically first over-share pair of
-    what is left (``_first_reduction``) and each ladder the lowest agent's
-    CP ladder over its level's pool (``_ladder_step`` over ``cp_ladder``).
-    The steps of a level must come in the solver's order (reductions, then a
-    lone agent's ``n1.take_all`` case or a ladder and one case, then only
-    sub-splits) and cover all its agents and items. At a level of n agents
+    what is left (``_first_reduction``) and each ladder equal to the lowest
+    agent's ``cp_ladder`` over its level's pool. The steps of a level must
+    come in the solver's order (reductions, then a lone agent's
+    ``n1.take_all`` case or a ladder and one case, then only sub-splits)
+    and cover all its agents and items. At a level of n agents
     sharing pool P, a divider the case serves directly takes one whole rung
     and any other agent it serves gets n*v(bundle) >= v(P); each sub-split
     member gets n*v(sub-pool) >= |members|*v(P) (``_share_holds``). Finally

@@ -9,13 +9,10 @@ from propm import (
     Instance,
     Notion,
     ResourceBudgetError,
-    enumerate_allocations,
     exists,
     implication_audit,
     leximin_max,
-    maximin_value,
     mms_value,
-    restrict,
     value_of,
 )
 
@@ -35,8 +32,6 @@ def test_value_of_eps_ones(i_eps):
 def test_value_of_bad_agent(i_cp):
     with pytest.raises(InputError):
         value_of(i_cp, 1, Bundle())
-    with pytest.raises(InputError):
-        maximin_value(Instance.of([[], []]), 5, Allocation.of([[], []]))
 
 
 def test_value_of_bad_item(i_cp):
@@ -108,25 +103,8 @@ def test_totals_cached(i_eps):
     assert i_eps.totals == (100, 100, 100)
 
 
-def test_restrict_eps(i_eps):
-    sub = restrict(i_eps, {1, 2}, set(range(1, 7)))
-    assert sub.n == 2 and sub.m == 6
-    assert all(v == 1 for row in sub.values for v in row)
-
-
-def test_restrict_single_agent(i_2a):
-    sub = restrict(i_2a, {0}, {0, 1})
-    assert sub == Instance.of([[60, 40]])
-
-
-def test_restrict_requires_agents(i_2a):
-    with pytest.raises(InputError):
-        restrict(i_2a, set(), {0})
-
-
 # n^m = 8: every allocation-budget guard passes at budget 8 and refuses at 7.
 _SCANS = {
-    "enumerate_allocations": lambda inst, b: list(enumerate_allocations(inst.n, inst.m, b)),
     "exists": lambda inst, b: exists(inst, Notion.PROPM, budget=b),
     "implication_audit": lambda inst, b: implication_audit(inst, budget=b),
     "leximin_max": lambda inst, b: leximin_max(inst, budget=b),
@@ -140,6 +118,30 @@ def test_allocation_budget_boundary(scan):
     _SCANS[scan](inst, inst.n**inst.m)
     with pytest.raises(ResourceBudgetError, match="needs 8 allocations, budget is 7"):
         _SCANS[scan](inst, inst.n**inst.m - 1)
+
+
+@pytest.mark.parametrize("budget", [True, False, 2.5, 8.0, "8", 0, -1], ids=repr)
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_budget_must_be_a_positive_int(scan, budget):
+    # A bool is not a budget (True would allow one allocation), nor is a float.
+    with pytest.raises(InputError, match="budget must be a positive int"):
+        _SCANS[scan](Instance.of([[3, 1, 2], [1, 2, 3]]), budget)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Bundle([0]),
+        lambda: Allocation([Bundle((0,))]),
+        lambda: Instance([(3, 1, 2)]),
+        lambda: Instance(([3, 1, 2], [2, 2, 2])),
+    ],
+    ids=["bundle-list", "allocation-list", "instance-list", "instance-list-rows"],
+)
+def test_data_classes_refuse_lists(build):
+    # A list-built Bundle never equals its tuple twin, and list rows are unhashable.
+    with pytest.raises(InputError, match=r"must be a tuple, not list; use \w+\.of"):
+        build()
 
 
 def test_instance_json_round_trip(i_eps):
@@ -164,4 +166,5 @@ def test_additivity_over_disjoint_bundles(data):
     rest = [j for j in items if j not in left]
     right = set(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else set()
     a, b = Bundle.of(left), Bundle.of(right)
-    assert value_of(inst, 0, a.union(b)) == value_of(inst, 0, a) + value_of(inst, 0, b)
+    union = Bundle.of(a.items + b.items)
+    assert value_of(inst, 0, union) == value_of(inst, 0, a) + value_of(inst, 0, b)

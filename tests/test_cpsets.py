@@ -25,7 +25,7 @@ from propm.cpsets import (
     _best_subset,
 )
 from propm.fairness import Notion, check
-from propm.oracle import enumerate_allocations, random_instance
+from propm.oracle import allocation_from_index, random_instance
 
 
 def brute_force_cp(values, k):
@@ -529,22 +529,21 @@ def test_cp_memo_stays_bounded():
 
 def test_cp_ladder_two_rungs(i_cp):
     ladder = cp_ladder(i_cp, 0, 2, i_cp.all_items())
-    assert ladder.rungs[0].items == (0, 3)
-    assert ladder.rungs[1].items == (1, 2)
-    assert value_of(i_cp, 0, ladder.rungs[1]) == 50
+    assert ladder.rungs == ((0, 3), (1, 2))
+    assert value_of(i_cp, 0, Bundle(ladder.rungs[1])) == 50
 
 
 def test_cp_ladder_eps_three_rungs(i_eps):
     ladder = cp_ladder(i_eps, 0, 3, i_eps.all_items())
     # cap 33 over [94,1,...,1]: only the six ones fit
-    assert ladder.rungs[0].items == (1, 2, 3, 4, 5, 6)
-    assert value_of(i_eps, 0, ladder.rungs[0]) == 6
+    assert ladder.rungs[0] == (1, 2, 3, 4, 5, 6)
+    assert value_of(i_eps, 0, Bundle(ladder.rungs[0])) == 6
     assert validate_ladder(i_eps, ladder)
 
 
 def test_cp_ladder_single_rung(i_cp):
     ladder = cp_ladder(i_cp, 0, 1, i_cp.all_items())
-    assert ladder.rungs == (i_cp.all_items(),)
+    assert ladder.rungs == (i_cp.all_items().items,)
 
 
 def test_validate_ladder_accepts_constructions():
@@ -563,7 +562,7 @@ def test_validate_ladder_rejects_swapped_rungs(i_cp):
 
 
 def test_validate_ladder_empty_base(i_cp):
-    ladder = CpLadder(divider=0, rungs=(Bundle(), Bundle(), Bundle()))
+    ladder = CpLadder(divider=0, rungs=((), (), ()))
     assert validate_ladder(i_cp, ladder)
 
 
@@ -581,13 +580,22 @@ def test_validate_ladder_on_sub_base():
         (0, ()),  # no rungs
         (0, ((0, 3), (1, 2, 4))),  # an item past m
         (0, ((0, 3), (1, 2, 3))),  # overlapping rungs
+        (0, ((3, 0), (1, 2))),  # a rung out of order
+        (0, ((False, 3), (1, 2))),  # a bool for an item
     ],
-    ids=["divider-out-of-range", "no-rungs", "item-past-m", "overlapping-rungs"],
+    ids=[
+        "divider-out-of-range",
+        "no-rungs",
+        "item-past-m",
+        "overlapping-rungs",
+        "unsorted-rung",
+        "bool-item",
+    ],
 )
 def test_validate_ladder_rejects_malformed_ladders(i_cp, divider, rungs):
     assert i_cp.n == 1 and i_cp.m == 4
     assert validate_ladder(i_cp, cp_ladder(i_cp, 0, 2, i_cp.all_items()))
-    ladder = CpLadder(divider=divider, rungs=tuple(Bundle(r) for r in rungs))
+    ladder = CpLadder(divider=divider, rungs=rungs)
     assert not validate_ladder(i_cp, ladder)
 
 
@@ -600,11 +608,11 @@ def test_ladder_bound_property(data):
     inst = Instance.of([row]) if row else Instance.of([[0]])
     base = inst.all_items() if row else Bundle()
     ladder = cp_ladder(inst, 0, n_rungs, base)
-    r = ladder.n_rungs
+    r = len(ladder.rungs)
     base_value = value_of(inst, 0, base)
     below = base_value
     for pos, k in enumerate(range(r, 0, -1)):
-        below -= value_of(inst, 0, ladder.rungs[pos])
+        below -= value_of(inst, 0, Bundle(ladder.rungs[pos]))
         assert r * below >= (k - 1) * base_value
 
 
@@ -617,7 +625,8 @@ def test_top_rung_guarantees_satisfaction_under_any_completion():
             top = cp_bundle(inst, agent, 3, inst.all_items())
             rest = [j for j in range(5) if j not in top.items]
             others = [k for k in range(3) if k != agent]
-            for completion in enumerate_allocations(2, len(rest)):
+            for k in range(2 ** len(rest)):
+                completion = allocation_from_index(2, len(rest), k)
                 bundles = [[] for _ in range(3)]
                 bundles[agent] = list(top.items)
                 for sub_idx, owner in enumerate(completion.owners(len(rest))):

@@ -8,46 +8,20 @@ import pytest
 
 from propm import (
     Allocation,
-    Bundle,
     InputError,
     Instance,
     Notion,
     adjusted_profile,
     check,
     envy_graph,
-    maximin_value,
-    min_item,
+    exists,
+    make_counterexample,
     mms_value,
     parse_notion,
 )
-from propm.oracle import enumerate_allocations, random_instance
+from propm.oracle import allocation_from_index, random_instance
 
 EPS_SPLIT = Allocation.of([[0], [1, 2, 3], [4, 5, 6]])
-
-
-def test_min_item_singleton(i_eps):
-    assert min_item(i_eps, 1, Bundle.of({0})) == 94
-
-
-def test_min_item_direct(i_cp):
-    assert min_item(i_cp, 0, Bundle.of({1, 2, 3})) == 10
-
-
-def test_min_item_empty_is_undefined(i_eps):
-    assert min_item(i_eps, 0, Bundle()) is None
-
-
-def test_maximin_value_eps(i_eps):
-    assert maximin_value(i_eps, 1, EPS_SPLIT) == 94
-
-
-def test_maximin_value_empty_rivals():
-    inst = Instance.of([[5, 5], [1, 1]])
-    assert maximin_value(inst, 1, Allocation.of([[], [0, 1]])) == 0
-
-
-def test_maximin_value_2a(i_2a):
-    assert maximin_value(i_2a, 0, Allocation.of([[1], [0]])) == 60
 
 
 def test_check_propm_eps(i_eps):
@@ -162,6 +136,18 @@ def test_minimax_empty_rival_caps_bonus():
     assert report.per_agent[0].slack == Fraction(0) - Fraction(100, 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda inst: check(inst, EPS_SPLIT, "prop"), lambda inst: exists(inst, "prop")],
+    ids=["check", "exists"],
+)
+def test_notion_must_be_a_notion(call):
+    # Only parse_notion reads names: check would fall through to the alt-mode
+    # slacks for a name, and exists would fail on its missing scan code.
+    with pytest.raises(InputError, match="notion must be a Notion, got 'prop'"):
+        call(make_counterexample(100))
+
+
 def test_parse_notion_round_trip():
     for notion in Notion:
         assert parse_notion(notion.value) is notion
@@ -173,7 +159,7 @@ def test_scaling_invariance():
     base = random_instance(3, 5, 20, seed=11)
     scaled_rows = [list(base.values[0]), [7 * v for v in base.values[1]], list(base.values[2])]
     scaled = Instance.of(scaled_rows)
-    for allocation in enumerate_allocations(3, 5):
+    for allocation in (allocation_from_index(3, 5, k) for k in range(3**5)):
         for notion in Notion:
             got = check(base, allocation, notion)
             want = check(scaled, allocation, notion)

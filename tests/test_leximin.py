@@ -2,24 +2,18 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from propm import (
     Allocation,
-    InputError,
     Instance,
     Notion,
     adjusted_profile,
     check,
     cycle_swap,
     envy_graph,
-    leximin_compare,
     leximin_max,
 )
-from propm.leximin import AdjustedProfile, EnvyGraph
-from propm.oracle import enumerate_allocations, random_instance
+from propm.leximin import EnvyGraph
+from propm.oracle import allocation_from_index, random_instance
 
 
 def test_adjusted_profile_split():
@@ -38,29 +32,6 @@ def test_adjusted_profile_all_other_bundles_empty():
     inst = Instance.of([[4, 2]])
     profile = adjusted_profile(inst, Allocation.of([[0, 1]]))
     assert profile.values == (Fraction(6),)
-
-
-def test_leximin_compare_equal():
-    p = AdjustedProfile((Fraction(1), Fraction(2)))
-    assert leximin_compare(p, p) == 0
-
-
-def test_leximin_compare_first_position():
-    p = AdjustedProfile((Fraction(15, 2), Fraction(15, 2)))
-    q = AdjustedProfile((Fraction(10), Fraction(5, 2)))
-    assert leximin_compare(p, q) == 1
-    assert leximin_compare(q, p) == -1
-
-
-def test_leximin_compare_tie_then_second():
-    p = AdjustedProfile((Fraction(1), Fraction(9)))
-    q = AdjustedProfile((Fraction(1), Fraction(8)))
-    assert leximin_compare(p, q) == 1
-
-
-def test_leximin_compare_dimension_mismatch():
-    with pytest.raises(InputError):
-        leximin_compare(AdjustedProfile((Fraction(1),)), AdjustedProfile((Fraction(1), Fraction(2))))
 
 
 def test_leximin_max_identical_pair():
@@ -86,8 +57,8 @@ def test_leximin_max_eps_implies_propm(i_eps):
 def test_leximin_max_beats_every_allocation():
     inst = random_instance(3, 4, 9, seed=31)
     _, best = leximin_max(inst)
-    for allocation in enumerate_allocations(3, 4):
-        assert leximin_compare(best, adjusted_profile(inst, allocation)) >= 0
+    for k in range(3**4):
+        assert best.ascending >= adjusted_profile(inst, allocation_from_index(3, 4, k)).ascending
 
 
 def test_envy_graph_mutual_swap():
@@ -97,7 +68,7 @@ def test_envy_graph_mutual_swap():
     assert set(graph.edges) == {(0, 1), (1, 0)}
     swapped = cycle_swap(inst, bad)
     assert [b.items for b in swapped.bundles] == [(0, 1), (2, 3)]
-    assert leximin_compare(adjusted_profile(inst, swapped), adjusted_profile(inst, bad)) == 1
+    assert adjusted_profile(inst, swapped).ascending > adjusted_profile(inst, bad).ascending
 
 
 def _brute_force_cycle(edges):
@@ -161,38 +132,21 @@ def test_leximin_max_has_no_cycle_small():
 def test_cycle_swap_always_improves():
     for s in range(12):
         inst = random_instance(3, 4, 6, seed=909 + s)
-        for allocation in enumerate_allocations(3, 4):
+        for allocation in (allocation_from_index(3, 4, k) for k in range(3**4)):
             swapped = cycle_swap(inst, allocation)
             if swapped is not None:
                 before = adjusted_profile(inst, allocation)
                 after = adjusted_profile(inst, swapped)
-                assert leximin_compare(after, before) == 1
+                assert after.ascending > before.ascending
 
 
 def test_adjusted_value_threshold_implies_propm():
     for s in range(10):
         inst = random_instance(3, 4, 9, seed=414 + s)
         n = inst.n
-        for allocation in enumerate_allocations(3, 4):
+        for allocation in (allocation_from_index(3, 4, k) for k in range(3**4)):
             profile = adjusted_profile(inst, allocation)
             report = check(inst, allocation, Notion.PROPM)
             for i in range(n):
                 if profile.values[i] >= Fraction(inst.totals[i], n):
                     assert report.per_agent[i].satisfied
-
-
-@settings(max_examples=80)
-@given(
-    data=st.lists(
-        st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)),
-        min_size=3,
-        max_size=3,
-    )
-)
-def test_leximin_compare_total_preorder(data):
-    profiles = [AdjustedProfile(tuple(Fraction(x) for x in row)) for row in data]
-    p, q, r = profiles
-    assert leximin_compare(p, p) == 0
-    assert leximin_compare(p, q) == -leximin_compare(q, p)
-    if leximin_compare(p, q) >= 0 and leximin_compare(q, r) >= 0:
-        assert leximin_compare(p, r) >= 0

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from propm import (
     Allocation,
+    Bundle,
+    CpLadder,
     InputError,
     Instance,
     Notion,
     check,
+    cp_ladder,
     reduce_big_items,
     solve_propm,
     verify_certificate,
@@ -25,10 +28,8 @@ from propm.solver import (
     CaseApplied,
     Certificate,
     CertificateError,
-    LadderBuilt,
     SubSplit,
     _assemble,
-    _ladder_step,
     _replay,
     _solve_level,
     certificate_from_json_dict,
@@ -90,20 +91,15 @@ def test_public_surface_is_pinned():
         "cp_bundle",
         "cp_ladder",
         "cycle_swap",
-        "enumerate_allocations",
         "envy_graph",
         "exists",
         "implication_audit",
-        "leximin_compare",
         "leximin_max",
         "make_counterexample",
-        "maximin_value",
-        "min_item",
         "mms_value",
         "parse_notion",
         "random_instance",
         "reduce_big_items",
-        "restrict",
         "solve_propm",
         "validate_ladder",
         "value_of",
@@ -120,7 +116,7 @@ def test_public_surface_is_pinned():
 def test_reduce_fires_on_over_share_item():
     inst = Instance.of([[50, 10, 20, 20], [10, 30, 30, 30], [10, 30, 30, 30]])
     red = reduce_big_items(inst)
-    assert red.assignments == ((0, 0),)
+    assert red.steps == (BigItemReduction(0, 0),)
     assert red.residual_agents == (1, 2)
     assert red.residual_items == (1, 2, 3)
 
@@ -128,14 +124,14 @@ def test_reduce_fires_on_over_share_item():
 def test_reduce_identity_when_balanced():
     inst = Instance.of([[25, 25, 25, 25], [25, 25, 25, 25]])
     red = reduce_big_items(inst)
-    assert red.assignments == ()
+    assert red.steps == ()
     assert red.residual_agents == (0, 1)
 
 
 def test_reduce_single_item_two_agents():
     inst = Instance.of([[7], [3]])
     red = reduce_big_items(inst)
-    assert red.assignments == ((0, 0),)
+    assert red.steps == (BigItemReduction(0, 0),)
     assert red.residual_agents == (1,)
     assert red.residual_items == ()
 
@@ -144,8 +140,8 @@ def test_reduce_thresholds_are_residual_relative():
     # after agent 0 takes item 0, item 1 becomes over-share for agent 1
     inst = Instance.of([[90, 10, 10], [10, 45, 46], [10, 45, 46]])
     red = reduce_big_items(inst)
-    assert red.assignments[0] == (0, 0)
-    assert len(red.assignments) >= 2
+    assert red.steps[0] == BigItemReduction(0, 0)
+    assert len(red.steps) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def test_solve4_c0_leftover_branch():
         if case.lemma == "n4.c=0b":
             hits += 1
             _assert_solved(inst, (allocation, certificate))
-            ladder = next(step for step in certificate.steps if isinstance(step, LadderBuilt))
+            ladder = next(step for step in certificate.steps if isinstance(step, CpLadder))
             served = dict(case.assignments)
             assert served.pop(0) == ladder.rungs[2]
             assert list(served.values()) == [ladder.rungs[3]]
@@ -573,7 +569,7 @@ def test_solver_names_the_agents_its_allocation_fails(monkeypatch):
     # Agent 0 is reduced away with item 0; agent 1 divides and takes items 1-3,
     # which leaves agent 2 (residual agent 1) with nothing and below its PROPm bound.
     inst = Instance.of([[10, 0, 0, 0], [0, 1, 1, 1], [1, 5, 5, 5]])
-    assert reduce_big_items(inst).assignments == ((0, 0),)
+    assert reduce_big_items(inst).steps == (BigItemReduction(0, 0),)
     with pytest.raises(InvariantViolationError, match=r"for agents \[2\];"):
         solve_propm(inst)
 
@@ -619,7 +615,7 @@ def test_solve_propm_zero_items():
 def _ladder_count(certificate):
     count = 0
     for step in certificate.steps:
-        if isinstance(step, LadderBuilt):
+        if isinstance(step, CpLadder):
             count += 1
         elif isinstance(step, SubSplit):
             count += _ladder_count(step.certificate)
@@ -659,7 +655,7 @@ def test_metabundle_bounds_on_ladders():
 
 def _check_metabundles(inst, certificate):
     for step in certificate.steps:
-        if isinstance(step, LadderBuilt):
+        if isinstance(step, CpLadder):
             rungs = step.rungs
             base = [j for rung in rungs for j in rung]
             divider = step.divider
@@ -699,7 +695,7 @@ def test_ladder_discipline_catches_a_bundle_mixing_rungs():
     """
     inst = random_instance(3, 6, 20, 0)
     agents, pool = (0, 1, 2), tuple(range(6))
-    ladder = _ladder_step(inst, agents, pool)
+    ladder = cp_ladder(inst, 0, 3, Bundle(pool))
     assert ladder.rungs == ((0, 5), (2, 3), (1, 4))
     case = CaseApplied(lemma="n3.one_bundle", assignments=((0, (2, 3)),))
     split_agents, split_items = (1, 2), (0, 1, 4, 5)
@@ -723,11 +719,11 @@ def test_ladder_discipline_catches_rung_mixing_inside_a_sub_split():
     """
     inst = random_instance(4, 8, 20, 13)
     agents, pool = (0, 1, 2, 3), tuple(range(8))
-    ladder = _ladder_step(inst, agents, pool)
+    ladder = cp_ladder(inst, 0, 4, Bundle(pool))
     assert ladder.rungs[-1] == (0,)
     case = CaseApplied(lemma="n4.c=0a", assignments=((0, (0,)),))
     inner_agents, inner_pool = (1, 2, 3), pool[1:]
-    inner_ladder = _ladder_step(inst, inner_agents, inner_pool)
+    inner_ladder = cp_ladder(inst, 1, 3, Bundle(inner_pool))
     assert inner_ladder.rungs == ((3, 5, 7), (2, 4), (1, 6))
     inner_case = CaseApplied(lemma="n3.one_bundle", assignments=((1, (2, 4)),))
     split_agents, split_items = (2, 3), (1, 3, 5, 6, 7)
@@ -758,6 +754,32 @@ def test_certificate_json_round_trip(i_2a):
     _, certificate = solve_propm(i_2a)
     data = certificate_to_json_dict(certificate)
     assert certificate_from_json_dict(data) == certificate
+
+
+def _ladder_levels(certificate):
+    """(ladder step, agents left, pool left) for every level that builds a ladder."""
+    agents, items = set(certificate.agents), set(certificate.items)
+    for step in certificate.steps:
+        if isinstance(step, BigItemReduction):
+            agents.discard(step.agent)
+            items.discard(step.item)
+        elif isinstance(step, SubSplit):
+            yield from _ladder_levels(step.certificate)
+        elif not isinstance(step, CaseApplied):
+            yield step, tuple(sorted(agents)), tuple(sorted(items))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+def test_ladder_steps_are_cp_ladders(n):
+    # A ladder step is cp_ladder's own result, not a copy of it.
+    levels = 0
+    for s in range(6):
+        inst = random_instance(n, 9, 100, seed=4400 + 10 * n + s)
+        for step, agents, pool in _ladder_levels(solve_propm(inst)[1]):
+            assert type(step) is CpLadder
+            assert step == cp_ladder(inst, min(agents), len(agents), Bundle(pool))
+            levels += 1
+    assert levels, "no ladder was built"
 
 
 def test_replay_reproduces_allocation():
@@ -795,7 +817,7 @@ def _tamper_top_rung(cert):
     """Move the last item of the first ladder's top rung into the next rung."""
     steps = list(cert.steps)
     for idx, step in enumerate(steps):
-        if isinstance(step, LadderBuilt) and step.rungs[0]:
+        if isinstance(step, CpLadder) and step.rungs[0]:
             top, below = step.rungs[0], step.rungs[1]
             rungs = (top[:-1], tuple(sorted(below + top[-1:]))) + step.rungs[2:]
             steps[idx] = dataclasses.replace(step, rungs=rungs)
@@ -852,7 +874,7 @@ def test_tampered_ladders_are_rejected(tamper):
     inst = random_instance(4, 12, 100, seed=5)
     allocation, certificate = solve_propm(inst)
     steps = list(certificate.steps)
-    idx = next(i for i, step in enumerate(steps) if isinstance(step, LadderBuilt))
+    idx = next(i for i, step in enumerate(steps) if isinstance(step, CpLadder))
     rungs = steps[idx].rungs
     assert len(rungs) == 4 and all(len(rung) >= 2 for rung in rungs)
     steps[idx] = dataclasses.replace(steps[idx], rungs=tamper(rungs))
@@ -1016,7 +1038,7 @@ def test_share_bounds_and_reductions_are_rebuilt_whole(mutate):
     inst = _REDUCED_THEN_SPLIT
     allocation, certificate = solve_propm(inst)
     kinds = [type(step) for step in certificate.steps]
-    assert kinds == [BigItemReduction, BigItemReduction, LadderBuilt, CaseApplied, SubSplit]
+    assert kinds == [BigItemReduction, BigItemReduction, CpLadder, CaseApplied, SubSplit]
     assert certificate.steps[-1].certificate.agents == (3, 4)
     mutated = mutate(certificate)
     assert mutated != certificate
@@ -1059,14 +1081,14 @@ _WRONG_TYPE_MUTATIONS = {
     "assignments-none": _replace_step(CaseApplied, assignments=None),
     "assignment-items-none": _replace_step(CaseApplied, assignments=((0, None),)),
     "assignment-agent-str": _replace_step(CaseApplied, assignments=(("0", ()),)),
-    "rungs-none": _replace_step(LadderBuilt, rungs=None),
+    "rungs-none": _replace_step(CpLadder, rungs=None),
     # Each of these equals the solver's step (True == 1, 1.0 == 1, False == 0),
     # so only a type test rejects it.
     "reduction-agent-bool": _replace_step(BigItemReduction, agent=True),
     "reduction-item-float": _replace_step(BigItemReduction, item=float),
-    "ladder-divider-bool": _replace_step(LadderBuilt, divider=False),
+    "ladder-divider-bool": _replace_step(CpLadder, divider=False),
     "ladder-rung-items-float": _replace_step(
-        LadderBuilt, rungs=lambda rungs: tuple(tuple(map(float, rung)) for rung in rungs)
+        CpLadder, rungs=lambda rungs: tuple(tuple(map(float, rung)) for rung in rungs)
     ),
 }
 
@@ -1121,7 +1143,7 @@ def _swapped_cut_and_choose():
     """
     inst = random_instance(2, 7, 50, 0)
     _, certificate = solve_propm(inst)
-    assert [type(step) for step in certificate.steps] == [LadderBuilt, CaseApplied]
+    assert [type(step) for step in certificate.steps] == [CpLadder, CaseApplied]
     (a, x), (b, y) = certificate.steps[1].assignments
     swapped = _replace_step(CaseApplied, assignments=((a, y), (b, x)))(certificate)
     allocation = Allocation.of([y, x])
@@ -1154,7 +1176,7 @@ def test_a_level_of_several_agents_needs_its_ladder():
     # Without the ladder no step says who divides or what the rungs are.
     inst, allocation, swapped = _swapped_cut_and_choose()
     dropped = dataclasses.replace(swapped, steps=swapped.steps[1:])
-    with pytest.raises(CertificateError, match="step 0 is CaseApplied, expected LadderBuilt"):
+    with pytest.raises(CertificateError, match="step 0 is CaseApplied, expected CpLadder"):
         _replay(inst, dropped)
     assert not verify_certificate(inst, allocation, dropped)
 
@@ -1170,10 +1192,10 @@ def test_only_sub_splits_follow_a_case():
     """
     inst = random_instance(3, 8, 50, 2)
     pool, rung = tuple(range(8)), (0, 4, 7)
-    ladder = _ladder_step(inst, (0, 1, 2), pool)
+    ladder = cp_ladder(inst, 0, 3, Bundle(pool))
     assert rung in ladder.rungs
     rest = tuple(j for j in pool if j not in rung)
-    second = _ladder_step(inst, (1, 2), rest)
+    second = cp_ladder(inst, 1, 2, Bundle(rest))
     assert second.rungs == ((1, 2, 5, 6), (3,))
     values = inst.values[2]
     assert 2 * sum(values[j] for j in (1, 2, 5, 6)) >= sum(values[j] for j in rest)
@@ -1190,7 +1212,7 @@ def test_only_sub_splits_follow_a_case():
     )
     allocation = Allocation.of([rung, (3,), (1, 2, 5, 6)])
     assert not check(inst, allocation, Notion.PROPM).all_satisfied
-    with pytest.raises(CertificateError, match="step 2 is LadderBuilt, expected SubSplit"):
+    with pytest.raises(CertificateError, match="step 2 is CpLadder, expected SubSplit"):
         _replay(inst, forged)
     assert not verify_certificate(inst, allocation, forged)
 
@@ -1211,7 +1233,7 @@ def test_a_sub_split_below_its_share_fails_replay():
         agents=(0, 1, 2),
         items=pool,
         steps=(
-            _ladder_step(inst, (0, 1, 2), pool),
+            cp_ladder(inst, 0, 3, Bundle(pool)),
             CaseApplied(lemma="n3.one_bundle", assignments=((0, rung),)),
             SubSplit(Certificate(agents=(1, 2), items=rest, steps=tuple(steps))),
         ),
@@ -1265,7 +1287,7 @@ def _forge_case(data, steps, kind):
 
 def _forge_ladder(data, steps, kind):
     """Drop or duplicate the level's ladder."""
-    k = next((k for k, step in enumerate(steps) if isinstance(step, LadderBuilt)), None)
+    k = next((k for k, step in enumerate(steps) if isinstance(step, CpLadder)), None)
     if k is not None:
         steps[k : k + 1] = [] if kind == "drop-ladder" else [steps[k]] * 2
     return steps
