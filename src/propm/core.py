@@ -116,6 +116,10 @@ class Allocation:
         if type(self.bundles) is not tuple:
             kind = type(self.bundles).__name__
             raise InputError(f"bundles must be a tuple, not {kind}; use Allocation.of")
+        for bundle in self.bundles:
+            if not isinstance(bundle, Bundle):
+                kind = type(bundle).__name__
+                raise InputError(f"each bundle must be a Bundle, not {kind}; use Allocation.of")
 
     @classmethod
     def of(cls, bundles: Iterable[Iterable[int]]) -> "Allocation":

@@ -6,6 +6,12 @@ then to the lexicographically smallest sorted index list, which makes every
 construction downstream deterministic and certifiable. The ``CpLadder`` that
 ``cp_ladder`` returns is also, as is, a solver certificate's ladder step.
 
+``cp_bundle`` and ``cp_ladder`` check their arguments and then share one
+helper, ``_cp_split``, which reads a sorted item tuple's values, asks
+``_best_subset`` for the CP witness and splits the tuple into (bundle,
+rest) in one pass over the mask. A ladder thus checks its base and divider
+once and peels its rungs off plain tuples; it builds no ``Bundle``.
+
 Finding a CP bundle is as hard as subset sum, so computation is exact but
 not polynomial. ``_best_subset`` picks one of three kernels with one
 contract. Small queries, whose m suffix sets of m*(m+1)*(cap+1) bits total
@@ -92,6 +98,29 @@ def _best_subset(vals: tuple[int, ...], cap: int):
     )
 
 
+def _check_query(inst: Instance, agent: int, base: Bundle) -> None:
+    base.validate_for(inst.m)
+    if not 0 <= agent < inst.n:
+        raise InputError(f"agent index {agent} out of range for n={inst.n}")
+
+
+def _cp_split(
+    row: tuple[int, ...], items: tuple[int, ...], k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(CP bundle, the rest) of the sorted ``items`` for parameter ``k`` under values ``row``."""
+    if not items:
+        return (), ()
+    vals = tuple(row[j] for j in items)
+    _, _, mask = _best_subset(vals, sum(vals) // k)
+    chosen = []
+    rest = []
+    bit = 1 << len(items)
+    for j in items:
+        bit >>= 1
+        (chosen if mask & bit else rest).append(j)
+    return tuple(chosen), tuple(rest)
+
+
 def cp_bundle(inst: Instance, agent: int, k: int, base: Bundle) -> Bundle:
     """The CP bundle for ``agent`` with parameter ``k`` over base set ``base``.
 
@@ -100,34 +129,26 @@ def cp_bundle(inst: Instance, agent: int, k: int, base: Bundle) -> Bundle:
     """
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
-    base.validate_for(inst.m)
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent index {agent} out of range for n={inst.n}")
-    items = base.items
-    if not items:
-        return Bundle()
-    row = inst.values[agent]
-    vals = tuple(row[j] for j in items)
-    total = sum(vals)
-    cap = total // k
-    _, _, mask = _best_subset(vals, cap)
-    m = len(items)
-    chosen = tuple(items[p] for p in range(m) if (mask >> (m - 1 - p)) & 1)
-    return Bundle(chosen)
+    _check_query(inst, agent, base)
+    return Bundle(_cp_split(inst.values[agent], base.items, k)[0])
 
 
 def cp_ladder(inst: Instance, agent: int, n_rungs: int, base: Bundle) -> CpLadder:
-    """Build [S_r, ..., S_1] top-down: S_k = CP(k, remaining), S_1 = leftover."""
+    """Build [S_r, ..., S_1] top-down: S_k = CP(k, remaining), S_1 = leftover.
+
+    The base and the divider are checked for every ``n_rungs``, also for a
+    single rung, which asks no CP query.
+    """
     if n_rungs < 1:
         raise InputError(f"n_rungs must be at least 1, got {n_rungs}")
-    base.validate_for(inst.m)
+    _check_query(inst, agent, base)
+    row = inst.values[agent]
     rungs = []
-    remaining = base
+    remaining = base.items
     for k in range(n_rungs, 1, -1):
-        rung = cp_bundle(inst, agent, k, remaining)
-        rungs.append(rung.items)
-        remaining = remaining - rung
-    rungs.append(remaining.items)
+        rung, remaining = _cp_split(row, remaining, k)
+        rungs.append(rung)
+    rungs.append(remaining)
     return CpLadder(divider=agent, rungs=tuple(rungs))
 
 

@@ -9,6 +9,7 @@ from propm import (
     Instance,
     Notion,
     ResourceBudgetError,
+    check,
     exists,
     implication_audit,
     leximin_max,
@@ -142,6 +143,16 @@ def test_data_classes_refuse_lists(build):
     # A list-built Bundle never equals its tuple twin, and list rows are unhashable.
     with pytest.raises(InputError, match=r"must be a tuple, not list; use \w+\.of"):
         build()
+
+
+@pytest.mark.parametrize("bundle", [(1, 2), [1, 2], None], ids=["tuple", "list", "none"])
+def test_allocation_refuses_elements_that_are_not_bundles(bundle):
+    # Anything but a Bundle would fail later, on a missing attribute inside check.
+    inst = Instance.of([[3, 1, 2], [2, 2, 2]])
+    kind = type(bundle).__name__
+    with pytest.raises(InputError, match=rf"must be a Bundle, not {kind}; use Allocation\.of"):
+        check(inst, Allocation((Bundle((0,)), bundle)), Notion.PROPM)
+    assert check(inst, Allocation.of([[0], [1, 2]]), Notion.PROPM).all_satisfied
 
 
 def test_instance_json_round_trip(i_eps):

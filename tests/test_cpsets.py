@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from propm import (
     Bundle,
+    InputError,
     Instance,
     ResourceBudgetError,
     cp_bundle,
@@ -544,6 +545,50 @@ def test_cp_ladder_eps_three_rungs(i_eps):
 def test_cp_ladder_single_rung(i_cp):
     ladder = cp_ladder(i_cp, 0, 1, i_cp.all_items())
     assert ladder.rungs == (i_cp.all_items().items,)
+
+
+@pytest.mark.parametrize("n_rungs", [1, 3])
+@pytest.mark.parametrize("divider", [-1, 7])
+def test_cp_ladder_refuses_a_divider_out_of_range(i_cp, divider, n_rungs):
+    # A single rung needs no CP bundle, but the divider is still checked.
+    with pytest.raises(InputError, match=f"agent index {divider} out of range for n=1"):
+        cp_ladder(i_cp, divider, n_rungs, i_cp.all_items())
+
+
+def _cp_bundle_chain(inst, n_rungs, base):
+    """[S_r, ..., S_1] by public cp_bundle calls: S_k = CP(k, remaining), S_1 the rest."""
+    rungs = []
+    remaining = base
+    for k in range(n_rungs, 1, -1):
+        rung = cp_bundle(inst, 0, k, remaining)
+        rungs.append(rung.items)
+        remaining = remaining - rung
+    rungs.append(remaining.items)
+    return tuple(rungs)
+
+
+@st.composite
+def _ladder_cases(draw):
+    """(row, base items, n_rungs): values up to 3 (many zeros), 100 or 10^9, any sub-base."""
+    top = draw(st.sampled_from([3, 100, 10**9]))
+    row = draw(st.lists(st.integers(0, top), min_size=1, max_size=12))
+    base = draw(st.sets(st.integers(0, len(row) - 1)))
+    return row, base, draw(st.integers(min_value=1, max_value=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_ladder_cases())
+@example(case=([0, 3, 0, 3, 3, 0], set(range(6)), 5))
+@example(case=([40, 30, 20, 10], set(), 3))
+# Values up to 10^9 send every CP query past the bitset to cp_mitm.
+@example(case=([10**9, 7, 3 * 10**8, 1, 0, 999_999_999, 5], set(range(7)), 4))
+def test_cp_ladder_rungs_are_the_cp_bundle_chain(case):
+    row, picked, n_rungs = case
+    inst = Instance.of([row])
+    base = Bundle.of(picked)
+    ladder = cp_ladder(inst, 0, n_rungs, base)
+    assert ladder == CpLadder(divider=0, rungs=_cp_bundle_chain(inst, n_rungs, base))
+    assert len(ladder.rungs) == n_rungs
 
 
 def test_validate_ladder_accepts_constructions():

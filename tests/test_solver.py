@@ -975,6 +975,17 @@ def test_non_int_agents_and_items_are_rejected(mutate):
     assert not verify_certificate(inst, allocation, mutated)
 
 
+def test_verify_refuses_an_allocation_of_bare_tuples():
+    # Bare tuples never equal the replayed Bundles, so verification would
+    # wrongly answer False for the solver's own allocation.
+    inst = Instance.of([[3, 1, 2], [2, 2, 2]])
+    allocation, cert = solve_propm(inst)
+    bare = tuple(bundle.items for bundle in allocation.bundles)
+    with pytest.raises(InputError, match=r"must be a Bundle, not tuple; use Allocation\.of"):
+        verify_certificate(inst, Allocation(bare), cert)
+    assert verify_certificate(inst, Allocation.of(bare), cert)
+
+
 def test_verify_rejects_a_subsplit_without_a_certificate():
     inst = Instance.of(_PINNED["n4.c=1"][0])
     allocation, certificate = solve_propm(inst)
