@@ -69,11 +69,11 @@ class Bundle:
         for j in self.items:
             if not isinstance(j, int) or isinstance(j, bool):
                 raise InputError(f"item index must be an int, got {j!r}")
+            if j < 0:
+                raise InputError(f"item indices must be non-negative, got {self.items}")
             if j <= prev:
                 raise InputError(f"item indices must be strictly increasing, got {self.items}")
             prev = j
-        if self.items and self.items[0] < 0:
-            raise InputError(f"item indices must be non-negative, got {self.items}")
 
     @classmethod
     def of(cls, items: Iterable[int]) -> "Bundle":
@@ -85,16 +85,6 @@ class Bundle:
     def validate_for(self, m: int) -> None:
         if self.items and self.items[-1] >= m:
             raise InputError(f"item index {self.items[-1]} out of range for m={m}")
-
-    def difference(self, other: "Bundle") -> "Bundle":
-        drop = set(other.items)
-        return Bundle(tuple(j for j in self.items if j not in drop))
-
-    def __sub__(self, other: "Bundle") -> "Bundle":
-        return self.difference(other)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.items
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.items)
@@ -124,10 +114,6 @@ class Allocation:
     @classmethod
     def of(cls, bundles: Iterable[Iterable[int]]) -> "Allocation":
         return cls(tuple(Bundle.of(b) for b in bundles))
-
-    @property
-    def n(self) -> int:
-        return len(self.bundles)
 
     def owners(self, m: int) -> tuple[int, ...]:
         """Item index -> owning agent. Raises if the allocation is not a partition of 0..m-1."""

@@ -157,15 +157,6 @@ def _without(pool: tuple[int, ...], items) -> tuple[int, ...]:
     return tuple(j for j in pool if j not in drop)
 
 
-def _assemble(inst: Instance, assignment: dict[int, tuple[int, ...]]) -> Allocation:
-    bundles = tuple(
-        Bundle(tuple(sorted(assignment.get(i, ())))) for i in range(inst.n)
-    )
-    allocation = Allocation(bundles)
-    allocation.validate_for(inst)
-    return allocation
-
-
 # ---------------------------------------------------------------------------
 # Big-item preprocessing
 # ---------------------------------------------------------------------------
@@ -228,7 +219,8 @@ class _Level:
 
     Everything is in original indices. ``agents[0]`` is the divider and
     ``totals[a]`` is agent a's value for the pool. The case code records its
-    direct assignments and sub-splits here.
+    direct assignments in ``assignment`` and its sub-splits in ``sub_steps``;
+    the sub-splits' own results go to ``sub_assignment``.
     """
 
     def __init__(self, inst: Instance, agents: tuple[int, ...], pool: tuple[int, ...]):
@@ -237,6 +229,7 @@ class _Level:
         self.pool = pool
         self.totals = {a: _val(inst, a, pool) for a in agents}
         self.assignment: dict[int, tuple[int, ...]] = {}
+        self.sub_assignment: dict[int, tuple[int, ...]] = {}
         self.sub_steps: list[SubSplit] = []
 
     def at_least(self, agent: int, items, mult: int, pool_mult: int = 1) -> bool:
@@ -256,7 +249,7 @@ class _Level:
         if not _share_holds(self.inst, self.pool, len(self.agents), agents, items):
             raise InvariantViolationError(f"a member of {agents} values {items} below its share")
         assignment, steps = _solve_level(self.inst, agents, items)
-        self.assignment.update(assignment)
+        self.sub_assignment.update(assignment)
         inner = Certificate(agents=agents, items=items, steps=tuple(steps))
         self.sub_steps.append(SubSplit(inner))
 
@@ -465,14 +458,8 @@ def _solve_level(
     ladder = cp_ladder(inst, divider, n, Bundle(pool))
     lv = _Level(inst, agents, pool)
     lemma = _CASES[n](lv, *ladder.rungs)
-    split_agents = {a for step in lv.sub_steps for a in step.certificate.agents}
-    case = CaseApplied(
-        lemma=lemma,
-        assignments=tuple(
-            sorted((a, items) for a, items in lv.assignment.items() if a not in split_agents)
-        ),
-    )
-    return lv.assignment, [ladder, case, *lv.sub_steps]
+    case = CaseApplied(lemma=lemma, assignments=tuple(sorted(lv.assignment.items())))
+    return {**lv.assignment, **lv.sub_assignment}, [ladder, case, *lv.sub_steps]
 
 
 def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
@@ -494,7 +481,7 @@ def solve_propm(inst: Instance) -> tuple[Allocation, Certificate]:
     certificate = Certificate(
         agents=tuple(range(inst.n)), items=tuple(range(inst.m)), steps=(*red.steps, *steps)
     )
-    allocation = _assemble(inst, assignment)
+    allocation = Allocation(tuple(Bundle(assignment.get(i, ())) for i in range(inst.n)))
     report = check(inst, allocation, Notion.PROPM)
     if not report.all_satisfied:
         bad = [i for i, v in enumerate(report.per_agent) if not v.satisfied]
@@ -516,27 +503,32 @@ def _req(condition: bool, message: str) -> None:
 
 
 def _indices(inst: Instance, cert) -> tuple[set[int], set[int]]:
-    """A certificate's agent and item sets; each must be a tuple of distinct in-range ints."""
+    """A certificate's agent and item sets; each must be a tuple of distinct in-range ints.
+
+    Its steps must be a tuple too.
+    """
     _req(isinstance(cert, Certificate), f"expected a Certificate, got {type(cert).__name__}")
     agents, items = cert.agents, cert.items
     _req(
-        isinstance(agents, tuple)
-        and isinstance(items, tuple)
+        type(agents) is tuple
+        and type(items) is tuple
         and all(type(a) is int and 0 <= a < inst.n for a in agents)
         and all(type(j) is int and 0 <= j < inst.m for j in items),
         "certificate agents and items must be ints in range",
     )
+    _req(type(cert.steps) is tuple, "certificate steps must be a tuple")
     agent_set, item_set = set(agents), set(items)
     _req(len(agent_set) == len(agents), "duplicate agents in certificate")
     _req(len(item_set) == len(items), "duplicate items in certificate")
     return agent_set, item_set
 
 
-def _replay(inst: Instance, cert: Certificate) -> tuple[dict, list]:
-    """Every agent's items, and (rungs, position) for each whole rung a divider takes."""
+def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
+    """Every agent's items, replayed level by level; CertificateError if it does not replay."""
     # A field of the wrong type (None, a list for a name) fails a check as TypeError and kin.
     try:
-        return _replay_steps(inst, cert)
+        agents, items = _indices(inst, cert)
+        return _replay_steps(inst, cert, agents, items)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
@@ -548,12 +540,17 @@ def _step(steps, k: int, kind):
     return found
 
 
-def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
-    """Replay one level: its steps, their order and its case's obligations."""
-    agents, items = _indices(inst, cert)
+def _replay_steps(
+    inst: Instance, cert: Certificate, agents: set[int], items: set[int]
+) -> dict[int, tuple[int, ...]]:
+    """Replay one level: its steps, their order and its case's obligations.
+
+    ``agents`` and ``items`` are the level's checked index sets (``_indices``);
+    replay uses them up. Returns every agent's items once the level's
+    sub-splits have replayed, and checks the rung-mixing rule on them.
+    """
     steps = cert.steps
     allocation: dict[int, tuple[int, ...]] = {}
-    handouts: list[tuple[tuple[tuple[int, ...], ...], int]] = []
     k = 0
     while k < len(steps) and isinstance(steps[k], BigItemReduction):
         step, expected = steps[k], _first_reduction(inst, agents, items)
@@ -585,7 +582,12 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
     case = _step(steps, k, CaseApplied)
     _req(case.lemma in KNOWN_LEMMAS, "unknown case label")
     _req(KNOWN_LEMMAS[case.lemma] == n, "case label does not match the remaining agent count")
-    for agent, bundle in case.assignments:
+    _req(type(case.assignments) is tuple, "case assignments must be a tuple")
+    taken: list[int] = []
+    for pair in case.assignments:
+        _req(type(pair) is tuple and len(pair) == 2, "an assignment must be an (agent, items) pair")
+        agent, bundle = pair
+        _req(type(bundle) is tuple, "assignment items must be a tuple")
         _req(
             type(agent) is int and all(type(j) is int for j in bundle),
             "assignment agents and items must be ints",
@@ -594,12 +596,10 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
         bundle_set = set(bundle)
         _req(len(bundle_set) == len(bundle), "duplicate items in an assignment")
         _req(bundle_set <= items, "assignment of unavailable items")
-        _req(tuple(sorted(bundle)) == tuple(bundle), "assignment items not sorted")
+        _req(tuple(sorted(bundle)) == bundle, "assignment items not sorted")
         if ladder is not None and agent == ladder.divider:
-            rungs = ladder.rungs
-            whole = [(rungs, p) for p, rung in enumerate(rungs) if tuple(bundle) == rung]
-            _req(bool(whole), "the divider's bundle is not one whole rung")
-            handouts += whole
+            taken = [p for p, rung in enumerate(ladder.rungs) if bundle == rung]
+            _req(bool(taken), "the divider's bundle is not one whole rung")
         elif ladder is not None:
             _req(
                 n * _val(inst, agent, bundle) >= _val(inst, agent, pool),
@@ -623,27 +623,21 @@ def _replay_steps(inst: Instance, cert: Certificate) -> tuple[dict, list]:
         _req(
             _share_holds(inst, pool, n, nested.agents, nested.items), "a share bound does not hold"
         )
-        inner, inner_handouts = _replay_steps(inst, nested)
-        _req(set(inner) == agent_set, "inner allocation covers the wrong agents")
-        allocation.update(inner)
-        handouts += inner_handouts
         agents -= agent_set
         items -= item_set
+        allocation.update(_replay_steps(inst, nested, agent_set, item_set))
 
     _req(not agents, "some agents never received a bundle")
     _req(not items, "some items were never assigned")
-    return allocation, handouts
-
-
-def _rungs_unmixed(final: dict, handouts: list) -> bool:
-    """No final bundle holds items from both above and below a rung a divider took whole."""
-    bundles = [set(items) for items in final.values()]
-    for rungs, pos in handouts:
-        higher = {j for r in rungs[:pos] for j in r}
-        lower = {j for r in rungs[pos + 1 :] for j in r}
-        if any(bundle & higher and bundle & lower for bundle in bundles):
-            return False
-    return True
+    # The rungs lie in this level's pool, which no agent outside the level
+    # holds, so this level's final bundles are the only ones to test.
+    for p in taken:
+        above, below = set().union(*ladder.rungs[:p]), set().union(*ladder.rungs[p + 1 :])
+        _req(
+            not any(above.intersection(b) and below.intersection(b) for b in allocation.values()),
+            "rung-mixing rule: a bundle holds items from above and below the divider's rung",
+        )
+    return allocation
 
 
 def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate) -> bool:
@@ -665,12 +659,15 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     and cover all its agents and items. At a level of n agents
     sharing pool P, a divider the case serves directly takes one whole rung
     and any other agent it serves gets n*v(bundle) >= v(P); each sub-split
-    member gets n*v(sub-pool) >= |members|*v(P) (``_share_holds``). Finally
-    no bundle may mix items from above and below a rung a divider took whole
-    (``_rungs_unmixed``). These give every agent its PROPm bound: a reduced
-    agent by the over-share test, a direct one at its level by its 1/n share
-    or by the CP rungs, a sub-split member by recursion and its share bound.
-    The case label is checked only against the agent count.
+    member gets n*v(sub-pool) >= |members|*v(P) (``_share_holds``). Once its
+    sub-splits have replayed, each level checks that none of its agents'
+    final bundles mixes items from above and below the rung its divider took
+    whole (the rung-mixing rule). These give every agent its PROPm bound: a
+    reduced agent by the over-share test, a direct one at its level by its
+    1/n share or by the CP rungs, a sub-split member by recursion and its
+    share bound. The case label is checked only against the agent count.
+    Every field must have its declared type: ints, and tuples for indices,
+    steps, assignments, their pairs and bundles.
 
     Rung recomputation may answer from the CP memo the solve filled. That
     memo holds outputs of a pure function of (values, cap), which solver and
@@ -679,15 +676,12 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     the CP bundle of the verifier's own base set.
     """
     try:
-        replayed, handouts = _replay(inst, cert)
+        replayed = _replay(inst, cert)
     except CertificateError:
         return False
     if cert.agents != tuple(range(inst.n)) or cert.items != tuple(range(inst.m)):
         return False
-    return (
-        _assemble(inst, replayed).bundles == allocation.bundles
-        and _rungs_unmixed(replayed, handouts)
-    )
+    return tuple(replayed[i] for i in range(inst.n)) == tuple(b.items for b in allocation.bundles)
 
 
 # ---------------------------------------------------------------------------

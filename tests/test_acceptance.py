@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from propm import (
+    Allocation,
     Notion,
     adjusted_profile,
     check,
@@ -35,7 +36,6 @@ from propm.solver import (
     CaseApplied,
     CertificateError,
     SubSplit,
-    _assemble,
     _replay,
 )
 
@@ -401,7 +401,8 @@ def test_criterion_8_certificate_audit(criterion1_results):
             rejected += 1
             # A mutation that describes another allocation may verify only if it proves it.
             try:
-                own = _assemble(inst, _replay(inst, mutated)[0])
+                replayed = _replay(inst, mutated)
+                own = Allocation.of(replayed.get(i, ()) for i in range(inst.n))
             except CertificateError:
                 continue
             if verify_certificate(inst, own, mutated):

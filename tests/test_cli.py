@@ -267,6 +267,8 @@ _SMALL = json.dumps({"n": 2, "m": 3, "values": [[1, 2, 3], [3, 2, 1]]})
         (_SMALL, '[[0, "a"], [1, 2]]'),
         (_SMALL, "[[0, 0], [1, 2]]"),
         (_SMALL, "[{}, [0, 1, 2]]"),
+        (_SMALL, "[[0, 9], [1, 2]]"),
+        (_SMALL, "[[-2, 1], [0, 2]]"),
         ('{"n": true, "m": 3, "values": [[1, 2, 3]]}', "[[0, 1, 2]]"),
         ('{"n": 2.0, "m": 3.0, "values": [[1, 2, 3], [3, 2, 1]]}', "[[0], [1, 2]]"),
     ],
@@ -278,6 +280,8 @@ _SMALL = json.dumps({"n": 2, "m": 3, "values": [[1, 2, 3], [3, 2, 1]]})
         "mixed-bundle",
         "repeated-item",
         "object-bundle",
+        "item-past-m",
+        "negative-item",
         "bool-header",
         "float-header",
     ],
@@ -310,6 +314,14 @@ def test_write_into_a_missing_directory_exits_2(tmp_path, capsys, argv):
     code, stdout, err = _run(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert f"cannot write {out}" in err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing-file", "directory"])
+def test_an_unreadable_input_path_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    code, stdout, err = _run(capsys, "solve", "--instance", str(path))
+    assert (code, stdout) == (2, "")
+    assert f"cannot read {path}" in err
 
 
 def test_budget_flag_boundary(tmp_path, capsys):

@@ -48,6 +48,25 @@ def test_bundle_rejects_duplicates_and_disorder():
     assert Bundle.of([3, 1, 1]).items == (1, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Bundle((-2, 1)),
+        lambda: Bundle((-1,)),
+        lambda: Allocation.from_json_dict({"bundles": [[-2, 1], [0]]}),
+    ],
+    ids=["bundle", "lone-item", "allocation-json"],
+)
+def test_negative_item_indices_are_refused_as_negative(build):
+    with pytest.raises(InputError, match="item indices must be non-negative"):
+        build()
+
+
+def test_check_refuses_an_item_past_m(i_2a):
+    with pytest.raises(InputError, match="item index 5 out of range for m=2"):
+        check(i_2a, Allocation.of([[0, 5], [1]]), Notion.PROPM)
+
+
 def test_allocation_completeness(i_2a):
     Allocation.of([[0], [1]]).validate_for(i_2a)
     with pytest.raises(InputError):

@@ -555,6 +555,19 @@ def test_cp_ladder_refuses_a_divider_out_of_range(i_cp, divider, n_rungs):
         cp_ladder(i_cp, divider, n_rungs, i_cp.all_items())
 
 
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (lambda inst: cp_bundle(inst, 0, 0, inst.all_items()), "k must be at least 1, got 0"),
+        (lambda inst: cp_ladder(inst, 0, 0, inst.all_items()), "n_rungs must be at least 1, got 0"),
+    ],
+    ids=["cp_bundle-k0", "cp_ladder-n_rungs0"],
+)
+def test_cp_queries_refuse_a_count_below_one(i_cp, query, message):
+    with pytest.raises(InputError, match=message):
+        query(i_cp)
+
+
 def _cp_bundle_chain(inst, n_rungs, base):
     """[S_r, ..., S_1] by public cp_bundle calls: S_k = CP(k, remaining), S_1 the rest."""
     rungs = []
@@ -562,7 +575,7 @@ def _cp_bundle_chain(inst, n_rungs, base):
     for k in range(n_rungs, 1, -1):
         rung = cp_bundle(inst, 0, k, remaining)
         rungs.append(rung.items)
-        remaining = remaining - rung
+        remaining = Bundle(tuple(j for j in remaining.items if j not in rung.items))
     rungs.append(remaining.items)
     return tuple(rungs)
 

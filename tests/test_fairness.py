@@ -50,6 +50,12 @@ def test_check_rejects_incomplete(i_eps):
         check(i_eps, Allocation.of([[0], [1], [2]]), Notion.PROPM)
 
 
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_mms_value_refuses_an_agent_out_of_range(i_eps, agent):
+    with pytest.raises(InputError, match=f"agent index {agent} out of range for n=3"):
+        mms_value(i_eps, agent)
+
+
 def test_mms_value_eps(i_eps):
     # best partition: {94} | {1,1,1} | {1,1,1}
     assert mms_value(i_eps, 0) == 3

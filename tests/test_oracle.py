@@ -42,6 +42,22 @@ def test_enumeration_unique_and_complete():
     assert len(seen) == 81
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: allocation_from_index(3, 4, 81), "allocation index 81 out of range"),
+        (lambda: allocation_from_index(3, 4, -1), "allocation index -1 out of range"),
+        (lambda: random_instance(0, 3, 10, 0), "need at least one agent"),
+        (lambda: random_instance(2, -1, 10, 0), "item count must be non-negative"),
+        (lambda: random_instance(2, 3, -1, 0), "max_value must be non-negative"),
+    ],
+    ids=["index-past-end", "index-negative", "no-agents", "negative-m", "negative-max-value"],
+)
+def test_oracle_helpers_refuse_out_of_range_arguments(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_allocation_index_round_trip():
     allocation = allocation_from_index(3, 4, 27)
     owners = allocation.owners(4)

@@ -29,7 +29,6 @@ from propm.solver import (
     Certificate,
     CertificateError,
     SubSplit,
-    _assemble,
     _replay,
     _solve_level,
     certificate_from_json_dict,
@@ -45,6 +44,11 @@ def _assert_solved(inst, result):
     return allocation, certificate
 
 
+def _allocation(inst, assignment):
+    """The allocation giving each agent of ``inst`` its items in ``assignment``."""
+    return Allocation.of(assignment.get(i, ()) for i in range(inst.n))
+
+
 def _solve_cases(inst):
     """The case code on the whole instance, with no big-item reduction first.
 
@@ -53,12 +57,12 @@ def _solve_cases(inst):
     """
     agents, items = tuple(range(inst.n)), tuple(range(inst.m))
     assignment, steps = _solve_level(inst, agents, items)
-    return _assemble(inst, assignment), Certificate(agents, items, tuple(steps))
+    return _allocation(inst, assignment), Certificate(agents, items, tuple(steps))
 
 
 def _replayed(inst, cert):
     """The allocation a certificate replays to; CertificateError if it does not replay."""
-    return _assemble(inst, _replay(inst, cert)[0])
+    return _allocation(inst, _replay(inst, cert))
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +689,13 @@ def test_ladder_discipline_holds():
 
 
 def test_ladder_discipline_catches_a_bundle_mixing_rungs():
-    """A forged certificate that replays but breaks the rung-mixing rule.
+    """A forged certificate that breaks the rung-mixing rule.
 
     The divider takes the middle rung A = (2, 3) of the ladder B, A, C =
     (0, 5), (2, 3), (1, 4), and agents 1 and 2 split B and C between them,
     so agent 2's bundle (0, 1, 5) holds items of the rung above A and of the
     rung below it. The allocation happens to be PROPm, but the certificate's
-    argument for the divider fails, so it does not verify.
+    argument for the divider fails, so it does not replay or verify.
     """
     inst = random_instance(3, 6, 20, 0)
     agents, pool = (0, 1, 2), tuple(range(6))
@@ -704,7 +708,8 @@ def test_ladder_discipline_catches_a_bundle_mixing_rungs():
     forged = Certificate(agents=agents, items=pool, steps=(ladder, case, split))
     allocation = Allocation.of([[2, 3], [4], [0, 1, 5]])
     assert assignment == {1: (4,), 2: (0, 1, 5)}
-    assert _replayed(inst, forged) == allocation
+    with pytest.raises(CertificateError, match="rung-mixing rule"):
+        _replay(inst, forged)
     assert check(inst, allocation, Notion.PROPM).all_satisfied
     assert not verify_certificate(inst, allocation, forged)
 
@@ -736,7 +741,8 @@ def test_ladder_discipline_catches_rung_mixing_inside_a_sub_split():
     )
     forged = Certificate(agents=agents, items=pool, steps=(ladder, case, SubSplit(inner)))
     allocation = Allocation.of([[0], [2, 4], [3, 6], [1, 5, 7]])
-    assert _replayed(inst, forged) == allocation
+    with pytest.raises(CertificateError, match="rung-mixing rule"):
+        _replay(inst, forged)
     assert not verify_certificate(inst, allocation, forged)
     # Under the same outer level, the solver's own sub-split keeps the rule.
     _, steps = _solve_level(inst, inner_agents, inner_pool)
@@ -1135,6 +1141,32 @@ def test_bool_items_in_an_assignment_fail_replay():
     assert certificate.steps[1].assignments == ((0, (0,)), (1, (1, 2)))
     mutated = _replace_step(CaseApplied, assignments=((0, (0,)), (1, (True, 2))))(certificate)
     with pytest.raises(CertificateError, match="must be ints"):
+        _replay(inst, mutated)
+    assert not verify_certificate(inst, allocation, mutated)
+
+
+# Each list holds the same values as the tuple it replaces.
+_LIST_CONTAINERS = {
+    "steps": lambda cert: dataclasses.replace(cert, steps=list(cert.steps)),
+    "assignments": _replace_step(CaseApplied, assignments=list),
+    "assignment-pair": _replace_step(CaseApplied, assignments=lambda a: (list(a[0]), *a[1:])),
+    "assignment-bundle": _replace_step(
+        CaseApplied, assignments=lambda a: ((a[0][0], list(a[0][1])), *a[1:])
+    ),
+}
+
+
+@pytest.mark.parametrize("level", ["top", "nested"])
+@pytest.mark.parametrize("mutate", list(_LIST_CONTAINERS.values()), ids=list(_LIST_CONTAINERS))
+def test_list_containers_fail_replay(mutate, level):
+    """A list where a certificate field declares a tuple does not replay, at any depth."""
+    if level == "top":
+        inst = random_instance(3, 7, 100, 5)
+    else:
+        inst, mutate = _REDUCED_THEN_SPLIT, _replace_step(SubSplit, certificate=mutate)
+    allocation, certificate = solve_propm(inst)
+    mutated = mutate(certificate)
+    with pytest.raises(CertificateError, match="must be a"):
         _replay(inst, mutated)
     assert not verify_certificate(inst, allocation, mutated)
 
