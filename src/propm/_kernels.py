@@ -33,17 +33,9 @@ Every scan (``exists``, the audit, ``leximin_max`` and the MMS pass) reads
 its windows from one driver, ``scan_windows``. It builds the scan's one
 ``ScanPlan`` and yields a result per window of ``ScanPlan.windows``, in index
 order: full windows of ``scan_chunk`` allocations for the exhaustive scans,
-windows that start small and double for the early-exit ``exists``. The
-plan fixes h as m // 2, lowered while n^h exceeds the window, and builds
-each statistic's tables once: one ``np.where`` gives the contribution
-array, what each tabulated item adds under each owner, and one broadcast op
-per item folds it in. So that no table outgrows a window, it tabulates only
-the high half's lowest k digits (n^k at most a window), and each window
-adds its few assignments of the remaining top items. The tables and
-contribution arrays count against SCAN_BYTES together with a window's
-statistics: a plan narrows the mid table until all fit and keeps the tables
-for the whole scan, and if no width fits it rebuilds them for each window.
-The kernels split very large agent counts into blocks.
+windows that start small and double for the early-exit ``exists``.
+``ScanPlan`` tells how the plan splits the items and keeps its tables
+within SCAN_BYTES. The kernels split very large agent counts into blocks.
 
 The driver gives the exhaustive scans (the audit, ``leximin_max`` and the
 MMS pass) plans with ``workspace=True``. Their windows then write each
@@ -80,6 +72,10 @@ dtype. Each intermediate is bounded by worst (m >= 1):
 A kernel edit that builds a larger intermediate must raise ``worst`` to
 cover it. The exact-arithmetic reference paths in the rest of the package
 use unbounded Python integers.
+
+The kernels check none of their arguments. The package's one integer rule
+(an integer argument is an ``int``, never a bool; ``core.require_int``) is
+enforced by the public entry points before any kernel runs.
 
 numpy loads on the first call of a numpy kernel (all but ``cp_bits``), not
 on ``import propm``: commands that run none (``verify`` of every notion but
@@ -529,10 +525,10 @@ class ScanPlan:
     def _bytes(self, h, k, window):
         """Bytes of every table over h low and k mid items and of the items'
         contribution arrays, plus a window's statistics."""
-        n, rows = self.n, self.values.shape[0]
+        n = self.n
         cols = (n**h if h else 0) + (n**k if k else 0) + (h + k) * n
-        per_column = (len(_PER_BUNDLE) * n + len(_PER_AGENT)) * rows + n
-        cells = cols * per_column + _STAT_CELLS * n * rows * window
+        per_column = (len(_PER_BUNDLE) * n + len(_PER_AGENT)) * n + n
+        cells = cols * per_column + _STAT_CELLS * n * n * window
         return cells * self.values.dtype.itemsize
 
     def empty(self, name):
@@ -552,8 +548,8 @@ class ScanPlan:
     def _shape(self, name, agents):
         """[lead, mid] of statistic ``name`` for the value rows ``agents``."""
         if name in _PER_BUNDLE:
-            return self.n, len(range(self.values.shape[0])[agents])
-        return 1, (self.values.shape[0] if name in _PER_AGENT else self.n)
+            return self.n, len(range(self.n)[agents])
+        return 1, self.n
 
     def _contributions(self, name, agents, lo, hi, owners):
         """[item, lead, mid, owner]: what items lo..hi-1 add to statistic ``name``.
@@ -605,11 +601,9 @@ class ScanPlan:
 
     def _top(self, name, agents, b):
         """Statistic ``name`` of the top items under their assignment b: [lead, mid, 1]."""
-        lo, digits = self.h + self.k, []
-        for _ in range(lo, self.m):
-            b, d = divmod(b, self.n)
-            digits.append(d)
-        items = self._contributions(name, agents, lo, self.m, np.array(digits)[:, None])
+        lo = self.h + self.k
+        owners = _decode_owners(self.n, self.m - lo, b, 1)
+        items = self._contributions(name, agents, lo, self.m, owners)
         return getattr(np, _STATS[name]).reduce(items, axis=0, dtype=self.values.dtype)
 
     def window(self, name, agents, start, count, slot=None):

@@ -5,10 +5,15 @@ compared by cross-multiplication, so all verdicts downstream are exact.
 Normalizing totals to 1 is deliberately avoided: a claim like
 "agent i gets at least k/n of her total" is always evaluated as
 ``n * value >= k * total_i``.
+
+Every integer argument, valuation and item index must be an ``int``
+(``type(x) is int``): a bool, an int subclass or a float, even a whole one,
+is refused with InputError (``require_int``), never converted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,13 +44,21 @@ class InvariantViolationError(RuntimeError):
 DEFAULT_BUDGET = 10_000_000
 
 
+def require_int(value, message: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` if it is an int (not a bool) with low <= value < high, else InputError.
+
+    The error's text is ``message`` formatted with ``value``, ``low`` and ``high``.
+    """
+    if type(value) is not int or not low <= value < high:
+        raise InputError(message.format(value=value, low=low, high=high))
+    return value
+
+
 def resolve_budget(budget: int | None) -> int:
-    """The enumeration budget: ``budget``, a positive int (bools are not), else the default."""
+    """The enumeration budget: ``budget``, a positive int, else the default."""
     if budget is None:
         return DEFAULT_BUDGET
-    if type(budget) is not int or budget < 1:
-        raise InputError(f"budget must be a positive int, got {budget!r}")
-    return budget
+    return require_int(budget, "budget must be a positive int, got {value!r}", 1)
 
 
 def require_budget(count: int, budget: int | None, what: str) -> None:
@@ -67,7 +80,7 @@ class Bundle:
             raise InputError(f"items must be a tuple, not {kind}; use Bundle.of")
         prev = -1
         for j in self.items:
-            if not isinstance(j, int) or isinstance(j, bool):
+            if type(j) is not int:
                 raise InputError(f"item index must be an int, got {j!r}")
             if j < 0:
                 raise InputError(f"item indices must be non-negative, got {self.items}")
@@ -152,6 +165,14 @@ class Allocation:
         return allocation
 
 
+def require_allocation(allocation) -> Allocation:
+    """``allocation`` if it is an Allocation, else InputError."""
+    if not isinstance(allocation, Allocation):
+        kind = type(allocation).__name__
+        raise InputError(f"allocation must be an Allocation, not {kind}; use Allocation.of")
+    return allocation
+
+
 @dataclass(frozen=True)
 class Instance:
     """n agents, m items, and an n-by-m table of non-negative integer valuations."""
@@ -172,14 +193,14 @@ class Instance:
             if len(row) != width:
                 raise InputError("valuation rows must all have the same length")
             for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
+                if type(v) is not int:
                     raise InputError(f"valuations must be integers, got {v!r}")
                 if v < 0:
                     raise InputError(f"valuations must be non-negative, got {v}")
 
     @classmethod
     def of(cls, rows: Iterable[Iterable[int]]) -> "Instance":
-        """An instance of these rows; every cell must already be an int (bools are not)."""
+        """An instance of these rows; every cell must already be an int."""
         try:
             return cls(tuple(tuple(row) for row in rows))
         except TypeError as exc:  # rows or a row is not iterable
@@ -196,9 +217,6 @@ class Instance:
     @cached_property
     def totals(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.values)
-
-    def all_items(self) -> Bundle:
-        return Bundle(tuple(range(self.m)))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "values": [list(row) for row in self.values]}
@@ -221,10 +239,14 @@ class Instance:
         return inst
 
 
+def require_agent(inst: Instance, agent: int) -> None:
+    """Refuse an agent index that is not an int in 0..n-1."""
+    require_int(agent, "agent index {value!r} out of range for n={high}", 0, inst.n)
+
+
 def value_of(inst: Instance, agent: int, bundle: Bundle) -> int:
     """Additive value of a bundle for an agent; the empty bundle is worth 0."""
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent index {agent} out of range for n={inst.n}")
+    require_agent(inst, agent)
     bundle.validate_for(inst.m)
     row = inst.values[agent]
     return sum(row[j] for j in bundle.items)

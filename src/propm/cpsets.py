@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import ClassVar
 
 from . import _kernels
-from .core import Bundle, InputError, Instance, ResourceBudgetError, value_of
+from .core import Bundle, InputError, Instance, ResourceBudgetError, require_agent, require_int
 
 # Bits the bit-parallel kernel's suffix sets may take together (64 KiB).
 # Measured against cp_table (Python 3.11, numpy 2.4, 2-core x86 host): at
@@ -100,8 +100,7 @@ def _best_subset(vals: tuple[int, ...], cap: int):
 
 def _check_query(inst: Instance, agent: int, base: Bundle) -> None:
     base.validate_for(inst.m)
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent index {agent} out of range for n={inst.n}")
+    require_agent(inst, agent)
 
 
 def _cp_split(
@@ -127,8 +126,7 @@ def cp_bundle(inst: Instance, agent: int, k: int, base: Bundle) -> Bundle:
     Deterministic: value-maximal subject to k*v(B) <= v(base), then
     cardinality-maximal, then lexicographically smallest index list.
     """
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
+    require_int(k, "k must be at least {low}, got {value!r}", 1)
     _check_query(inst, agent, base)
     return Bundle(_cp_split(inst.values[agent], base.items, k)[0])
 
@@ -139,8 +137,7 @@ def cp_ladder(inst: Instance, agent: int, n_rungs: int, base: Bundle) -> CpLadde
     The base and the divider are checked for every ``n_rungs``, also for a
     single rung, which asks no CP query.
     """
-    if n_rungs < 1:
-        raise InputError(f"n_rungs must be at least 1, got {n_rungs}")
+    require_int(n_rungs, "n_rungs must be at least {low}, got {value!r}", 1)
     _check_query(inst, agent, base)
     row = inst.values[agent]
     rungs = []
@@ -178,7 +175,7 @@ def validate_ladder(inst: Instance, ladder: CpLadder) -> bool:
         return False
 
     row = inst.values[ladder.divider]
-    base_value = below = value_of(inst, ladder.divider, base)
+    base_value = below = sum(row[j] for j in base.items)
     for pos, k in enumerate(range(r, 0, -1)):
         below -= sum(row[j] for j in ladder.rungs[pos])
         # 'below' is now the divider's value for S_(k-1) + ... + S_1.

@@ -26,6 +26,8 @@ from .core import (
     InputError,
     Instance,
     fraction_str,
+    require_agent,
+    require_allocation,
     require_budget,
 )
 
@@ -177,7 +179,7 @@ def check(
     agents (``mms_value``); ``budget`` bounds that enumeration.
     """
     _require_notion(notion)
-    allocation.validate_for(inst)
+    require_allocation(allocation).validate_for(inst)
     verdicts = []
     for i in range(inst.n):
         num, den = _slack(inst, i, allocation, notion, budget)
@@ -202,8 +204,7 @@ def mms_value(inst: Instance, agent: int, budget: int | None = None) -> int:
     and the last MMS_MEMO_SIZE instances' answers are kept, so asking for
     each agent in turn scans once; a single agent's first call pays for all.
     """
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent index {agent} out of range for n={inst.n}")
+    require_agent(inst, agent)
     if inst.n == 1:
         return inst.totals[agent]
     require_budget(inst.n**inst.m, budget, "mms_value")

@@ -17,12 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _kernels
-from .core import (
-    Allocation,
-    Instance,
-    fraction_str,
-    require_budget,
-)
+from .core import Allocation, Instance, fraction_str, require_allocation, require_budget
 from .fairness import _bundle_view, _efx_gaps, _maximin
 from .oracle import allocation_from_index
 
@@ -90,7 +85,7 @@ class EnvyGraph:
 
 
 def adjusted_profile(inst: Instance, allocation: Allocation) -> AdjustedProfile:
-    allocation.validate_for(inst)
+    require_allocation(allocation).validate_for(inst)
     n = inst.n
     values = []
     for i in range(n):
@@ -118,7 +113,7 @@ def leximin_max(
 
 def envy_graph(inst: Instance, allocation: Allocation) -> EnvyGraph:
     """Edges i -> j where i strictly envies j up to j's least item (strict EFx envy)."""
-    allocation.validate_for(inst)
+    require_allocation(allocation).validate_for(inst)
     edges = []
     for i in range(inst.n):
         gaps = _efx_gaps(*_bundle_view(inst, i, allocation))

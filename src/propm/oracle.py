@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _kernels
-from .core import (
-    Allocation,
-    Bundle,
-    InputError,
-    Instance,
-    require_budget,
-)
+from .core import Allocation, Bundle, Instance, require_budget, require_int
 from .fairness import Notion, _require_notion, check, mms_value
 
 
@@ -84,8 +78,7 @@ class AuditReport:
 
 
 def allocation_from_index(n: int, m: int, index: int) -> Allocation:
-    if not 0 <= index < n**m:
-        raise InputError(f"allocation index {index} out of range for n={n}, m={m}")
+    require_int(index, "allocation index {value!r} out of range for n^m = {high}", 0, n**m)
     bundles: list[list[int]] = [[] for _ in range(n)]
     rem = index
     for j in range(m):
@@ -99,17 +92,21 @@ def allocation_from_index(n: int, m: int, index: int) -> Allocation:
 FIRST_WINDOW = 256
 
 
-def _mms_array(inst: Instance, needed: bool, budget: int | None):
-    """int64 array of every agent's MMS value, or of -1s when the scan reads none."""
+def _scan_args(inst: Instance, want: int, budget: int | None, workers: int, what: str):
+    """(n^m, the mask scan's (values, totals, mms, want)) once workers and budget are checked.
+
+    ``mms`` holds every agent's MMS value when ``want`` has the MMS bit, else -1s.
+    """
+    require_int(workers, "workers must be an int of at least {low}, got {value!r}", 1)
+    total = inst.n**inst.m
+    require_budget(total, budget, what)
+    values, totals = _kernels.instance_arrays(inst.values, inst.totals)
     np = _kernels.np
-    if not needed:
-        return np.full(inst.n, -1, dtype=np.int64)
-    return np.array([mms_value(inst, i, budget=budget) for i in range(inst.n)], np.int64)
-
-
-def _require_workers(workers):
-    if type(workers) is not int or workers < 1:
-        raise InputError(f"workers must be an int of at least 1, got {workers!r}")
+    if want & (1 << Notion.MMS.code):
+        mms = np.array([mms_value(inst, i, budget=budget) for i in range(inst.n)], np.int64)
+    else:
+        mms = np.full(inst.n, -1, dtype=np.int64)
+    return total, (values, totals, mms, want)
 
 
 def _mask_scan(reduce, values, totals, mms, want, start, stop, workers, first=None):
@@ -142,11 +139,7 @@ def exists(
     most 2 * workers windows past it are scanned.
     """
     _require_notion(notion)
-    _require_workers(workers)
-    total = inst.n**inst.m
-    require_budget(total, budget, "existence scan")
-    values, totals = _kernels.instance_arrays(inst.values, inst.totals)
-    args = (values, totals, _mms_array(inst, notion is Notion.MMS, budget), 1 << notion.code)
+    total, args = _scan_args(inst, 1 << notion.code, budget, workers, "existence scan")
     hits = _mask_scan(_first_hit, *args, 0, total, workers, FIRST_WINDOW)
     with closing(hits):
         found = next((hit for hit in hits if hit >= 0), -1)
@@ -197,11 +190,7 @@ def implication_audit(
 
     Violations are ordered by (allocation index, agent, label).
     """
-    _require_workers(workers)
-    total = inst.n**inst.m
-    require_budget(total, budget, "audit")
-    values, totals = _kernels.instance_arrays(inst.values, inst.totals)
-    args = (values, totals, _mms_array(inst, True, budget), _AUDIT_WANT)
+    total, args = _scan_args(inst, _AUDIT_WANT, budget, workers, "audit")
     parts = list(_mask_scan(_violations, *args, 0, total, workers))
     np = _kernels.np
     index, agent, rank = (np.concatenate(column) for column in zip(*parts))
@@ -223,8 +212,7 @@ def make_counterexample(scale: int) -> Instance:
     The big item dominates once scale >= 7. Used to probe which additive
     relaxations of proportionality can always be satisfied.
     """
-    if scale < 7:
-        raise InputError(f"scale must be at least 7, got {scale}")
+    require_int(scale, "scale must be at least {low}, got {value!r}", 7)
     row = (scale - 6, 1, 1, 1, 1, 1, 1)
     return Instance((row, row, row))
 
@@ -249,12 +237,10 @@ def random_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
     row-major (agent 0 item 0, item 1, ...) and mapped to 0..max_value by
     modulo. This fixes the instance stream independent of any library RNG.
     """
-    if n < 1:
-        raise InputError(f"need at least one agent, got n={n}")
-    if m < 0:
-        raise InputError(f"item count must be non-negative, got m={m}")
-    if max_value < 0:
-        raise InputError(f"max_value must be non-negative, got {max_value}")
+    require_int(n, "need at least one agent, got n={value!r}", 1)
+    require_int(m, "item count must be non-negative, got m={value!r}", 0)
+    require_int(max_value, "max_value must be non-negative, got {value!r}", 0)
+    require_int(seed, "seed must be an int, got {value!r}")
     state = seed & _MASK64
     rows = []
     for _ in range(n):

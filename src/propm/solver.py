@@ -40,6 +40,7 @@ from .core import (
     Instance,
     InvariantViolationError,
     UnsupportedSizeError,
+    require_allocation,
 )
 from .cpsets import CpLadder, cp_ladder
 from .fairness import Notion, check
@@ -674,7 +675,10 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     verifier already both trust; it shares no solver control flow and never
     reads a certificate field, so every recorded rung is still compared with
     the CP bundle of the verifier's own base set.
+
+    An ``allocation`` that is not an ``Allocation`` raises InputError.
     """
+    require_allocation(allocation)
     try:
         replayed = _replay(inst, cert)
     except CertificateError:

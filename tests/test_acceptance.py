@@ -7,12 +7,12 @@ claims unweakened. See test_oracle.py for the pinned counterexamples.
 """
 
 import dataclasses
-from itertools import combinations
 
 import pytest
 
 from propm import (
     Allocation,
+    Bundle,
     Notion,
     adjusted_profile,
     check,
@@ -38,6 +38,7 @@ from propm.solver import (
     SubSplit,
     _replay,
 )
+from reference import brute_force_cp, certificate_steps
 
 
 # ---------------------------------------------------------------------------
@@ -176,32 +177,14 @@ def test_criterion_3_implication_chain(edge, criterion3_audits):
 # ---------------------------------------------------------------------------
 
 
-def _brute_force_cp(values, k):
-    total = sum(values)
-    best = None
-    m = len(values)
-    for size in range(m + 1):
-        for combo in combinations(range(m), size):
-            v = sum(values[j] for j in combo)
-            if k * v > total:
-                continue
-            if best is None:
-                best = (v, size, combo)
-            else:
-                bv, bc, bcombo = best
-                if (v, size) > (bv, bc) or ((v, size) == (bv, bc) and combo < bcombo):
-                    best = (v, size, combo)
-    return best
-
-
 def test_criterion_4_cp_matches_brute_force():
     checked = 0
     for s in range(200):
         m = 2 + s % 13
         k = 1 + s % 5
         inst = random_instance(1, m, 100, seed=8800 + s)
-        got = cp_bundle(inst, 0, k, inst.all_items())
-        v, c, combo = _brute_force_cp(inst.values[0], k)
+        got = cp_bundle(inst, 0, k, Bundle.of(range(inst.m)))
+        v, c, combo = brute_force_cp(inst.values[0], k)
         assert value_of(inst, 0, got) == v, (s, k)
         assert len(got) == c, (s, k)
         assert got.items == combo, (s, k)
@@ -216,19 +199,13 @@ def test_criterion_4_cp_matches_brute_force():
 # ---------------------------------------------------------------------------
 
 
-def _collect_ladders(certificate):
-    for step in certificate.steps:
-        if isinstance(step, CpLadder):
-            yield step
-        elif isinstance(step, SubSplit):
-            yield from _collect_ladders(step.certificate)
-
-
 def test_criterion_5_ladder_bounds(criterion1_results):
     ladders = 0
     metabundles = 0
     for inst, _, certificate in criterion1_results:
-        for step in _collect_ladders(certificate):
+        for step in certificate_steps(certificate):
+            if not isinstance(step, CpLadder):
+                continue
             assert validate_ladder(inst, step), step
             ladders += 1
             row = inst.values[step.divider]

@@ -113,7 +113,7 @@ def test_the_tracer_picks_the_cp_strategy_the_package_runs(monkeypatch):
         try:
             tracer.begin_op(0)
             try:
-                propm.cp_bundle(inst, 0, 1, inst.all_items())
+                propm.cp_bundle(inst, 0, 1, propm.Bundle.of(range(inst.m)))
             except propm.ResourceBudgetError:
                 pass
             tracer.end_op()

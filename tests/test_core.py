@@ -9,13 +9,22 @@ from propm import (
     Instance,
     Notion,
     ResourceBudgetError,
+    adjusted_profile,
     check,
+    cp_bundle,
+    cp_ladder,
+    cycle_swap,
+    envy_graph,
     exists,
     implication_audit,
     leximin_max,
     mms_value,
+    random_instance,
+    solve_propm,
     value_of,
+    verify_certificate,
 )
+from propm.oracle import allocation_from_index
 
 
 def test_value_of_direct_sum(i_cp):
@@ -146,6 +155,54 @@ def test_budget_must_be_a_positive_int(scan, budget):
     # A bool is not a budget (True would allow one allocation), nor is a float.
     with pytest.raises(InputError, match="budget must be a positive int"):
         _SCANS[scan](Instance.of([[3, 1, 2], [1, 2, 3]]), budget)
+
+
+class _Int(int):
+    """An int subclass, refused like a bool."""
+
+
+_PAIR = Instance.of([[3, 1, 2], [1, 2, 3]])
+_ALL = Bundle.of(range(3))
+# Each call is valid with 1 in place of x.
+_INT_ARGUMENTS = {
+    "value_of-agent": lambda x: value_of(_PAIR, x, _ALL),
+    "mms_value-agent": lambda x: mms_value(_PAIR, x),
+    "cp_bundle-agent": lambda x: cp_bundle(_PAIR, x, 2, _ALL),
+    "cp_bundle-k": lambda x: cp_bundle(_PAIR, 0, x, _ALL),
+    "cp_ladder-agent": lambda x: cp_ladder(_PAIR, x, 2, _ALL),
+    "cp_ladder-n_rungs": lambda x: cp_ladder(_PAIR, 0, x, _ALL),
+    "random_instance-n": lambda x: random_instance(x, 3, 10, 0),
+    "random_instance-m": lambda x: random_instance(2, x, 10, 0),
+    "random_instance-max_value": lambda x: random_instance(2, 3, x, 0),
+    "random_instance-seed": lambda x: random_instance(2, 3, 10, x),
+    "allocation_from_index-index": lambda x: allocation_from_index(3, 4, x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, _Int(1)], ids=["bool", "float", "int-subclass"])
+@pytest.mark.parametrize("call", sorted(_INT_ARGUMENTS))
+def test_integer_arguments_must_be_ints(call, bad):
+    # True is not agent 1 nor k = 1, and 1.0 is not converted: each is refused.
+    _INT_ARGUMENTS[call](1)
+    with pytest.raises(InputError):
+        _INT_ARGUMENTS[call](bad)
+
+
+_ALLOCATION_TAKERS = {
+    "verify_certificate": lambda inst, a: verify_certificate(inst, a, solve_propm(inst)[1]),
+    "check": lambda inst, a: check(inst, a, Notion.PROPM),
+    "adjusted_profile": adjusted_profile,
+    "envy_graph": envy_graph,
+    "cycle_swap": cycle_swap,
+}
+
+
+@pytest.mark.parametrize("call", sorted(_ALLOCATION_TAKERS))
+def test_an_allocation_must_be_an_allocation(call):
+    bundles = [[0], [1, 2]]
+    with pytest.raises(InputError, match=r"must be an Allocation, not list; use Allocation\.of"):
+        _ALLOCATION_TAKERS[call](_PAIR, bundles)
+    _ALLOCATION_TAKERS[call](_PAIR, Allocation.of(bundles))
 
 
 @pytest.mark.parametrize(

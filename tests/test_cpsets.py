@@ -1,5 +1,4 @@
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,33 +26,7 @@ from propm.cpsets import (
 )
 from propm.fairness import Notion, check
 from propm.oracle import allocation_from_index, random_instance
-
-
-def brute_force_cp(values, k):
-    """Independent oracle: scan all subsets, tie-break exactly as documented.
-
-    Most valuable subset with k * v(B) <= v(S); then largest; then the
-    lexicographically smallest sorted index list (compared as tuples).
-    """
-    return brute_force_best(values, sum(values) // k)
-
-
-def brute_force_best(values, cap):
-    """(value, cardinality, sorted index tuple) of the best subset with sum <= cap."""
-    m = len(values)
-    best = None
-    for size in range(m + 1):
-        for combo in combinations(range(m), size):
-            v = sum(values[j] for j in combo)
-            if v > cap:
-                continue
-            if best is None:
-                best = (v, len(combo), combo)
-            else:
-                bv, bc, bcombo = best
-                if (v, len(combo)) > (bv, bc) or ((v, len(combo)) == (bv, bc) and combo < bcombo):
-                    best = (v, len(combo), combo)
-    return best
+from reference import brute_force_best, brute_force_cp
 
 
 def mask_positions(mask, m):
@@ -86,21 +59,21 @@ def reference_dp(vals, cap):
 
 def test_cp_bundle_tie_break(i_cp):
     # {0,3} and {1,2} both reach 50; lexicographic order prefers {0,3}
-    assert cp_bundle(i_cp, 0, 2, i_cp.all_items()).items == (0, 3)
+    assert cp_bundle(i_cp, 0, 2, Bundle.of(range(i_cp.m))).items == (0, 3)
 
 
 def test_cp_bundle_single_big_item():
     inst = Instance.of([[9]])
-    assert cp_bundle(inst, 0, 2, inst.all_items()).items == ()
+    assert cp_bundle(inst, 0, 2, Bundle.of(range(inst.m))).items == ()
 
 
 def test_cp_bundle_k1_returns_all(i_cp):
-    assert cp_bundle(inst=i_cp, agent=0, k=1, base=i_cp.all_items()).items == (0, 1, 2, 3)
+    assert cp_bundle(inst=i_cp, agent=0, k=1, base=Bundle.of(range(i_cp.m))).items == (0, 1, 2, 3)
 
 
 def test_cp_bundle_zero_values_gravitate():
     inst = Instance.of([[5, 0, 0, 5]])
-    bundle = cp_bundle(inst, 0, 2, inst.all_items())
+    bundle = cp_bundle(inst, 0, 2, Bundle.of(range(inst.m)))
     # one of the 5s plus both zero items
     assert value_of(inst, 0, bundle) == 5
     assert {1, 2} <= set(bundle.items)
@@ -112,7 +85,7 @@ def test_cp_bundle_matches_brute_force_randoms():
         inst = random_instance(1, m, 40, seed=200 + s)
         values = inst.values[0]
         for k in (1, 2, 3, 4, 5):
-            got = cp_bundle(inst, 0, k, inst.all_items())
+            got = cp_bundle(inst, 0, k, Bundle.of(range(inst.m)))
             v, c, combo = brute_force_cp(values, k)
             assert value_of(inst, 0, got) == v, (s, k)
             assert len(got) == c, (s, k)
@@ -121,7 +94,7 @@ def test_cp_bundle_matches_brute_force_randoms():
 
 def test_cp_bundle_matches_brute_force_m16():
     inst = random_instance(1, 16, 100, seed=777)
-    got = cp_bundle(inst, 0, 3, inst.all_items())
+    got = cp_bundle(inst, 0, 3, Bundle.of(range(inst.m)))
     v, c, combo = brute_force_cp(inst.values[0], 3)
     assert (value_of(inst, 0, got), len(got), got.items) == (v, c, combo)
 
@@ -156,7 +129,7 @@ def test_cp_dp_matches_brute_force_and_mitm(vals, cap_frac):
 def test_cp_dp_handles_many_items():
     # Item counts past 62 go through the same kernel: the witness is an unbounded int.
     inst = Instance.of([[1] * 70])
-    bundle = cp_bundle(inst, 0, 2, inst.all_items())
+    bundle = cp_bundle(inst, 0, 2, Bundle.of(range(inst.m)))
     assert len(bundle) == 35
     assert bundle.items == tuple(range(35))
     for s in range(12):
@@ -332,7 +305,7 @@ def test_cp_take_budget_refuses_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="take rows"):
-            cp_bundle(inst, 0, 2, inst.all_items())
+            cp_bundle(inst, 0, 2, Bundle.of(range(inst.m)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -367,12 +340,12 @@ def test_cp_mitm_at_the_item_limit():
     assert _kernels.cp_mitm(vals, 11 * v) == (11 * v, 11, mask)
     # cp_bundle takes meet-in-the-middle: the cap is past the DP limit.
     inst = Instance.of([vals])
-    assert cp_bundle(inst, 0, 3, inst.all_items()).items == tuple(range(11))
+    assert cp_bundle(inst, 0, 3, Bundle.of(range(inst.m))).items == tuple(range(11))
 
 
 def test_cp_bundle_skips_an_item_past_int64_under_a_dp_cap():
     inst = Instance(((10**20, 3, 4),))
-    assert cp_bundle(inst, 0, 10**15, inst.all_items()).items == (1, 2)
+    assert cp_bundle(inst, 0, 10**15, Bundle.of(range(inst.m))).items == (1, 2)
 
 
 def test_cp_past_both_limits_is_refused_up_front():
@@ -384,7 +357,7 @@ def test_cp_past_both_limits_is_refused_up_front():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="limit"):
-            cp_bundle(inst, 0, 2, inst.all_items())
+            cp_bundle(inst, 0, 2, Bundle.of(range(inst.m)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -392,17 +365,17 @@ def test_cp_past_both_limits_is_refused_up_front():
 
 
 @pytest.mark.parametrize(
-    "vals, cap, strategy",
+    "vals, cap, refused",
     [((5, 3, 2), 10**9, "dp"), ((1,) * 60, 30, "mitm")],
 )
-def test_explicit_cp_strategy_keeps_the_size_limits(vals, cap, strategy, monkeypatch):
+def test_a_kernel_past_its_size_limit_is_never_called(vals, cap, refused, monkeypatch):
     # A 10^9 DP row or 2^30 meet-in-the-middle states are never built: the
     # kernel past its limit is not called, and the other one answers.
     def refuse(*args):
-        raise AssertionError(f"{strategy} kernel called past its limit")
+        raise AssertionError(f"{refused} kernel called past its limit")
 
-    expected = {"dp": _kernels.cp_mitm, "mitm": _kernels.cp_table}[strategy](vals, cap)
-    monkeypatch.setattr(_kernels, {"dp": "cp_table", "mitm": "cp_mitm"}[strategy], refuse)
+    expected = {"dp": _kernels.cp_mitm, "mitm": _kernels.cp_table}[refused](vals, cap)
+    monkeypatch.setattr(_kernels, {"dp": "cp_table", "mitm": "cp_mitm"}[refused], refuse)
     _best_subset.cache_clear()
     tracemalloc.start()
     try:
@@ -529,13 +502,13 @@ def test_cp_memo_stays_bounded():
 
 
 def test_cp_ladder_two_rungs(i_cp):
-    ladder = cp_ladder(i_cp, 0, 2, i_cp.all_items())
+    ladder = cp_ladder(i_cp, 0, 2, Bundle.of(range(i_cp.m)))
     assert ladder.rungs == ((0, 3), (1, 2))
     assert value_of(i_cp, 0, Bundle(ladder.rungs[1])) == 50
 
 
 def test_cp_ladder_eps_three_rungs(i_eps):
-    ladder = cp_ladder(i_eps, 0, 3, i_eps.all_items())
+    ladder = cp_ladder(i_eps, 0, 3, Bundle.of(range(i_eps.m)))
     # cap 33 over [94,1,...,1]: only the six ones fit
     assert ladder.rungs[0] == (1, 2, 3, 4, 5, 6)
     assert value_of(i_eps, 0, Bundle(ladder.rungs[0])) == 6
@@ -543,8 +516,8 @@ def test_cp_ladder_eps_three_rungs(i_eps):
 
 
 def test_cp_ladder_single_rung(i_cp):
-    ladder = cp_ladder(i_cp, 0, 1, i_cp.all_items())
-    assert ladder.rungs == (i_cp.all_items().items,)
+    ladder = cp_ladder(i_cp, 0, 1, Bundle.of(range(i_cp.m)))
+    assert ladder.rungs == (Bundle.of(range(i_cp.m)).items,)
 
 
 @pytest.mark.parametrize("n_rungs", [1, 3])
@@ -552,14 +525,14 @@ def test_cp_ladder_single_rung(i_cp):
 def test_cp_ladder_refuses_a_divider_out_of_range(i_cp, divider, n_rungs):
     # A single rung needs no CP bundle, but the divider is still checked.
     with pytest.raises(InputError, match=f"agent index {divider} out of range for n=1"):
-        cp_ladder(i_cp, divider, n_rungs, i_cp.all_items())
+        cp_ladder(i_cp, divider, n_rungs, Bundle.of(range(i_cp.m)))
 
 
 @pytest.mark.parametrize(
     "query, message",
     [
-        (lambda inst: cp_bundle(inst, 0, 0, inst.all_items()), "k must be at least 1, got 0"),
-        (lambda inst: cp_ladder(inst, 0, 0, inst.all_items()), "n_rungs must be at least 1, got 0"),
+        (lambda inst: cp_bundle(inst, 0, 0, Bundle.of(range(inst.m))), "k must be at least 1, got 0"),
+        (lambda inst: cp_ladder(inst, 0, 0, Bundle.of(range(inst.m))), "n_rungs must be at least 1, got 0"),
     ],
     ids=["cp_bundle-k0", "cp_ladder-n_rungs0"],
 )
@@ -609,12 +582,12 @@ def test_validate_ladder_accepts_constructions():
         n_rungs = 2 + s % 4
         m = 1 + s % 9
         inst = random_instance(1, m, 30, seed=900 + s)
-        ladder = cp_ladder(inst, 0, n_rungs, inst.all_items())
+        ladder = cp_ladder(inst, 0, n_rungs, Bundle.of(range(inst.m)))
         assert validate_ladder(inst, ladder), (s, ladder)
 
 
 def test_validate_ladder_rejects_swapped_rungs(i_cp):
-    ladder = cp_ladder(i_cp, 0, 2, i_cp.all_items())
+    ladder = cp_ladder(i_cp, 0, 2, Bundle.of(range(i_cp.m)))
     swapped = CpLadder(divider=0, rungs=(ladder.rungs[1], ladder.rungs[0]))
     assert not validate_ladder(i_cp, swapped)
 
@@ -652,7 +625,7 @@ def test_validate_ladder_on_sub_base():
 )
 def test_validate_ladder_rejects_malformed_ladders(i_cp, divider, rungs):
     assert i_cp.n == 1 and i_cp.m == 4
-    assert validate_ladder(i_cp, cp_ladder(i_cp, 0, 2, i_cp.all_items()))
+    assert validate_ladder(i_cp, cp_ladder(i_cp, 0, 2, Bundle.of(range(i_cp.m))))
     ladder = CpLadder(divider=divider, rungs=rungs)
     assert not validate_ladder(i_cp, ladder)
 
@@ -664,7 +637,7 @@ def test_ladder_bound_property(data):
     m = data.draw(st.integers(min_value=0, max_value=8))
     row = data.draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
     inst = Instance.of([row]) if row else Instance.of([[0]])
-    base = inst.all_items() if row else Bundle()
+    base = Bundle.of(range(inst.m)) if row else Bundle()
     ladder = cp_ladder(inst, 0, n_rungs, base)
     r = len(ladder.rungs)
     base_value = value_of(inst, 0, base)
@@ -680,7 +653,7 @@ def test_top_rung_guarantees_satisfaction_under_any_completion():
     for s in range(10):
         inst = random_instance(3, 5, 12, seed=40 + s)
         for agent in range(3):
-            top = cp_bundle(inst, agent, 3, inst.all_items())
+            top = cp_bundle(inst, agent, 3, Bundle.of(range(inst.m)))
             rest = [j for j in range(5) if j not in top.items]
             others = [k for k in range(3) if k != agent]
             for k in range(2 ** len(rest)):

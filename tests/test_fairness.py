@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -11,6 +10,7 @@ from propm import (
     InputError,
     Instance,
     Notion,
+    ResourceBudgetError,
     adjusted_profile,
     check,
     envy_graph,
@@ -20,6 +20,7 @@ from propm import (
     parse_notion,
 )
 from propm.oracle import allocation_from_index, random_instance
+from reference import brute_mms_window
 
 EPS_SPLIT = Allocation.of([[0], [1, 2, 3], [4, 5, 6]])
 
@@ -76,16 +77,6 @@ def test_mms_fewer_items_than_agents():
     assert mms_value(inst, 0) == 0
 
 
-def _brute_force_mms(row, n):
-    best = -1
-    for owners in product(range(n), repeat=len(row)):
-        sums = [0] * n
-        for j, k in enumerate(owners):
-            sums[k] += row[j]
-        best = max(best, min(sums))
-    return best
-
-
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("m", range(7))
 def test_mms_matches_brute_force_over_all_partitions(n, m):
@@ -98,12 +89,22 @@ def test_mms_matches_brute_force_over_all_partitions(n, m):
         [0] * m,
         [rng.randint(0, 30) for _ in range(m - 1)] + [100] if m else [],
     ]
-    expected = [_brute_force_mms(row, n) for row in kinds]
+    expected = [brute_mms_window(row, n, 0, n**m) for row in kinds]
     for shift in range(len(kinds)):
         picks = [(shift + a) % len(kinds) for a in range(n)]
         inst = Instance.of([kinds[k] for k in picks])
         for agent, k in enumerate(picks):
             assert mms_value(inst, agent) == expected[k], (agent, kinds[k])
+
+
+def test_a_lone_agent_mms_past_int64_is_exact():
+    # mms_value answers n = 1 from the total; the scan kernels refuse values
+    # past int64, so that branch is the only MMS answer at this size.
+    inst = Instance.of([[10**30, 5]])
+    assert mms_value(inst, 0) == 10**30 + 5
+    assert check(inst, Allocation.of([[0, 1]]), Notion.MMS).all_satisfied
+    with pytest.raises(ResourceBudgetError, match="int64"):
+        exists(inst, Notion.MMS)
 
 
 def test_check_mms_verdict(i_eps):

@@ -20,6 +20,7 @@ from propm import Instance, Notion, ResourceBudgetError, adjusted_profile, check
 from propm.fairness import MMS_MEMO_SIZE, _mms_cached
 from propm.leximin import leximin_max
 from propm.oracle import FIRST_WINDOW, allocation_from_index, random_instance
+from reference import brute_mms_window
 
 
 def _arrays(inst):
@@ -60,18 +61,6 @@ def _assert_masks(masks, inst, start, want=kernels.ALL_NOTIONS):
 
 def test_notion_codes_are_the_kernel_bits():
     assert sorted(notion.code for notion in Notion) == list(range(kernels.NOTION_COUNT))
-
-
-def _brute_mms_window(row, n, start, count):
-    """Best worst-bundle value of ``row`` over allocations start..start+count-1."""
-    best = -1
-    for index in range(start, start + count):
-        sums = [0] * n
-        for j, v in enumerate(row):
-            index, owner = divmod(index, n)
-            sums[owner] += v
-        best = max(best, min(sums))
-    return best
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -448,9 +437,9 @@ def _assert_scans_exact(rows, dtype):
     ref_index, ref = _python_leximin(inst, 0, count)
     assert index == ref_index
     assert [int(p) for p in profile] == [int(n * v) for v in ref]
-    expected = [_brute_mms_window(row, n, 0, count) for row in rows]
+    expected = [brute_mms_window(row, n, 0, count) for row in rows]
     assert kernels.mms_scan(values, 0, count, plan=_plan(values, count)).tolist() == expected
-    assert mms.tolist() == [_brute_mms_window(row, n, 0, count // n) for row in rows]
+    assert mms.tolist() == [brute_mms_window(row, n, 0, count // n) for row in rows]
 
 
 # n = 2, m = 3: n * (m+1) * max total = 8 * total. 2^31 - 1 is prime, so no
@@ -560,7 +549,7 @@ def test_scans_match_the_reference_on_fuzzed_windows(inst, data):
     mms_plan = _plan(values, data.draw(st.integers(1, 40)), workspace=workspace)
     start = data.draw(st.integers(0, total - 1))
     count = data.draw(st.integers(1, min(total - start, 30)))
-    expected = [_brute_mms_window(row, n, start, count) for row in inst.values]
+    expected = [brute_mms_window(row, n, start, count) for row in inst.values]
     assert kernels.mms_scan(values, start, count, plan=mms_plan).tolist() == expected
 
 
@@ -845,7 +834,7 @@ def test_a_workspace_warmed_by_a_larger_audit_gives_exact_small_scans():
         ref_index, ref = _python_leximin(inst, 0, inst.n**inst.m)
         assert allocation == allocation_from_index(inst.n, inst.m, ref_index)
         assert profile.ascending == ref
-        assert mms == [_brute_mms_window(row, inst.n, 0, inst.n**inst.m) for row in inst.values]
+        assert mms == [brute_mms_window(row, inst.n, 0, inst.n**inst.m) for row in inst.values]
 
 
 def test_a_workspace_stays_within_the_scan_budget(monkeypatch):
