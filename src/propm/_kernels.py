@@ -1,11 +1,14 @@
 """Hot numeric kernels.
 
 ``cp_bits`` (bit-parallel subset sum on Python ints), ``cp_table`` (a numpy
-subset-sum DP) and ``cp_mitm`` (numpy meet-in-the-middle) find
+subset-sum DP) and ``cp_mitm`` (numpy subset enumeration: all 2^m subsets up
+to MITM_WHOLE_ITEMS = 12 items, meet-in-the-middle past that) find
 close-to-proportional bundles with one contract. ``cpsets._best_subset``
 sends a query to the first when its suffix sets are small (every query of
 the README's sizes), to the second when the value cap is moderate, and to
-the third when it is huge but the item count small. The allocation
+the third when it is huge but the item count small. ``cp_mitm``'s subset
+keys do not depend on the values, so it keeps one table of them per item
+count for the process, at most MITM_KEY_BYTES (2 MiB) in all. The allocation
 scans (``notion_masks``, ``mms_scan`` and ``leximin_scan``) share one
 split-half engine, vectorized with numpy.
 
@@ -79,7 +82,9 @@ enforced by the public entry points before any kernel runs.
 
 numpy loads on the first call of a numpy kernel (all but ``cp_bits``), not
 on ``import propm``: commands that run none (``verify`` of every notion but
-MMS, ``gen``, ``counterexample``, ``--help``) never import it. Until then
+MMS, ``gen``, ``counterexample``, ``--help``) never import it. Likewise
+``concurrent.futures`` loads only when ``scan_windows`` starts a thread
+pool, so no solve and no one-worker scan imports it. Until then
 the module's ``np`` is a stand-in whose first attribute read imports numpy
 and rebinds ``np`` to it. The module itself loads eagerly, so the notion codes,
 budgets and kernel functions are attributes from the start, and code that
@@ -96,7 +101,6 @@ import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import ResourceBudgetError
 
@@ -327,41 +331,80 @@ def cp_bits(vals, cap: int) -> tuple[int, int, int]:
     return best_sum, card, mask
 
 
-def _subset_states(vals, dtype, m, offset):
-    """Sums and keys of every subset of ``vals``, which sit at positions offset.. of m.
+# A cp_mitm key is cardinality << _KEY_CARD | mask fields. A set of c items
+# puts item p at bit _KEY_CARD - 1 - p, so a larger key has more items, then
+# the lexicographically smaller position list. A split pairs the left half's
+# key with the right half's, whose mask field is moved down to end at bit
+# _KEY_HALF - 1, so the two add. Halves of up to 20 items fit; the key stays
+# below 41 << 40 < 2^63.
+_KEY_CARD = 40
+_KEY_HALF = 20
+# cp_mitm enumerates item sets up to this size whole and splits larger ones:
+# measured per query (numpy 2.4, 2-core x86 host) at m = 12, 28 us whole
+# against 31-33 us split, and at m = 13, 38 us against 34 us.
+MITM_WHOLE_ITEMS = 12
+# cp_mitm keeps one key table per item count it has used (_KEY_TABLES): 2^c
+# int64 entries for c items, c <= 17 up to cpsets.MITM_ITEM_LIMIT = 34 items.
+# All of them together stay below 8 * 2^18 bytes = 2 MiB; the counts up to
+# 12 (every query over at most 24 items) take 64 KiB.
+MITM_KEY_BYTES = 8 << 18
+_KEY_TABLES = {}
 
-    Doubling: item p fills the second half of the first 2^(p+1) states with
-    the first half plus p. A key is cardinality << m | mask, with bit
-    (m-1-position) in the mask, so each item adds (1 << m) | (1 << (m-1-position)).
+
+def _subset_totals(steps, dtype):
+    """Entry i: the sum of ``steps[p]`` over the set bits p of i, for every i < 2^len(steps).
+
+    Doubling: step p fills entries 2^p..2^(p+1)-1 with the first 2^p plus
+    ``steps[p]``.
     """
-    count = 1 << len(vals)
-    sums = np.empty(count, dtype)
-    keys = np.empty(count, np.int64)
-    sums[0] = keys[0] = 0
+    totals = np.empty(1 << len(steps), dtype)
+    totals[0] = 0
     k = 1
-    for p, v in enumerate(vals):
-        np.add(sums[:k], v, out=sums[k : 2 * k])
-        np.add(keys[:k], (1 << m) | (1 << (m - 1 - offset - p)), out=keys[k : 2 * k])
+    for step in steps:
+        np.add(totals[:k], step, out=totals[k : 2 * k])
         k *= 2
-    return sums, keys
+    return totals
+
+
+def _subset_keys(count):
+    """Keys of the 2^count subsets of ``count`` items, in ``_subset_totals`` order.
+
+    They do not depend on the values, so each count's table is built once
+    and kept, read-only (``MITM_KEY_BYTES`` bounds them all). Threads that
+    miss the same count at once each build the same table.
+    """
+    keys = _KEY_TABLES.get(count)
+    if keys is None:
+        steps = [1 << _KEY_CARD | 1 << (_KEY_CARD - 1 - p) for p in range(count)]
+        keys = _subset_totals(steps, np.int64)
+        keys.flags.writeable = False
+        _KEY_TABLES[count] = keys
+    return keys
 
 
 def cp_mitm(vals, cap: int) -> tuple[int, int, int]:
     """(sum, cardinality, mask) of the best subset of ``vals`` with sum <= cap.
 
-    Same contract as ``cp_table``, by meet-in-the-middle (Horowitz and Sahni,
-    1974): its cost is 2^(m/2) states per half, whatever the values. Each
-    subset carries one key, cardinality << m | mask, so for equal sums the
-    larger key is the better subset. The right half is sorted by (sum, key)
-    once; for each feasible left state, a binary search finds the largest
-    right sum that fits and, among equal sums, the largest key. The two
-    halves' bits are disjoint, so a pair's key is the sum of theirs: the
-    answer has the largest total sum and then the largest total key.
+    Same contract as ``cp_table``, by enumerating subsets: its cost depends on
+    the item count m, not on the values. Every subset carries one key that
+    orders equal sums as the contract does, cardinality first, then the
+    lexicographically smallest position list; the keys depend on m alone, so
+    ``_subset_keys`` keeps them per item count (``MITM_KEY_BYTES``).
 
-    A pair's key is below (m + 1) << m, which fits int64 up to m = 57;
-    ``cpsets.MITM_ITEM_LIMIT`` keeps m far below that. Sums are int64 when
-    the whole ``vals`` sum is below 2^63 and Python ints (object arrays)
-    otherwise.
+    Up to MITM_WHOLE_ITEMS items all 2^m subset sums fit one small table: the
+    answer is the largest sum within the cap and the largest key among the
+    subsets that reach it. Past that, meet in the middle (Horowitz and Sahni,
+    JACM 1974) over 2^(m/2) subsets per half. The right half is sorted by sum
+    alone, and ``np.maximum.reduceat`` keeps the largest key per distinct
+    sum. The left half is sorted too, which makes the binary searches walk
+    their table in order: for each left sum within the cap, the largest
+    right sum that still fits. The halves' key fields are disjoint and their
+    cardinalities add, so among the pairs with the largest total sum, the
+    largest total key is the answer.
+
+    Sums are int64 when the whole ``vals`` sum is below 2^63 and Python ints
+    (object arrays) otherwise. Keys fit int64 for halves of up to 20 items;
+    ``cpsets.MITM_ITEM_LIMIT`` keeps m at 34 or below.
     """
     vals = [int(v) for v in vals]
     m = len(vals)
@@ -369,22 +412,41 @@ def cp_mitm(vals, cap: int) -> tuple[int, int, int]:
     # No subset exceeds the total, and the clamp keeps cap - sum in int64.
     cap = min(cap, total)
     dtype = np.int64 if total < 1 << 63 else object
-    half = m // 2
-    left_sums, left_keys = _subset_states(vals[:half], dtype, m, 0)
-    right_sums, right_keys = _subset_states(vals[half:], dtype, m, half)
-    order = np.lexsort((right_keys, right_sums))
-    right_sums = right_sums[order]
-    right_keys = right_keys[order]
-    fits = left_sums <= cap
-    left_sums = left_sums[fits]
-    left_keys = left_keys[fits]
-    # The empty right subset always fits, so every index is at least 0.
-    pick = np.searchsorted(right_sums, cap - left_sums, "right") - 1
-    sums = left_sums + right_sums[pick]
-    best_sum = sums.max()
-    best = sums == best_sum
-    key = int((left_keys[best] + right_keys[pick[best]]).max())
-    return int(best_sum), key >> m, key & ((1 << m) - 1)
+    if m <= MITM_WHOLE_ITEMS:
+        h, r = m, 0
+        sums = _subset_totals(vals, dtype)
+        sums = np.where(sums <= cap, sums, -1)
+        best_sum = sums.max()
+        key = int(_subset_keys(m)[sums == best_sum].max())
+    else:
+        h, r = m // 2, m - m // 2
+        right = _subset_totals(vals[h:], dtype)
+        order = right.argsort()
+        right = right[order]
+        right_keys = _subset_keys(r)[order]
+        # Huge values rarely tie, so the reduction runs only when sums repeat.
+        distinct = right[1:] != right[:-1]
+        if not distinct.all():
+            starts = np.concatenate(([0], np.flatnonzero(distinct) + 1))
+            right = right[starts]
+            right_keys = np.maximum.reduceat(right_keys, starts)
+        left = _subset_totals(vals[:h], dtype)
+        order = left.argsort()
+        left = left[order]
+        left = left[: np.searchsorted(left, cap, "right")]
+        # The empty right subset (sum 0) always fits, so every pick is >= 0.
+        pick = np.searchsorted(right, cap - left, "right") - 1
+        sums = left + right[pick]
+        best_sum = sums.max()
+        best = np.flatnonzero(sums == best_sum)
+        left_keys = _subset_keys(h)[order[best]]
+        # Move the right keys' mask field down below the left's.
+        right_keys = right_keys[pick[best]]
+        field = right_keys & ((1 << _KEY_CARD) - 1)
+        key = int((left_keys + right_keys - field + (field >> _KEY_CARD - _KEY_HALF)).max())
+    mask = (key >> _KEY_CARD - h) & ((1 << h) - 1)
+    mask = mask << r | (key >> _KEY_HALF - r) & ((1 << r) - 1)
+    return int(best_sum), key >> _KEY_CARD, mask
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +740,8 @@ def scan_windows(values, window, start, stop, workers=1, first=None):
     if threads == 1 or (stop - start) * plan.n**2 < break_even:
         yield from (window(plan, *w) for w in windows)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     yield window(plan, *next(windows))
     pool, ahead = ThreadPoolExecutor(max_workers=threads), deque()
     try:

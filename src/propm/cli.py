@@ -3,9 +3,9 @@
 Exit codes: 0 the command succeeded and any claim it checked holds;
 1 a checked claim fails (verification failed, notion does not exist, audit
 found violations, solver invariant broke); 2 malformed input; 3 a resource
-limit was reached: the enumeration budget, a CP bundle out of reach, or
-values whose scan would leave the kernels' exact int64 range (valid input
-that ``--budget`` cannot lift).
+limit was reached: the enumeration budget (for ``gen``, a budget on its
+n x m cells), a CP bundle out of reach, or values whose scan would leave
+the kernels' exact int64 range (valid input that ``--budget`` cannot lift).
 
 Instances and allocations travel as JSON:
   instance   {"n": int, "m": int, "values": [[int, ...], ...]}
@@ -172,7 +172,7 @@ def _cmd_leximin(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    inst = random_instance(args.n, args.m, args.max_value, args.seed)
+    inst = random_instance(args.n, args.m, args.max_value, args.seed, budget=args.budget)
     _write_instance(inst, args.out)
     return 0
 
@@ -227,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-value", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=None, help="cell budget (n x m)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_gen)
 

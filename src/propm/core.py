@@ -27,9 +27,10 @@ class InputError(ValueError):
 class ResourceBudgetError(RuntimeError):
     """An operation would exceed a resource limit.
 
-    The limits: an exhaustive operation's enumeration budget, a CP table's
-    take-row bytes, a CP query past both CP kernels' reach, and values past
-    the scan kernels' exact int64 range (which no budget lifts).
+    The limits: an exhaustive operation's enumeration budget, the same
+    budget on a random instance's cells, a CP table's take-row bytes, a CP
+    query past both CP kernels' reach, and values past the scan kernels'
+    exact int64 range (which no budget lifts).
     """
 
 
@@ -61,11 +62,11 @@ def resolve_budget(budget: int | None) -> int:
     return require_int(budget, "budget must be a positive int, got {value!r}", 1)
 
 
-def require_budget(count: int, budget: int | None, what: str) -> None:
-    """Raise ResourceBudgetError if ``what`` needs more allocations than the budget allows."""
+def require_budget(count: int, budget: int | None, what: str, unit: str = "allocations") -> None:
+    """Raise ResourceBudgetError if ``what`` needs more ``unit`` than the budget allows."""
     limit = resolve_budget(budget)
     if count > limit:
-        raise ResourceBudgetError(f"{what} needs {count} allocations, budget is {limit}")
+        raise ResourceBudgetError(f"{what} needs {count} {unit}, budget is {limit}")
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,13 @@ at most BITS_LIMIT, go to ``_kernels.cp_bits``, a bit-parallel subset sum
 on Python ints: it pays one shift-or per item where the numpy kernels pay
 several numpy calls. Larger ones go to ``_kernels.cp_table``, a numpy DP
 over achievable value sums, when the value cap is below DP_SUM_LIMIT, and
-to ``_kernels.cp_mitm``, meet-in-the-middle over 2^(m/2) subsets per half,
-when the cap is huge but there are at most MITM_ITEM_LIMIT items. Anything
-beyond both limits is refused with ResourceBudgetError.
+to ``_kernels.cp_mitm`` when the cap is huge but there are at most
+MITM_ITEM_LIMIT items. That kernel's cost depends on the item count alone:
+it enumerates all 2^m subset sums up to ``_kernels.MITM_WHOLE_ITEMS`` (12)
+items and meets in the middle over 2^(m/2) subsets per half past that,
+with value-free key tables kept per item count (``_kernels.MITM_KEY_BYTES``,
+2 MiB at most). Anything beyond both limits is refused with
+ResourceBudgetError.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from .core import Bundle, InputError, Instance, ResourceBudgetError, require_age
 BITS_LIMIT = 1 << 19
 # Switch to meet-in-the-middle above this DP table size.
 DP_SUM_LIMIT = 2_000_000
-# Meet-in-the-middle enumerates 2^(m/2) subsets per half.
+# Meet-in-the-middle enumerates 2^(m/2) subsets per half; its key tables
+# (_kernels.MITM_KEY_BYTES) are bounded for halves of up to 17 items.
 MITM_ITEM_LIMIT = 34
 # Distinct (values, cap) queries the CP memo keeps. A solve and the
 # verification of its certificate ask about ten between them.

@@ -230,17 +230,24 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z
 
 
-def random_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
+def random_instance(
+    n: int, m: int, max_value: int, seed: int, *, budget: int | None = None
+) -> Instance:
     """Deterministic pseudo-random instance, reproducible across implementations.
 
     The generator is SplitMix64 seeded with ``seed``; draws are taken
     row-major (agent 0 item 0, item 1, ...) and mapped to 0..max_value by
     modulo. This fixes the instance stream independent of any library RNG.
+
+    An instance of more than ``budget`` cells n * m (default
+    ``core.DEFAULT_BUDGET``, 10,000,000) raises ResourceBudgetError before the
+    first draw.
     """
     require_int(n, "need at least one agent, got n={value!r}", 1)
     require_int(m, "item count must be non-negative, got m={value!r}", 0)
     require_int(max_value, "max_value must be non-negative, got {value!r}", 0)
     require_int(seed, "seed must be an int, got {value!r}")
+    require_budget(n * m, budget, f"a random instance of {n} x {m}", unit="cells")
     state = seed & _MASK64
     rows = []
     for _ in range(n):

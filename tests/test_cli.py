@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,27 @@ def test_gen_then_verify_round_trip(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["notion"] == "prop1"
     assert code in (0, 1)
+
+
+def test_gen_past_the_cell_budget_exits_3_before_drawing(capsys):
+    # 10^10 cells against the default budget of 10^7: refused before any draw.
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "gen", "--n", "100000", "--m", "100000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "needs 10000000000 cells, budget is 10000000" in err
+    assert "allocations" not in err
+    assert peak < 1 << 20
+
+
+def test_gen_budget_lifts_the_cell_limit(capsys):
+    code, out, _ = _run(capsys, "gen", "--n", "3", "--m", "4", "--budget", "12")
+    assert code == 0 and json.loads(out)["m"] == 4
+    code, out, err = _run(capsys, "gen", "--n", "3", "--m", "4", "--budget", "11")
+    assert (code, out) == (3, "") and "needs 12 cells, budget is 11" in err
 
 
 def test_verify_propm_on_eps(eps_file, tmp_path, capsys):

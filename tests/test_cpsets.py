@@ -312,6 +312,13 @@ def test_cp_take_budget_refuses_before_allocating():
     assert peak < 4 << 20
 
 
+# Zeros, equal values and, in the first 12, a sum past 2^63 (so Python-int
+# sums): its prefixes of MITM_WHOLE_ITEMS and one more items sit on both sides
+# of cp_mitm's switch from enumerating the whole set to splitting it.
+_MITM_EDGE = [0, 5, 1 << 63, 5, 0, (1 << 63) + 1, 13, 5, 1 << 62, 0, 13, 5, 1 << 63, 40]
+_MITM_TIES = [7, 0, 7, 7, 3, 0, 7, 4, 7, 3, 7, 0, 7, 4]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     case=st.lists(
@@ -319,14 +326,20 @@ def test_cp_take_budget_refuses_before_allocating():
             st.sampled_from([0, 0, 1, 2, 3, 5, 8, 13, 40]),
             st.sampled_from([1 << 62, 1 << 63, (1 << 63) + 1, 3 << 63]),
         ),
-        max_size=14,
+        max_size=_kernels.MITM_WHOLE_ITEMS + 2,
     ).flatmap(lambda vals: st.tuples(st.just(vals), st.integers(0, sum(vals) + 2)))
 )
 @example(case=([0, 0, 0], 0))
 @example(case=([1 << 63, 1 << 63, 1, 0], 1 << 63))
 @example(case=([40, 1, 1, 40], 41))
+@example(case=(_MITM_EDGE[: _kernels.MITM_WHOLE_ITEMS], (1 << 63) + 18))
+@example(case=(_MITM_EDGE[: _kernels.MITM_WHOLE_ITEMS + 1], (1 << 64) + 23))
+@example(case=(_MITM_TIES[: _kernels.MITM_WHOLE_ITEMS], 21))
+@example(case=(_MITM_TIES[: _kernels.MITM_WHOLE_ITEMS + 1], 25))
 def test_cp_mitm_matches_brute_force(case):
     # Sums reaching 2^63 run on Python-int (object) arrays; the rest on int64.
+    # Up to MITM_WHOLE_ITEMS items cp_mitm enumerates all subsets, past it it
+    # splits them in halves.
     vals, cap = case
     got = _kernels.cp_mitm(tuple(vals), cap)
     value, card, combo = brute_force_best(vals, cap)
@@ -341,6 +354,17 @@ def test_cp_mitm_at_the_item_limit():
     # cp_bundle takes meet-in-the-middle: the cap is past the DP limit.
     inst = Instance.of([vals])
     assert cp_bundle(inst, 0, 3, Bundle.of(range(inst.m))).items == tuple(range(11))
+
+
+def test_cp_mitm_key_tables_stay_within_their_bound():
+    # Equal values: the first cap // v items are the answer at every item count.
+    v = 10**9 + 7
+    for m in range(1, MITM_ITEM_LIMIT + 1):
+        k = m // 3
+        assert _kernels.cp_mitm((v,) * m, k * v) == (k * v, k, ((1 << k) - 1) << (m - k))
+    tables = _kernels._KEY_TABLES
+    assert max(tables) == (MITM_ITEM_LIMIT + 1) // 2
+    assert sum(keys.nbytes for keys in tables.values()) <= _kernels.MITM_KEY_BYTES
 
 
 def test_cp_bundle_skips_an_item_past_int64_under_a_dp_cap():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -111,15 +112,19 @@ def small_break_even(monkeypatch):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Count the thread pools the scan driver starts."""
+    """Count the thread pools the scan driver starts.
+
+    The driver imports ``ThreadPoolExecutor`` from ``concurrent.futures`` when
+    it starts a pool, so the class is patched there.
+    """
     started = []
 
-    class CountingPool(kernels.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     return started
 
 
@@ -275,6 +280,14 @@ def test_random_instance_zero_max_value():
     inst = random_instance(2, 3, 0, seed=5)
     assert all(v == 0 for row in inst.values for v in row)
     assert exists(inst, Notion.EF).exists
+
+
+def test_random_instance_refuses_cells_past_the_budget():
+    with pytest.raises(ResourceBudgetError, match="needs 10000000000 cells, budget is 10000000"):
+        random_instance(100_000, 100_000, 100, 0)
+    with pytest.raises(ResourceBudgetError, match="needs 12 cells, budget is 11"):
+        random_instance(3, 4, 100, 0, budget=11)
+    assert random_instance(3, 4, 100, 0, budget=12) == random_instance(3, 4, 100, 0)
 
 
 def test_random_instance_pinned_stream():

@@ -1,4 +1,5 @@
-"""numpy loads on the first numpy kernel call, never on ``import propm``.
+"""numpy loads on the first numpy kernel call, never on ``import propm``, and
+concurrent.futures only when a scan starts a thread pool.
 
 Each check runs in a fresh interpreter, so that the modules pytest and the
 other tests have imported cannot hide an import.
@@ -89,6 +90,23 @@ print(json.dumps({
     "counts": tracer.metrics(),
     "allocations_checked": result.allocations_checked,
 }))
+"""
+
+# Whether concurrent.futures is loaded after ``import propm``, after a solve
+# whose CP queries run numpy meet-in-the-middle, and after a one-worker
+# exists scan, with the scan's answer.
+_NO_POOL_MODULE = """
+import json, sys
+import propm
+loaded = {"import propm": "concurrent.futures" in sys.modules}
+inst = propm.random_instance(3, 14, 10**9, seed=2)
+allocation, cert = propm.solve_propm(inst)
+assert propm.verify_certificate(inst, allocation, cert)
+loaded["solve"] = "concurrent.futures" in sys.modules
+result = propm.exists(propm.random_instance(3, 8, 100, seed=2), propm.Notion.EF, workers=1)
+loaded["exists"] = "concurrent.futures" in sys.modules
+print(json.dumps({"loaded": loaded, "numpy": "numpy" in sys.modules,
+                  "checked": result.allocations_checked}))
 """
 
 
@@ -196,3 +214,13 @@ def test_tracer_installed_before_numpy_loads():
     assert counts["fairness.mms_value.calls"] == 3
     assert counts["kernels.mms_scan.calls"] == 1
     assert counts["oracle.exists.allocs_needed"] == got["allocations_checked"]
+
+
+def test_import_solve_and_one_worker_scans_leave_concurrent_futures_unloaded():
+    # Only the scan driver's thread pool needs concurrent.futures; it imports
+    # the module when it starts a pool.
+    got = fresh(_NO_POOL_MODULE)
+    assert got["loaded"] == {"import propm": False, "solve": False, "exists": False}
+    assert got["numpy"]
+    inst = propm.random_instance(3, 8, 100, seed=2)
+    assert got["checked"] == propm.exists(inst, propm.Notion.EF, workers=1).allocations_checked
