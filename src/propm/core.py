@@ -82,7 +82,7 @@ class Bundle:
         prev = -1
         for j in self.items:
             if type(j) is not int:
-                raise InputError(f"item index must be an int, got {j!r}")
+                raise InputError(f"item indices must be ints, got {j!r}")
             if j < 0:
                 raise InputError(f"item indices must be non-negative, got {self.items}")
             if j <= prev:

@@ -41,6 +41,7 @@ from .core import (
     InvariantViolationError,
     UnsupportedSizeError,
     require_allocation,
+    require_int,
 )
 from .cpsets import CpLadder, cp_ladder
 from .fairness import Notion, check
@@ -503,33 +504,19 @@ def _req(condition: bool, message: str) -> None:
         raise CertificateError(message)
 
 
-def _indices(inst: Instance, cert) -> tuple[set[int], set[int]]:
-    """A certificate's agent and item sets; each must be a tuple of distinct in-range ints.
-
-    Its steps must be a tuple too.
-    """
-    _req(isinstance(cert, Certificate), f"expected a Certificate, got {type(cert).__name__}")
-    agents, items = cert.agents, cert.items
-    _req(
-        type(agents) is tuple
-        and type(items) is tuple
-        and all(type(a) is int and 0 <= a < inst.n for a in agents)
-        and all(type(j) is int and 0 <= j < inst.m for j in items),
-        "certificate agents and items must be ints in range",
-    )
-    _req(type(cert.steps) is tuple, "certificate steps must be a tuple")
-    agent_set, item_set = set(agents), set(items)
-    _req(len(agent_set) == len(agents), "duplicate agents in certificate")
-    _req(len(item_set) == len(items), "duplicate items in certificate")
-    return agent_set, item_set
+def _draw(free: set[int], indices, what: str) -> set[int]:
+    """``indices`` as a set, taken out of ``free``: a ``Bundle``-valid tuple drawn from it."""
+    drawn = set(Bundle(indices).items)
+    _req(drawn <= free, f"{what} unavailable")
+    free -= drawn
+    return drawn
 
 
 def _replay(inst: Instance, cert: Certificate) -> dict[int, tuple[int, ...]]:
     """Every agent's items, replayed level by level; CertificateError if it does not replay."""
-    # A field of the wrong type (None, a list for a name) fails a check as TypeError and kin.
+    # A field of the wrong type fails a check as TypeError and kin, or as InputError.
     try:
-        agents, items = _indices(inst, cert)
-        return _replay_steps(inst, cert, agents, items)
+        return _replay_steps(inst, cert, set(range(inst.n)), set(range(inst.m)))
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
@@ -542,23 +529,30 @@ def _step(steps, k: int, kind):
 
 
 def _replay_steps(
-    inst: Instance, cert: Certificate, agents: set[int], items: set[int]
+    inst: Instance, cert: Certificate, free_agents: set[int], free_items: set[int]
 ) -> dict[int, tuple[int, ...]]:
-    """Replay one level: its steps, their order and its case's obligations.
+    """Replay one level: its indices, its steps, their order and its case's obligations.
 
-    ``agents`` and ``items`` are the level's checked index sets (``_indices``);
-    replay uses them up. Returns every agent's items once the level's
-    sub-splits have replayed, and checks the rung-mixing rule on them.
+    One rule holds for every index tuple (``_draw``): the level's agents and
+    items, and each bundle its case hands out directly, are ``Bundle``-valid
+    tuples drawn from what is still unassigned. The level draws its agents
+    and items from ``free_agents`` and ``free_items``, what its parent left
+    free, and its own steps use them up. A sub-split is the same call one
+    level down; its share bound is checked once it has replayed. Returns
+    every agent's items once the level's sub-splits have replayed, and
+    checks the rung-mixing rule on them.
     """
+    _req(isinstance(cert, Certificate), f"expected a Certificate, got {type(cert).__name__}")
+    agents = _draw(free_agents, cert.agents, "certificate agents")
+    items = _draw(free_items, cert.items, "certificate items")
     steps = cert.steps
+    _req(type(steps) is tuple, "certificate steps must be a tuple")
     allocation: dict[int, tuple[int, ...]] = {}
     k = 0
     while k < len(steps) and isinstance(steps[k], BigItemReduction):
         step, expected = steps[k], _first_reduction(inst, agents, items)
-        _req(
-            type(step.agent) is int and type(step.item) is int,
-            "reduction agent and item must be ints",
-        )
+        require_int(step.agent, "reduction agent must be an int, got {value!r}")
+        require_int(step.item, "reduction item must be an int, got {value!r}")
         _req(step == expected, "reduction is not the lexicographically first over-share pair")
         allocation[expected.agent] = (expected.item,)
         agents.remove(expected.agent)
@@ -570,11 +564,9 @@ def _replay_steps(
     if n > 1:
         ladder = _step(steps, k, CpLadder)
         _req(n in _CASES, "no ladder for this many agents")
-        _req(
-            type(ladder.divider) is int
-            and all(type(j) is int for rung in ladder.rungs for j in rung),
-            "ladder divider and rung items must be ints",
-        )
+        require_int(ladder.divider, "ladder divider must be an int, got {value!r}")
+        for rung in ladder.rungs:
+            Bundle(rung)
         _req(
             ladder == cp_ladder(inst, min(agents), n, Bundle(pool)),
             "ladder differs from its CP recomputation",
@@ -588,16 +580,8 @@ def _replay_steps(
     for pair in case.assignments:
         _req(type(pair) is tuple and len(pair) == 2, "an assignment must be an (agent, items) pair")
         agent, bundle = pair
-        _req(type(bundle) is tuple, "assignment items must be a tuple")
-        _req(
-            type(agent) is int and all(type(j) is int for j in bundle),
-            "assignment agents and items must be ints",
-        )
-        _req(agent in agents, "assignment to an unavailable agent")
-        bundle_set = set(bundle)
-        _req(len(bundle_set) == len(bundle), "duplicate items in an assignment")
-        _req(bundle_set <= items, "assignment of unavailable items")
-        _req(tuple(sorted(bundle)) == bundle, "assignment items not sorted")
+        _draw(agents, (agent,), "assignment agent")
+        _draw(items, bundle, "assignment items")
         if ladder is not None and agent == ladder.divider:
             taken = [p for p, rung in enumerate(ladder.rungs) if bundle == rung]
             _req(bool(taken), "the divider's bundle is not one whole rung")
@@ -607,26 +591,14 @@ def _replay_steps(
                 "an agent served directly gets less than 1/n of the level's pool",
             )
         allocation[agent] = bundle
-        agents.remove(agent)
-        items -= bundle_set
 
     for k in range(k + 1, len(steps)):
-        split = _step(steps, k, SubSplit)
+        nested = _step(steps, k, SubSplit).certificate
         _req(ladder is not None, "sub-split outside a ladder level")
-        nested = split.certificate
-        agent_set, item_set = _indices(inst, nested)
-        _req(agent_set <= agents, "sub-split agents unavailable")
-        _req(item_set <= items, "sub-split items unavailable")
-        _req(
-            nested.agents == tuple(sorted(agent_set)) and nested.items == tuple(sorted(item_set)),
-            "sub-split agents or items not sorted",
-        )
+        allocation.update(_replay_steps(inst, nested, agents, items))
         _req(
             _share_holds(inst, pool, n, nested.agents, nested.items), "a share bound does not hold"
         )
-        agents -= agent_set
-        items -= item_set
-        allocation.update(_replay_steps(inst, nested, agent_set, item_set))
 
     _req(not agents, "some agents never received a bundle")
     _req(not items, "some items were never assigned")
@@ -652,23 +624,28 @@ def verify_certificate(inst: Instance, allocation: Allocation, cert: Certificate
     and each sub-split's nested certificate, whose agents and items are its
     members and sub-pool. Replay (``_replay``) is independent of the
     solver's control flow and derives the rest from the instance alone.
+    One rule covers every index: each level's agents and items, and each
+    bundle a case hands out directly, are ``Bundle``-valid tuples drawn from
+    what is still unassigned (``_draw``), and each level uses up all it
+    drew. So a True verdict means the allocation is a partition of all m
+    items among the n agents, and needs no ``validate_for`` of its own.
     Each reduction must be the lexicographically first over-share pair of
     what is left (``_first_reduction``) and each ladder equal to the lowest
     agent's ``cp_ladder`` over its level's pool. The steps of a level must
     come in the solver's order (reductions, then a lone agent's
-    ``n1.take_all`` case or a ladder and one case, then only sub-splits)
-    and cover all its agents and items. At a level of n agents
-    sharing pool P, a divider the case serves directly takes one whole rung
-    and any other agent it serves gets n*v(bundle) >= v(P); each sub-split
-    member gets n*v(sub-pool) >= |members|*v(P) (``_share_holds``). Once its
+    ``n1.take_all`` case or a ladder and one case, then only sub-splits).
+    At a level of n agents sharing pool P, a divider the case serves
+    directly takes one whole rung and any other agent it serves gets
+    n*v(bundle) >= v(P); each sub-split member gets
+    n*v(sub-pool) >= |members|*v(P) (``_share_holds``). Once its
     sub-splits have replayed, each level checks that none of its agents'
     final bundles mixes items from above and below the rung its divider took
     whole (the rung-mixing rule). These give every agent its PROPm bound: a
     reduced agent by the over-share test, a direct one at its level by its
     1/n share or by the CP rungs, a sub-split member by recursion and its
     share bound. The case label is checked only against the agent count.
-    Every field must have its declared type: ints, and tuples for indices,
-    steps, assignments, their pairs and bundles.
+    Every other field must have its declared type too: ints, and tuples for
+    steps, assignments and their pairs.
 
     Rung recomputation may answer from the CP memo the solve filled. That
     memo holds outputs of a pure function of (values, cap), which solver and

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from propm import (
     solve_propm,
     verify_certificate,
 )
-from propm import _kernels
+from propm import _kernels, cpsets
 from propm.cpsets import _best_subset
 from propm.oracle import random_instance
 from propm.solver import (
@@ -1039,6 +1040,66 @@ def test_share_bounds_and_reductions_are_rebuilt_whole(mutate):
     assert not verify_certificate(inst, allocation, mutated)
 
 
+def _nested_bundle_reuses_a_reduced_item():
+    """Agent 4's bundle in the sub-split gains item 1, which agent 1 took by reduction."""
+    inst = _REDUCED_THEN_SPLIT
+    _, certificate = solve_propm(inst)
+    nested = certificate.steps[-1].certificate
+    assert nested.steps[1].assignments == ((3, (5,)), (4, (4, 6)))
+    forge = _replace_step(CaseApplied, assignments=((3, (5,)), (4, (1, 4, 6))))
+    forged = _replace_step(SubSplit, certificate=forge)(certificate)
+    return inst, forged, Allocation.of([[0, 3], [1], [2], [5], [1, 4, 6]])
+
+
+def _sub_split_reuses_a_reduced_item():
+    """Agents 3 and 4 split (1, 4, 5, 6), item 1 included, with the steps that pool solves to."""
+    inst = _REDUCED_THEN_SPLIT
+    _, certificate = solve_propm(inst)
+    _, steps = _solve_level(inst, (3, 4), (1, 4, 5, 6))
+    nested = Certificate(agents=(3, 4), items=(1, 4, 5, 6), steps=tuple(steps))
+    forged = _replace_step(SubSplit, certificate=nested)(certificate)
+    return inst, forged, Allocation.of([[0, 3], [1], [2], [4, 6], [1, 5]])
+
+
+def _sub_split_reuses_a_reduced_agent():
+    """Agent 0 took item 0 by reduction; a lone sub-split then serves it again, with nothing.
+
+    Agent 0 values the level's pool at 0, so its share bound (2*0 >= 1*0)
+    holds and only the free-agent rule stands in the way. On
+    _REDUCED_THEN_SPLIT every value is positive, and no such forgery meets
+    its share bounds there.
+    """
+    inst = Instance.of([[1, 0, 0], [0, 1, 1], [0, 1, 1]])
+    _, certificate = solve_propm(inst)
+    assert certificate.steps[0] == BigItemReduction(0, 0)
+    lone = Certificate(agents=(0,), items=(), steps=(CaseApplied("n1.take_all", ((0, ()),)),))
+    forged = dataclasses.replace(certificate, steps=(*certificate.steps, SubSplit(lone)))
+    return inst, forged, Allocation.of([[], [2], [1]])
+
+
+_FREE_SET_FORGERIES = {
+    "nested-bundle-item": _nested_bundle_reuses_a_reduced_item,
+    "sub-split-item": _sub_split_reuses_a_reduced_item,
+    "sub-split-agent": _sub_split_reuses_a_reduced_agent,
+}
+
+
+@pytest.mark.parametrize(
+    "forge", list(_FREE_SET_FORGERIES.values()), ids=list(_FREE_SET_FORGERIES)
+)
+def test_every_level_draws_from_what_its_parent_left_free(forge):
+    """Each forgery meets every other obligation; only the free-set rule rejects it.
+
+    Accepted, it would verify an allocation that is not a partition.
+    """
+    inst, forged, allocation = forge()
+    with pytest.raises(InputError):
+        allocation.validate_for(inst)
+    with pytest.raises(CertificateError, match="unavailable"):
+        _replay(inst, forged)
+    assert not verify_certificate(inst, allocation, forged)
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -1079,6 +1140,9 @@ _WRONG_TYPE_MUTATIONS = {
     "reduction-agent-bool": _replace_step(BigItemReduction, agent=True),
     "reduction-item-float": _replace_step(BigItemReduction, item=float),
     "ladder-divider-bool": _replace_step(CpLadder, divider=False),
+    "assignment-agent-bool": _replace_step(
+        CaseApplied, assignments=lambda a: ((False, a[0][1]), *a[1:])
+    ),
     "ladder-rung-items-float": _replace_step(
         CpLadder, rungs=lambda rungs: tuple(tuple(map(float, rung)) for rung in rungs)
     ),
@@ -1320,12 +1384,48 @@ def _forge_extra_level(data, steps, kind):
     return steps
 
 
+def _forge_foreign_item(data, steps, kind):
+    """Add an item the level does not hold to one direct bundle or one sub-split's items.
+
+    The item comes from 0..9, the property test's largest m. Each item of
+    the instance is already held elsewhere (or is past m), so a forgery of
+    this kind that verified would not be a partition, and the reference
+    check would refuse it.
+    """
+    held, targets = set(), []
+    for k, step in enumerate(steps):
+        if isinstance(step, BigItemReduction):
+            held.add(step.item)
+        elif isinstance(step, CaseApplied):
+            held.update(j for _, bundle in step.assignments for j in bundle)
+            targets += [(k, p) for p in range(len(step.assignments))]
+        elif isinstance(step, SubSplit):
+            held.update(step.certificate.items)
+            targets.append((k, None))
+    outside = [j for j in range(10) if j not in held]
+    if not targets or not outside:
+        return steps
+    k, p = data.draw(st.sampled_from(targets))
+    item = data.draw(st.sampled_from(outside))
+    if p is None:
+        nested = steps[k].certificate
+        items = tuple(sorted((*nested.items, item)))
+        steps[k] = SubSplit(dataclasses.replace(nested, items=items))
+    else:
+        pairs = list(steps[k].assignments)
+        agent, bundle = pairs[p]
+        pairs[p] = (agent, tuple(sorted((*bundle, item))))
+        steps[k] = dataclasses.replace(steps[k], assignments=tuple(pairs))
+    return steps
+
+
 _FORGERIES = {
     "permute": _forge_case,
     "move-item": _forge_case,
     "drop-ladder": _forge_ladder,
     "duplicate-ladder": _forge_ladder,
     "extra-level": _forge_extra_level,
+    "foreign-item": _forge_foreign_item,
 }
 
 
@@ -1351,3 +1451,88 @@ def test_every_certificate_that_verifies_is_propm(n, m, seed, data):
         return
     if verify_certificate(inst, allocation, forged):
         assert check(inst, allocation, Notion.PROPM).all_satisfied
+
+
+# ---------------------------------------------------------------------------
+# an inclusion-maximal CP rule in place of the value-maximal one
+# ---------------------------------------------------------------------------
+
+
+def _largest_first(vals, cap):
+    """``_best_subset``'s answer shape for the largest-first inclusion-maximal rule.
+
+    Items are taken by value, largest first (the lower position on ties),
+    each while the sum stays at most ``cap``. Every item left out would then
+    break the cap, but the sum need not be the largest that fits.
+    """
+    m = len(vals)
+    total = count = mask = 0
+    for p in sorted(range(m), key=lambda p: -vals[p]):
+        if total + vals[p] <= cap:
+            total, count, mask = total + vals[p], count + 1, mask | 1 << (m - 1 - p)
+    return total, count, mask
+
+
+_VALUE_FAMILIES = {
+    "0..3": lambda rng, m: [rng.randint(0, 3) for _ in range(m)],
+    "powers-of-two": lambda rng, m: [2 ** rng.randint(0, 30) for _ in range(m)],
+    "one-big-item": lambda rng, m: [rng.randint(0, 100) for _ in range(m - 1)]
+    + [rng.randint(0, 10**6)],
+    "three-values": lambda rng, m: rng.choices(rng.sample(range(1, 10**9), 3), k=m),
+    "up-to-1e9": lambda rng, m: [rng.randint(0, 10**9) for _ in range(m)],
+}
+
+
+def _inclusion_maximal_sample(count=300):
+    """A fixed sample: n = 2..5, m = n..16, each value family in turn.
+
+    Each agent is, with probability 1/2, a near-copy of the first agent's
+    row (one entry moved by one), else a fresh row of the family.
+    """
+    rng = random.Random(17)
+    families = list(_VALUE_FAMILIES.values())
+    sample = []
+    for s in range(count):
+        n = rng.randint(2, 5)
+        m = rng.randint(n, 16)
+        draw = families[s % len(families)]
+        rows = [draw(rng, m)]
+        for _ in range(n - 1):
+            if rng.random() < 0.5:
+                row = list(rows[0])
+                row[rng.randrange(m)] += 1
+            else:
+                row = draw(rng, m)
+            rows.append(row)
+        sample.append(Instance.of(rows))
+    return sample
+
+
+def test_largest_first_ladders_solve_and_only_the_ladder_check_rejects_them(monkeypatch):
+    """Stage 1 evidence for solving with inclusion-maximal CP bundles (no output change).
+
+    With the largest-first rule in place of the value-maximal one, every
+    solve of the sample passes the solver's own PROPm check and share
+    bounds (no InvariantViolationError). Under the real rule, each such
+    certificate whose ladders all equal the real ones verifies, and each
+    other one is rejected at a ladder and nowhere else.
+    """
+    sample = _inclusion_maximal_sample()
+    monkeypatch.setattr(cpsets, "_best_subset", _largest_first)
+    solved = [solve_propm(inst) for inst in sample]
+    monkeypatch.undo()
+    differ = 0
+    for inst, (allocation, certificate) in zip(sample, solved):
+        ladders = [step for step in certificate_steps(certificate) if isinstance(step, CpLadder)]
+        real = [
+            cp_ladder(inst, ladder.divider, len(ladder.rungs), Bundle.of(sum(ladder.rungs, ())))
+            for ladder in ladders
+        ]
+        if real == ladders:
+            assert verify_certificate(inst, allocation, certificate)
+            continue
+        differ += 1
+        with pytest.raises(CertificateError, match="ladder differs from its CP recomputation"):
+            _replay(inst, certificate)
+        assert not verify_certificate(inst, allocation, certificate)
+    assert 0 < differ < len(sample)
