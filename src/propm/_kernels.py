@@ -8,9 +8,12 @@ sends a query to the first when its suffix sets are small (every query of
 the README's sizes), to the second when the value cap is moderate, and to
 the third when it is huge but the item count small. ``cp_mitm``'s subset
 keys do not depend on the values, so it keeps one table of them per item
-count for the process, at most MITM_KEY_BYTES (2 MiB) in all. The allocation
-scans (``notion_masks``, ``mms_scan`` and ``leximin_scan``) share one
-split-half engine, vectorized with numpy.
+count for the process, at most MITM_KEY_BYTES (2 MiB) in all. ``cp_table``
+stores one row per item for its forward walk to decide each take: a
+cardinality row (two numpy calls per item) while its rows fit in
+CP_BYTE_ROWS (768 KiB), a bit-packed take row (four calls, an eighth of the
+bytes) past it. The allocation scans (``notion_masks``, ``mms_scan`` and
+``leximin_scan``) share one split-half engine, vectorized with numpy.
 
 Allocations are indexed 0..n^m-1; item j is owned by digit j of the index
 written in base n, least significant digit first. The engine splits the
@@ -127,11 +130,22 @@ BACKEND = "numpy"
 
 CHUNK = 8192
 
-# Bytes the bit-packed take rows of one CP table may take, counted over the
-# windows the forward walk can read (``_take_windows``), each at most
-# cap + 1 cells. At the CP DP's cap limit (cpsets.DP_SUM_LIMIT) that is about
-# a thousand full rows.
+# Bytes the take rows of one CP table may take, counted as if every row were
+# bit-packed, over the windows the forward walk can read (``_take_windows``),
+# each at most cap + 1 cells. At the CP DP's cap limit (cpsets.DP_SUM_LIMIT)
+# that is about a thousand full rows.
 CP_TAKE_BYTES = 256 << 20
+
+# Bytes of cardinality rows one CP table may keep; the items past them keep
+# bit-packed take rows. A cardinality row costs two numpy calls per item
+# against four for a bit row, but eight times the bytes: with cardinality
+# rows for every item the largest solve-dp table held 2.35 MB of rows (median
+# 602 KB, against 301 KB packed), and solve-dp's peak RSS rose from 39.9 to
+# 46.2 MB without a budget. The first 102 seed-1 solve-dp ops' 609 tables
+# took 136 ms with bit rows only, 80 ms with no budget, 87 ms at 1 MiB and
+# 90 ms at 768 KiB; 1 MiB still raised solve-dp's peak RSS by 1.5 MB (+3.9%)
+# and 768 KiB halves what the rows add to it.
+CP_BYTE_ROWS = 3 << 18
 
 # Bytes a scan's per-bundle statistics may take: a window's three values
 # (value, min, max, or two of them and a temporary) per allocation, agent
@@ -217,12 +231,24 @@ def cp_table(vals, cap: int) -> tuple[int, int, int]:
 
     A backward pass over the items keeps one row ``card[s]``: the largest
     cardinality of a subset of items p..m-1 summing to exactly s, negative
-    when s is unreachable. For each item with 0 < v <= cap it stores the
-    bit-packed row ``take_p``: taking p still reaches the row's best
-    cardinality at s. A forward walk from the best sum then takes each item
-    at the first opportunity, which yields the lexicographically smallest
-    witness. Zero-valued items are always taken and items above the cap
-    never; neither stores a row.
+    when s is unreachable. For each item with 0 < v <= cap it stores a row
+    from which a forward walk decides whether to take p. The walk starts at
+    the best sum s with ``left = card[s]``, the cardinality still to take,
+    and keeps card_p[s] == left: it takes p when taking p still reaches
+    ``left`` at s, then lowers ``left`` by one and s by v. Taking each item
+    at the first opportunity yields the lexicographically smallest witness.
+    Zero-valued items are always taken and items above the cap never;
+    neither stores a row.
+
+    Items get one of two row kinds, in DP order (m-1 down) while
+    CP_BYTE_ROWS lasts, then the other:
+
+    - a cardinality row ``card_{p+1}[s - v] + 1``, written straight into the
+      item's slice of one arena before the update takes its maximum. Since
+      ``card_{p+1}[s - v] + 1`` is never more than ``card_p[s]``, the walk
+      takes p iff the row holds ``left``.
+    - a bit-packed take row: the bit is set iff ``card_{p+1}[s - v] + 1``
+      reaches ``card_{p+1}[s]``, that is, taking p reaches ``card_p[s]``.
 
     Item p adds, compares and stores only the sums the walk can reach it
     with (``_take_windows``): from max(low - prefix_p, v) to
@@ -237,10 +263,12 @@ def cp_table(vals, cap: int) -> tuple[int, int, int]:
     The cardinality row has the narrowest exact dtype: int8 below 128 items,
     int16 below 16384 items and int64 beyond. Cardinalities are at most m,
     and the unreachable sentinel ``iinfo.min`` rises by at most one per item,
-    so it stays negative. The take rows cost sum(ceil(width_p / 8)) bytes on
-    top of that row, and the scratch rows are as wide as the widest window. A
-    table whose take rows would exceed CP_TAKE_BYTES raises
-    ResourceBudgetError before any row is allocated.
+    so it stays negative and never equals ``left``. Cardinality rows take
+    that dtype too, at most CP_BYTE_ROWS bytes in all. The bit rows cost
+    ceil(width_p / 8) bytes each, and their scratch rows are as wide as the
+    widest of their windows. A table whose take rows would exceed
+    CP_TAKE_BYTES if every row were bit-packed raises ResourceBudgetError
+    before any row is allocated.
     """
     m = len(vals)
     vals = [int(v) for v in vals]
@@ -252,9 +280,18 @@ def cp_table(vals, cap: int) -> tuple[int, int, int]:
             f"of take rows, budget is {CP_TAKE_BYTES}"
         )
     dtype = np.int8 if m < 1 << 7 else np.int16 if m < 1 << 14 else np.int64
+    # Items first..m-1 store cardinality rows, one after another in
+    # ``arena``; the items before ``first`` store bit rows.
+    cells = CP_BYTE_ROWS // np.dtype(dtype).itemsize
+    first, used = m, 0
+    while first and used + windows[first - 1][1] <= cells:
+        first -= 1
+        used += windows[first][1]
+    arena = np.empty(used, dtype)
+    at = 0
     card = np.full(cap + 1, np.iinfo(dtype).min, dtype)
     card[0] = 0
-    widest = max((w for _, w in windows), default=0)
+    widest = max((w for _, w in windows[:first]), default=0)
     cand = np.empty(widest, dtype)
     take = np.empty(widest, np.bool_)
     rows = [None] * m
@@ -265,14 +302,20 @@ def cp_table(vals, cap: int) -> tuple[int, int, int]:
             card += 1
         elif w:
             reached = card[start + v : start + v + w]
-            c, t = cand[:w], take[:w]
-            np.add(card[start : start + w], 1, out=c)
-            np.greater_equal(c, reached, out=t)
-            rows[p] = np.packbits(t)
+            if p >= first:
+                c = rows[p] = arena[at : at + w]
+                at += w
+                np.add(card[start : start + w], 1, out=c)
+            else:
+                c, t = cand[:w], take[:w]
+                np.add(card[start : start + w], 1, out=c)
+                np.greater_equal(c, reached, out=t)
+                rows[p] = np.packbits(t)
             np.maximum(reached, c, out=reached)
     # card[low] is reachable, so a last reachable sum exists.
     best_sum = cap - int(np.argmax((card[low:] >= 0)[::-1]))
     s = best_sum
+    count = left = int(card[best_sum])
     mask = 0
     for p in range(m):
         v = vals[p]
@@ -280,13 +323,17 @@ def cp_table(vals, cap: int) -> tuple[int, int, int]:
             taken = True
         elif v <= s:
             i = s - v - windows[p][0]
-            taken = (rows[p][i >> 3] >> (7 - (i & 7))) & 1
+            if p >= first:
+                taken = rows[p][i] == left
+            else:
+                taken = (rows[p][i >> 3] >> (7 - (i & 7))) & 1
         else:
             taken = False
         if taken:
             mask |= 1 << (m - 1 - p)
             s -= v
-    return best_sum, int(card[best_sum]), mask
+            left -= 1
+    return best_sum, count, mask
 
 
 def cp_bits(vals, cap: int) -> tuple[int, int, int]:

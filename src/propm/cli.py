@@ -7,9 +7,11 @@ limit was reached: the enumeration budget (for ``gen``, a budget on its
 n x m cells), a CP bundle out of reach, or values whose scan would leave
 the kernels' exact int64 range (valid input that ``--budget`` cannot lift).
 
-Instances and allocations travel as JSON:
+Instances, allocations and certificates travel as JSON:
   instance   {"n": int, "m": int, "values": [[int, ...], ...]}
   allocation {"bundles": [[int, ...], ...]}
+  certificate  as ``solve --certificate-out`` writes it; ``verify --certificate``
+               replays it against an allocation
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from .core import (
 from .fairness import Notion, check, parse_notion
 from .leximin import cycle_swap, envy_graph, leximin_max
 from .oracle import exists, implication_audit, make_counterexample, random_instance
-from .solver import certificate_to_json_dict, solve_propm, verify_certificate
+from .solver import (
+    certificate_from_json_dict,
+    certificate_to_json_dict,
+    solve_propm,
+    verify_certificate,
+)
 
 
 def _load_json(path: str) -> dict:
@@ -78,6 +85,12 @@ def _write_instance(inst: Instance, out: str | None) -> None:
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     allocation = _load_allocation(args.allocation)
+    if args.certificate:
+        cert = certificate_from_json_dict(_load_json(args.certificate))
+        proved = verify_certificate(inst, allocation, cert)
+        human = f"certificate: {'proves the allocation PROPm' if proved else 'REJECTED'}"
+        _emit({"certificate_verified": proved}, args.json, human)
+        return 0 if proved else 1
     notion = parse_notion(args.notion)
     report = check(inst, allocation, notion, budget=args.budget)
     lines = [f"notion {notion.value}: {'all satisfied' if report.all_satisfied else 'VIOLATED'}"]
@@ -196,10 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=None, help="enumeration budget")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("verify", help="check one fairness notion on an allocation")
+    p = sub.add_parser(
+        "verify", help="check one fairness notion on an allocation, or replay its certificate"
+    )
     add_common(p)
     p.add_argument("--allocation", required=True, help="allocation JSON path")
-    p.add_argument("--notion", required=True, help="fairness notion tag")
+    claim = p.add_mutually_exclusive_group(required=True)
+    claim.add_argument("--notion", help="fairness notion tag")
+    claim.add_argument(
+        "--certificate", help="certificate JSON path (from solve --certificate-out) to replay"
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="construct a PROPm allocation with a certificate")

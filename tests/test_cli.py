@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -112,6 +114,70 @@ def test_solve_writes_certificate(tmp_path, capsys, eps_file):
     allocation = Allocation.of(json.loads(out)["allocation"]["bundles"])
     _best_subset.cache_clear()
     assert verify_certificate(inst, allocation, certificate_from_json_dict(cert))
+
+
+def _solve_to_files(capsys, tmp_path, inst_path):
+    """Solve ``inst_path``; return the paths of its allocation and certificate."""
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = _run(capsys, "solve", "--instance", str(inst_path), "--json",
+                        "--certificate-out", str(cert_path))
+    assert code == 0
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps(json.loads(out)["allocation"]))
+    return alloc_path, cert_path
+
+
+def test_verify_replays_a_certificate_in_a_fresh_process(tmp_path, capsys):
+    # solve-dp's size: the replay builds CP tables with both kinds of row.
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--n", "5", "--m", "48", "--max-value", "10000", "--seed", "1",
+                 "--out", str(inst_path)]) == 0
+    alloc_path, cert_path = _solve_to_files(capsys, tmp_path, inst_path)
+    # A fresh interpreter: nothing of the solve is left in memory or in the CP memo.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "propm.cli", "verify", "--instance", str(inst_path),
+         "--allocation", str(alloc_path), "--certificate", str(cert_path), "--json"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, json.loads(proc.stdout)) == (0, {"certificate_verified": True})
+
+
+def test_verify_rejects_a_tampered_rung(tmp_path, capsys, eps_file):
+    alloc_path, cert_path = _solve_to_files(capsys, tmp_path, eps_file)
+    cert = json.loads(cert_path.read_text())
+    ladder = next(step for step in cert["steps"] if step["type"] == "ladder")
+    low, high = ladder["rungs"]
+    high.append(low.pop())
+    high.sort()
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = _run(capsys, "verify", "--instance", str(eps_file),
+                        "--allocation", str(alloc_path), "--certificate", str(cert_path))
+    assert (code, out) == (1, "certificate: REJECTED\n")
+
+
+@pytest.mark.parametrize(
+    "document",
+    ["[]", '{"agents": [0, 1, 2]}', '{"agents": [0, 1, 2], "items": [0], "steps": [{"type": "x"}]}',
+     '{"agents": [0.0, 1, 2], "items": [0, 1, 2, 3, 4, 5, 6], "steps": []}', "{"],
+    ids=["list", "missing-fields", "unknown-step", "float-agent", "not-json"],
+)
+def test_verify_a_certificate_of_the_wrong_shape_exits_2(tmp_path, capsys, eps_file, document):
+    alloc_path, cert_path = _solve_to_files(capsys, tmp_path, eps_file)
+    cert_path.write_text(document)
+    code, out, err = _run(capsys, "verify", "--instance", str(eps_file),
+                          "--allocation", str(alloc_path), "--certificate", str(cert_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+
+
+def test_verify_takes_a_notion_or_a_certificate(tmp_path, capsys, eps_file):
+    alloc_path, cert_path = _solve_to_files(capsys, tmp_path, eps_file)
+    base = ["verify", "--instance", str(eps_file), "--allocation", str(alloc_path)]
+    assert _run(capsys, *base)[0] == 2
+    assert _run(capsys, *base, "--notion", "propm", "--certificate", str(cert_path))[0] == 2
+    assert _run(capsys, *base, "--notion", "propm")[0] == 0
 
 
 def test_exists_alt_median_counterexample(eps_file, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def mask_positions(mask, m):
 def reference_dp(vals, cap):
     """Forward DP carrying unbounded witness masks per reachable sum.
 
-    Slow but independent of the kernel's backward table and take-bit walk.
+    Slow but independent of the kernel's backward table and its walk.
     """
     m = len(vals)
     best = {0: (0, 0)}  # sum -> (cardinality, mask); larger mask = lexicographically smaller
@@ -99,6 +100,29 @@ def test_cp_bundle_matches_brute_force_m16():
     assert (value_of(inst, 0, got), len(got), got.items) == (v, c, combo)
 
 
+def _row_budgets(vals, cap):
+    """CP_BYTE_ROWS values giving cp_table bit rows only, both kinds, or no bit row.
+
+    The middle one holds exactly the cardinality rows of items m // 2..m-1,
+    so the items before them keep bit rows.
+    """
+    vals = [int(v) for v in vals]
+    itemsize = 1 if len(vals) < 1 << 7 else 2
+    windows = _kernels._take_windows(vals, cap)[1]
+    half = sum(w for _, w in windows[len(vals) // 2 :]) * itemsize
+    return 0, half, 1 << 62
+
+
+def cp_table_rows(vals, cap):
+    """``cp_table(vals, cap)``, checked to be the same whatever kind of rows it keeps."""
+    answers = []
+    for budget in _row_budgets(vals, cap):
+        with mock.patch.object(_kernels, "CP_BYTE_ROWS", budget):
+            answers.append(_kernels.cp_table(vals, cap))
+    assert answers[1:] == answers[:-1], (vals, cap, answers)
+    return answers[0]
+
+
 def test_cp_strategies_agree():
     for s in range(25):
         m = 2 + s % 9
@@ -120,7 +144,7 @@ def test_cp_strategies_agree():
 def test_cp_dp_matches_brute_force_and_mitm(vals, cap_frac):
     vals = tuple(vals)
     cap = int(sum(vals) * cap_frac)
-    got = _kernels.cp_table(vals, cap)
+    got = cp_table_rows(vals, cap)
     value, card, combo = brute_force_best(vals, cap)
     assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
     assert got == _kernels.cp_mitm(vals, cap)
@@ -138,7 +162,7 @@ def test_cp_dp_handles_many_items():
         # Values up to 30 over 63+ items repeat often; two zeros are spliced in.
         vals = vals[:5] + (0, 0) + vals[5 : m - 2]
         cap = sum(vals) // (2 + s % 3)
-        assert _kernels.cp_table(vals, cap) == reference_dp(vals, cap), s
+        assert cp_table_rows(vals, cap) == reference_dp(vals, cap), s
 
 
 def _walk_reads(vals, positions):
@@ -166,7 +190,7 @@ def _walk_reads(vals, positions):
 def test_cp_dp_suffix_bound_edge_cases(vals):
     # Caps run past the whole sum, so the later ones are at least every suffix sum.
     for cap in range(sum(vals) + 3):
-        got = _kernels.cp_table(vals, cap)
+        got = cp_table_rows(vals, cap)
         value, card, combo = brute_force_best(vals, cap)
         assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo), cap
 
@@ -189,7 +213,7 @@ def test_cp_dp_walk_reads_the_last_cell_of_truncated_rows(vals, cap):
         i == sum(windows[p]) - 1 and sum(windows[p]) < cap + 1 - vals[p]
         for p, i in _walk_reads(vals, combo)
     )
-    got = _kernels.cp_table(vals, cap)
+    got = cp_table_rows(vals, cap)
     assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
 
 
@@ -202,7 +226,7 @@ def test_cp_dp_walk_reads_the_first_cell_of_windows_cut_from_below():
     assert _kernels._take_windows(list(vals), cap) == (10, [(9, 1), (7, 2), (0, 3), (0, 1)])
     assert combo == (0, 3)
     assert (1, 7) in _walk_reads(vals, combo)
-    got = _kernels.cp_table(vals, cap)
+    got = cp_table_rows(vals, cap)
     assert (got[0], got[1], mask_positions(got[2], len(vals))) == (value, card, combo)
 
 
@@ -260,8 +284,8 @@ def test_cp_dp_at_the_cardinality_dtype_boundary(m):
     for vals in rows:
         total = sum(vals)
         for cap in (0, 1, total // 2, total):
-            assert _kernels.cp_table(vals, cap) == reference_dp(vals, cap), (vals[:12], cap)
-    zeros = _kernels.cp_table([0] * 127, 0)
+            assert cp_table_rows(vals, cap) == reference_dp(vals, cap), (vals[:12], cap)
+    zeros = cp_table_rows([0] * 127, 0)
     assert zeros == (0, 127, (1 << 127) - 1)
 
 
@@ -272,7 +296,7 @@ def test_cp_dp_matches_mitm_at_benchmark_sizes():
         m = 24 + s % 11
         vals = random_instance(1, m, 10**4, seed=4100 + s).values[0]
         cap = sum(vals) // (2 + s % 4)
-        assert _kernels.cp_table(vals, cap) == _kernels.cp_mitm(vals, cap), s
+        assert cp_table_rows(vals, cap) == _kernels.cp_mitm(vals, cap), s
 
 
 def _cp_table_peak(vals, cap):
@@ -295,6 +319,28 @@ def test_cp_dp_memory_at_the_dp_limit():
     vals = [cap // 15 + p for p in range(15)]
     vals[-1] += cap + 1000 - sum(vals)
     assert _cp_table_peak(vals, cap) < 4 << 20
+
+
+def test_cp_cardinality_rows_stay_within_their_budget():
+    # 40 items of about 10,000 under a cap of 200,000: all-cardinality rows
+    # would take several MiB, bit rows a few hundred KB. Only cardinality
+    # rows can make CP_BYTE_ROWS' peak exceed the all-bit peak, and by no
+    # more than the rows they hold.
+    vals = random_instance(1, 40, 10**4, seed=4200).values[0]
+    vals = [v + 5000 for v in vals]
+    cap = 200_000
+    expected = _kernels.cp_table(vals, cap)
+    peaks = {}
+    for budget in (0, _kernels.CP_BYTE_ROWS, 1 << 62):
+        tracemalloc.start()
+        try:
+            with mock.patch.object(_kernels, "CP_BYTE_ROWS", budget):
+                assert _kernels.cp_table(vals, cap) == expected
+            _, peaks[budget] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[1 << 62] > peaks[0] + 2 * _kernels.CP_BYTE_ROWS
+    assert peaks[_kernels.CP_BYTE_ROWS] <= peaks[0] + _kernels.CP_BYTE_ROWS
 
 
 def test_cp_take_budget_refuses_before_allocating():
