@@ -36,28 +36,37 @@ answers every agent at once: one "val" window over all rows, its minimum
 over the bundles, then the maximum over the window's allocations.
 
 Every scan (``exists``, the audit, ``leximin_max`` and the MMS pass) reads
-its windows from one driver, ``scan_windows``. It builds the scan's one
+its windows from one driver, ``scan_windows``. It builds the scan's
 ``ScanPlan`` and yields a result per window of ``ScanPlan.windows``, in index
-order: full windows of ``scan_chunk`` allocations for the exhaustive scans,
-windows that start small and double for the early-exit ``exists``.
-``ScanPlan`` tells how the plan splits the items and keeps its tables
-within SCAN_BYTES. The kernels split very large agent counts into blocks.
+order. The exhaustive scans (the audit, ``leximin_max`` and the MMS pass)
+read every allocation in full windows of ``scan_chunk(n, exhaustive=True)``
+allocations: a window pays about a hundred numpy calls whatever its size, so
+it is sized by its per-bundle statistic cells (n^2 per allocation), not by
+its allocations. The early-exit ``exists`` reads windows that start small
+and double up to CHUNK. ``ScanPlan`` tells how the plan splits the items and
+keeps its tables within SCAN_BYTES. The kernels split very large agent
+counts into blocks.
 
-The driver gives the exhaustive scans (the audit, ``leximin_max`` and the
-MMS pass) plans with ``workspace=True``. Their windows then write each
-statistic and its same-sized temporaries into named slots of a
-``threading.local`` workspace ("own", "size", "others", "val", "rival" and
-the bool "cmp"), not into new arrays. Each slot's buffer grows when a window
-needs more and is then kept, so later windows and later scans in the thread
-reuse memory that is already paged in. (Window arrays of a few hundred KB,
-allocated afresh, go back to the OS when freed and fault in again in the
-next window.) The slots hold at most one window's statistics, which
-SCAN_BYTES already counts, and a worker thread's workspace goes when the
-thread ends. No kernel returns a view of the workspace. ``exists`` keeps
-none: its windows start at 256 allocations and most of its scans end in the
-first one, while buffers grown for its wide windows (n = 10 or 16) would
-stay resident after it. Its windows allocate as before, and the in-place
-steps still spare their temporaries.
+The exhaustive scans' plans have ``exhaustive=True``. Their windows then
+write each statistic and its same-sized temporaries into named slots of a
+``threading.local`` workspace ("own", "short", "size", "others", "val",
+"rival" and the bool "cmp"), not into new arrays. Each slot's buffer grows
+when a window needs more and is then kept, so later windows and later scans
+in the thread reuse memory that is already paged in. (Window arrays of a few
+hundred KB, allocated afresh, go back to the OS when freed and fault in
+again in the next window.) The slots hold at most one window's statistics,
+which SCAN_BYTES already counts, and a worker thread's workspace goes when
+the thread ends. No kernel returns a view of the workspace. The workspace
+also keeps the plan of the thread's last exhaustive scan, and the next
+exhaustive scan over equal values reuses it: the audit's MMS pass and mask
+scan and a following ``leximin_max`` of the same instance build each half
+table once. The audit's mask scan also leaves each window's maximin bonuses
+d_i on that plan (``ScanPlan.bonuses``, at most BONUS_BYTES), so the leximin
+scan of the same window reads them instead of building the "min" statistic
+again. ``exists`` keeps none of these: its windows start at 256 allocations
+and most of its scans end in the first one, while buffers grown for its wide
+windows (n = 10 or 16) would stay resident after it. Its windows allocate as
+before, and the in-place steps still spare their temporaries.
 
 Scan arithmetic uses the narrowest exact dtype. With T the largest agent
 total (at least 1), ``instance_arrays`` bounds every scan intermediate by
@@ -65,12 +74,13 @@ worst = n * (m+1) * T and returns int16 arrays when worst is below 2^15,
 int32 below 2^31 and int64 below 2^63; larger inputs raise
 ResourceBudgetError (exit 3), which no budget lifts. Every table, window
 statistic, alt-median and alt-mode row and leximin profile takes that
-dtype. Each intermediate is bounded by worst (m >= 1):
+dtype. Each intermediate is bounded in size by worst (m >= 1):
 
     test                        intermediate              bound
     alt-mean                    n*(own*cnt + T - own)     n(m+1)T
-    PROP1, PROPx, PROPm, alt-*  n*(own + bonus)           2nT
-    AEFX                        n*own + sum of mins       (n+1)T
+    PROP and the bonus tests    short = total - n*own     nT
+    PROP1, PROPx, PROPm, alt-*  n*bonus                   nT
+    AEFX                        sum of mins               T
     leximin                     n*own + (n-1)*d           (2n-1)T
     bundle sizes, cnt           size                      m
     "min" sentinel              iinfo.max                 > T
@@ -151,15 +161,22 @@ CP_BYTE_ROWS = 3 << 18
 # (value, min, max, or two of them and a temporary) per allocation, agent
 # and bundle, plus the half tables its plan keeps (every statistic's, the
 # per-agent "own", "others_max" and "others_min" included) and the
-# contribution arrays they are built from. Windows are sized for int64
-# values. The per-thread workspace of the exhaustive scans (audit, leximin,
-# MMS; not ``exists``) keeps at most one window's "val", rival ("max" or
-# "min") and bool "cmp" statistics, 17 of the 24 bytes per cell, and its
-# "own", "size" and "others" rows, 24n bytes per allocation against the
-# 7n^2 left. That fits from n = 4; below it the window is CHUNK, not
-# SCAN_BYTES, bound and all of it takes a few MB. So the workspace needs no
-# budget of its own.
+# contribution arrays they are built from. The cap on a window counts 8
+# bytes per value, the int64 width, whatever dtype the scan takes. The
+# per-thread workspace of the exhaustive scans (audit, leximin, MMS; not
+# ``exists``) keeps at most one window's "val", rival ("max" or "min") and
+# bool "cmp" statistics, 17 of the 24 bytes per cell, and its "own",
+# "short", "size" and "others" rows, 32n bytes per allocation against the
+# 7n^2 left. That fits from n = 5; below it the window is bound by its
+# CHUNK * 25 cells (``scan_chunk``), not by SCAN_BYTES, and all of it takes
+# at most about 7 MB (n = 2). So the workspace needs no budget of its own.
+# The plan the workspace keeps holds tables that fit SCAN_BYTES beside one
+# window's statistics (``ScanPlan._bytes``).
 SCAN_BYTES = 32 << 20
+# Bytes of maximin-bonus rows, one value per agent and allocation, that an
+# exhaustive plan keeps for the leximin scan (``ScanPlan.bonuses``): 118 KB to
+# 156 KB at int16 for the audit's 3^9, 4^7 and 5^6.
+BONUS_BYTES = 4 << 20
 _STAT_CELLS = 3
 _CELL_BYTES = _STAT_CELLS * 8
 
@@ -501,9 +518,17 @@ def cp_mitm(vals, cap: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def scan_chunk(n: int) -> int:
-    """Allocations per scan window: CHUNK, fewer when n x n statistics need it."""
-    return max(1, min(CHUNK, SCAN_BYTES // (_CELL_BYTES * n * n)))
+def scan_chunk(n: int, exhaustive: bool = False) -> int:
+    """Allocations per full window of a scan over n agents.
+
+    An exhaustive scan's window holds max(CHUNK, CHUNK * 25 // n^2)
+    allocations, about as many per-bundle statistic cells as a CHUNK window
+    at n = 5: 51,200 allocations at n = 2, 22,755 at n = 3, 12,800 at n = 4
+    and CHUNK from n = 5. An early-exit scan's full window holds CHUNK. Either
+    is capped so that the window's statistics fit SCAN_BYTES.
+    """
+    width = max(CHUNK, CHUNK * 25 // (n * n)) if exhaustive else CHUNK
+    return max(1, min(width, SCAN_BYTES // (_CELL_BYTES * n * n)))
 
 
 def _agent_blocks(n, count):
@@ -543,17 +568,22 @@ def _digits_within(n, limit, most):
 
 
 class _Workspace(threading.local):
-    """One thread's window buffers: a flat byte buffer per slot, kept between scans.
+    """One thread's window buffers, a flat byte buffer per slot kept between
+    scans, and the plan of its last exhaustive scan.
 
-    The slots are "own", "size", "others" ("others_max", then
-    "others_min"), "val", "rival" ("max", then "min" once "max" is dead)
-    and "cmp" (bool comparisons of a per-bundle statistic).
+    The slots are "own", "short" (``notion_masks``' shortfall), "size",
+    "others" ("others_max", then "others_min"), "val", "rival" ("max",
+    then "min" once "max" is dead) and "cmp" (bool comparisons of a
+    per-bundle statistic).
     A buffer grows when a window needs more and is then kept, so later
-    windows write into memory that is already paged in.
+    windows write into memory that is already paged in. ``plan`` is the
+    thread's last exhaustive ``ScanPlan`` and ``key`` what it was built for
+    (``kept_plan``).
     """
 
     def __init__(self):
         self.buffers = {}
+        self.key = self.plan = None
 
     def take(self, slot, shape, dtype):
         """A ``shape`` array of ``dtype`` over the front of this thread's ``slot`` buffer."""
@@ -564,6 +594,27 @@ class _Workspace(threading.local):
             buf = self.buffers[slot] = np.empty(size, np.uint8)
         return buf[:size].view(dtype).reshape(shape)
 
+    def kept_plan(self, values):
+        """The exhaustive plan over ``values``: the thread's last one when it
+        was built for equal values (shape, dtype and contents) under the
+        current window rule, SCAN_BYTES and BONUS_BYTES, else a new one, kept
+        in its place.
+
+        The plan holds a copy of ``values``, so a later change to the
+        caller's array cannot reach its tables.
+        """
+        key = (
+            values.dtype.str,
+            values.shape,
+            values.tobytes(),
+            scan_chunk(values.shape[0], exhaustive=True),
+            SCAN_BYTES,
+            BONUS_BYTES,
+        )
+        if key != self.key:
+            self.key, self.plan = key, ScanPlan(values.copy(), exhaustive=True)
+        return self.plan
+
 
 _WORKSPACE = _Workspace()
 
@@ -572,8 +623,9 @@ class ScanPlan:
     """Split point and half tables shared by every window of one scan.
 
     ``values`` holds every agent's item values, one row per agent and bundle.
-    Windows hold at most ``chunk = scan_chunk(n)`` allocations, ``windows``
-    yields the scan's schedule, and ``scan_windows`` builds each scan's plan.
+    Windows hold at most ``chunk = scan_chunk(n, exhaustive)`` allocations,
+    ``windows`` yields the scan's schedule, and ``scan_windows`` builds each
+    scan's plan.
 
     Item j is digit j of the allocation index, so index t is l + L*r with
     L = n^h: low items 0..h-1 give l, the high items give row r. The high
@@ -592,14 +644,24 @@ class ScanPlan:
     statistic count against SCAN_BYTES together with a window's statistics:
     k is lowered further until they fit, and the plan keeps the tables for
     the rest of the scan. If they fit for no k, each window builds and drops
-    them. A plan lives for one scan. With ``workspace`` a window named a
-    slot writes into the calling thread's kept buffer for it (``buffer``).
+    them. An early-exit scan's plan lives for that scan. An exhaustive plan
+    (``exhaustive``) takes the wider exhaustive window, and a window named a
+    slot writes into the calling thread's kept buffer for it (``buffer``);
+    ``scan_windows`` keeps the thread's last one, tables and all, for the
+    next exhaustive scan over equal values. A thread so keeps at most one
+    plan, whose tables fit SCAN_BYTES together with one window's statistics.
+
+    ``bonuses`` maps a window (start, count) to its maximin bonuses d_i,
+    [agent, allocation]: ``notion_masks`` leaves them when it computes PROPm
+    and ``leximin_scan`` of the same window reads them. Only an exhaustive
+    plan whose rows for all n^m allocations fit BONUS_BYTES keeps them
+    (``keeps_bonuses``).
     """
 
-    def __init__(self, values, workspace=False):
+    def __init__(self, values, exhaustive=False):
         self.values = values
         self.n, self.m = n, m = values.shape
-        self.chunk = window = scan_chunk(n)
+        self.chunk = window = scan_chunk(n, exhaustive)
         self.h = h = _digits_within(n, window, m // 2)
         k = _digits_within(n, window, m - h)
         # The widest mid table whose tables fit SCAN_BYTES beside a window's
@@ -614,7 +676,9 @@ class ScanPlan:
         self._bundles = np.arange(n)
         self._big = np.iinfo(values.dtype).max
         self._tables = {}
-        self._workspace = _WORKSPACE if workspace else None
+        self._workspace = _WORKSPACE if exhaustive else None
+        self.bonuses = {}
+        self.keeps_bonuses = exhaustive and n * n**m * values.itemsize <= BONUS_BYTES
 
     def windows(self, start, stop, first=None):
         """(start, count) windows that tile [start, stop) in order.
@@ -771,15 +835,21 @@ EARLY_EXIT_BREAK_EVEN = 280_000_000
 def scan_windows(values, window, start, stop, workers=1, first=None):
     """Yield ``window(plan, pos, count)`` per window of [start, stop), in index order.
 
-    ``plan`` is the scan's one ``ScanPlan`` over ``values``, and the windows
-    its ``windows(start, stop, first)``. An early-exit scan (given ``first``)
-    mostly ends in its first small window and keeps no workspace. Past the
-    scan kind's break-even, min(workers, os.cpu_count()) threads run the
-    windows after the first, at most twice that many ahead of the one read;
-    the first fills the plan's tables in this thread (not safe from two).
-    Closing the generator cancels the windows not yet started.
+    ``plan`` is a ``ScanPlan`` over ``values``, and the windows its
+    ``windows(start, stop, first)``. An early-exit scan (given ``first``)
+    mostly ends in its first small window: it gets a plan of its own, with
+    no workspace. An exhaustive scan gets the calling thread's kept plan
+    (``_Workspace.kept_plan``): the last exhaustive scan's in this thread if
+    that one read equal values, else a new one that replaces it. The thread
+    so holds one plan's tables, at most SCAN_BYTES with a window's
+    statistics, and its maximin-bonus rows, at most BONUS_BYTES, until its
+    next exhaustive scan over other values or its end.
+    Past the scan kind's break-even, min(workers, os.cpu_count()) threads
+    run the windows after the first, at most twice that many ahead of the
+    one read; the first fills the plan's tables in this thread (not safe
+    from two). Closing the generator cancels the windows not yet started.
     """
-    plan = ScanPlan(values, workspace=first is None)
+    plan = ScanPlan(values) if first is not None else _WORKSPACE.kept_plan(values)
     windows = plan.windows(start, stop, first)
     # os.cpu_count() reads /sys on Linux (about 4 us), so one worker skips it.
     threads = min(workers, os.cpu_count() or 1) if workers > 1 else 1
@@ -842,6 +912,10 @@ _VAL_NOTIONS = 1 << EF | 1 << EF1 | 1 << EFX
 _MAX_NOTIONS = 1 << EF1 | 1 << ALT_MINIMAX
 _MIN_NOTIONS = 1 << PROPM | 1 << AEFX | 1 << EFX
 _REST_NOTIONS = 1 << ALT_MEDIAN | 1 << ALT_MODE
+# The notions that test a bonus against notion_masks' shortfall.
+_SHORT_NOTIONS = (
+    1 << PROP | 1 << PROP1 | 1 << PROPX | 1 << PROPM | 1 << AEFX | 1 << ALT_MINIMAX | _REST_NOTIONS
+)
 
 
 def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, *, plan):
@@ -850,7 +924,9 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, *, plan):
     The masks are computed as [agent, allocation] rows and returned as that
     array's ``.T`` view, not copied: ``masks.T`` is C-contiguous. Only the
     notions whose bits are set in ``want`` are computed; every other bit
-    stays clear. ``plan`` is the scan's ``ScanPlan`` over ``values``.
+    stays clear. ``plan`` is the scan's ``ScanPlan`` over ``values``. When
+    PROPm is wanted and the plan ``keeps_bonuses``, the window's maximin
+    bonuses d_i are left in ``plan.bonuses`` for ``leximin_scan``.
     """
     n, m = values.shape
     masks = np.zeros((n, count), np.uint16)  # [agent, allocation]
@@ -858,45 +934,64 @@ def notion_masks(values, totals, mms, start, count, want=ALL_NOTIONS, *, plan):
     def put(bit, ok, agents=slice(None)):
         masks[agents] |= ok * np.uint16(1 << bit)
 
-    totals = totals[:, None]
     own = plan.window("own", slice(None), start, count, "own")[0]
+    short = bonuses = None
+    if want & _SHORT_NOTIONS:
+        # What n * own lacks of the agent's total, [agent, allocation]: a
+        # bonus passes n * (own + bonus) >= total iff n * bonus >= short.
+        short = plan.buffer("short", own.shape, own.dtype)
+        np.subtract(totals[:, None], n * own, out=short)
     if want >> PROP & 1:
-        put(PROP, n * own >= totals)
+        put(PROP, short <= 0)
     if want >> MMS & 1:
-        put(MMS, (own >= mms[:, None]) & (mms[:, None] >= 0))
+        # An agent with no MMS value (-1) compares against the "min"
+        # sentinel, which no own value reaches.
+        floor = np.where(mms >= 0, mms, plan.empty("min")).astype(own.dtype)
+        put(MMS, own >= floor[:, None])
     if want >> PROP1 & 1:
         # The others' greatest item; 0 where they own none.
         best = plan.window("others_max", slice(None), start, count, "others")[0]
-        put(PROP1, n * (own + best) >= totals)
+        put(PROP1, n * best >= short)
     if want >> PROPX & 1:
         # The others' least item; the sentinel, zeroed, where they own none.
         least = plan.window("others_min", slice(None), start, count, "others")[0]
         np.multiply(least, least != plan.empty("others_min"), out=least)
-        put(PROPX, n * (own + least) >= totals)
+        put(PROPX, n * least >= short)
     if want & (1 << ALT_MEAN | _REST_NOTIONS):
         # Items the others own, [agent, allocation].
         cnt = m - plan.window("size", slice(None), start, count, "size")[0]
     if want >> ALT_MEAN & 1:
-        mean_ok = n * (own * cnt + (totals - own)) >= cnt * totals
-        put(ALT_MEAN, np.where(cnt == 0, n * own >= totals, mean_ok))
+        total = totals[:, None]
+        mean_ok = n * (own * cnt + (total - own)) >= cnt * total
+        put(ALT_MEAN, np.where(cnt == 0, n * own >= total, mean_ok))
     if want & _REST_NOTIONS:
-        _rest_notions(values, totals, own, cnt, start, count, want, put)
+        _rest_notions(values, short, cnt, start, count, want, put)
     if want & (_VAL_NOTIONS | _MAX_NOTIONS | _MIN_NOTIONS):
+        if want >> PROPM & 1 and plan.keeps_bonuses:
+            # The blocks write each agent's maximin bonus d_i here.
+            bonuses = np.empty((n, count), values.dtype)
         for agents in plan.blocks:
-            _bundle_notions(plan, totals[agents], own[agents], start, count, want, agents, put)
+            _bundle_notions(plan, own, short, bonuses, start, count, want, agents, put)
+    if bonuses is not None:
+        plan.bonuses[start, count] = bonuses
     return masks.T
 
 
-def _bundle_notions(plan, total, own, start, count, want, agents, put):
+def _bundle_notions(plan, own, short, bonuses, start, count, want, agents, put):
     """The notions that read each other bundle, for one block of agents.
 
     "val" takes the plan's "val" slot and "max", then "min", its "rival"
     slot; EF1 and EFX overwrite the rival statistic with val minus it. An
     envy test holds when the largest term over the bundles, the agent's own
-    bundle included, is at most the agent's own value.
+    bundle included, is at most the agent's own value. ``short``, ``own``
+    and ``bonuses`` (or None) are ``notion_masks``' rows of all agents; PROPm
+    writes the block's maximin bonuses d_i into its rows of ``bonuses``.
     """
     n = plan.n
     big = plan.empty("min")
+    own = own[agents]
+    if short is not None:
+        short = short[agents]
 
     def stat(name, slot):
         return plan.window(name, agents, start, count, slot)
@@ -915,7 +1010,7 @@ def _bundle_notions(plan, total, own, start, count, want, agents, put):
             mx[_diagonal(agents, n)] = big
             least = mx.min(axis=0)
             np.multiply(least, least != big, out=least)
-            put(ALT_MINIMAX, n * (own + least) >= total, agents)
+            put(ALT_MINIMAX, n * least >= short, agents)
         if want >> EF1 & 1:
             # The diagonal holds own - max <= own whatever max it holds.
             put(EF1, within_own(np.subtract(val, mx, out=mx)), agents)
@@ -923,24 +1018,26 @@ def _bundle_notions(plan, total, own, start, count, want, agents, put):
     if want & _MIN_NOTIONS:
         mn = _zero_own_and_empty(plan, stat("min", "rival"), agents)
         if want >> PROPM & 1:
-            put(PROPM, n * (own + mn.max(axis=0)) >= total, agents)
+            bonus = mn.max(axis=0, out=None if bonuses is None else bonuses[agents])
+            put(PROPM, n * bonus >= short, agents)
         if want >> AEFX & 1:
-            put(AEFX, n * own + mn.sum(axis=0, dtype=mn.dtype) >= total, agents)
+            put(AEFX, mn.sum(axis=0, dtype=mn.dtype) >= short, agents)
         if want >> EFX & 1:
             put(EFX, within_own(np.subtract(val, mn, out=mn)), agents)
 
 
-def _rest_notions(values, totals, own, cnt, start, count, want, put):
+def _rest_notions(values, short, cnt, start, count, want, put):
     """Alt-median and alt-mode: bonuses from the items the other agents own.
 
-    ``cnt`` is the number of items the others own, [agent, allocation].
-    Each agent's items are ranked by value once; one walk over the m ranked
-    positions then scores every agent on [agent, allocation] rows. At
-    position p a running count of the others' items marks the lower median,
-    the ((cnt+1)//2)-th of them, and a run count, reset where the agent's
-    value changes, finds the smallest mode: values ascend, so the first run
-    longer than every earlier one wins a tie. Where the others own no item,
-    both bonuses stay 0.
+    ``cnt`` is the number of items the others own and ``short``
+    ``notion_masks``' shortfall, both [agent, allocation]. Each agent's
+    items are ranked by value once; one walk over the m ranked positions
+    then scores every agent on [agent, allocation] rows. At position p a
+    running count of the others' items marks the lower median, the
+    ((cnt+1)//2)-th of them, and a run count, reset where the agent's value
+    changes, finds the smallest mode: values ascend, so the first run longer
+    than every earlier one wins a tie. Where the others own no item, both
+    bonuses stay 0.
     """
     n, m = values.shape
     order = np.argsort(values, axis=1, kind="stable")  # [agent, position]
@@ -970,9 +1067,9 @@ def _rest_notions(values, totals, own, cnt, start, count, want, put):
             np.copyto(mode, value, where=run > longest)
             np.maximum(longest, run, out=longest)
     if median_bit:
-        put(ALT_MEDIAN, n * (own + median) >= totals)
+        put(ALT_MEDIAN, n * median >= short)
     if mode_bit:
-        put(ALT_MODE, n * (own + mode) >= totals)
+        put(ALT_MODE, n * mode >= short)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,13 +1106,19 @@ def leximin_scan(values, start, count, *, plan):
     The leximin best has the largest minimum, so only the allocations that
     reach the window's best minimum are sorted; their ascending profiles
     are then narrowed column by column. Ties go to the smallest allocation
-    index. ``plan`` is the scan's ``ScanPlan`` over ``values``.
+    index. ``plan`` is the scan's ``ScanPlan`` over ``values``; the maximin
+    bonuses d_i come from its ``bonuses`` when the mask scan left the
+    window's there, else from the window's "min" statistic.
     """
     n = values.shape[0]
     profiles = n * plan.window("own", slice(None), start, count, "own")[0]
-    for agents in plan.blocks:
-        mn = _zero_own_and_empty(plan, plan.window("min", agents, start, count, "rival"), agents)
-        profiles[agents] += (n - 1) * mn.max(axis=0)
+    bonuses = plan.bonuses.get((start, count))
+    if bonuses is not None:
+        profiles += (n - 1) * bonuses
+    else:
+        for agents in plan.blocks:
+            mn = plan.window("min", agents, start, count, "rival")
+            profiles[agents] += (n - 1) * _zero_own_and_empty(plan, mn, agents).max(axis=0)
     floor = profiles.min(axis=0)
     best = np.flatnonzero(floor == floor.max())
     ranked = np.sort(profiles[:, best], axis=0).T

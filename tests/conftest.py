@@ -1,6 +1,6 @@
 import pytest
 
-from propm import Instance, make_counterexample
+from propm import Instance, _kernels, make_counterexample
 from propm.cpsets import _best_subset
 
 
@@ -14,6 +14,17 @@ def cold_cp_memo():
     _best_subset.cache_clear()
     yield
     _best_subset.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_kept_scan_plan():
+    """Start and end every test with no exhaustive scan plan kept in this thread.
+
+    A test that spies on table builds then sees those of its own scans.
+    """
+    _kernels._WORKSPACE.key = _kernels._WORKSPACE.plan = None
+    yield
+    _kernels._WORKSPACE.key = _kernels._WORKSPACE.plan = None
 
 
 @pytest.fixture(scope="session")

@@ -402,7 +402,9 @@ def test_cp_mitm_at_the_item_limit():
     assert cp_bundle(inst, 0, 3, Bundle.of(range(inst.m))).items == tuple(range(11))
 
 
-def test_cp_mitm_key_tables_stay_within_their_bound():
+def test_cp_mitm_key_tables_stay_within_their_bound(monkeypatch):
+    # A fresh cache, whatever item counts earlier tests asked for.
+    monkeypatch.setattr(_kernels, "_KEY_TABLES", {})
     # Equal values: the first cap // v items are the answer at every item count.
     v = 10**9 + 7
     for m in range(1, MITM_ITEM_LIMIT + 1):

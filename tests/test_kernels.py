@@ -3,6 +3,7 @@ checker and with plain Python scans over every allocation."""
 
 import gc
 import random
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -32,10 +33,12 @@ def _plan(values, window, workspace=False):
 
     Plans take their window from ``scan_chunk``; patching it for the
     construction gives the window even where SCAN_BYTES would narrow it.
+    With ``workspace`` it is an exhaustive scan's plan, which writes its
+    windows into the thread's workspace.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "scan_chunk", lambda n: window)
-        return kernels.ScanPlan(values, workspace=workspace)
+        patch.setattr(kernels, "scan_chunk", lambda n, exhaustive=False: window)
+        return kernels.ScanPlan(values, exhaustive=workspace)
 
 
 def _expected_masks(inst, index):
@@ -361,7 +364,7 @@ def test_mms_values_of_every_agent_come_from_one_scan(monkeypatch):
         first = [mms_value(inst, i) for i in range(inst.n)]
         assert first == _brute_mms(inst.values, inst.n)
         # One window schedule over [0, n^(m-1)), each window for all n rows.
-        plan = kernels.ScanPlan(_arrays(inst)[0])
+        plan = kernels.ScanPlan(_arrays(inst)[0], exhaustive=True)
         windows = list(plan.windows(0, inst.n ** (inst.m - 1)))
         assert calls == [(inst.n, start, count) for start, count in windows]
         assert [mms_value(inst, i) for i in reversed(range(inst.n))] == first[::-1]
@@ -735,9 +738,12 @@ def _audit_arrays(n, m, seed):
 def test_a_kept_plan_allocates_little_past_its_first_window(n, m):
     """The audit's masks and the leximin scan of a later window write their
     statistics into the kept workspace: what they newly allocate peaks at
-    1.5 [n, n, count] statistics (about 4x and 2x without the workspace)."""
+    1.5 [n, n, count] statistics (about 4x and 2x without the workspace),
+    the masks' maximin bonuses kept for the leximin scan included. The
+    plan's windows each hold half the allocations (3^9 fits one exhaustive
+    window)."""
     values, totals, mms = _audit_arrays(n, m, 5800 + n)
-    plan = kernels.ScanPlan(values, workspace=True)
+    plan = _plan(values, -(-(n**m) // 2), workspace=True)
     (first, second) = list(plan.windows(0, n**m))[:2]
     statistic = n * n * second[1] * values.itemsize
     scans = {
@@ -747,6 +753,8 @@ def test_a_kept_plan_allocates_little_past_its_first_window(n, m):
         "leximin_scan": lambda start, count: kernels.leximin_scan(values, start, count, plan=plan),
     }
     for name, scan in scans.items():
+        # The leximin scan builds its "min" window, not the masks' bonuses.
+        plan.bonuses.clear()
         scan(*first)
         tracemalloc.start()
         try:
@@ -828,7 +836,7 @@ def test_a_workspace_warmed_by_a_larger_audit_gives_exact_small_scans():
 
     warmed, after, results = _in_a_fresh_thread(scans)
     # The audit reads no bundle sizes; the small scans grew no buffer.
-    assert set(warmed) == {"own", "others", "val", "rival", "cmp"} and after == warmed
+    assert set(warmed) == {"own", "short", "others", "val", "rival", "cmp"} and after == warmed
     for inst, (violations, (allocation, profile), mms) in zip(small, results):
         assert violations == _reference_audit(inst)
         ref_index, ref = _python_leximin(inst, 0, inst.n**inst.m)
@@ -883,3 +891,180 @@ def test_pool_threads_drop_their_workspaces(monkeypatch):
     pooled = [ref for ident, ref in made if ident != caller]
     assert pooled and all(ref() is None for ref in pooled)
     assert {"own", "val", "rival", "cmp"} <= set(kernels._WORKSPACE.buffers)
+
+
+# -- the kept plan ---------------------------------------------------------------
+
+
+def _table_builds(monkeypatch):
+    """The statistic of every ``ScanPlan._table`` call (one low or mid table), as they run."""
+    built = []
+    table = kernels.ScanPlan._table
+
+    def recorded(plan, name, items):
+        built.append(name)
+        return table(plan, name, items)
+
+    monkeypatch.setattr(kernels.ScanPlan, "_table", recorded)
+    return built
+
+
+def _audit_and_leximin(inst):
+    """``implication_audit`` (its MMS pass included) then ``leximin_max``."""
+    _mms_cached.cache_clear()
+    return oracle.implication_audit(inst), leximin_max(inst)
+
+
+# The statistics the audit's MMS pass, masks and leximin scan read.
+_AUDIT_STATS = ("val", "own", "others_max", "others_min", "max", "min")
+
+
+@pytest.mark.parametrize("n, m", [(3, 9), (4, 7), (5, 6)])
+def test_an_instance_builds_each_table_once_across_its_exhaustive_scans(monkeypatch, n, m):
+    """The MMS pass, the audit's masks and ``leximin_max`` of one instance
+    share the thread's kept plan: each statistic's low and mid tables are
+    built once (one agent block at these sizes). A plan per scan builds
+    "val", "own" and "min" twice and gives the same results."""
+    inst = random_instance(n, m, 100, 5900 + n)
+    built = _table_builds(monkeypatch)
+    shared = _audit_and_leximin(inst)
+    plan = kernels._WORKSPACE.plan
+    assert plan.blocks == [slice(0, n)] and len(plan._tables) == len(_AUDIT_STATS)
+    assert sorted(built) == sorted(2 * _AUDIT_STATS)
+    built.clear()
+    monkeypatch.setattr(
+        kernels._Workspace, "kept_plan", lambda _, values: kernels.ScanPlan(values, True)
+    )
+    assert _audit_and_leximin(inst) == shared
+    assert sorted(built) == sorted(2 * _AUDIT_STATS + 2 * ("val", "own", "min"))
+
+
+def test_another_instance_or_an_exists_scan_builds_its_own_plan(monkeypatch):
+    one, other = random_instance(3, 7, 100, 5910), random_instance(3, 7, 100, 5911)
+    built = _table_builds(monkeypatch)
+    workspace = kernels._WORKSPACE
+    oracle.implication_audit(one)
+    kept, audited = workspace.plan, len(built)
+    # exists builds a plan of its own, tables and all, and keeps none.
+    oracle.exists(one, Notion.PROPM)
+    assert len(built) == audited + 4 and workspace.plan is kept
+    leximin_max(one)
+    assert len(built) == audited + 4 and workspace.plan is kept
+    # Another instance's scan replaces the kept plan, so one's next scan builds again.
+    leximin_max(other)
+    assert len(built) == audited + 8 and workspace.plan is not kept
+    leximin_max(one)
+    assert len(built) == audited + 12
+    # Equal values are equal shape, dtype and contents, under today's window
+    # and SCAN_BYTES; the plan keeps a copy of them.
+    values = _arrays(one)[0]
+    plan = workspace.kept_plan(values)
+    assert workspace.kept_plan(values.copy()) is plan and plan.values is not values
+    plans = [plan] + [
+        workspace.kept_plan(changed)
+        for changed in (values.astype(np.int64), values[:2], values + 1, values)
+    ]
+    assert len({id(p) for p in plans}) == len(plans)
+    monkeypatch.setattr(kernels, "CHUNK", 64)
+    assert workspace.kept_plan(values) is not plans[-1]
+    assert workspace.plan.chunk == kernels.scan_chunk(3, exhaustive=True) == 177
+
+
+def test_two_threads_auditing_two_instances_at_once_get_the_sequential_results():
+    """Each thread keeps a plan of its own: two threads that alternate two
+    instances of one shape, in opposite orders, each replace only their own."""
+    insts = [random_instance(3, 8, 100, 5920), random_instance(3, 8, 100, 5921)]
+    orders = [(0, 1, 0, 1), (1, 0, 1, 0)]
+
+    def scans(order):
+        return [(oracle.implication_audit(insts[k]), leximin_max(insts[k])) for k in order]
+
+    sequential = [scans(order) for order in orders]
+    _mms_cached.cache_clear()
+    start = threading.Barrier(2)
+
+    def together(order):
+        start.wait(timeout=60)
+        return scans(order), kernels._WORKSPACE.plan
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        (first, first_plan), (second, second_plan) = pool.map(together, orders)
+    assert [first, second] == sequential
+    assert first_plan is not second_plan
+    assert np.array_equal(first_plan.values, _arrays(insts[1])[0])
+    assert np.array_equal(second_plan.values, _arrays(insts[0])[0])
+
+
+# -- maximin bonuses left for the leximin scan -----------------------------------
+
+
+def _window_names(monkeypatch):
+    """The statistic of every ``ScanPlan.window`` call, as they run."""
+    names = []
+    window = kernels.ScanPlan.window
+
+    def recorded(plan, name, *args, **kwargs):
+        names.append(name)
+        return window(plan, name, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.ScanPlan, "window", recorded)
+    return names
+
+
+@pytest.mark.parametrize(
+    "n, m, scan_bytes", [(3, 9, None), (4, 7, None), (5, 6, None), (4, 4, 192)]
+)
+def test_the_leximin_scan_reads_the_bonuses_the_audit_left(monkeypatch, n, m, scan_bytes):
+    """The audit's mask scan leaves each window's maximin bonuses d_i on the
+    kept plan, and ``leximin_max`` of the same instance reads them instead
+    of the "min" statistic. At 192 scan bytes each window holds one
+    allocation and two agent blocks write their rows of it. With the rows
+    past BONUS_BYTES the plan keeps none and the leximin scan builds "min"
+    again, to the same result."""
+    inst = random_instance(n, m, 100, 5930 + n)
+    values = _arrays(inst)[0]
+    whole = _plan(values, n**m)
+    full = whole.window("min", slice(None), 0, n**m)
+    expected = kernels._zero_own_and_empty(whole, full, slice(None)).max(axis=0)
+    if scan_bytes is not None:
+        monkeypatch.setattr(kernels, "SCAN_BYTES", scan_bytes)
+    oracle.implication_audit(inst)
+    plan = kernels._WORKSPACE.plan
+    windows = list(plan.windows(0, n**m))
+    assert plan.keeps_bonuses and sorted(plan.bonuses) == windows
+    assert len(plan.blocks) == (1 if scan_bytes is None else 2)
+    for start, count in windows:
+        assert np.array_equal(plan.bonuses[start, count], expected[:, start : start + count])
+    names = _window_names(monkeypatch)
+    shared = leximin_max(inst)
+    assert kernels._WORKSPACE.plan is plan and "own" in names and "min" not in names
+    # The rows of all n^m allocations are one byte past the bound.
+    monkeypatch.setattr(kernels, "BONUS_BYTES", n * n**m * values.itemsize - 1)
+    oracle.implication_audit(inst)
+    plan = kernels._WORKSPACE.plan
+    assert not plan.keeps_bonuses and not plan.bonuses
+    names.clear()
+    assert leximin_max(inst) == shared and "min" in names
+
+
+def test_pool_threads_leave_every_window_its_bonuses(monkeypatch):
+    """Four threads on a 2-core host, switching every microsecond, write the
+    bonuses of the windows they scan into the caller's kept plan: the rows
+    and the leximin maximum that reads them are one worker's."""
+    monkeypatch.setattr(kernels, "POOL_BREAK_EVEN", 0)
+    monkeypatch.setattr(kernels, "CHUNK", 64)
+    inst = random_instance(3, 7, 100, 5940)
+    solo = oracle.implication_audit(inst), leximin_max(inst)
+    rows = dict(kernels._WORKSPACE.plan.bonuses)
+    assert len(rows) == -(-(3**7) // kernels.scan_chunk(3, exhaustive=True)) > 4
+    kernels._WORKSPACE.key = kernels._WORKSPACE.plan = None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = oracle.implication_audit(inst, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    pooled = kernels._WORKSPACE.plan.bonuses
+    assert pooled.keys() == rows.keys()
+    assert all(np.array_equal(pooled[window], rows[window]) for window in rows)
+    assert (report, leximin_max(inst)) == solo

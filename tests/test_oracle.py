@@ -365,7 +365,8 @@ def test_pool_starts_only_past_the_break_even(monkeypatch, pool_starts):
     assert pool_starts == []
     assert windows(below + 1) == tiled
     assert pool_starts == [2]
-    assert tiled[0] == (0, kernels.CHUNK) and sum(c for _, c in tiled) == below + 1
+    assert tiled[0] == (0, kernels.scan_chunk(3, exhaustive=True))
+    assert sum(c for _, c in tiled) == below + 1
 
 
 def _mask_threads(monkeypatch):
@@ -481,11 +482,41 @@ def test_scan_windows_double_and_tile_the_range(monkeypatch, n, start):
 
 
 def test_scan_window_sizes_are_pinned(monkeypatch):
+    # Early exit: 256 allocations, doubling up to CHUNK.
     assert kernels.scan_chunk(3) == 8192
     _, windows = _scan(monkeypatch, 3, 0, 20000, -1)
     assert [c for _, c in windows] == [256, 512, 1024, 2048, 4096, 8192, 3872]
     _, windows = _scan(monkeypatch, 3, 7, 300, -1)
     assert windows == [(7, 256), (263, 37)]
+    # Exhaustive: about CHUNK * 25 statistic cells, n^2 per allocation, and
+    # at n = 16 the SCAN_BYTES cap.
+    sizes = [kernels.scan_chunk(n, exhaustive=True) for n in (2, 3, 4, 5, 6, 16)]
+    assert sizes == [51200, 22755, 12800, 8192, 8192, 5461]
+    values = np.zeros((3, 1), np.int64)
+    windows = list(kernels.scan_windows(values, lambda plan, *window: window, 7, 50000))
+    assert windows == [(7, 22755), (22762, 22755), (45517, 4483)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 16, 74])
+@pytest.mark.parametrize("scan_bytes", [None, 1 << 20])
+def test_each_scan_kind_sizes_its_windows_by_its_rule(monkeypatch, n, scan_bytes):
+    """Exhaustive windows hold max(CHUNK, CHUNK * 25 // n^2) allocations and
+    early-exit ones CHUNK, both capped so that a window's int64 statistics
+    fit SCAN_BYTES; each scan kind's plan reads its own rule."""
+    if scan_bytes is not None:
+        monkeypatch.setattr(kernels, "SCAN_BYTES", scan_bytes)
+    cap = kernels.SCAN_BYTES // (3 * 8 * n * n)
+    early = min(kernels.CHUNK, cap)
+    exhaustive = min(max(kernels.CHUNK, kernels.CHUNK * 25 // (n * n)), cap)
+    assert kernels.scan_chunk(n) == early and kernels.scan_chunk(n, exhaustive=True) == exhaustive
+    values = np.zeros((n, 1), np.int64)
+    assert kernels.ScanPlan(values).chunk == early
+    assert kernels.ScanPlan(values, exhaustive=True).chunk == exhaustive
+    stop = 2 * exhaustive + 1
+    seen = list(kernels.scan_windows(values, lambda plan, *window: window, 0, stop))
+    assert seen == [(0, exhaustive), (exhaustive, exhaustive), (2 * exhaustive, 1)]
+    first = list(kernels.scan_windows(values, lambda plan, *window: window, 0, stop, first=1))
+    assert _assert_doubling(first, 0, early, first=1) == stop
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -555,13 +586,17 @@ def test_audit_orders_violations_by_index_agent_label(monkeypatch):
     """Random masks violate several implications on one agent, so the
     label order is exercised too: labels sort by their strings."""
     monkeypatch.setattr(kernels, "notion_masks", _random_masks)
-    inst = random_instance(2, 14, 20, seed=3)  # 16384 allocations: two windows
+    # 16384 allocations: two windows, of 12,800 and 3,584 at n = 2.
+    monkeypatch.setattr(kernels, "CHUNK", 2048)
+    inst = random_instance(2, 14, 20, seed=3)
     report = implication_audit(inst)
-    chunk = kernels.scan_chunk(inst.n)
+    chunk, total = kernels.scan_chunk(inst.n, exhaustive=True), inst.n**inst.m
+    assert chunk < total
     expected = []
-    for start in range(0, inst.n**inst.m, chunk):
-        masks = _random_masks(inst.values, None, None, start, chunk)
-        for row, agent, label in np.ndindex(chunk, inst.n, len(oracle.IMPLICATIONS)):
+    for start in range(0, total, chunk):
+        count = min(chunk, total - start)
+        masks = _random_masks(inst.values, None, None, start, count)
+        for row, agent, label in np.ndindex(count, inst.n, len(oracle.IMPLICATIONS)):
             name, a, c = oracle.IMPLICATIONS[label]
             mask = int(masks[row, agent])
             if mask >> a.code & 1 and not mask >> c.code & 1:

@@ -1458,19 +1458,34 @@ def test_every_certificate_that_verifies_is_propm(n, m, seed, data):
 # ---------------------------------------------------------------------------
 
 
-def _largest_first(vals, cap):
-    """``_best_subset``'s answer shape for the largest-first inclusion-maximal rule.
-
-    Items are taken by value, largest first (the lower position on ties),
-    each while the sum stays at most ``cap``. Every item left out would then
-    break the cap, but the sum need not be the largest that fits.
+def _inclusion_maximal(order):
+    """``_best_subset``'s answer shape for the inclusion-maximal rule that
+    takes positions in ``order(vals)``, each while the sum stays at most
+    ``cap``. Every item left out would then break the cap, but the sum need
+    not be the largest that fits.
     """
-    m = len(vals)
-    total = count = mask = 0
-    for p in sorted(range(m), key=lambda p: -vals[p]):
-        if total + vals[p] <= cap:
-            total, count, mask = total + vals[p], count + 1, mask | 1 << (m - 1 - p)
-    return total, count, mask
+
+    def take(vals, cap):
+        m = len(vals)
+        total = count = mask = 0
+        for p in order(vals):
+            if total + vals[p] <= cap:
+                total, count, mask = total + vals[p], count + 1, mask | 1 << (m - 1 - p)
+        return total, count, mask
+
+    return take
+
+
+# Inclusion-maximal rules; ties go to the lower position.
+_INCLUSION_MAXIMAL_RULES = {
+    "largest-first": _inclusion_maximal(
+        lambda vals: sorted(range(len(vals)), key=lambda p: -vals[p])
+    ),
+    "smallest-first": _inclusion_maximal(
+        lambda vals: sorted(range(len(vals)), key=vals.__getitem__)
+    ),
+    "index-order": _inclusion_maximal(lambda vals: range(len(vals))),
+}
 
 
 _VALUE_FAMILIES = {
@@ -1508,17 +1523,19 @@ def _inclusion_maximal_sample(count=300):
     return sample
 
 
-def test_largest_first_ladders_solve_and_only_the_ladder_check_rejects_them(monkeypatch):
+@pytest.mark.parametrize("rule", list(_INCLUSION_MAXIMAL_RULES))
+def test_inclusion_maximal_ladders_solve_and_only_the_ladder_check_rejects_them(monkeypatch, rule):
     """Stage 1 evidence for solving with inclusion-maximal CP bundles (no output change).
 
-    With the largest-first rule in place of the value-maximal one, every
-    solve of the sample passes the solver's own PROPm check and share
-    bounds (no InvariantViolationError). Under the real rule, each such
-    certificate whose ladders all equal the real ones verifies, and each
-    other one is rejected at a ladder and nowhere else.
+    With an inclusion-maximal rule (largest first, smallest first or index
+    order) in place of the value-maximal one, every solve of the sample
+    passes the solver's own PROPm check and share bounds (no
+    InvariantViolationError). Under the real rule, each such certificate
+    whose ladders all equal the real ones verifies, and each other one is
+    rejected at a ladder and nowhere else.
     """
     sample = _inclusion_maximal_sample()
-    monkeypatch.setattr(cpsets, "_best_subset", _largest_first)
+    monkeypatch.setattr(cpsets, "_best_subset", _INCLUSION_MAXIMAL_RULES[rule])
     solved = [solve_propm(inst) for inst in sample]
     monkeypatch.undo()
     differ = 0
